@@ -5,7 +5,7 @@ import argparse
 from collections import Counter
 
 import paulipath as pp
-from paulipath.engine import PathEnumeration, enumeration_stats
+from paulipath.engine import PathEnumeration
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
         circuit, h, rho = pp.rx_chain_instance(args.qubits, depth)
         run = PathEnumeration(circuit, h, rho, None, warn=False)
         weights = Counter(p.total_weight for p in run)
-        stats = enumeration_stats(run)
+        stats = run.stats
         histogram = " ".join(f"{w}:{c}" for w, c in sorted(weights.items()))
         print(
             f"{depth:>6d} {stats.paths_emitted:>8d} {2 ** (depth - 1):>8d}"

@@ -36,7 +36,6 @@ from .observables import (
     hamiltonian_from_dict,
     hamiltonian_to_dict,
     norm_bound,
-    overlap,
     state_from_dict,
     state_to_dict,
 )
@@ -46,11 +45,7 @@ from .engine import (
     PathEnumeration,
     PauliPath,
     ResourceLimitError,
-    WeightBudget,
-    enumerate_paths,
-    enumeration_stats,
     layer_predecessors,
-    rotation_predecessors,
 )
 from .estimator import (
     CrossTermResult,

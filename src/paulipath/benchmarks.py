@@ -24,6 +24,9 @@ from .circuit import Circuit, Layer, RotationGate
 from .observables import Hamiltonian, SparseDensity
 from .pauli import PauliWord
 
+# noise rates of the scaling sweep: lam = 1/ln(L) and lam = 1/L, capped
+SWEEP_LAM_CAP = 0.95
+
 
 def rx_chain_instance(
     n: int, depth: int
@@ -72,24 +75,15 @@ def rx_chain_exact_value(assignment: dict[str, float], depth: int) -> float:
     return math.cos(2.0 * alpha) - math.sin(2.0 * alpha)
 
 
-def scaling_sweep(
-    n: int,
-    depths: list[int],
-    target_mse: float,
-    *,
-    inv_log_scale: float = 1.0,
-    inv_linear_scale: float = 1.0,
-    lam_cap: float = 0.95,
-    exact_norm_threshold: int | None = None,
-) -> dict:
+def scaling_sweep(n: int, depths: list[int], target_mse: float) -> dict:
     """Enumeration cost of the chain family under two noise schedules.
 
     For every depth L the truncation order comes from the target-MSE rule
-    at noise rate lam = scale/ln(L) (the "inv-log" arm) and lam = scale/L
-    (the "inv-linear" arm).  The inv-log arm keeps the required order well
-    below the weight any path must carry, so the walk dies immediately and
-    node counts stay flat in L; the inv-linear arm forces full enumeration
-    of all 2^(L-1) paths.  The returned fits quantify both shapes:
+    at noise rate lam = 1/ln(L) (the "inv-log" arm) and lam = 1/L (the
+    "inv-linear" arm), both capped at SWEEP_LAM_CAP.  The inv-log arm keeps
+    the required order well below the weight any path must carry, so the
+    walk dies immediately and node counts stay flat in L; the inv-linear
+    arm forces full enumeration of all 2^(L-1) paths.  The returned fits quantify both shapes:
     polynomial exponent d from log nodes ~ d log L for the inv-log arm,
     exponential rate r from log2 nodes ~ r L for the inv-linear arm.
     """
@@ -97,20 +91,17 @@ def scaling_sweep(
 
     from .engine import PathEnumeration
     from .estimator import choose_m
-    from .observables import DEFAULT_EXACT_NORM_QUBITS, norm_bound
+    from .observables import norm_bound
 
     if any(d < 2 for d in depths) or len(depths) < 2:
         raise ValueError("need at least two depths, all >= 2")
-    threshold = (
-        DEFAULT_EXACT_NORM_QUBITS if exact_norm_threshold is None else exact_norm_threshold
-    )
     rows = []
     for depth in sorted(depths):
         circuit, h, rho = rx_chain_instance(n, depth)
-        norm = norm_bound(h, threshold)
+        norm = norm_bound(h)
         for arm, lam in (
-            ("inv-log", min(inv_log_scale / math.log(depth), lam_cap)),
-            ("inv-linear", min(inv_linear_scale / depth, lam_cap)),
+            ("inv-log", min(1.0 / math.log(depth), SWEEP_LAM_CAP)),
+            ("inv-linear", min(1.0 / depth, SWEEP_LAM_CAP)),
         ):
             selection = choose_m(lam, norm.value, target_mse=target_mse)
             run = PathEnumeration(circuit, h, rho, selection.m, warn=False)

@@ -5,12 +5,15 @@ backward from each observable term s_L, every layer maps a successor word
 to its possible predecessors:
 
   * letters outside all gate supports are copied verbatim;
-  * a Clifford support is conjugated through the gate, Vdag s V, with the
-    resulting sign recorded as a unit factor;
+  * a Clifford support is conjugated through the gate, Vdag s V, and the
+    resulting sign multiplies into the path's sign;
   * a rotation support with generator G either commutes with the successor
-    (one predecessor, unit factor) or anti-commutes (two predecessors: the
+    (one predecessor, no factor) or anti-commutes (two predecessors: the
     successor itself with a cos factor, and the word w from sigma w = i G s
-    with factor sigma sin, sigma in {+1, -1}).
+    with a sin factor, sigma in {+1, -1} multiplying into the sign).
+
+A path thus carries one overall sign and one cos or sin atom per
+anti-commuting rotation it passes.
 
 Only sequences whose total weight sum_i |s_i| stays within the truncation
 order M survive; the branch-and-bound rule prunes a partial sequence as
@@ -18,10 +21,10 @@ soon as the weight already spent exceeds M minus the number of words still
 to be generated (each must weigh at least 1).  Candidates for s_0 must
 additionally overlap the initial state.
 
-Enumeration order is deterministic: observable terms in trie order, then
-depth first with layer gates processed in ascending order of their least
-support qubit, Cliffords before rotations, and the cos branch before the
-sin branch.
+Enumeration order is deterministic: observable terms in letter-string
+order, then depth first with layer gates processed in ascending order of
+their least support qubit, Cliffords before rotations, and the cos branch
+before the sin branch.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .circuit import (
     require_valid,
 )
 from .observables import Hamiltonian, SparseDensity
-from .pauli import _LETTER_BITS, PauliWord, multiply
+from .pauli import _LETTER_BITS, PauliWord
 
 DEFAULT_PATH_LIMIT = 10_000_000
 DEFAULT_NODE_LIMIT = 100_000_000
@@ -51,46 +54,23 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class FactorAtom:
-    """One multiplicative factor of a path value.
+    """One trig factor of a path value: cos(theta) or sin(theta), where
+    theta is looked up by `param` (a symbol) or taken literally (a bound
+    float)."""
 
-    kind "unit" contributes sign alone; "cos"/"sin" contribute
-    sign * cos(theta) or sign * sin(theta) where theta is looked up by
-    `param` (a symbol) or taken literally (a bound float).
-    """
-
-    kind: str  # "unit" | "cos" | "sin"
-    sign: int  # +1 | -1
-    param: str | float | None = None
-
-
-_UNIT_PLUS = FactorAtom("unit", 1)
-_UNIT_MINUS = FactorAtom("unit", -1)
+    kind: str  # "cos" | "sin"
+    param: str | float
 
 
 @dataclass(frozen=True, slots=True)
 class PauliPath:
-    """A surviving path: words (s_0, ..., s_L), its factor atoms in layer
-    order, and the total weight sum_i |s_i|."""
+    """A surviving path: words (s_0, ..., s_L), its overall sign, its trig
+    atoms in layer order, and the total weight sum_i |s_i|."""
 
     words: tuple[PauliWord, ...]
+    sign: int  # +1 | -1
     atoms: tuple[FactorAtom, ...]
     total_weight: int
-
-
-@dataclass(frozen=True, slots=True)
-class WeightBudget:
-    """Branch-and-bound budget state while generating word index `remaining`.
-
-    A candidate with weight w survives when spent + w <= m - remaining:
-    each of the `remaining` words still to be generated costs at least 1.
-    """
-
-    m: int
-    spent: int
-    remaining: int
-
-    def allows(self, weight: int) -> bool:
-        return self.spent + weight <= self.m - self.remaining
 
 
 @dataclass
@@ -110,29 +90,10 @@ class EnumerationStats:
             "pruned_zero_overlap": self.pruned_zero_overlap,
         }
 
-
-def rotation_predecessors(
-    gen: PauliWord, succ: PauliWord, param: str | float | None = None
-) -> list[tuple[PauliWord, FactorAtom]]:
-    """Predecessors of `succ` through one rotation, on support-restricted
-    words.
-
-    Commuting successor: [(succ, unit +1)].  Anti-commuting successor:
-    [(succ, cos), (w, sigma sin)] with sigma w = i * gen * succ; the sign
-    convention is pinned by dense conjugation,
-    exp(+i theta G / 2) s exp(-i theta G / 2) = cos(theta) s + sigma sin(theta) w.
-    """
-    if gen.is_identity:
-        raise ValueError("rotation generator must be non-identity")
-    prod = multiply(gen, succ)
-    if (prod.phase.exponent % 2) == 0:  # i^0 or i^2: gen and succ commute
-        return [(succ, _UNIT_PLUS)]
-    sigma_exponent = (1 + prod.phase.exponent) % 4  # phase of i * gen * succ
-    sign = 1 if sigma_exponent == 0 else -1
-    return [
-        (succ, FactorAtom("cos", 1, param)),
-        (prod.word, FactorAtom("sin", sign, param)),
-    ]
+    def merge(self, other: EnumerationStats) -> None:
+        """Add the counters of another pass into this one."""
+        for name, value in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 # --- compiled per-layer transition programs ---------------------------------
@@ -166,7 +127,7 @@ _BACKWARD_CNOT = _bit_table_cnot()
 
 
 class _RotOp:
-    __slots__ = ("mask", "gx", "gz", "atom_cos", "atom_sin_plus", "atom_sin_minus")
+    __slots__ = ("mask", "gx", "gz", "atom_cos", "atom_sin")
 
     def __init__(self, gate: RotationGate) -> None:
         gen = gate.generator
@@ -174,9 +135,8 @@ class _RotOp:
         self.gx = gen.x
         self.gz = gen.z
         key = gate.param if gate.param is not None else gate.angle
-        self.atom_cos = FactorAtom("cos", 1, key)
-        self.atom_sin_plus = FactorAtom("sin", 1, key)
-        self.atom_sin_minus = FactorAtom("sin", -1, key)
+        self.atom_cos = FactorAtom("cos", key)
+        self.atom_sin = FactorAtom("sin", key)
 
 
 class _LayerProgram:
@@ -196,9 +156,11 @@ class _LayerProgram:
             (_RotOp(g) for g in layer.rotations), key=lambda r: r.mask & -r.mask
         )
 
-    def children(self, x: int, z: int) -> list[tuple[int, int, tuple[FactorAtom, ...]]]:
-        """All predecessors of the word (x, z) with their atoms."""
-        base_atoms: list[FactorAtom] = []
+    def children(
+        self, x: int, z: int
+    ) -> list[tuple[int, int, int, tuple[FactorAtom, ...]]]:
+        """All predecessors (x, z, sign, atoms) of the word (x, z)."""
+        sign = 1
         for table, b0, b1 in self.cliffords:
             if table is None:  # CNOT
                 idx = (
@@ -207,25 +169,26 @@ class _LayerProgram:
                     | (((x >> b1) & 1) << 1)
                     | ((z >> b1) & 1)
                 )
-                sign, mcx, mcz, mtx, mtz = _BACKWARD_CNOT[idx]
+                gate_sign, mcx, mcz, mtx, mtz = _BACKWARD_CNOT[idx]
                 x = (x & ~(1 << b0) & ~(1 << b1)) | (mcx << b0) | (mtx << b1)
                 z = (z & ~(1 << b0) & ~(1 << b1)) | (mcz << b0) | (mtz << b1)
             else:
                 idx = (((x >> b0) & 1) << 1) | ((z >> b0) & 1)
-                sign, mx, mz = table[idx]
+                gate_sign, mx, mz = table[idx]
                 x = (x & ~(1 << b0)) | (mx << b0)
                 z = (z & ~(1 << b0)) | (mz << b0)
-            base_atoms.append(_UNIT_PLUS if sign == 1 else _UNIT_MINUS)
-        states = [(x, z, tuple(base_atoms))]
+            sign *= gate_sign
+        states = [(x, z, sign, ())]
         for rot in self.rotations:
             sxr = x & rot.mask
             szr = z & rot.mask
             anti = ((rot.gx & szr).bit_count() + (rot.gz & sxr).bit_count()) % 2
             if not anti:
-                states = [(sx, sz, atoms + (_UNIT_PLUS,)) for sx, sz, atoms in states]
                 continue
             px = sxr ^ rot.gx
             pz = szr ^ rot.gz
+            # sigma w = i G s fixes the sign of the sin branch; pinned by
+            # exp(+i theta G/2) s exp(-i theta G/2) = cos(theta) s + sigma sin(theta) w
             exp = (
                 1
                 + (rot.gx & rot.gz).bit_count()
@@ -233,35 +196,33 @@ class _LayerProgram:
                 - (px & pz).bit_count()
                 + 2 * (rot.gz & sxr).bit_count()
             ) % 4
-            sin_atom = rot.atom_sin_plus if exp == 0 else rot.atom_sin_minus
+            sigma = 1 if exp == 0 else -1
             keep = ~rot.mask
             states = [
                 branch
-                for sx, sz, atoms in states
+                for sx, sz, s, atoms in states
                 for branch in (
-                    (sx, sz, atoms + (rot.atom_cos,)),
-                    ((sx & keep) | px, (sz & keep) | pz, atoms + (sin_atom,)),
+                    (sx, sz, s, atoms + (rot.atom_cos,)),
+                    (
+                        (sx & keep) | px,
+                        (sz & keep) | pz,
+                        s * sigma,
+                        atoms + (rot.atom_sin,),
+                    ),
                 )
             ]
         return states
 
 
 def layer_predecessors(
-    layer: Layer, succ: PauliWord, budget: WeightBudget | None = None
-) -> list[tuple[PauliWord, tuple[FactorAtom, ...]]]:
-    """Predecessors of a full word through one layer, optionally pruned.
-
-    With a budget, candidates whose weight is zero or that violate
-    budget.allows are dropped, mirroring the enumeration walk.
-    """
-    program = _LayerProgram(layer)
-    out = []
-    for x, z, atoms in program.children(succ.x, succ.z):
-        weight = (x | z).bit_count()
-        if budget is not None and (weight == 0 or not budget.allows(weight)):
-            continue
-        out.append((PauliWord(succ.n, x, z), atoms))
-    return out
+    layer: Layer, succ: PauliWord
+) -> list[tuple[PauliWord, int, tuple[FactorAtom, ...]]]:
+    """Predecessors (word, sign, atoms) of a full word through one layer,
+    in the order the enumeration walks them."""
+    return [
+        (PauliWord(succ.n, x, z), sign, atoms)
+        for x, z, sign, atoms in _LayerProgram(layer).children(succ.x, succ.z)
+    ]
 
 
 class PathEnumeration:
@@ -324,17 +285,17 @@ class PathEnumeration:
         terms = self.h.terms()
         if self.term_indices is not None:
             terms = [terms[i] for i in self.term_indices]
-        # frame: (word index, x, z, spent weight, parent frame, atoms added)
+        # frame: (word index, x, z, spent weight, parent frame, sign, atoms added)
         for word, _ in terms:
             stats.nodes_visited += 1
             weight = word.weight
             if weight > m - depth:
                 stats.pruned_budget += 1
                 continue
-            stack = [(depth, word.x, word.z, weight, None, ())]
+            stack = [(depth, word.x, word.z, weight, None, 1, ())]
             while stack:
                 frame = stack.pop()
-                idx, x, z, spent, parent, _ = frame
+                idx, x, z, spent, _, _, _ = frame
                 if idx == 0:
                     if rho.overlap_masks(x, z) == 0.0:
                         stats.pruned_zero_overlap += 1
@@ -348,8 +309,7 @@ class PathEnumeration:
                     continue
                 children = programs[idx - 1].children(x, z)
                 next_idx = idx - 1
-                for child in reversed(children):
-                    cx, cz, atoms = child
+                for cx, cz, sign, atoms in reversed(children):
                     stats.nodes_visited += 1
                     if stats.nodes_visited > self.node_limit:
                         raise ResourceLimitError(
@@ -362,34 +322,17 @@ class PathEnumeration:
                     if spent + cw > m - next_idx:
                         stats.pruned_budget += 1
                         continue
-                    stack.append((next_idx, cx, cz, spent + cw, frame, atoms))
+                    stack.append((next_idx, cx, cz, spent + cw, frame, sign, atoms))
 
     @staticmethod
     def _build_path(frame: tuple, n: int) -> PauliPath:
         words: list[PauliWord] = []
-        atom_groups: list[tuple[FactorAtom, ...]] = []
-        total = frame[3]
-        cursor = frame
-        while cursor is not None:
-            words.append(PauliWord(n, cursor[1], cursor[2]))
-            atom_groups.append(cursor[5])
-            cursor = cursor[4]
         atoms: list[FactorAtom] = []
-        for group in atom_groups:
-            atoms.extend(group)
-        return PauliPath(tuple(words), tuple(atoms), total)
-
-
-def enumerate_paths(
-    circuit: Circuit,
-    h: Hamiltonian,
-    rho: SparseDensity,
-    m: int | None,
-    **kwargs,
-) -> PathEnumeration:
-    return PathEnumeration(circuit, h, rho, m, **kwargs)
-
-
-def enumeration_stats(run: PathEnumeration) -> EnumerationStats:
-    """Counters of the most recent pass over `run`."""
-    return run.stats
+        sign = 1
+        cursor = frame
+        while cursor is not None:  # leaf (s_0) to root (s_L)
+            words.append(PauliWord(n, cursor[1], cursor[2]))
+            sign *= cursor[5]
+            atoms.extend(cursor[6])
+            cursor = cursor[4]
+        return PauliPath(tuple(words), sign, tuple(atoms), frame[3])

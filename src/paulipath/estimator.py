@@ -2,18 +2,21 @@
 
 The estimator sums damped path values
 
-    value = c_I + sum_paths (1 - lam)^|s| * coeff(s_L) * prod(atoms) * Tr(s_0 rho)
+    value = c_I + sum_paths (1 - lam)^|s| * coeff(s_L) * sign * prod(atoms) * Tr(s_0 rho)
 
-over all paths of total weight |s| <= M.  Under single-qubit depolarizing
+over all paths of total weight |s| <= M, where sign is the path's overall
++-1 (Clifford table signs times the sigma of every sin branch) and each atom
+is the cos or sin of one rotation angle.  Under single-qubit depolarizing
 noise at rate lam, and when the effected rotation generators generate the
 full Pauli group (the generation check), the mean squared truncation error
 over uniform angles is bounded by (1 - lam)^(2M) * |H|^2 where |H| bounds
 the spectral norm of the traceless part.  When the generation check fails
 the same numbers are still reported but flagged as not certified.
 
-Accumulation is per observable term, then folded in canonical term order,
-so results are independent of the worker count; the optional compensated
-mode runs Kahan summation inside and across terms.
+Each worker walks the paths of its chunk of observable terms in one pass,
+with one accumulator per term; the term sums are then folded in canonical
+term order, so results are independent of the worker count.  The optional
+compensated mode runs Kahan summation inside and across terms.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .engine import (
     FactorAtom,
     PathEnumeration,
     PauliPath,
+    ResourceLimitError,
 )
 from .observables import (
     DEFAULT_EXACT_NORM_QUBITS,
@@ -59,17 +63,14 @@ class NoiseModel:
 
 
 def atom_value(atom: FactorAtom, assignment: ParameterAssignment) -> float:
-    """Numeric value of one factor atom at a parameter assignment."""
-    if atom.kind == "unit":
-        return float(atom.sign)
+    """cos or sin of the atom's angle at a parameter assignment."""
     if isinstance(atom.param, str):
         if atom.param not in assignment:
             raise ValueError(f"no angle bound for parameter {atom.param!r}")
         angle = assignment[atom.param]
     else:
         angle = atom.param
-    base = math.cos(angle) if atom.kind == "cos" else math.sin(angle)
-    return atom.sign * base
+    return math.cos(angle) if atom.kind == "cos" else math.sin(angle)
 
 
 def path_value(
@@ -78,8 +79,8 @@ def path_value(
     h: Hamiltonian,
     rho: SparseDensity,
 ) -> float:
-    """Noiseless value: coeff(s_L) * prod(atoms) * Tr(s_0 rho)."""
-    factor = h.coeff(path.words[-1])
+    """Noiseless value: coeff(s_L) * sign * prod(atoms) * Tr(s_0 rho)."""
+    factor = h.coeff(path.words[-1]) * path.sign
     for atom in path.atoms:
         factor *= atom_value(atom, assignment)
     return factor * rho.overlap(path.words[0])
@@ -91,16 +92,13 @@ def damping(path: PauliPath, lam: float) -> float:
 
 
 def describe_factors(path: PauliPath) -> str:
-    """Human-readable product of the path's factor atoms."""
-    sign = 1
+    """Human-readable product of the path's sign and factor atoms."""
     parts: list[str] = []
     for atom in path.atoms:
-        sign *= atom.sign
-        if atom.kind != "unit":
-            arg = atom.param if isinstance(atom.param, str) else f"{atom.param!r}"
-            parts.append(f"{atom.kind}({arg})")
+        arg = atom.param if isinstance(atom.param, str) else repr(atom.param)
+        parts.append(f"{atom.kind}({arg})")
     body = "*".join(parts) if parts else "1"
-    return ("-" if sign < 0 else "") + body
+    return ("-" if path.sign < 0 else "") + body
 
 
 class _Accumulator:
@@ -134,52 +132,40 @@ def _term_sums(
     deterministic_sum: bool,
     path_limit: int,
     node_limit: int,
-) -> tuple[list[tuple[int, float]], dict[str, int], int]:
-    """Damped path sums per observable term, in the given term order."""
+) -> tuple[list[float], EnumerationStats]:
+    """Damped path sums of the given terms, in the given order, from one
+    walk over their paths."""
     max_weight = circuit.n * (circuit.depth + 1)
     damp = [1.0]
     for _ in range(max_weight):
         damp.append(damp[-1] * (1.0 - lam))
-    terms = h.terms()
+    all_terms = h.terms()
+    chunk = [all_terms[ti] for ti in term_indices]
+    # every term gets an accumulator, so terms without paths still fold in
+    accs = {(word.x, word.z): _Accumulator(deterministic_sum) for word, _ in chunk}
     atom_cache: dict[FactorAtom, float] = {}
-    sums: list[tuple[int, float]] = []
-    stats_total = EnumerationStats()
-    emitted = 0
-    for ti in term_indices:
-        coeff = terms[ti][1]
-        run = PathEnumeration(
-            circuit,
-            h,
-            rho,
-            m,
-            path_limit=path_limit - emitted,
-            node_limit=node_limit - stats_total.nodes_visited,
-            term_indices=[ti],
-            warn=False,
-        )
-        acc = _Accumulator(deterministic_sum)
-        for path in run:
-            factor = damp[path.total_weight]
-            for atom in path.atoms:
-                value = atom_cache.get(atom)
-                if value is None:
-                    value = atom_value(atom, assignment)
-                    atom_cache[atom] = value
-                factor *= value
-            acc.add(factor * rho.overlap_masks(path.words[0].x, path.words[0].z))
-        sums.append((ti, coeff * acc.total))
-        stats = run.stats
-        emitted += stats.paths_emitted
-        stats_total.nodes_visited += stats.nodes_visited
-        stats_total.paths_emitted += stats.paths_emitted
-        stats_total.pruned_budget += stats.pruned_budget
-        stats_total.pruned_zero_weight += stats.pruned_zero_weight
-        stats_total.pruned_zero_overlap += stats.pruned_zero_overlap
-    return sums, stats_total.as_dict(), emitted
-
-
-def _worker_entry(args: tuple) -> tuple[list[tuple[int, float]], dict[str, int], int]:
-    return _term_sums(*args)
+    run = PathEnumeration(
+        circuit,
+        h,
+        rho,
+        m,
+        path_limit=path_limit,
+        node_limit=node_limit,
+        term_indices=list(term_indices),
+        warn=False,
+    )
+    for path in run:
+        factor = path.sign * damp[path.total_weight]
+        for atom in path.atoms:
+            value = atom_cache.get(atom)
+            if value is None:
+                value = atom_value(atom, assignment)
+                atom_cache[atom] = value
+            factor *= value
+        first, last = path.words[0], path.words[-1]
+        accs[(last.x, last.z)].add(factor * rho.overlap_masks(first.x, first.z))
+    sums = [coeff * acc.total for (_, coeff), acc in zip(chunk, accs.values())]
+    return sums, run.stats
 
 
 @dataclass(frozen=True)
@@ -277,22 +263,15 @@ def estimate(
         eps_delta = None
     identity_offset = h.identity_coeff * rho.overlap_masks(0, 0)
     term_count = h.term_count
-    if lam == 1.0 or term_count == 0:
-        # every non-identity word is fully damped (or there is none)
-        value = identity_offset
-        stats = EnumerationStats().as_dict()
-        total = 0.0
-        paths = 0
-    else:
-        chunks: list[list[int]] = []
-        if workers == 1:
-            chunks = [list(range(term_count))]
-        else:
-            size = math.ceil(term_count / workers)
-            chunks = [
-                list(range(lo, min(lo + size, term_count)))
-                for lo in range(0, term_count, size)
-            ]
+    stats_all = EnumerationStats()
+    value = identity_offset
+    # with lam == 1 every non-identity word is fully damped
+    if lam < 1.0 and term_count > 0:
+        size = math.ceil(term_count / workers)
+        chunks = [
+            list(range(lo, min(lo + size, term_count)))
+            for lo in range(0, term_count, size)
+        ]
         args = [
             (
                 circuit,
@@ -309,25 +288,23 @@ def estimate(
             for chunk in chunks
         ]
         if len(chunks) == 1:
-            results = [_worker_entry(args[0])]
+            results = [_term_sums(*args[0])]
         else:
             with get_context().Pool(processes=min(workers, len(chunks))) as pool:
-                results = pool.map(_worker_entry, args)
+                results = pool.starmap(_term_sums, args)
         acc = _Accumulator(deterministic_sum)
-        stats_all = EnumerationStats()
-        paths = 0
-        for sums, stat_dict, _ in results:
-            for _, term_sum in sums:  # chunks preserve canonical term order
+        for sums, chunk_stats in results:
+            for term_sum in sums:  # chunks preserve canonical term order
                 acc.add(term_sum)
-            stats_all.nodes_visited += stat_dict["nodes_visited"]
-            stats_all.paths_emitted += stat_dict["paths_emitted"]
-            stats_all.pruned_budget += stat_dict["pruned_budget"]
-            stats_all.pruned_zero_weight += stat_dict["pruned_zero_weight"]
-            stats_all.pruned_zero_overlap += stat_dict["pruned_zero_overlap"]
-        total = acc.total
-        paths = stats_all.paths_emitted
-        stats = stats_all.as_dict()
-        value = identity_offset + total
+            stats_all.merge(chunk_stats)
+        # each chunk checks the limits alone; check them again over all chunks
+        if stats_all.paths_emitted > path_limit:
+            raise ResourceLimitError(f"more than {path_limit} paths survive truncation")
+        if stats_all.nodes_visited > node_limit:
+            raise ResourceLimitError(
+                f"more than {node_limit} enumeration nodes visited"
+            )
+        value = identity_offset + acc.total
     decay = (1.0 - lam) ** (2 * m_eff)
     return EstimateReport(
         value=value,
@@ -340,8 +317,8 @@ def estimate(
         mse_bound_exp=math.exp(-2.0 * lam * m_eff) * norm.value**2,
         eps_delta=eps_delta,
         generation_certified=certified,
-        paths_used=paths,
-        stats=stats,
+        paths_used=stats_all.paths_emitted,
+        stats=stats_all.as_dict(),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -447,10 +424,10 @@ def _compile_path(
 ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """(constant, cos param indices, sin param indices) for vector runs.
 
-    Unit signs, sin signs, the damping factor, the term coefficient, the
-    state overlap, and any bound-angle factors all fold into the constant.
+    The path sign, the damping factor, the term coefficient, the state
+    overlap, and any bound-angle factors all fold into the constant.
     """
-    const = (
+    const = path.sign * (
         h.coeff(path.words[-1])
         * rho.overlap(path.words[0])
         * (1.0 - lam) ** path.total_weight
@@ -458,14 +435,10 @@ def _compile_path(
     cos_idx: list[int] = []
     sin_idx: list[int] = []
     for atom in path.atoms:
-        const *= atom.sign
-        if atom.kind == "unit":
-            continue
         if isinstance(atom.param, str):
             (cos_idx if atom.kind == "cos" else sin_idx).append(param_index[atom.param])
         else:
-            angle = atom.param
-            const *= math.cos(angle) if atom.kind == "cos" else math.sin(angle)
+            const *= atom_value(atom, {})
     return const, tuple(cos_idx), tuple(sin_idx)
 
 

@@ -1,9 +1,10 @@
 """Observables and initial states for mean-value estimation.
 
 Hamiltonians are real linear combinations of unnormalized Pauli words,
-stored both as a term list and as a letter trie so coefficient lookup for
-an n-qubit word costs O(n).  The identity component is split off into
-`identity_coeff`; `coeff` relates to traces by Tr(H w) = coeff(w) * 2^n.
+stored both as a sorted term list and as a dict keyed by the word's (x, z)
+masks, so coefficient lookup is one dict access.  The identity component
+is split off into `identity_coeff`; `coeff` relates to traces by
+Tr(H w) = coeff(w) * 2^n.
 
 Initial states are sparse density matrices: lists of |ket><bra| entries
 over computational basis states.  Bit strings follow the same convention
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import LETTERS, PauliWord
+from .pauli import PauliWord
 
 HERMITIZE_WARN = 1e-9
 TRACE_TOL = 1e-9
@@ -29,21 +30,13 @@ DEFAULT_EXACT_NORM_QUBITS = 12
 _POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-class _TrieNode:
-    __slots__ = ("children", "coeff")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.coeff: float | None = None  # set only at depth n
-
-
 class Hamiltonian:
-    """Pauli-term observable with O(n) coefficient lookup.
+    """Pauli-term observable with O(1) coefficient lookup.
 
     Duplicate words are merged by coefficient addition at build time and
     exact-zero sums are dropped.  `terms()` iterates non-identity terms in
-    trie order (letters ordered I < X < Y < Z), which fixes a canonical
-    term order for enumeration and reporting.
+    order of their letter strings (I < X < Y < Z, qubit 1 first), which
+    fixes a canonical term order for enumeration and reporting.
     """
 
     def __init__(self, n: int, terms: Iterable[tuple[PauliWord, float]]) -> None:
@@ -52,7 +45,6 @@ class Hamiltonian:
         self.n = n
         self.identity_coeff = 0.0
         merged: dict[tuple[int, int], float] = {}
-        order: list[tuple[int, int]] = []
         for word, coeff in terms:
             if word.n != n:
                 raise ValueError(f"term on {word.n} qubits, Hamiltonian has {n}")
@@ -61,35 +53,13 @@ class Hamiltonian:
                 self.identity_coeff += coeff
                 continue
             key = (word.x, word.z)
-            if key not in merged:
-                merged[key] = 0.0
-                order.append(key)
-            merged[key] += coeff
-        self._root = _TrieNode()
-        self._terms: list[tuple[PauliWord, float]] = []
-        for x, z in order:
-            if merged[(x, z)] == 0.0:
-                continue
-            self._insert(PauliWord(n, x, z), merged[(x, z)])
-        self._collect(self._root, self._terms)
-
-    def _insert(self, word: PauliWord, coeff: float) -> None:
-        node = self._root
-        for q in range(1, self.n + 1):
-            letter = word.letter(q)
-            node = node.children.setdefault(letter, _TrieNode())
-        node.coeff = coeff
-
-    def _collect(
-        self, node: _TrieNode, out: list[tuple[PauliWord, float]], prefix: str = ""
-    ) -> None:
-        if node.coeff is not None:
-            out.append((PauliWord.from_string(prefix), node.coeff))
-            return
-        for letter in LETTERS:
-            child = node.children.get(letter)
-            if child is not None:
-                self._collect(child, out, prefix + letter)
+            merged[key] = merged.get(key, 0.0) + coeff
+        self._coeffs = {key: c for key, c in merged.items() if c != 0.0}
+        # "IXYZ" is also ASCII order, so sorting letter strings sorts by letter
+        self._terms = sorted(
+            ((PauliWord(n, x, z), c) for (x, z), c in self._coeffs.items()),
+            key=lambda term: str(term[0]),
+        )
 
     def coeff(self, word: PauliWord) -> float:
         """Coefficient of a word; 0.0 when absent."""
@@ -97,15 +67,10 @@ class Hamiltonian:
             raise ValueError(f"word on {word.n} qubits, Hamiltonian has {self.n}")
         if word.is_identity:
             return self.identity_coeff
-        node = self._root
-        for q in range(1, self.n + 1):
-            node = node.children.get(word.letter(q))
-            if node is None:
-                return 0.0
-        return node.coeff if node.coeff is not None else 0.0
+        return self._coeffs.get((word.x, word.z), 0.0)
 
     def terms(self) -> list[tuple[PauliWord, float]]:
-        """Non-identity terms in trie order."""
+        """Non-identity terms in letter-string order."""
         return list(self._terms)
 
     @property
@@ -261,9 +226,6 @@ class SparseDensity:
             raise ValueError(f"word on {word.n} qubits, state has {self.n}")
         return self.overlap_masks(word.x, word.z)
 
-
-def overlap(rho: SparseDensity, word: PauliWord) -> float:
-    return rho.overlap(word)
 
 
 # --- JSON wire formats ------------------------------------------------------

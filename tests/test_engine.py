@@ -9,20 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulipath import (
+    CliffordGate,
     Hamiltonian,
+    Layer,
     PauliWord,
+    RotationGate,
     SparseDensity,
-    enumerate_paths,
-    enumeration_stats,
+    estimate,
     rx_chain_instance,
 )
 from paulipath.engine import (
     FactorAtom,
     PathEnumeration,
     ResourceLimitError,
-    WeightBudget,
     layer_predecessors,
-    rotation_predecessors,
 )
 from paulipath.estimator import atom_value, path_value, damping
 from paulipath.oracle import observable_factor, state_factor, transition_factor
@@ -31,17 +31,20 @@ from conftest import random_certified_instance
 
 
 def test_rotation_predecessors_commuting():
-    gen = PauliWord.from_string("X")
-    out = rotation_predecessors(gen, PauliWord.from_string("X"), "a")
-    assert out == [(PauliWord.from_string("X"), FactorAtom("unit", 1, None))]
+    # a successor that commutes with the generator passes through with no factor
+    layer = Layer((RotationGate(PauliWord.from_string("X"), param="a"),))
+    assert layer_predecessors(layer, PauliWord.from_string("X")) == [
+        (PauliWord.from_string("X"), 1, ())
+    ]
 
 
 def test_rotation_predecessors_anticommuting():
-    gen = PauliWord.from_string("X")
-    out = rotation_predecessors(gen, PauliWord.from_string("Z"), "a")
-    assert [(str(w), a.kind, a.sign) for w, a in out] == [
-        ("Z", "cos", 1),
-        ("Y", "sin", 1),
+    # an anti-commuting successor branches into cos and sin, cos first
+    layer = Layer((RotationGate(PauliWord.from_string("X"), param="a"),))
+    out = layer_predecessors(layer, PauliWord.from_string("Z"))
+    assert out == [
+        (PauliWord.from_string("Z"), 1, (FactorAtom("cos", "a"),)),
+        (PauliWord.from_string("Y"), 1, (FactorAtom("sin", "a"),)),
     ]
 
 
@@ -61,69 +64,37 @@ def test_rotation_predecessors_anticommuting():
     )
 )
 @settings(max_examples=120, deadline=None)
-def test_rotation_predecessors_match_dense_transitions(case):
-    """Every branch reproduces the dense transition amplitude, and words off
-    the returned list have amplitude zero."""
+def test_layer_predecessors_match_dense_transitions(case):
+    """Through a one-rotation layer, sign * prod(atoms) of every predecessor
+    reproduces the dense transition amplitude, and words off the returned
+    list have amplitude zero."""
     gen, succ, theta = case
     if gen.is_identity:
         return
-    from paulipath import Layer, RotationGate
-
     layer = Layer((RotationGate(gen, param="a"),))
     preds = dict()
-    for word, atom in rotation_predecessors(gen, succ, "a"):
-        preds[(word.x, word.z)] = atom
+    for word, sign, atoms in layer_predecessors(layer, succ):
+        value = float(sign)
+        for atom in atoms:
+            value *= atom_value(atom, {"a": theta})
+        preds[(word.x, word.z)] = value
     n = gen.n
     for x in range(2**n):
         for z in range(2**n):
             prev = PauliWord(n, x, z)
             dense = transition_factor(layer, {"a": theta}, n, prev, succ)
-            atom = preds.get((x, z))
-            expected = 0.0 if atom is None else atom_value(atom, {"a": theta})
-            assert dense == pytest.approx(expected, abs=1e-12)
+            assert dense == pytest.approx(preds.get((x, z), 0.0), abs=1e-12)
 
 
 def test_layer_predecessors_clifford_sign():
-    from paulipath import CliffordGate, Layer
-
     # pulling successor X back through S gives -Y, successor Y gives +X
     layer = Layer((CliffordGate("S", (1,)),))
-    out = layer_predecessors(layer, PauliWord.from_string("X"))
-    assert len(out) == 1
-    word, atoms = out[0]
-    assert str(word) == "Y"
-    assert [a.kind for a in atoms] == ["unit"]
-    assert atoms[0].sign == -1
-    out2 = layer_predecessors(layer, PauliWord.from_string("Y"))
-    assert str(out2[0][0]) == "X"
-    assert out2[0][1][0].sign == 1
-
-
-def test_layer_predecessors_budget_prunes():
-    from paulipath import Layer, RotationGate
-
-    layer = Layer(
-        (
-            RotationGate(PauliWord.from_string("XI"), param="a"),
-            RotationGate(PauliWord.from_string("IX"), param="b"),
-        )
-    )
-    succ = PauliWord.from_string("ZZ")
-    assert len(layer_predecessors(layer, succ)) == 4  # two independent branches
-    tight = WeightBudget(m=2, spent=0, remaining=1)  # admits weight <= 1 only
-    assert layer_predecessors(layer, succ, tight) == []
-    # partial prune: only the weight-2 sin branch of an XX rotation dies
-    layer2 = Layer((RotationGate(PauliWord.from_string("XX"), param="a"),))
-    succ2 = PauliWord.from_string("ZI")
-    assert len(layer_predecessors(layer2, succ2)) == 2
-    kept = layer_predecessors(layer2, succ2, tight)
-    assert [(str(w), atoms[0].kind) for w, atoms in kept] == [("ZI", "cos")]
-
-
-def test_weight_budget_boundary():
-    budget = WeightBudget(m=5, spent=2, remaining=1)
-    assert budget.allows(2)
-    assert not budget.allows(3)
+    assert layer_predecessors(layer, PauliWord.from_string("X")) == [
+        (PauliWord.from_string("Y"), -1, ())
+    ]
+    assert layer_predecessors(layer, PauliWord.from_string("Y")) == [
+        (PauliWord.from_string("X"), 1, ())
+    ]
 
 
 def _brute_force_reference(circuit, h, rho, theta, lam):
@@ -221,16 +192,16 @@ def test_minimum_weight_cutoff():
 def test_enumeration_deterministic():
     circuit, h, rho, _ = random_certified_instance(19)
     run = PathEnumeration(circuit, h, rho, None, warn=False)
-    first = [(p.words, p.atoms) for p in run]
-    second = [(p.words, p.atoms) for p in run]
+    first = [(p.words, p.sign, p.atoms) for p in run]
+    second = [(p.words, p.sign, p.atoms) for p in run]
     assert first == second
 
 
 def test_stats_shape():
     circuit, h, rho = rx_chain_instance(2, 6)
-    run = enumerate_paths(circuit, h, rho, None, warn=False)
+    run = PathEnumeration(circuit, h, rho, None, warn=False)
     list(run)
-    stats = enumeration_stats(run)
+    stats = run.stats
     assert stats.paths_emitted == 32
     assert stats.nodes_visited >= stats.paths_emitted
     # identity words cannot appear strictly inside a path
@@ -252,6 +223,19 @@ def test_path_limit_guard():
         list(PathEnumeration(circuit, h, rho, None, node_limit=3, warn=False))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_limits_are_global(workers):
+    # 128 paths over two terms: each term alone stays under the limit
+    circuit, h, rho = rx_chain_instance(2, 8)
+    theta = {p: 0.3 for p in circuit.parameters()}
+    with pytest.raises(ResourceLimitError, match="more than 100 paths"):
+        estimate(circuit, h, rho, theta, 0.1, path_limit=100, workers=workers)
+    nodes = estimate(circuit, h, rho, theta, 0.1).stats["nodes_visited"]
+    limit = nodes - 1
+    with pytest.raises(ResourceLimitError, match=f"more than {limit} enumeration nodes"):
+        estimate(circuit, h, rho, theta, 0.1, node_limit=limit, workers=workers)
+
+
 def test_zero_overlap_roots_pruned():
     # |00> has zero overlap with any X or Y letter at the far end
     circuit, h, rho = rx_chain_instance(1, 3)
@@ -259,7 +243,7 @@ def test_zero_overlap_roots_pruned():
     for path in run:
         overlap = rho.overlap(path.words[0])
         assert abs(overlap) > 0
-    assert enumeration_stats(run).pruned_zero_overlap > 0
+    assert run.stats.pruned_zero_overlap > 0
 
 
 def test_term_restriction():

@@ -27,12 +27,10 @@ from conftest import random_certified_instance
 
 
 def test_atom_values():
-    assert atom_value(FactorAtom("unit", 1, None), {}) == 1.0
-    assert atom_value(FactorAtom("unit", -1, None), {}) == -1.0
-    assert atom_value(FactorAtom("cos", 1, "a"), {"a": 0.9}) == pytest.approx(math.cos(0.9))
-    assert atom_value(FactorAtom("sin", -1, "a"), {"a": 0.9}) == pytest.approx(-math.sin(0.9))
+    assert atom_value(FactorAtom("cos", "a"), {"a": 0.9}) == pytest.approx(math.cos(0.9))
+    assert atom_value(FactorAtom("sin", "a"), {"a": 0.9}) == pytest.approx(math.sin(0.9))
     # a float param is a bound angle and ignores the assignment
-    assert atom_value(FactorAtom("cos", 1, 0.4), {}) == pytest.approx(math.cos(0.4))
+    assert atom_value(FactorAtom("cos", 0.4), {}) == pytest.approx(math.cos(0.4))
 
 
 def test_choose_m_target_mse():
@@ -172,7 +170,7 @@ def test_path_value_factorization():
     theta = {p: 0.6 for p in circuit.parameters()}
     run = PathEnumeration(circuit, h, rho, None, warn=False)
     for path in run:
-        expected = h.coeff(path.words[-1]) * rho.overlap(path.words[0])
+        expected = h.coeff(path.words[-1]) * path.sign * rho.overlap(path.words[0])
         for atom in path.atoms:
             expected *= atom_value(atom, theta)
         assert path_value(path, theta, h, rho) == pytest.approx(expected)

@@ -27,6 +27,7 @@ def test_terms_merge_and_identity_split():
     h = Hamiltonian(
         2,
         [
+            (PauliWord.from_string("XZ"), 0.25),  # order decided at qubit 2
             (PauliWord.from_string("XI"), 1.0),
             (PauliWord.from_string("XI"), 0.5),
             (PauliWord.from_string("ZZ"), -1.5),
@@ -34,10 +35,14 @@ def test_terms_merge_and_identity_split():
             (PauliWord.from_string("YY"), 0.0),  # exact zero dropped
         ],
     )
-    assert [(str(w), c) for w, c in h.terms()] == [("XI", 1.5), ("ZZ", -1.5)]
+    assert [(str(w), c) for w, c in h.terms()] == [
+        ("XI", 1.5),
+        ("XZ", 0.25),
+        ("ZZ", -1.5),
+    ]
     assert h.identity_coeff == 0.3
-    assert h.term_count == 2
-    assert h.coefficient_l1() == 3.0
+    assert h.term_count == 3
+    assert h.coefficient_l1() == 3.25
     assert h.coeff(PauliWord.from_string("XI")) == 1.5
     assert h.coeff(PauliWord.from_string("YY")) == 0.0
     assert h.coeff(PauliWord.from_string("XY")) == 0.0
