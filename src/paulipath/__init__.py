@@ -52,7 +52,6 @@ from .estimator import (
     EstimateReport,
     MSelection,
     MseBenchmarkReport,
-    NoiseModel,
     choose_m,
     cross_term_check,
     damping,

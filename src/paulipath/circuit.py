@@ -14,6 +14,7 @@ against dense 2x2 / 4x4 matrix conjugation in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -300,7 +301,10 @@ def _gate_from_dict(n: int, obj: dict, where: str) -> Gate:
             generator = PauliWord.from_string(pauli)
             if has_param:
                 return RotationGate(generator, param=str(obj["param"]))
-            return RotationGate(generator, angle=float(obj["angle"]))
+            angle = float(obj["angle"])
+            if not math.isfinite(angle):
+                raise ValueError(f"angle must be finite, got {angle}")
+            return RotationGate(generator, angle=angle)
         except (ValueError, TypeError) as exc:
             raise CircuitFormatError(f"{where}: {exc}") from None
     if kind in ("H", "S"):

@@ -8,7 +8,8 @@ Modes:
   path-dump      CSV of surviving paths (weight, factors, contribution)
   scaling-sweep  enumeration cost of the chain family vs depth
 
-Reports are JSON with floats printed to 17 significant digits; exit codes:
+Reports are JSON with every float printed as the shortest repr that parses
+back to the same double; a non-finite value is a validation error.  Exit codes:
 0 success, 1 failed oracle-check comparison, 2 validation error,
 3 enumeration resource limit, 4 dense-oracle qubit cap.
 """
@@ -55,38 +56,6 @@ MODES = (
     "path-dump",
     "scaling-sweep",
 )
-
-
-def _format_json(obj, indent: int = 0) -> str:
-    """JSON text with every float at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(key))}: {_format_json(value, indent + 1)}"
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{_format_json(value, indent + 1)}" for value in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {obj!r}")
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -143,6 +112,8 @@ def _resolve_theta(circuit: Circuit, args) -> tuple[dict[str, float], bool]:
         for key, value in raw.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"params entry {key!r} is not a number")
+            if not math.isfinite(value):
+                raise ValueError(f"params entry {key!r} must be finite, got {value}")
             theta[str(key)] = float(value)
         missing = [p for p in params if p not in theta]
         if missing:
@@ -210,7 +181,6 @@ def _config_echo(args) -> dict:
         "samples": args.samples,
         "seed": args.seed,
         "workers": args.workers,
-        "deterministic_sum": args.deterministic_sum,
     }
 
 
@@ -233,7 +203,6 @@ def _mode_estimate(args) -> int:
         args.lam,
         m,
         workers=args.workers,
-        deterministic_sum=args.deterministic_sum,
         eps_delta=eps_delta,
     )
     document = {
@@ -243,7 +212,7 @@ def _mode_estimate(args) -> int:
         "m_selection": m_detail,
         "report": report.to_dict(),
     }
-    _write_text(_format_json(document), args.out)
+    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -269,7 +238,7 @@ def _mode_choose_m(args) -> int:
         "norm_bound": {"value": norm.value, "kind": norm.kind},
         "selection": selection.to_dict(),
     }
-    _write_text(_format_json(document), args.out)
+    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -293,7 +262,7 @@ def _mode_mse_benchmark(args) -> int:
         "m_selection": m_detail,
         "report": report.to_dict(),
     }
-    _write_text(_format_json(document), args.out)
+    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -311,7 +280,6 @@ def _mode_oracle_check(args) -> int:
         args.lam,
         None,
         workers=args.workers,
-        deterministic_sum=args.deterministic_sum,
     )
     reference = noisy_mean_value(circuit, h, rho, theta, args.lam)
     difference = abs(report.value - reference)
@@ -326,7 +294,7 @@ def _mode_oracle_check(args) -> int:
         "tolerance": ORACLE_CHECK_TOL,
         "agrees": agrees,
     }
-    _write_text(_format_json(document), args.out)
+    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
     return 0 if agrees else 1
 
 
@@ -343,7 +311,7 @@ def _mode_path_dump(args) -> int:
     for path in run:
         contribution = damping(path, args.lam) * path_value(path, theta, h, rho)
         writer.writerow(
-            [path.total_weight, describe_factors(path), format(contribution, ".17g")]
+            [path.total_weight, describe_factors(path), repr(contribution)]
         )
     _write_text(buffer.getvalue(), args.out)
     return 0
@@ -360,7 +328,7 @@ def _mode_scaling_sweep(args) -> int:
         raise ValueError("scaling-sweep needs --target-mse")
     result = scaling_sweep(args.sweep_qubits, depths, args.target_mse)
     document = {"config": _config_echo(args), **result}
-    _write_text(_format_json(document), args.out)
+    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -388,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--deterministic-sum", action="store_true")
     parser.add_argument("--out", help="output file (default stdout)")
     parser.add_argument(
         "--depths", help="comma-separated depths for scaling-sweep"

@@ -13,10 +13,13 @@ over uniform angles is bounded by (1 - lam)^(2M) * |H|^2 where |H| bounds
 the spectral norm of the traceless part.  When the generation check fails
 the same numbers are still reported but flagged as not certified.
 
-Each worker walks the paths of its chunk of observable terms in one pass,
-with one accumulator per term; the term sums are then folded in canonical
-term order, so results are independent of the worker count.  The optional
-compensated mode runs Kahan summation inside and across terms.
+One evaluator, `_term_sums`, computes the damped path sums of a chunk of
+observable terms in one walk over their paths.  Angles are either floats
+(`estimate`) or one ndarray per parameter with one entry per sample
+(`mse_benchmark`), so the same path expansion is evaluated at every sampled
+angle vector at once.  `estimate` gives each worker a chunk of terms and
+folds the term sums in canonical term order, so results are independent of
+the worker count.
 """
 
 from __future__ import annotations
@@ -48,28 +51,26 @@ from .observables import (
     norm_bound,
 )
 
-ParameterAssignment = Mapping[str, float]
+# float angles, or one ndarray of per-sample angles per parameter
+ParameterAssignment = Mapping[str, float | np.ndarray]
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseModel:
-    """Single-qubit depolarizing noise at a uniform rate."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"noise rate must lie in [0, 1], got {self.lam}")
+def _check_noise_rate(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"noise rate must lie in [0, 1], got {lam}")
 
 
-def atom_value(atom: FactorAtom, assignment: ParameterAssignment) -> float:
-    """cos or sin of the atom's angle at a parameter assignment."""
+def atom_value(atom: FactorAtom, assignment: ParameterAssignment) -> float | np.ndarray:
+    """cos or sin of the atom's angle at a parameter assignment; an ndarray
+    angle (one entry per sample) gives one value per sample."""
     if isinstance(atom.param, str):
         if atom.param not in assignment:
             raise ValueError(f"no angle bound for parameter {atom.param!r}")
         angle = assignment[atom.param]
     else:
         angle = atom.param
+    if isinstance(angle, np.ndarray):
+        return np.cos(angle) if atom.kind == "cos" else np.sin(angle)
     return math.cos(angle) if atom.kind == "cos" else math.sin(angle)
 
 
@@ -78,7 +79,7 @@ def path_value(
     assignment: ParameterAssignment,
     h: Hamiltonian,
     rho: SparseDensity,
-) -> float:
+) -> float | np.ndarray:
     """Noiseless value: coeff(s_L) * sign * prod(atoms) * Tr(s_0 rho)."""
     factor = h.coeff(path.words[-1]) * path.sign
     for atom in path.atoms:
@@ -101,26 +102,6 @@ def describe_factors(path: PauliPath) -> str:
     return ("-" if path.sign < 0 else "") + body
 
 
-class _Accumulator:
-    """Plain or Kahan-compensated running sum."""
-
-    __slots__ = ("total", "_carry", "_kahan")
-
-    def __init__(self, kahan: bool) -> None:
-        self.total = 0.0
-        self._carry = 0.0
-        self._kahan = kahan
-
-    def add(self, value: float) -> None:
-        if not self._kahan:
-            self.total += value
-            return
-        y = value - self._carry
-        t = self.total + y
-        self._carry = (t - self.total) - y
-        self.total = t
-
-
 def _term_sums(
     circuit: Circuit,
     h: Hamiltonian,
@@ -129,21 +110,22 @@ def _term_sums(
     term_indices: Sequence[int],
     assignment: ParameterAssignment,
     lam: float,
-    deterministic_sum: bool,
     path_limit: int,
     node_limit: int,
-) -> tuple[list[float], EnumerationStats]:
+) -> tuple[list[float | np.ndarray], EnumerationStats]:
     """Damped path sums of the given terms, in the given order, from one
-    walk over their paths."""
+    walk over their paths; per-sample arrays when the angles are arrays."""
     max_weight = circuit.n * (circuit.depth + 1)
     damp = [1.0]
     for _ in range(max_weight):
         damp.append(damp[-1] * (1.0 - lam))
     all_terms = h.terms()
     chunk = [all_terms[ti] for ti in term_indices]
-    # every term gets an accumulator, so terms without paths still fold in
-    accs = {(word.x, word.z): _Accumulator(deterministic_sum) for word, _ in chunk}
-    atom_cache: dict[FactorAtom, float] = {}
+    # every term gets a sum, so terms without paths still fold in
+    sums: dict[tuple[int, int], float | np.ndarray] = {
+        (word.x, word.z): 0.0 for word, _ in chunk
+    }
+    atom_cache: dict[FactorAtom, float | np.ndarray] = {}
     run = PathEnumeration(
         circuit,
         h,
@@ -163,9 +145,8 @@ def _term_sums(
                 atom_cache[atom] = value
             factor *= value
         first, last = path.words[0], path.words[-1]
-        accs[(last.x, last.z)].add(factor * rho.overlap_masks(first.x, first.z))
-    sums = [coeff * acc.total for (_, coeff), acc in zip(chunk, accs.values())]
-    return sums, run.stats
+        sums[(last.x, last.z)] += factor * rho.overlap_masks(first.x, first.z)
+    return [coeff * s for (_, coeff), s in zip(chunk, sums.values())], run.stats
 
 
 @dataclass(frozen=True)
@@ -214,6 +195,42 @@ def _check_assignment(circuit: Circuit, assignment: ParameterAssignment) -> None
         raise ValueError(f"no angle bound for parameter(s): {', '.join(missing)}")
 
 
+def _certificate(
+    circuit: Circuit,
+    h: Hamiltonian,
+    lam: float,
+    m: int,
+    exact_norm_threshold: int,
+) -> tuple[NormBound, bool, float, float]:
+    """Validate the circuit and the noise rate, warn about a truncation
+    order below depth + 1 and a failed generation check, and return the
+    norm bound, the generation certificate, and the truncation MSE bound at
+    order m in its (1 - lam)^2m and exp(-2 lam m) forms.  Warnings point at
+    the caller of the public function that calls this."""
+    require_valid(circuit)
+    _check_noise_rate(lam)
+    if m < circuit.depth + 1 and h.term_count > 0:
+        warnings.warn(
+            f"truncation order {m} is below depth + 1 = {circuit.depth + 1};"
+            " every path is truncated away",
+            stacklevel=3,
+        )
+    norm = norm_bound(h, exact_norm_threshold)
+    certified = circuit_generation_certified(circuit)
+    if not certified:
+        warnings.warn(
+            "effected rotation generators do not generate the full Pauli"
+            " group; MSE bounds are reported but not certified",
+            stacklevel=3,
+        )
+    return (
+        norm,
+        certified,
+        (1.0 - lam) ** (2 * m) * norm.value**2,
+        math.exp(-2.0 * lam * m) * norm.value**2,
+    )
+
+
 def estimate(
     circuit: Circuit,
     h: Hamiltonian,
@@ -223,7 +240,6 @@ def estimate(
     m: int | None = None,
     *,
     workers: int = 1,
-    deterministic_sum: bool = False,
     path_limit: int = DEFAULT_PATH_LIMIT,
     node_limit: int = DEFAULT_NODE_LIMIT,
     exact_norm_threshold: int = DEFAULT_EXACT_NORM_QUBITS,
@@ -234,33 +250,18 @@ def estimate(
     `m` is the truncation order; None runs untruncated (M = n(L+1), the
     largest possible total weight).  The report carries both MSE bound
     forms, the norm bound used, and enumeration statistics.  Results are
-    independent of `workers`; `deterministic_sum` switches the per-term
-    accumulators to compensated summation.
+    independent of `workers`.
     """
     started = time.perf_counter()
-    require_valid(circuit)
-    NoiseModel(lam)
     _check_assignment(circuit, assignment)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     max_weight = circuit.n * (circuit.depth + 1)
     untruncated = m is None or m >= max_weight
     m_eff = max_weight if m is None else m
-    if m_eff < circuit.depth + 1 and h.term_count > 0:
-        warnings.warn(
-            f"truncation order {m_eff} is below depth + 1 = {circuit.depth + 1};"
-            " every path is truncated away",
-            stacklevel=2,
-        )
-    norm = norm_bound(h, exact_norm_threshold)
-    certified = circuit_generation_certified(circuit)
-    if not certified:
-        warnings.warn(
-            "effected rotation generators do not generate the full Pauli"
-            " group; MSE bounds are reported but not certified",
-            stacklevel=2,
-        )
-        eps_delta = None
+    norm, certified, bound, bound_exp = _certificate(
+        circuit, h, lam, m_eff, exact_norm_threshold
+    )
     identity_offset = h.identity_coeff * rho.overlap_masks(0, 0)
     term_count = h.term_count
     stats_all = EnumerationStats()
@@ -273,18 +274,7 @@ def estimate(
             for lo in range(0, term_count, size)
         ]
         args = [
-            (
-                circuit,
-                h,
-                rho,
-                m_eff,
-                chunk,
-                dict(assignment),
-                lam,
-                deterministic_sum,
-                path_limit,
-                node_limit,
-            )
+            (circuit, h, rho, m_eff, chunk, dict(assignment), lam, path_limit, node_limit)
             for chunk in chunks
         ]
         if len(chunks) == 1:
@@ -292,10 +282,10 @@ def estimate(
         else:
             with get_context().Pool(processes=min(workers, len(chunks))) as pool:
                 results = pool.starmap(_term_sums, args)
-        acc = _Accumulator(deterministic_sum)
+        total = 0.0
         for sums, chunk_stats in results:
             for term_sum in sums:  # chunks preserve canonical term order
-                acc.add(term_sum)
+                total += term_sum
             stats_all.merge(chunk_stats)
         # each chunk checks the limits alone; check them again over all chunks
         if stats_all.paths_emitted > path_limit:
@@ -304,8 +294,7 @@ def estimate(
             raise ResourceLimitError(
                 f"more than {node_limit} enumeration nodes visited"
             )
-        value = identity_offset + acc.total
-    decay = (1.0 - lam) ** (2 * m_eff)
+        value = identity_offset + total
     return EstimateReport(
         value=value,
         identity_offset=identity_offset,
@@ -313,9 +302,9 @@ def estimate(
         untruncated=untruncated,
         lam=lam,
         norm=norm,
-        mse_bound=decay * norm.value**2,
-        mse_bound_exp=math.exp(-2.0 * lam * m_eff) * norm.value**2,
-        eps_delta=eps_delta,
+        mse_bound=bound,
+        mse_bound_exp=bound_exp,
+        eps_delta=eps_delta if certified else None,
         generation_certified=certified,
         paths_used=stats_all.paths_emitted,
         stats=stats_all.as_dict(),
@@ -355,7 +344,14 @@ def choose_m(
     truncation is certified.  `floor` (depth + 1) lifts choices below the
     smallest weight any path can have.
     """
-    NoiseModel(lam)
+    _check_noise_rate(lam)
+    for name, value in (
+        ("target_mse", target_mse),
+        ("epsilon", epsilon),
+        ("delta", delta),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     have_mse = target_mse is not None
     have_eps = epsilon is not None or delta is not None
     if have_mse == have_eps:
@@ -413,51 +409,6 @@ def _require_distinct_params(circuit: Circuit) -> list[str]:
             seen.add(gate.param)
             params.append(gate.param)
     return params
-
-
-def _compile_path(
-    path: PauliPath,
-    h: Hamiltonian,
-    rho: SparseDensity,
-    lam: float,
-    param_index: Mapping[str, int],
-) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
-    """(constant, cos param indices, sin param indices) for vector runs.
-
-    The path sign, the damping factor, the term coefficient, the state
-    overlap, and any bound-angle factors all fold into the constant.
-    """
-    const = path.sign * (
-        h.coeff(path.words[-1])
-        * rho.overlap(path.words[0])
-        * (1.0 - lam) ** path.total_weight
-    )
-    cos_idx: list[int] = []
-    sin_idx: list[int] = []
-    for atom in path.atoms:
-        if isinstance(atom.param, str):
-            (cos_idx if atom.kind == "cos" else sin_idx).append(param_index[atom.param])
-        else:
-            const *= atom_value(atom, {})
-    return const, tuple(cos_idx), tuple(sin_idx)
-
-
-def _evaluate_compiled(
-    compiled: Sequence[tuple[float, tuple[int, ...], tuple[int, ...]]],
-    cos_table: np.ndarray,
-    sin_table: np.ndarray,
-    base: float,
-) -> np.ndarray:
-    """Sum of compiled path values per sample; tables are (samples, params)."""
-    values = np.full(cos_table.shape[0], base, dtype=float)
-    for const, cos_idx, sin_idx in compiled:
-        term = np.full(cos_table.shape[0], const, dtype=float)
-        for p in cos_idx:
-            term *= cos_table[:, p]
-        for p in sin_idx:
-            term *= sin_table[:, p]
-        values += term
-    return values
 
 
 def _sample_thetas(
@@ -523,40 +474,35 @@ def mse_benchmark(
     """Empirical E|estimate - oracle|^2 over uniformly sampled angles.
 
     Draws `samples` assignments theta ~ U[0, 2pi) per parameter from
-    per-sample derived seeds, evaluates the truncated estimator through a
-    compiled path table and the exact noisy value through the dense
-    oracle, and compares the mean squared difference against the certified
-    bound (pass means empirical <= bound + 3 standard errors).
+    per-sample derived seeds, evaluates the truncated estimator at all of
+    them in one walk over the paths and the exact noisy value through the
+    dense oracle, and compares the mean squared difference against the
+    certified bound (pass means empirical <= bound + 3 standard errors).
     """
     from . import oracle
 
-    require_valid(circuit)
-    NoiseModel(lam)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     params = _require_distinct_params(circuit)
-    certified = circuit_generation_certified(circuit)
-    if not certified:
-        warnings.warn(
-            "generation check failed: empirical MSE is reported but the"
-            " bound is not certified",
-            stacklevel=2,
-        )
-    norm = norm_bound(h, exact_norm_threshold)
-    if m < circuit.depth + 1 and h.term_count > 0:
-        warnings.warn(
-            f"truncation order {m} is below depth + 1 = {circuit.depth + 1};"
-            " every path is truncated away",
-            stacklevel=2,
-        )
-    param_index = {p: i for i, p in enumerate(params)}
-    run = PathEnumeration(
-        circuit, h, rho, m, path_limit=path_limit, node_limit=node_limit, warn=False
+    norm, certified, bound, bound_exp = _certificate(
+        circuit, h, lam, m, exact_norm_threshold
     )
-    compiled = [_compile_path(p, h, rho, lam, param_index) for p in run]
-    base = h.identity_coeff * rho.overlap_masks(0, 0)
     sample_seeds, thetas = _sample_thetas(seed, samples, params)
-    estimates = _evaluate_compiled(compiled, np.cos(thetas), np.sin(thetas), base)
+    sums, _ = _term_sums(
+        circuit,
+        h,
+        rho,
+        m,
+        range(h.term_count),
+        dict(zip(params, thetas.T)),
+        lam,
+        path_limit,
+        node_limit,
+    )
+    total = 0.0
+    for term_sum in sums:  # the fold of estimate, one value per sample
+        total += term_sum
+    estimates = h.identity_coeff * rho.overlap_masks(0, 0) + total
     cap = oracle.DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
     exact = np.empty(samples, dtype=float)
     for i in range(samples):
@@ -565,7 +511,6 @@ def mse_benchmark(
     squared = (estimates - exact) ** 2
     empirical = float(np.mean(squared))
     std_error = float(np.std(squared, ddof=1) / math.sqrt(samples))
-    bound = (1.0 - lam) ** (2 * m) * norm.value**2
     return MseBenchmarkReport(
         samples=samples,
         m=m,
@@ -573,7 +518,7 @@ def mse_benchmark(
         empirical_mse=empirical,
         std_error=std_error,
         bound=bound,
-        bound_exp=math.exp(-2.0 * lam * m) * norm.value**2,
+        bound_exp=bound_exp,
         passed=bool(empirical <= bound + 3.0 * std_error),
         generation_certified=certified,
         norm=norm,
@@ -620,14 +565,12 @@ def cross_term_check(
         raise ValueError(f"need at least 2 samples, got {samples}")
     params = _require_distinct_params(circuit)
     certified = circuit_generation_certified(circuit)
-    param_index = {p: i for i, p in enumerate(params)}
-    compiled = [
-        _compile_path(p, h, rho, 0.0, param_index) for p in (path_a, path_b)
-    ]
     _, thetas = _sample_thetas(seed, samples, params)
-    cos_table, sin_table = np.cos(thetas), np.sin(thetas)
-    products = _evaluate_compiled(compiled[:1], cos_table, sin_table, 0.0) * (
-        _evaluate_compiled(compiled[1:], cos_table, sin_table, 0.0)
+    angles = dict(zip(params, thetas.T))
+    # paths without free atoms have a constant value; keep one per sample
+    products = np.full(
+        samples,
+        path_value(path_a, angles, h, rho) * path_value(path_b, angles, h, rho),
     )
     mean = float(np.mean(products))
     std_error = float(np.std(products, ddof=1) / math.sqrt(samples))

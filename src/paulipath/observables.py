@@ -263,6 +263,8 @@ def hamiltonian_from_dict(obj: dict) -> Hamiltonian:
         try:
             word = PauliWord.from_string(pauli)
             coeff = float(entry["coeff"])
+            if not np.isfinite(coeff):
+                raise ValueError(f"coeff must be finite, got {coeff}")
         except (ValueError, TypeError) as exc:
             raise ObservableFormatError(f"{where}: {exc}") from None
         terms.append((word, coeff))
@@ -307,6 +309,8 @@ def state_from_dict(obj: dict, entry_cap: int = DEFAULT_ENTRY_CAP) -> SparseDens
             raise ObservableFormatError(f"{where}: needs a numeric 're'")
         try:
             value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+            if not np.isfinite(value):
+                raise ValueError(f"'re' and 'im' must be finite, got {value}")
         except (ValueError, TypeError) as exc:
             raise ObservableFormatError(f"{where}: {exc}") from None
         entries.append((ket, bra, value))

@@ -56,6 +56,13 @@ def _check_cap(n: int, cap: int) -> None:
         raise OracleCapError(n, cap)
 
 
+def _real(value: complex, what: str) -> float:
+    """The real part of a trace that must be real and finite."""
+    if not (math.isfinite(value.real) and abs(value.imag) < 1e-10):
+        raise ValueError(f"{what} is not a finite real number: {value!r}")
+    return value.real
+
+
 def word_matrix(word: PauliWord) -> np.ndarray:
     """Dense 2^n x 2^n matrix of an unnormalized Pauli word."""
     acc = np.array([[1.0 + 0j]])
@@ -204,13 +211,11 @@ def noisy_mean_value(
     lam: float,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> float:
-    """Tr(H rho_final), asserted real."""
+    """Tr(H rho_final), checked real."""
     if h.n != circuit.n:
         raise ValueError(f"observable on {h.n} qubits, circuit has {circuit.n}")
     final = evolve_noisy(circuit, rho, assignment, lam, cap=cap)
-    value = complex(np.trace(hamiltonian_matrix(h) @ final))
-    assert abs(value.imag) < 1e-10, f"mean value has imaginary part {value.imag!r}"
-    return value.real
+    return _real(complex(np.trace(hamiltonian_matrix(h) @ final)), "mean value")
 
 
 def noiseless_mean_value(
@@ -240,29 +245,25 @@ def transition_factor(
     lam: float = 0.0,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> float:
-    """Tr(next U N(prev) Udag) / 2^n, asserted real."""
+    """Tr(next U N(prev) Udag) / 2^n, checked real."""
     _check_cap(n, cap)
     mat = depolarize_all(word_matrix(prev_word), n, lam)
     mat = apply_layer(mat, layer, assignment, n)
     value = complex(np.trace(word_matrix(next_word) @ mat)) / (1 << n)
-    assert abs(value.imag) < 1e-10
-    return value.real
+    return _real(value, "transition factor")
 
 
 def observable_factor(
     h: Hamiltonian, word: PauliWord, lam: float = 0.0, cap: int = DEFAULT_ORACLE_CAP
 ) -> float:
-    """Tr(H N(word)) / 2^n, asserted real."""
+    """Tr(H N(word)) / 2^n, checked real."""
     _check_cap(h.n, cap)
     mat = depolarize_all(word_matrix(word), h.n, lam)
     value = complex(np.trace(hamiltonian_matrix(h) @ mat)) / (1 << h.n)
-    assert abs(value.imag) < 1e-10
-    return value.real
+    return _real(value, "observable factor")
 
 
 def state_factor(rho: SparseDensity, word: PauliWord, cap: int = DEFAULT_ORACLE_CAP) -> float:
-    """Tr(word rho) from dense matrices, asserted real."""
+    """Tr(word rho) from dense matrices, checked real."""
     _check_cap(rho.n, cap)
-    value = complex(np.trace(word_matrix(word) @ state_matrix(rho)))
-    assert abs(value.imag) < 1e-10
-    return value.real
+    return _real(complex(np.trace(word_matrix(word) @ state_matrix(rho))), "state factor")

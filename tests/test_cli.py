@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +290,61 @@ def test_invalid_circuit_exit(files, capsys, tmp_path):
     )
     assert code == 2
     assert "wat" in err
+
+
+@pytest.mark.parametrize(
+    "mode, doc, keys, value, flags, named",
+    [
+        ("estimate", "hamiltonian", ["terms", 1, "coeff"], math.nan, [], "term 2: coeff"),
+        (
+            "estimate",
+            "circuit",
+            ["layers", 0, "gates", 0],
+            {"kind": "rot", "pauli": "XI", "angle": math.nan},
+            [],
+            "layer 1, gate 1: angle",
+        ),
+        ("estimate", "state", ["entries", 0, "re"], math.inf, [], "entry 1: 're'"),
+        ("estimate", "params", ["a"], math.nan, [], "params entry 'a'"),
+        ("path-dump", "params", ["a"], math.nan, [], "params entry 'a'"),
+        ("oracle-check", "params", ["a"], math.nan, [], "params entry 'a'"),
+        ("estimate", None, [], None, ["--target-mse", "nan"], "target_mse"),
+        ("estimate", None, [], None, ["--target-mse", "inf"], "target_mse"),
+        ("choose-m", None, [], None, ["--epsilon", "inf", "--delta", "0.1"], "epsilon"),
+    ],
+    ids=[
+        "coeff", "angle", "state", "params", "params-path-dump",
+        "params-oracle-check", "target-mse-nan", "target-mse-inf", "epsilon-inf",
+    ],
+)
+def test_non_finite_input_exits_2_naming_the_field(
+    files, capsys, tmp_path, mode, doc, keys, value, flags, named
+):
+    paths = dict(files)
+    if doc is not None:
+        data = json.loads(Path(files[doc]).read_text())
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        bad = tmp_path / f"non_finite_{doc}.json"
+        bad.write_text(json.dumps(data))  # NaN / Infinity, which json.load accepts
+        paths[doc] = str(bad)
+    code, out, err = _run(
+        capsys,
+        [
+            "--mode", mode,
+            "--circuit", paths["circuit"],
+            "--hamiltonian", paths["hamiltonian"],
+            "--state", paths["state"],
+            "--params", paths["params"],
+            "--lambda", "0.1",
+            *(flags or ["--trunc-m", "8"]),
+        ],
+    )
+    assert code == 2
+    assert named in err
+    assert out == ""
 
 
 def test_size_mismatch_exit(files, capsys, tmp_path):

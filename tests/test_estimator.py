@@ -20,7 +20,13 @@ from paulipath import (
     rx_chain_instance,
 )
 from paulipath.engine import FactorAtom, PathEnumeration
-from paulipath.estimator import atom_value, damping, describe_factors, path_value
+from paulipath.estimator import (
+    _term_sums,
+    atom_value,
+    damping,
+    describe_factors,
+    path_value,
+)
 from paulipath.oracle import noisy_mean_value
 
 from conftest import random_certified_instance
@@ -136,9 +142,29 @@ def test_truncated_value_converges_to_oracle():
 
 def test_workers_bit_identical():
     circuit, h, rho, theta = random_certified_instance(16)
-    solo = estimate(circuit, h, rho, theta, 0.1, deterministic_sum=True)
-    multi = estimate(circuit, h, rho, theta, 0.1, workers=2, deterministic_sum=True)
+    solo = estimate(circuit, h, rho, theta, 0.1)
+    multi = estimate(circuit, h, rho, theta, 0.1, workers=2)
     assert solo.value == multi.value  # exact equality, not approx
+
+
+@pytest.mark.parametrize("seed", [0, 8, 10, 17])
+def test_term_sums_array_angles_match_scalar_calls(seed):
+    circuit, h, rho, _ = random_certified_instance(seed)
+    params = circuit.parameters()
+    samples = np.random.default_rng(seed).uniform(0, 2 * math.pi, (5, len(params)))
+    terms = range(h.term_count)
+    limits = (10**6, 10**7)
+    arrays, run = _term_sums(
+        circuit, h, rho, None, terms, dict(zip(params, samples.T)), 0.1, *limits
+    )
+    assert run.paths_emitted >= 20
+    for k, row in enumerate(samples):
+        scalars, _ = _term_sums(
+            circuit, h, rho, None, terms, dict(zip(params, row)), 0.1, *limits
+        )
+        for array_sum, scalar_sum in zip(arrays, scalars):
+            got = np.broadcast_to(array_sum, len(samples))[k]
+            assert got == pytest.approx(scalar_sum, rel=1e-12, abs=1e-12)
 
 
 def test_eps_delta_requires_certification():

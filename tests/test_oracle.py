@@ -99,6 +99,15 @@ def test_full_depolarizing_kills_traceless_part():
     )
 
 
+def test_non_finite_mean_value_raises():
+    # an explicit check, not an assert that `python -O` strips
+    circuit = Circuit(1, (Layer((RotationGate(PauliWord.from_string("X"), param="a"),)),))
+    h = Hamiltonian(1, [(PauliWord.from_string("Z"), 1.0)])
+    rho = SparseDensity.computational_basis(1)
+    with pytest.raises(ValueError, match="mean value"):
+        noisy_mean_value(circuit, h, rho, {"a": float("nan")}, 0.1)
+
+
 def test_cap_guard():
     n = 11
     circuit = Circuit(
