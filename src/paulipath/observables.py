@@ -19,15 +19,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import PauliWord
+from .pauli import _PHASE_VALUES, PauliWord
 
 HERMITIZE_WARN = 1e-9
 TRACE_TOL = 1e-9
 IMAG_TOL = 1e-12
 DEFAULT_ENTRY_CAP = 1_000_000
 DEFAULT_EXACT_NORM_QUBITS = 12
-
-_POWERS_OF_I = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 class Hamiltonian:
@@ -60,6 +58,7 @@ class Hamiltonian:
             ((PauliWord(n, x, z), c) for (x, z), c in self._coeffs.items()),
             key=lambda term: str(term[0]),
         )
+        self._norm_bounds: dict[bool, NormBound] = {}
 
     def coeff(self, word: PauliWord) -> float:
         """Coefficient of a word; 0.0 when absent."""
@@ -82,29 +81,27 @@ class Hamiltonian:
         return sum(abs(c) for _, c in self._terms)
 
 
+def pauli_sum_matrix(
+    n: int, terms: Iterable[tuple[PauliWord, float]], identity: float = 0.0
+) -> np.ndarray:
+    """Dense matrix of identity * 1 + sum of coeff * word, O(2^n) per term:
+    a word sends basis state b (bit q-1 = qubit q, as in `PauliWord`) to
+    b XOR x with the factor i^{|x & z|} (-1)^{|b & z|}."""
+    basis = np.arange(1 << n)
+    matrix = np.diag(np.full(basis.size, complex(identity)))
+    for word, coeff in terms:
+        value = coeff * _PHASE_VALUES[(word.x & word.z).bit_count() % 4]
+        odd = np.bitwise_count(basis & word.z) & 1
+        matrix[basis ^ word.x, basis] += np.where(odd, -value, value)
+    return matrix
+
+
 @dataclass(frozen=True, slots=True)
 class NormBound:
     """An upper bound on the spectral norm of the traceless part."""
 
     value: float
     kind: str  # "exact-dense" | "coefficient-1-norm"
-
-
-def _dense_traceless(h: Hamiltonian) -> np.ndarray:
-    """Dense matrix of the non-identity part, built by letter kron."""
-    mats = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    total = np.zeros((2**h.n, 2**h.n), dtype=complex)
-    for word, coeff in h.terms():
-        acc = np.array([[1.0 + 0j]])
-        for q in range(1, h.n + 1):
-            acc = np.kron(acc, mats[word.letter(q)])
-        total += coeff * acc
-    return total
 
 
 def norm_bound(
@@ -115,13 +112,24 @@ def norm_bound(
     Exact dense eigenvalue computation up to `exact_threshold` qubits, the
     coefficient 1-norm beyond that.  The identity offset never enters: it
     shifts every eigenvalue equally and cancels from truncation error.
+    Cached on the immutable `h`, one entry per branch.  A finite 1-norm
+    bounds every matrix entry and eigenvalue, so it is the overflow check.
     """
+    exact = h.n <= exact_threshold
+    if exact in h._norm_bounds:
+        return h._norm_bounds[exact]
+    l1 = h.coefficient_l1()
+    if not np.isfinite(l1):
+        raise ValueError(f"Hamiltonian coefficients overflow: their 1-norm is {l1}")
     if h.term_count == 0:
-        return NormBound(0.0, "exact-dense")
-    if h.n <= exact_threshold:
-        eigs = np.linalg.eigvalsh(_dense_traceless(h))
-        return NormBound(float(np.max(np.abs(eigs))), "exact-dense")
-    return NormBound(h.coefficient_l1(), "coefficient-1-norm")
+        bound = NormBound(0.0, "exact-dense")
+    elif exact:
+        eigs = np.linalg.eigvalsh(pauli_sum_matrix(h.n, h.terms()))
+        bound = NormBound(float(np.max(np.abs(eigs))), "exact-dense")
+    else:
+        bound = NormBound(l1, "coefficient-1-norm")
+    h._norm_bounds[exact] = bound
+    return bound
 
 
 class SparseDensity:
@@ -212,7 +220,7 @@ class SparseDensity:
                 acc -= value
             else:
                 acc += value
-        acc *= _POWERS_OF_I[(x & z).bit_count() % 4]
+        acc *= _PHASE_VALUES[(x & z).bit_count() % 4]
         if abs(acc.imag) > IMAG_TOL:
             raise ValueError(
                 f"overlap has imaginary part {acc.imag!r};"

@@ -2,10 +2,12 @@
 
 Everything here works on explicit numpy arrays: states are 2^n x 2^n
 density matrices, gates are embedded by tensor contraction, and the
-single-qubit depolarizing channel is applied by partial trace.  The only
-thing shared with the estimator is word parsing; mean values, conjugation
-and damping are all recomputed from matrices so the two routes stay
-independent checks of each other.
+single-qubit depolarizing channel is applied by partial trace.  Dense
+Pauli sums come from `observables.pauli_sum_matrix`, shared with
+`norm_bound`; the path engine never calls it, and mean values, conjugation
+and damping are all recomputed from matrices, so the two routes stay
+independent checks of each other.  The tests check that builder against
+their own kron construction.
 
 Flat index convention: basis state index b has bit q-1 equal to the value
 of qubit q, matching the bit-mask convention of `pauli.PauliWord`.  In
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .circuit import Circuit, CliffordGate, Layer, RotationGate, require_valid
-from .observables import Hamiltonian, SparseDensity
+from .observables import Hamiltonian, SparseDensity, pauli_sum_matrix
 from .pauli import PauliWord
 
 DEFAULT_ORACLE_CAP = 10
@@ -65,18 +67,11 @@ def _real(value: complex, what: str) -> float:
 
 def word_matrix(word: PauliWord) -> np.ndarray:
     """Dense 2^n x 2^n matrix of an unnormalized Pauli word."""
-    acc = np.array([[1.0 + 0j]])
-    for q in range(word.n, 0, -1):  # qubit n is the most significant bit
-        acc = np.kron(acc, _MATS[word.letter(q)])
-    return acc
+    return pauli_sum_matrix(word.n, [(word, 1.0)])
 
 
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    dim = 1 << h.n
-    total = h.identity_coeff * np.eye(dim, dtype=complex)
-    for word, coeff in h.terms():
-        total += coeff * word_matrix(word)
-    return total
+    return pauli_sum_matrix(h.n, h.terms(), h.identity_coeff)
 
 
 def state_matrix(rho: SparseDensity) -> np.ndarray:

@@ -200,19 +200,13 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
-# <bra| letter |ket> on a single qubit, exact entries
-_MATRIX_ELEMENTS = {
-    "I": {(0, 0): 1 + 0j, (1, 1): 1 + 0j},
-    "X": {(0, 1): 1 + 0j, (1, 0): 1 + 0j},
-    "Y": {(0, 1): -1j, (1, 0): 1j},
-    "Z": {(0, 0): 1 + 0j, (1, 1): -1 + 0j},
-}
-
-
 def basis_matrix_element(letter: str, bra: int, ket: int) -> complex:
     """Single-qubit element <bra| letter |ket>; bits must be 0 or 1."""
-    if letter not in _MATRIX_ELEMENTS:
+    if letter not in _LETTER_BITS:
         raise ValueError(f"invalid Pauli letter {letter!r}")
     if bra not in (0, 1) or ket not in (0, 1):
         raise ValueError(f"basis bits must be 0 or 1, got ({bra}, {ket})")
-    return _MATRIX_ELEMENTS[letter].get((bra, ket), 0j)
+    x, z = _LETTER_BITS[letter]
+    if bra != ket ^ x:
+        return 0j
+    return _PHASE_VALUES[x & z] * (-1) ** (ket & z)

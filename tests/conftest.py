@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from paulipath import (
     CliffordGate,
@@ -67,6 +68,20 @@ def dense_hamiltonian(h: Hamiltonian) -> np.ndarray:
     for word, coeff in h.terms():
         mat += coeff * dense_word(word)
     return mat
+
+
+@st.composite
+def pauli_sums(draw, max_n: int = 5) -> Hamiltonian:
+    """A random Hamiltonian on at most `max_n` qubits: any letters, an
+    identity offset, and repeated words that merge, sometimes to zero."""
+    n = draw(st.integers(1, max_n))
+    masks = st.integers(0, 2**n - 1)
+    words = draw(
+        st.lists(st.builds(PauliWord, st.just(n), masks, masks), min_size=1, max_size=4)
+    )
+    coeffs = st.floats(-2, 2, allow_nan=False)
+    terms = draw(st.lists(st.tuples(st.sampled_from(words), coeffs), min_size=1, max_size=8))
+    return Hamiltonian(n, terms + [(PauliWord.identity(n), draw(coeffs))])
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

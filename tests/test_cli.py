@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from paulipath import cli
+from paulipath import cli, observables
 from paulipath.engine import ResourceLimitError
 
 
@@ -121,7 +121,16 @@ def test_estimate_without_params_or_seed_fails(files, capsys):
     assert "params" in err or "seed" in err
 
 
-def test_estimate_target_mse_selects_m(files, capsys):
+def test_estimate_target_mse_selects_m(files, capsys, monkeypatch):
+    # m selection and the report's certificate share one dense norm bound
+    builds = []
+    build = observables.pauli_sum_matrix
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "pauli_sum_matrix", counting)
     code, out, _ = _run(
         capsys,
         [
@@ -138,6 +147,7 @@ def test_estimate_target_mse_selects_m(files, capsys):
     chosen = doc["m_selection"]["selection"]["m"]
     assert chosen >= 5  # never below depth + 1
     assert doc["report"]["m"] == chosen
+    assert builds == [2]
 
 
 def test_m_flags_mutually_exclusive(files, capsys):
@@ -292,6 +302,9 @@ def test_invalid_circuit_exit(files, capsys, tmp_path):
     assert "wat" in err
 
 
+_OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e308}, {"pauli": "IZ", "coeff": 1e308}]
+
+
 @pytest.mark.parametrize(
     "mode, doc, keys, value, flags, named",
     [
@@ -311,10 +324,14 @@ def test_invalid_circuit_exit(files, capsys, tmp_path):
         ("estimate", None, [], None, ["--target-mse", "nan"], "target_mse"),
         ("estimate", None, [], None, ["--target-mse", "inf"], "target_mse"),
         ("choose-m", None, [], None, ["--epsilon", "inf", "--delta", "0.1"], "epsilon"),
+        # finite coefficients whose 1-norm overflows to inf
+        ("estimate", "hamiltonian", ["terms"], _OVERFLOWING_TERMS, [], "coeff"),
+        ("estimate", "hamiltonian", ["terms"], _OVERFLOWING_TERMS, ["--target-mse", "0.01"], "coeff"),
     ],
     ids=[
         "coeff", "angle", "state", "params", "params-path-dump",
         "params-oracle-check", "target-mse-nan", "target-mse-inf", "epsilon-inf",
+        "coeff-overflow-trunc-m", "coeff-overflow-target-mse",
     ],
 )
 def test_non_finite_input_exits_2_naming_the_field(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulipath import Hamiltonian, PauliWord, SparseDensity
@@ -15,7 +15,7 @@ from paulipath.observables import (
     state_to_dict,
 )
 
-from conftest import dense_hamiltonian, dense_state, dense_word
+from conftest import dense_hamiltonian, dense_state, dense_word, pauli_sums
 
 
 def _h(*pairs):
@@ -54,15 +54,19 @@ def test_coeff_rejects_size_mismatch():
         h.coeff(PauliWord.from_string("X"))
 
 
-def test_norm_bound_exact_matches_dense_traceless():
-    h = _h(("XI", 1.5), ("ZZ", -1.5), ("II", 0.3))
+@given(pauli_sums())
+@example(_h(("XI", 1.5), ("ZZ", -1.5), ("II", 0.3)))
+@settings(max_examples=80, deadline=None)
+def test_norm_bound_exact_matches_dense_traceless(h):
     nb = norm_bound(h)
     assert nb.kind == "exact-dense"
-    dense = dense_hamiltonian(h) - h.identity_coeff * np.eye(4)
+    dense = dense_hamiltonian(h) - h.identity_coeff * np.eye(2**h.n)
     expected = max(abs(np.linalg.eigvalsh(dense)))
     assert nb.value == pytest.approx(expected, abs=1e-12)
     # identity offsets never count toward the certificate
-    assert nb.value == pytest.approx(norm_bound(_h(("XI", 1.5), ("ZZ", -1.5))).value)
+    assert nb.value == pytest.approx(norm_bound(Hamiltonian(h.n, h.terms())).value)
+    # the bound is cached on the instance
+    assert norm_bound(h) is nb
 
 
 def test_norm_bound_falls_back_to_l1():

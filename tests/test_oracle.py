@@ -6,6 +6,7 @@ CNOT, Kraus-form noise) so agreement here is meaningful.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from paulipath import (
     CliffordGate,
@@ -33,19 +34,25 @@ from paulipath.oracle import (
 
 from conftest import (
     dense_depolarize,
+    dense_hamiltonian,
     dense_layer_unitary,
     dense_noisy_mean,
     dense_state,
     dense_word,
+    pauli_sums,
     random_certified_instance,
 )
 
 
-def test_word_matrix_orientation():
-    assert np.allclose(word_matrix(PauliWord.from_string("XI")),
-                       dense_word(PauliWord.from_string("XI")))
-    assert np.allclose(word_matrix(PauliWord.from_string("ZY")),
-                       dense_word(PauliWord.from_string("ZY")))
+@given(pauli_sums())
+@example(Hamiltonian(2, [(PauliWord.from_string(s), 1.0) for s in ("XI", "ZY")]))
+@settings(max_examples=80, deadline=None)
+def test_word_matrix_orientation(h):
+    # the mask builder against conftest's own kron chain, entry for entry
+    for word, _ in h.terms():
+        assert np.array_equal(word_matrix(word), dense_word(word))
+    assert np.array_equal(word_matrix(PauliWord.identity(h.n)), np.eye(2**h.n))
+    assert np.allclose(hamiltonian_matrix(h), dense_hamiltonian(h), rtol=0, atol=1e-12)
 
 
 def test_state_matrix_round_trip():
