@@ -7,9 +7,10 @@ layer.  Rotation angles are either a named parameter symbol or a bound
 float; naming is per gate, so symbols may be shared across gates when a
 single-point evaluation is all that is needed.
 
-Clifford conjugation is table-driven: fixed lookup tables map (gate, local
-letters) to (sign, local letters).  The tables are frozen here and checked
-against dense 2x2 / 4x4 matrix conjugation in the test suite.
+Clifford conjugation is one rule, `conjugate_masks`: closed-form bit updates
+on the (x, z) masks that return the new word and a +-1 sign.  The path
+engine, `clifford_conjugate` and `effected_words` all call it, and the test
+suite checks it against dense matrix conjugation.
 """
 
 from __future__ import annotations
@@ -18,48 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pauli import (
-    _LETTER_BITS,
-    PHASE_MINUS_ONE,
-    PHASE_ONE,
-    PauliWord,
-    PhasedPauli,
-)
+from .pauli import PHASE_MINUS_ONE, PHASE_ONE, PauliWord, PhasedPauli
 
 CLIFFORD_KINDS = ("H", "S", "CNOT")
-
-# Conjugation tables: letters -> (sign, letters).  "forward" maps P to
-# V P Vdag, "backward" maps P to Vdag P V.  H and CNOT are self-inverse.
-_H_TABLE = {"I": (1, "I"), "X": (1, "Z"), "Y": (-1, "Y"), "Z": (1, "X")}
-_S_FORWARD = {"I": (1, "I"), "X": (1, "Y"), "Y": (-1, "X"), "Z": (1, "Z")}
-_S_BACKWARD = {"I": (1, "I"), "X": (-1, "Y"), "Y": (1, "X"), "Z": (1, "Z")}
-_CNOT_TABLE = {
-    "II": (1, "II"),
-    "IX": (1, "IX"),
-    "IY": (1, "ZY"),
-    "IZ": (1, "ZZ"),
-    "XI": (1, "XX"),
-    "XX": (1, "XI"),
-    "XY": (1, "YZ"),
-    "XZ": (-1, "YY"),
-    "YI": (1, "YX"),
-    "YX": (1, "YI"),
-    "YY": (-1, "XZ"),
-    "YZ": (1, "XY"),
-    "ZI": (1, "ZI"),
-    "ZX": (1, "ZX"),
-    "ZY": (1, "IY"),
-    "ZZ": (1, "IZ"),
-}
-
-CONJUGATION_TABLES = {
-    ("H", "forward"): _H_TABLE,
-    ("H", "backward"): _H_TABLE,
-    ("S", "forward"): _S_FORWARD,
-    ("S", "backward"): _S_BACKWARD,
-    ("CNOT", "forward"): _CNOT_TABLE,
-    ("CNOT", "backward"): _CNOT_TABLE,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,6 +60,12 @@ class CliffordGate:
     @property
     def support(self) -> tuple[int, ...]:
         return self.qubits
+
+    @property
+    def bits(self) -> tuple[int, int]:
+        """Mask bits (b0, b1) for `conjugate_masks`: the CNOT control's and
+        target's, or the one qubit's bit twice for H and S."""
+        return self.qubits[0] - 1, self.qubits[-1] - 1
 
 
 Gate = RotationGate | CliffordGate
@@ -178,27 +146,50 @@ def require_valid(circuit: Circuit) -> None:
         raise ValueError("invalid circuit: " + "; ".join(errors))
 
 
+def conjugate_masks(
+    kind: str, b0: int, b1: int, x: int, z: int, backward: bool
+) -> tuple[int, int, int]:
+    """Conjugate the word (x, z) by one Clifford gate; return (sign, x, z).
+
+    backward maps P to Vdag P V, forward maps P to V P Vdag; H and CNOT are
+    self-inverse, so only the sign of S depends on it.  (b0, b1) are the
+    gate's `CliffordGate.bits`.  The updates are the stabilizer-tableau rule
+    of Aaronson & Gottesman (quant-ph/0406196), with c = b0 and t = b1:
+
+      H     swap x_b, z_b        sign -1 when x_b & z_b (Y -> -Y)
+      S     z_b ^= x_b           sign -1 forward on Y, backward on X
+      CNOT  x_t ^= x_c,          sign -1 when x_c & z_t & not (x_t ^ z_c)
+            z_c ^= z_t
+    """
+    if kind == "CNOT":
+        xc = (x >> b0) & 1
+        zt = (z >> b1) & 1
+        differ = ((x >> b1) ^ (z >> b0)) & 1
+        sign = -1 if xc & zt and not differ else 1
+        return sign, x ^ (xc << b1), z ^ (zt << b0)
+    xb = (x >> b0) & 1
+    zb = (z >> b0) & 1
+    if kind == "H":
+        swap = (xb ^ zb) << b0
+        return (-1 if xb & zb else 1), x ^ swap, z ^ swap
+    flip = zb == 0 if backward else zb == 1
+    return (-1 if xb and flip else 1), x, z ^ (xb << b0)
+
+
 def clifford_conjugate(
     gate: CliffordGate, phased: PhasedPauli, direction: str = "forward"
 ) -> PhasedPauli:
-    """Conjugate a full word by one Clifford gate via table lookup.
+    """Conjugate a full word by one Clifford gate via `conjugate_masks`.
 
     forward: P -> V P Vdag.  backward: P -> Vdag P V.  Letters outside the
-    gate support are untouched; the table sign is always real.
+    gate support are untouched, and the phase only picks up a real sign.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     word = phased.word
-    table = CONJUGATION_TABLES[(gate.kind, direction)]
-    key = "".join(word.letter(q) for q in gate.qubits)
-    sign, new_letters = table[key]
-    assert sign in (1, -1)  # conjugation never introduces an imaginary phase
-    x, z = word.x, word.z
-    for qubit, letter in zip(gate.qubits, new_letters):
-        bit = qubit - 1
-        xb, zb = _LETTER_BITS[letter]
-        x = (x & ~(1 << bit)) | (xb << bit)
-        z = (z & ~(1 << bit)) | (zb << bit)
+    sign, x, z = conjugate_masks(
+        gate.kind, *gate.bits, word.x, word.z, direction == "backward"
+    )
     phase = phased.phase * (PHASE_ONE if sign == 1 else PHASE_MINUS_ONE)
     return PhasedPauli(phase, PauliWord(word.n, x, z))
 
@@ -215,11 +206,11 @@ def effected_words(circuit: Circuit) -> list[PauliWord]:
     out: list[PauliWord] = []
     for li, layer in enumerate(circuit.layers):
         for gate in layer.rotations:
-            current = PhasedPauli(PHASE_ONE, gate.generator)
+            x, z = gate.generator.x, gate.generator.z
             for earlier in reversed(circuit.layers[:li]):
                 for cliff in reversed(earlier.cliffords):
-                    current = clifford_conjugate(cliff, current, "backward")
-            out.append(current.word)
+                    _, x, z = conjugate_masks(cliff.kind, *cliff.bits, x, z, True)
+            out.append(PauliWord(circuit.n, x, z))
     return out
 
 

@@ -5,8 +5,9 @@ backward from each observable term s_L, every layer maps a successor word
 to its possible predecessors:
 
   * letters outside all gate supports are copied verbatim;
-  * a Clifford support is conjugated through the gate, Vdag s V, and the
-    resulting sign multiplies into the path's sign;
+  * a Clifford support is conjugated through the gate, Vdag s V, by the
+    bit-update rule `circuit.conjugate_masks`, and its +-1 sign multiplies
+    into the path's sign;
   * a rotation support with generator G either commutes with the successor
     (one predecessor, no factor) or anti-commutes (two predecessors: the
     successor itself with a cos factor, and the word w from sigma w = i G s
@@ -33,16 +34,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .circuit import (
-    CONJUGATION_TABLES,
-    Circuit,
-    CliffordGate,
-    Layer,
-    RotationGate,
-    require_valid,
-)
+from .circuit import Circuit, Layer, RotationGate, conjugate_masks, require_valid
 from .observables import Hamiltonian, SparseDensity
-from .pauli import _LETTER_BITS, PauliWord
+from .pauli import PauliWord
 
 DEFAULT_PATH_LIMIT = 10_000_000
 DEFAULT_NODE_LIMIT = 100_000_000
@@ -98,34 +92,6 @@ class EnumerationStats:
 
 # --- compiled per-layer transition programs ---------------------------------
 
-# bit-indexed backward conjugation tables derived from the letter tables:
-# 1-qubit entry index (x << 1) | z, 2-qubit (xc << 3) | (zc << 2) | (xt << 1) | zt
-def _bit_table_1q(kind: str) -> tuple[tuple[int, int, int], ...]:
-    table = CONJUGATION_TABLES[(kind, "backward")]
-    out: list[tuple[int, int, int]] = [(0, 0, 0)] * 4
-    for letter, (sign, mapped) in table.items():
-        xb, zb = _LETTER_BITS[letter]
-        mx, mz = _LETTER_BITS[mapped]
-        out[(xb << 1) | zb] = (sign, mx, mz)
-    return tuple(out)
-
-
-def _bit_table_cnot() -> tuple[tuple[int, int, int, int, int], ...]:
-    table = CONJUGATION_TABLES[("CNOT", "backward")]
-    out: list[tuple[int, int, int, int, int]] = [(0, 0, 0, 0, 0)] * 16
-    for letters, (sign, mapped) in table.items():
-        cx, cz = _LETTER_BITS[letters[0]]
-        tx, tz = _LETTER_BITS[letters[1]]
-        mcx, mcz = _LETTER_BITS[mapped[0]]
-        mtx, mtz = _LETTER_BITS[mapped[1]]
-        out[(cx << 3) | (cz << 2) | (tx << 1) | tz] = (sign, mcx, mcz, mtx, mtz)
-    return tuple(out)
-
-
-_BACKWARD_1Q = {kind: _bit_table_1q(kind) for kind in ("H", "S")}
-_BACKWARD_CNOT = _bit_table_cnot()
-
-
 class _RotOp:
     __slots__ = ("mask", "gx", "gz", "atom_cos", "atom_sin")
 
@@ -145,13 +111,10 @@ class _LayerProgram:
     __slots__ = ("cliffords", "rotations")
 
     def __init__(self, layer: Layer) -> None:
-        cliffords = sorted(layer.cliffords, key=lambda g: min(g.qubits))
-        self.cliffords: list[tuple] = []
-        for gate in cliffords:
-            if gate.kind == "CNOT":
-                self.cliffords.append((None, gate.qubits[0] - 1, gate.qubits[1] - 1))
-            else:
-                self.cliffords.append((_BACKWARD_1Q[gate.kind], gate.qubits[0] - 1, 0))
+        self.cliffords = [
+            (gate.kind, *gate.bits)
+            for gate in sorted(layer.cliffords, key=lambda g: min(g.qubits))
+        ]
         self.rotations = sorted(
             (_RotOp(g) for g in layer.rotations), key=lambda r: r.mask & -r.mask
         )
@@ -161,22 +124,8 @@ class _LayerProgram:
     ) -> list[tuple[int, int, int, tuple[FactorAtom, ...]]]:
         """All predecessors (x, z, sign, atoms) of the word (x, z)."""
         sign = 1
-        for table, b0, b1 in self.cliffords:
-            if table is None:  # CNOT
-                idx = (
-                    (((x >> b0) & 1) << 3)
-                    | (((z >> b0) & 1) << 2)
-                    | (((x >> b1) & 1) << 1)
-                    | ((z >> b1) & 1)
-                )
-                gate_sign, mcx, mcz, mtx, mtz = _BACKWARD_CNOT[idx]
-                x = (x & ~(1 << b0) & ~(1 << b1)) | (mcx << b0) | (mtx << b1)
-                z = (z & ~(1 << b0) & ~(1 << b1)) | (mcz << b0) | (mtz << b1)
-            else:
-                idx = (((x >> b0) & 1) << 1) | ((z >> b0) & 1)
-                gate_sign, mx, mz = table[idx]
-                x = (x & ~(1 << b0)) | (mx << b0)
-                z = (z & ~(1 << b0)) | (mz << b0)
+        for kind, b0, b1 in self.cliffords:
+            gate_sign, x, z = conjugate_masks(kind, b0, b1, x, z, True)
             sign *= gate_sign
         states = [(x, z, sign, ())]
         for rot in self.rotations:

@@ -5,7 +5,7 @@ The estimator sums damped path values
     value = c_I + sum_paths (1 - lam)^|s| * coeff(s_L) * sign * prod(atoms) * Tr(s_0 rho)
 
 over all paths of total weight |s| <= M, where sign is the path's overall
-+-1 (Clifford table signs times the sigma of every sin branch) and each atom
++-1 (Clifford signs times the sigma of every sin branch) and each atom
 is the cos or sin of one rotation angle.  Under single-qubit depolarizing
 noise at rate lam, and when the effected rotation generators generate the
 full Pauli group (the generation check), the mean squared truncation error

@@ -112,15 +112,19 @@ def norm_bound(
     Exact dense eigenvalue computation up to `exact_threshold` qubits, the
     coefficient 1-norm beyond that.  The identity offset never enters: it
     shifts every eigenvalue equally and cancels from truncation error.
-    Cached on the immutable `h`, one entry per branch.  A finite 1-norm
-    bounds every matrix entry and eigenvalue, so it is the overflow check.
+    Cached on the immutable `h`, one entry per branch.  The 1-norm bounds
+    every matrix entry and eigenvalue, so it is the overflow check: its
+    square must be finite, because the MSE bounds square the norm bound.
     """
     exact = h.n <= exact_threshold
     if exact in h._norm_bounds:
         return h._norm_bounds[exact]
     l1 = h.coefficient_l1()
-    if not np.isfinite(l1):
-        raise ValueError(f"Hamiltonian coefficients overflow: their 1-norm is {l1}")
+    if not np.isfinite(l1 * l1):
+        raise ValueError(
+            f"Hamiltonian coefficients overflow: the square of their 1-norm {l1}"
+            " is not finite"
+        )
     if h.term_count == 0:
         bound = NormBound(0.0, "exact-dense")
     elif exact:

@@ -1,4 +1,4 @@
-"""Circuit structure, Clifford conjugation tables, and the generation check."""
+"""Circuit structure, the Clifford conjugation rule, and the generation check."""
 
 import itertools
 

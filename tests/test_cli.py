@@ -303,6 +303,8 @@ def test_invalid_circuit_exit(files, capsys, tmp_path):
 
 
 _OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e308}, {"pauli": "IZ", "coeff": 1e308}]
+# a finite 1-norm whose square, used by the MSE bounds, overflows
+_SQUARE_OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e200}, {"pauli": "IZ", "coeff": 1e200}]
 
 
 @pytest.mark.parametrize(
@@ -327,11 +329,30 @@ _OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e308}, {"pauli": "IZ", "coeff": 
         # finite coefficients whose 1-norm overflows to inf
         ("estimate", "hamiltonian", ["terms"], _OVERFLOWING_TERMS, [], "coeff"),
         ("estimate", "hamiltonian", ["terms"], _OVERFLOWING_TERMS, ["--target-mse", "0.01"], "coeff"),
+        ("estimate", "hamiltonian", ["terms"], _SQUARE_OVERFLOWING_TERMS, [], "coeff"),
+        (
+            "estimate",
+            "hamiltonian",
+            ["terms"],
+            _SQUARE_OVERFLOWING_TERMS,
+            ["--target-mse", "0.01"],
+            "coeff",
+        ),
+        (
+            "choose-m",
+            "hamiltonian",
+            ["terms"],
+            _SQUARE_OVERFLOWING_TERMS,
+            ["--target-mse", "0.01"],
+            "coeff",
+        ),
     ],
     ids=[
         "coeff", "angle", "state", "params", "params-path-dump",
         "params-oracle-check", "target-mse-nan", "target-mse-inf", "epsilon-inf",
         "coeff-overflow-trunc-m", "coeff-overflow-target-mse",
+        "norm-square-overflow-trunc-m", "norm-square-overflow-target-mse",
+        "norm-square-overflow-choose-m",
     ],
 )
 def test_non_finite_input_exits_2_naming_the_field(

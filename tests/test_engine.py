@@ -97,6 +97,28 @@ def test_layer_predecessors_clifford_sign():
     ]
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [CliffordGate("H", (2,)), CliffordGate("S", (2,)),
+     CliffordGate("CNOT", (2, 3)), CliffordGate("CNOT", (3, 1))],
+    ids=lambda g: f"{g.kind}{g.qubits}",
+)
+def test_layer_predecessors_clifford_matches_dense(gate):
+    """Every successor word has exactly one predecessor through a Clifford
+    layer; its sign is the dense transition amplitude, and the dense
+    transition from every other word is zero."""
+    n = 3
+    layer = Layer((gate,))
+    words = [PauliWord(n, x, z) for x in range(2**n) for z in range(2**n)]
+    for succ in words:
+        [(pred, sign, atoms)] = layer_predecessors(layer, succ)
+        assert atoms == ()
+        for prev in words:
+            dense = transition_factor(layer, {}, n, prev, succ)
+            want = sign if prev == pred else 0.0
+            assert dense == pytest.approx(want, abs=1e-12)
+
+
 def _brute_force_reference(circuit, h, rho, theta, lam):
     """Exhaustive sum over every word sequence, via dense per-hop factors.
 
