@@ -1,17 +1,6 @@
 """Truncated Pauli-path estimation of noisy circuit mean values."""
 
-from .pauli import (
-    PHASE_I,
-    PHASE_MINUS_I,
-    PHASE_MINUS_ONE,
-    PHASE_ONE,
-    PauliWord,
-    Phase,
-    PhasedPauli,
-    basis_matrix_element,
-    commutes,
-    multiply,
-)
+from .pauli import PauliWord, commutes
 from .circuit import (
     Circuit,
     CircuitFormatError,
@@ -21,7 +10,6 @@ from .circuit import (
     circuit_from_dict,
     circuit_generation_certified,
     circuit_to_dict,
-    clifford_conjugate,
     effected_words,
     generation_check,
     gf2_rank,
@@ -60,11 +48,7 @@ from .estimator import (
     mse_benchmark,
     path_value,
 )
-from .oracle import (
-    OracleCapError,
-    noiseless_mean_value,
-    noisy_mean_value,
-)
+from .oracle import OracleCapError, noisy_mean_value
 from .benchmarks import rx_chain_exact_value, rx_chain_instance, scaling_sweep
 
 __version__ = "0.1.0"

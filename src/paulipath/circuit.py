@@ -9,8 +9,8 @@ single-point evaluation is all that is needed.
 
 Clifford conjugation is one rule, `conjugate_masks`: closed-form bit updates
 on the (x, z) masks that return the new word and a +-1 sign.  The path
-engine, `clifford_conjugate` and `effected_words` all call it, and the test
-suite checks it against dense matrix conjugation.
+engine and `effected_words` both call it, and the test suite checks it
+against dense matrix conjugation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pauli import PHASE_MINUS_ONE, PHASE_ONE, PauliWord, PhasedPauli
+from .pauli import PauliWord
 
 CLIFFORD_KINDS = ("H", "S", "CNOT")
 
@@ -174,24 +174,6 @@ def conjugate_masks(
         return (-1 if xb & zb else 1), x ^ swap, z ^ swap
     flip = zb == 0 if backward else zb == 1
     return (-1 if xb and flip else 1), x, z ^ (xb << b0)
-
-
-def clifford_conjugate(
-    gate: CliffordGate, phased: PhasedPauli, direction: str = "forward"
-) -> PhasedPauli:
-    """Conjugate a full word by one Clifford gate via `conjugate_masks`.
-
-    forward: P -> V P Vdag.  backward: P -> Vdag P V.  Letters outside the
-    gate support are untouched, and the phase only picks up a real sign.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    word = phased.word
-    sign, x, z = conjugate_masks(
-        gate.kind, *gate.bits, word.x, word.z, direction == "backward"
-    )
-    phase = phased.phase * (PHASE_ONE if sign == 1 else PHASE_MINUS_ONE)
-    return PhasedPauli(phase, PauliWord(word.n, x, z))
 
 
 def effected_words(circuit: Circuit) -> list[PauliWord]:

@@ -180,7 +180,6 @@ def _config_echo(args) -> dict:
         "delta": args.delta,
         "samples": args.samples,
         "seed": args.seed,
-        "workers": args.workers,
     }
 
 
@@ -195,16 +194,7 @@ def _mode_estimate(args) -> int:
         if args.epsilon is not None and args.delta is not None
         else None
     )
-    report = estimate(
-        circuit,
-        h,
-        rho,
-        theta,
-        args.lam,
-        m,
-        workers=args.workers,
-        eps_delta=eps_delta,
-    )
+    report = estimate(circuit, h, rho, theta, args.lam, m, eps_delta=eps_delta)
     document = {
         "config": _config_echo(args),
         "theta": theta,
@@ -272,15 +262,7 @@ def _mode_oracle_check(args) -> int:
     h = _load_hamiltonian(args)
     rho = _load_state(args, circuit.n)
     theta, drawn = _resolve_theta(circuit, args)
-    report = estimate(
-        circuit,
-        h,
-        rho,
-        theta,
-        args.lam,
-        None,
-        workers=args.workers,
-    )
+    report = estimate(circuit, h, rho, theta, args.lam, None)
     reference = noisy_mean_value(circuit, h, rho, theta, args.lam)
     difference = abs(report.value - reference)
     agrees = bool(difference <= ORACLE_CHECK_TOL)
@@ -355,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta", type=float, help="failure probability target")
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", help="output file (default stdout)")
     parser.add_argument(
         "--depths", help="comma-separated depths for scaling-sweep"

@@ -84,11 +84,6 @@ class EnumerationStats:
             "pruned_zero_overlap": self.pruned_zero_overlap,
         }
 
-    def merge(self, other: EnumerationStats) -> None:
-        """Add the counters of another pass into this one."""
-        for name, value in other.as_dict().items():
-            setattr(self, name, getattr(self, name) + value)
-
 
 # --- compiled per-layer transition programs ---------------------------------
 
@@ -179,9 +174,8 @@ class PathEnumeration:
 
     Iterating yields PauliPath objects in the canonical order; `stats` is
     reset at the start of each iteration and holds the counters of the
-    most recent (possibly still running) pass.  `term_indices` restricts
-    the walk to a subset of observable terms, which is how parallel
-    workers split the tree.
+    most recent (possibly still running) pass.  Every node counts against
+    `node_limit`, the root of each term included.
     """
 
     def __init__(
@@ -193,7 +187,6 @@ class PathEnumeration:
         *,
         path_limit: int = DEFAULT_PATH_LIMIT,
         node_limit: int = DEFAULT_NODE_LIMIT,
-        term_indices: list[int] | None = None,
         warn: bool = True,
     ) -> None:
         require_valid(circuit)
@@ -219,7 +212,6 @@ class PathEnumeration:
         self.m = m
         self.path_limit = path_limit
         self.node_limit = node_limit
-        self.term_indices = term_indices
         self.stats = EnumerationStats()
         self._programs = [_LayerProgram(layer) for layer in circuit.layers]
 
@@ -231,12 +223,12 @@ class PathEnumeration:
         m = self.m
         programs = self._programs
         rho = self.rho
-        terms = self.h.terms()
-        if self.term_indices is not None:
-            terms = [terms[i] for i in self.term_indices]
+        too_many_nodes = f"more than {self.node_limit} enumeration nodes visited"
         # frame: (word index, x, z, spent weight, parent frame, sign, atoms added)
-        for word, _ in terms:
+        for word, _ in self.h.terms():
             stats.nodes_visited += 1
+            if stats.nodes_visited > self.node_limit:
+                raise ResourceLimitError(too_many_nodes)
             weight = word.weight
             if weight > m - depth:
                 stats.pruned_budget += 1
@@ -261,9 +253,7 @@ class PathEnumeration:
                 for cx, cz, sign, atoms in reversed(children):
                     stats.nodes_visited += 1
                     if stats.nodes_visited > self.node_limit:
-                        raise ResourceLimitError(
-                            f"more than {self.node_limit} enumeration nodes visited"
-                        )
+                        raise ResourceLimitError(too_many_nodes)
                     cw = (cx | cz).bit_count()
                     if cw == 0:
                         stats.pruned_zero_weight += 1

@@ -13,13 +13,11 @@ over uniform angles is bounded by (1 - lam)^(2M) * |H|^2 where |H| bounds
 the spectral norm of the traceless part.  When the generation check fails
 the same numbers are still reported but flagged as not certified.
 
-One evaluator, `_term_sums`, computes the damped path sums of a chunk of
-observable terms in one walk over their paths.  Angles are either floats
-(`estimate`) or one ndarray per parameter with one entry per sample
-(`mse_benchmark`), so the same path expansion is evaluated at every sampled
-angle vector at once.  `estimate` gives each worker a chunk of terms and
-folds the term sums in canonical term order, so results are independent of
-the worker count.
+One evaluator, `_term_sums`, computes the damped path sums of every
+observable term in one walk over their paths, in one process, and folds
+them in canonical term order.  Angles are either floats (`estimate`) or one
+ndarray per parameter with one entry per sample (`mse_benchmark`), so the
+same path expansion is evaluated at every sampled angle vector at once.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,7 +38,6 @@ from .engine import (
     FactorAtom,
     PathEnumeration,
     PauliPath,
-    ResourceLimitError,
 )
 from .observables import (
     DEFAULT_EXACT_NORM_QUBITS,
@@ -107,23 +103,22 @@ def _term_sums(
     h: Hamiltonian,
     rho: SparseDensity,
     m: int | None,
-    term_indices: Sequence[int],
     assignment: ParameterAssignment,
     lam: float,
     path_limit: int,
     node_limit: int,
-) -> tuple[list[float | np.ndarray], EnumerationStats]:
-    """Damped path sums of the given terms, in the given order, from one
-    walk over their paths; per-sample arrays when the angles are arrays."""
+) -> tuple[float | np.ndarray, EnumerationStats]:
+    """Sum over all terms of coeff * damped path sum, folded in canonical
+    term order, from one walk over their paths; per-sample arrays when the
+    angles are arrays."""
     max_weight = circuit.n * (circuit.depth + 1)
     damp = [1.0]
     for _ in range(max_weight):
         damp.append(damp[-1] * (1.0 - lam))
-    all_terms = h.terms()
-    chunk = [all_terms[ti] for ti in term_indices]
+    terms = h.terms()
     # every term gets a sum, so terms without paths still fold in
     sums: dict[tuple[int, int], float | np.ndarray] = {
-        (word.x, word.z): 0.0 for word, _ in chunk
+        (word.x, word.z): 0.0 for word, _ in terms
     }
     atom_cache: dict[FactorAtom, float | np.ndarray] = {}
     run = PathEnumeration(
@@ -133,7 +128,6 @@ def _term_sums(
         m,
         path_limit=path_limit,
         node_limit=node_limit,
-        term_indices=list(term_indices),
         warn=False,
     )
     for path in run:
@@ -146,7 +140,10 @@ def _term_sums(
             factor *= value
         first, last = path.words[0], path.words[-1]
         sums[(last.x, last.z)] += factor * rho.overlap_masks(first.x, first.z)
-    return [coeff * s for (_, coeff), s in zip(chunk, sums.values())], run.stats
+    total = 0.0
+    for (_, coeff), term_sum in zip(terms, sums.values()):
+        total += coeff * term_sum
+    return total, run.stats
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,6 @@ def estimate(
     lam: float,
     m: int | None = None,
     *,
-    workers: int = 1,
     path_limit: int = DEFAULT_PATH_LIMIT,
     node_limit: int = DEFAULT_NODE_LIMIT,
     exact_norm_threshold: int = DEFAULT_EXACT_NORM_QUBITS,
@@ -249,13 +245,10 @@ def estimate(
 
     `m` is the truncation order; None runs untruncated (M = n(L+1), the
     largest possible total weight).  The report carries both MSE bound
-    forms, the norm bound used, and enumeration statistics.  Results are
-    independent of `workers`.
+    forms, the norm bound used, and enumeration statistics.
     """
     started = time.perf_counter()
     _check_assignment(circuit, assignment)
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     max_weight = circuit.n * (circuit.depth + 1)
     untruncated = m is None or m >= max_weight
     m_eff = max_weight if m is None else m
@@ -263,37 +256,13 @@ def estimate(
         circuit, h, lam, m_eff, exact_norm_threshold
     )
     identity_offset = h.identity_coeff * rho.overlap_masks(0, 0)
-    term_count = h.term_count
-    stats_all = EnumerationStats()
+    stats = EnumerationStats()
     value = identity_offset
     # with lam == 1 every non-identity word is fully damped
-    if lam < 1.0 and term_count > 0:
-        size = math.ceil(term_count / workers)
-        chunks = [
-            list(range(lo, min(lo + size, term_count)))
-            for lo in range(0, term_count, size)
-        ]
-        args = [
-            (circuit, h, rho, m_eff, chunk, dict(assignment), lam, path_limit, node_limit)
-            for chunk in chunks
-        ]
-        if len(chunks) == 1:
-            results = [_term_sums(*args[0])]
-        else:
-            with get_context().Pool(processes=min(workers, len(chunks))) as pool:
-                results = pool.starmap(_term_sums, args)
-        total = 0.0
-        for sums, chunk_stats in results:
-            for term_sum in sums:  # chunks preserve canonical term order
-                total += term_sum
-            stats_all.merge(chunk_stats)
-        # each chunk checks the limits alone; check them again over all chunks
-        if stats_all.paths_emitted > path_limit:
-            raise ResourceLimitError(f"more than {path_limit} paths survive truncation")
-        if stats_all.nodes_visited > node_limit:
-            raise ResourceLimitError(
-                f"more than {node_limit} enumeration nodes visited"
-            )
+    if lam < 1.0 and h.term_count > 0:
+        total, stats = _term_sums(
+            circuit, h, rho, m_eff, assignment, lam, path_limit, node_limit
+        )
         value = identity_offset + total
     return EstimateReport(
         value=value,
@@ -306,8 +275,8 @@ def estimate(
         mse_bound_exp=bound_exp,
         eps_delta=eps_delta if certified else None,
         generation_certified=certified,
-        paths_used=stats_all.paths_emitted,
-        stats=stats_all.as_dict(),
+        paths_used=stats.paths_emitted,
+        stats=stats.as_dict(),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -358,6 +327,8 @@ def choose_m(
         raise ValueError("need exactly one of target_mse or (epsilon, delta)")
     if have_eps and (epsilon is None or delta is None):
         raise ValueError("epsilon and delta must be given together")
+    if not math.isfinite(norm * norm):
+        raise ValueError(f"norm and its square must be finite, got {norm}")
     if norm < 0:
         raise ValueError(f"norm bound must be non-negative, got {norm}")
     if lam == 0.0:
@@ -488,20 +459,9 @@ def mse_benchmark(
         circuit, h, lam, m, exact_norm_threshold
     )
     sample_seeds, thetas = _sample_thetas(seed, samples, params)
-    sums, _ = _term_sums(
-        circuit,
-        h,
-        rho,
-        m,
-        range(h.term_count),
-        dict(zip(params, thetas.T)),
-        lam,
-        path_limit,
-        node_limit,
+    total, _ = _term_sums(
+        circuit, h, rho, m, dict(zip(params, thetas.T)), lam, path_limit, node_limit
     )
-    total = 0.0
-    for term_sum in sums:  # the fold of estimate, one value per sample
-        total += term_sum
     estimates = h.identity_coeff * rho.overlap_masks(0, 0) + total
     cap = oracle.DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
     exact = np.empty(samples, dtype=float)

@@ -198,10 +198,6 @@ class SparseDensity:
     def entries(self) -> list[tuple[int, int, complex]]:
         return list(self._entries)
 
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
     def trace(self) -> float:
         return sum(v.real for k, b, v in self._entries if k == b)
 

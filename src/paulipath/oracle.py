@@ -167,15 +167,6 @@ def apply_layer(
     return tensor.reshape(mat.shape)
 
 
-def layer_unitary(layer: Layer, assignment: dict[str, float], n: int) -> np.ndarray:
-    """Dense unitary of one layer."""
-    tensor = np.eye(1 << n, dtype=complex).reshape((2,) * (2 * n))
-    for gate in layer.gates:
-        theta = _resolve_angle(gate, assignment) if isinstance(gate, RotationGate) else None
-        tensor = _left_multiply(tensor, gate_matrix(gate, theta), gate.support, n)
-    return tensor.reshape(1 << n, 1 << n)
-
-
 def evolve_noisy(
     circuit: Circuit,
     rho: SparseDensity,
@@ -211,16 +202,6 @@ def noisy_mean_value(
         raise ValueError(f"observable on {h.n} qubits, circuit has {circuit.n}")
     final = evolve_noisy(circuit, rho, assignment, lam, cap=cap)
     return _real(complex(np.trace(hamiltonian_matrix(h) @ final)), "mean value")
-
-
-def noiseless_mean_value(
-    circuit: Circuit,
-    h: Hamiltonian,
-    rho: SparseDensity,
-    assignment: dict[str, float],
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> float:
-    return noisy_mean_value(circuit, h, rho, assignment, 0.0, cap=cap)
 
 
 # --- per-path factor checks -------------------------------------------------

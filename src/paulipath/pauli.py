@@ -6,10 +6,10 @@ encoding: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1), with the matrix convention
 
     word = i^(x.z) * X^x * Z^z        (so Y = iXZ per qubit)
 
-Products and commutation tests reduce to word-parallel bit operations.
-Phases live in the exact four-element group {1, i, -1, -i}, represented as
-a power of i, never as a floating complex number.  Words are unnormalized:
-Tr(w * w) = 2^n.
+Products and commutation tests reduce to word-parallel bit operations: the
+product of a and b is the word (x_a ^ x_b, z_a ^ z_b) times a phase i^k,
+and `product_phase_exponent` gives k mod 4 exactly, never as a floating
+complex number.  Words are unnormalized: Tr(w * w) = 2^n.
 """
 
 from __future__ import annotations
@@ -24,41 +24,6 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-@dataclass(frozen=True, slots=True)
-class Phase:
-    """A power of i: value = i**exponent, exponent kept mod 4."""
-
-    exponent: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", self.exponent % 4)
-
-    def __mul__(self, other: Phase) -> Phase:
-        return Phase(self.exponent + other.exponent)
-
-    @property
-    def value(self) -> complex:
-        """Exact complex value; only ever one of 1, i, -1, -i."""
-        return _PHASE_VALUES[self.exponent]
-
-    @property
-    def is_real(self) -> bool:
-        return self.exponent % 2 == 0
-
-    @property
-    def real_sign(self) -> int:
-        """+1 or -1 for a real phase; raises for an imaginary one."""
-        if not self.is_real:
-            raise ValueError(f"phase i^{self.exponent} is not real")
-        return 1 if self.exponent == 0 else -1
-
-
-PHASE_ONE = Phase(0)
-PHASE_I = Phase(1)
-PHASE_MINUS_ONE = Phase(2)
-PHASE_MINUS_I = Phase(3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,23 +116,6 @@ class PauliWord:
         return PauliWord(len(picked), x, z)
 
 
-@dataclass(frozen=True, slots=True)
-class PhasedPauli:
-    """A Pauli word together with an exact phase."""
-
-    phase: Phase
-    word: PauliWord
-
-    def __mul__(self, other: PhasedPauli) -> PhasedPauli:
-        prod = multiply(self.word, other.word)
-        return PhasedPauli(self.phase * other.phase * prod.phase, prod.word)
-
-
-def _check_same_n(a: PauliWord, b: PauliWord) -> None:
-    if a.n != b.n:
-        raise ValueError(f"word lengths differ: {a.n} vs {b.n}")
-
-
 def product_phase_exponent(a: PauliWord, b: PauliWord) -> int:
     """Power of i in a*b relative to the bare product word.
 
@@ -186,27 +134,8 @@ def product_phase_exponent(a: PauliWord, b: PauliWord) -> int:
     return exp % 4
 
 
-def multiply(a: PauliWord, b: PauliWord) -> PhasedPauli:
-    """Exact product a*b as (phase, word)."""
-    _check_same_n(a, b)
-    return PhasedPauli(
-        Phase(product_phase_exponent(a, b)), PauliWord(a.n, a.x ^ b.x, a.z ^ b.z)
-    )
-
-
 def commutes(a: PauliWord, b: PauliWord) -> bool:
     """True when the symplectic form <a, b> = x_a.z_b + z_a.x_b is even."""
-    _check_same_n(a, b)
+    if a.n != b.n:
+        raise ValueError(f"word lengths differ: {a.n} vs {b.n}")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
-def basis_matrix_element(letter: str, bra: int, ket: int) -> complex:
-    """Single-qubit element <bra| letter |ket>; bits must be 0 or 1."""
-    if letter not in _LETTER_BITS:
-        raise ValueError(f"invalid Pauli letter {letter!r}")
-    if bra not in (0, 1) or ket not in (0, 1):
-        raise ValueError(f"basis bits must be 0 or 1, got ({bra}, {ket})")
-    x, z = _LETTER_BITS[letter]
-    if bra != ket ^ x:
-        return 0j
-    return _PHASE_VALUES[x & z] * (-1) ** (ket & z)

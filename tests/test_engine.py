@@ -245,17 +245,29 @@ def test_path_limit_guard():
         list(PathEnumeration(circuit, h, rho, None, node_limit=3, warn=False))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_estimate_limits_are_global(workers):
+def test_estimate_limits_are_global():
     # 128 paths over two terms: each term alone stays under the limit
     circuit, h, rho = rx_chain_instance(2, 8)
     theta = {p: 0.3 for p in circuit.parameters()}
     with pytest.raises(ResourceLimitError, match="more than 100 paths"):
-        estimate(circuit, h, rho, theta, 0.1, path_limit=100, workers=workers)
+        estimate(circuit, h, rho, theta, 0.1, path_limit=100)
     nodes = estimate(circuit, h, rho, theta, 0.1).stats["nodes_visited"]
     limit = nodes - 1
     with pytest.raises(ResourceLimitError, match=f"more than {limit} enumeration nodes"):
-        estimate(circuit, h, rho, theta, 0.1, node_limit=limit, workers=workers)
+        estimate(circuit, h, rho, theta, 0.1, node_limit=limit)
+
+
+def test_node_limit_counts_term_roots():
+    # at m=2 both terms are pruned at their roots, the only nodes visited
+    circuit, h, rho = rx_chain_instance(2, 8)
+    theta = {p: 0.3 for p in circuit.parameters()}
+    run = PathEnumeration(circuit, h, rho, 2, node_limit=2, warn=False)
+    assert list(run) == [] and run.stats.nodes_visited == 2
+    with pytest.raises(ResourceLimitError, match="more than 1 enumeration nodes"):
+        list(PathEnumeration(circuit, h, rho, 2, node_limit=1, warn=False))
+    with pytest.warns(UserWarning, match="below depth"):
+        with pytest.raises(ResourceLimitError, match="more than 1 enumeration nodes"):
+            estimate(circuit, h, rho, theta, 0.1, 2, node_limit=1)
 
 
 def test_zero_overlap_roots_pruned():
@@ -266,21 +278,6 @@ def test_zero_overlap_roots_pruned():
         overlap = rho.overlap(path.words[0])
         assert abs(overlap) > 0
     assert run.stats.pruned_zero_overlap > 0
-
-
-def test_term_restriction():
-    circuit, h, rho = rx_chain_instance(1, 4)
-    both = list(PathEnumeration(circuit, h, rho, None, warn=False))
-    only_first = list(
-        PathEnumeration(circuit, h, rho, None, term_indices=[0], warn=False)
-    )
-    only_second = list(
-        PathEnumeration(circuit, h, rho, None, term_indices=[1], warn=False)
-    )
-    assert len(only_first) + len(only_second) == len(both)
-    terms = [w for w, _ in h.terms()]
-    assert all(p.words[-1] == terms[0] for p in only_first)
-    assert all(p.words[-1] == terms[1] for p in only_second)
 
 
 def test_total_weight_matches_words():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulipath import (
     Circuit,
@@ -66,11 +68,36 @@ def test_choose_m_trivial_observable():
     assert choose_m(0.3, 0.0, target_mse=0.01).m == 0
 
 
+@pytest.mark.parametrize("norm", [1e200, math.inf, math.nan])
+def test_choose_m_rejects_norm_without_finite_square(norm):
+    with pytest.raises(ValueError, match="norm"):
+        choose_m(0.1, norm, target_mse=0.01)
+
+
 def test_choose_m_requires_one_criterion():
     with pytest.raises(ValueError):
         choose_m(0.1, 1.0)
     with pytest.raises(ValueError):
         choose_m(0.1, 1.0, target_mse=0.01, epsilon=0.1, delta=0.1)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([0.0, 0.05, 0.2]))
+@settings(max_examples=150, deadline=None)
+def test_estimate_equals_path_sum_at_every_m(seed, lam):
+    # the differential ground truth: the evaluator against explicit paths at
+    # every truncation order, and against the dense oracle untruncated
+    circuit, h, rho, theta = random_certified_instance(seed, max_n=3, max_depth=4)
+    max_weight = circuit.n * (circuit.depth + 1)
+    for m in range(circuit.depth + 1, max_weight + 1):
+        report = estimate(circuit, h, rho, theta, lam, m)
+        paths = list(PathEnumeration(circuit, h, rho, m, warn=False))
+        path_sum = report.identity_offset
+        for path in paths:
+            path_sum += damping(path, lam) * path_value(path, theta, h, rho)
+        assert report.value == pytest.approx(path_sum, rel=1e-12, abs=1e-12)
+        assert report.paths_used == len(paths)
+    exact = noisy_mean_value(circuit, h, rho, theta, lam)
+    assert report.untruncated and abs(report.value - exact) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [1, 6, 14, 27, 39])
@@ -140,31 +167,22 @@ def test_truncated_value_converges_to_oracle():
     assert errors[-1] <= errors[0]
 
 
-def test_workers_bit_identical():
-    circuit, h, rho, theta = random_certified_instance(16)
-    solo = estimate(circuit, h, rho, theta, 0.1)
-    multi = estimate(circuit, h, rho, theta, 0.1, workers=2)
-    assert solo.value == multi.value  # exact equality, not approx
-
-
 @pytest.mark.parametrize("seed", [0, 8, 10, 17])
 def test_term_sums_array_angles_match_scalar_calls(seed):
     circuit, h, rho, _ = random_certified_instance(seed)
     params = circuit.parameters()
     samples = np.random.default_rng(seed).uniform(0, 2 * math.pi, (5, len(params)))
-    terms = range(h.term_count)
     limits = (10**6, 10**7)
-    arrays, run = _term_sums(
-        circuit, h, rho, None, terms, dict(zip(params, samples.T)), 0.1, *limits
+    array_sum, run = _term_sums(
+        circuit, h, rho, None, dict(zip(params, samples.T)), 0.1, *limits
     )
     assert run.paths_emitted >= 20
     for k, row in enumerate(samples):
-        scalars, _ = _term_sums(
-            circuit, h, rho, None, terms, dict(zip(params, row)), 0.1, *limits
+        scalar_sum, _ = _term_sums(
+            circuit, h, rho, None, dict(zip(params, row)), 0.1, *limits
         )
-        for array_sum, scalar_sum in zip(arrays, scalars):
-            got = np.broadcast_to(array_sum, len(samples))[k]
-            assert got == pytest.approx(scalar_sum, rel=1e-12, abs=1e-12)
+        got = np.broadcast_to(array_sum, len(samples))[k]
+        assert got == pytest.approx(scalar_sum, rel=1e-12, abs=1e-12)
 
 
 def test_eps_delta_requires_certification():

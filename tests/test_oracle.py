@@ -19,11 +19,10 @@ from paulipath import (
 )
 from paulipath.oracle import (
     OracleCapError,
+    apply_layer,
     depolarize_all,
     evolve_noisy,
     hamiltonian_matrix,
-    layer_unitary,
-    noiseless_mean_value,
     noisy_mean_value,
     observable_factor,
     state_factor,
@@ -79,9 +78,11 @@ def test_layer_unitary_matches_projector_build():
         )
     )
     theta = {"a": 1.234}
-    got = layer_unitary(layer, theta, 3).reshape(8, 8)
-    assert np.allclose(got, dense_layer_unitary(layer, 3, theta))
-    assert np.allclose(got @ got.conj().T, np.eye(8))
+    u = dense_layer_unitary(layer, 3, theta)
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    assert np.allclose(apply_layer(mat, layer, theta, 3), u @ mat @ u.conj().T)
+    assert np.allclose(apply_layer(np.eye(8, dtype=complex), layer, theta, 3), np.eye(8))
 
 
 @pytest.mark.parametrize("seed", [0, 4, 10, 17, 23, 31])
@@ -93,9 +94,15 @@ def test_noisy_mean_matches_independent_dense(seed, lam):
 
 
 def test_noiseless_equals_zero_noise():
+    # lam = 0 is plain unitary evolution, with no noise round at all
     circuit, h, rho, theta = random_certified_instance(3)
-    assert noiseless_mean_value(circuit, h, rho, theta) == pytest.approx(
-        noisy_mean_value(circuit, h, rho, theta, 0.0), abs=1e-12
+    mat = dense_state(rho)
+    for layer in circuit.layers:
+        u = dense_layer_unitary(layer, circuit.n, theta)
+        mat = u @ mat @ u.conj().T
+    noiseless = np.trace(dense_hamiltonian(h) @ mat).real
+    assert noisy_mean_value(circuit, h, rho, theta, 0.0) == pytest.approx(
+        noiseless, abs=1e-12
     )
 
 
