@@ -20,8 +20,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .circuit import Circuit, Layer, RotationGate
-from .observables import Hamiltonian, SparseDensity
+from .engine import PathEnumeration
+from .estimator import choose_m
+from .observables import Hamiltonian, SparseDensity, norm_bound
 from .pauli import PauliWord
 
 # noise rates of the scaling sweep: lam = 1/ln(L) and lam = 1/L, capped
@@ -87,12 +91,6 @@ def scaling_sweep(n: int, depths: list[int], target_mse: float) -> dict:
     polynomial exponent d from log nodes ~ d log L for the inv-log arm,
     exponential rate r from log2 nodes ~ r L for the inv-linear arm.
     """
-    import numpy as np
-
-    from .engine import PathEnumeration
-    from .estimator import choose_m
-    from .observables import norm_bound
-
     if any(d < 2 for d in depths) or len(depths) < 2:
         raise ValueError("need at least two depths, all >= 2")
     rows = []

@@ -8,8 +8,9 @@ float; naming is per gate, so symbols may be shared across gates when a
 single-point evaluation is all that is needed.
 
 Clifford conjugation is one rule, `conjugate_masks`: closed-form bit updates
-on the (x, z) masks that return the new word and a +-1 sign.  The path
-engine and `effected_words` both call it, and the test suite checks it
+on the (x, z) masks that return the new word and a +-1 sign, for int masks
+or for numpy arrays of them.  The path engine (on arrays) and
+`effected_words` (on ints) both call it, and the test suite checks it
 against dense matrix conjugation.
 """
 
@@ -146,9 +147,7 @@ def require_valid(circuit: Circuit) -> None:
         raise ValueError("invalid circuit: " + "; ".join(errors))
 
 
-def conjugate_masks(
-    kind: str, b0: int, b1: int, x: int, z: int, backward: bool
-) -> tuple[int, int, int]:
+def conjugate_masks(kind: str, b0: int, b1: int, x, z, backward: bool):
     """Conjugate the word (x, z) by one Clifford gate; return (sign, x, z).
 
     backward maps P to Vdag P V, forward maps P to V P Vdag; H and CNOT are
@@ -160,20 +159,22 @@ def conjugate_masks(
       S     z_b ^= x_b           sign -1 forward on Y, backward on X
       CNOT  x_t ^= x_c,          sign -1 when x_c & z_t & not (x_t ^ z_c)
             z_c ^= z_t
+
+    Only bit operations and arithmetic touch x and z, so the same rule maps
+    int masks to an int sign and masks, and mask arrays entry by entry to a
+    sign array and mask arrays.
     """
     if kind == "CNOT":
         xc = (x >> b0) & 1
         zt = (z >> b1) & 1
-        differ = ((x >> b1) ^ (z >> b0)) & 1
-        sign = -1 if xc & zt and not differ else 1
-        return sign, x ^ (xc << b1), z ^ (zt << b0)
+        same = ((x >> b1) ^ (z >> b0) ^ 1) & 1
+        return 1 - 2 * (xc & zt & same), x ^ (xc << b1), z ^ (zt << b0)
     xb = (x >> b0) & 1
     zb = (z >> b0) & 1
     if kind == "H":
         swap = (xb ^ zb) << b0
-        return (-1 if xb & zb else 1), x ^ swap, z ^ swap
-    flip = zb == 0 if backward else zb == 1
-    return (-1 if xb and flip else 1), x, z ^ (xb << b0)
+        return 1 - 2 * (xb & zb), x ^ swap, z ^ swap
+    return 1 - 2 * (xb & (zb ^ int(backward))), x, z ^ (xb << b0)
 
 
 def effected_words(circuit: Circuit) -> list[PauliWord]:

@@ -10,8 +10,9 @@ to its possible predecessors:
     into the path's sign;
   * a rotation support with generator G either commutes with the successor
     (one predecessor, no factor) or anti-commutes (two predecessors: the
-    successor itself with a cos factor, and the word w from sigma w = i G s
-    with a sin factor, sigma in {+1, -1} multiplying into the sign).
+    successor itself with a cos factor, and the word w = G s up to phase
+    with a sin factor; sigma w = i G s fixes sigma in {+1, -1} through
+    `pauli.product_phase_masks`, and sigma multiplies into the sign).
 
 A path thus carries one overall sign and one cos or sin atom per
 anti-commuting rotation it passes.
@@ -25,21 +26,56 @@ additionally overlap the initial state.
 Enumeration order is deterministic: observable terms in letter-string
 order, then depth first with layer gates processed in ascending order of
 their least support qubit, Cliffords before rotations, and the cos branch
-before the sin branch.
+before the sin branch.  A word with a anti-commuting rotations has 2^a
+predecessors; predecessor k takes the sin branch at the j-th of them when
+bit a-1-j of k is set, so the first rotation is the most significant bit.
+
+The walk visits that tree depth first, but a batch of frames at a time.
+A batch is up to `BATCH_ROWS` numpy rows at one word index, in canonical
+order: the x and z masks (int64, or Python ints in object arrays beyond 63
+qubits), the weight spent so far, and the step into the row: its sign, its
+sin choices as a bit mask over the layer's rotations, and the parent's row.
+A batch goes through its layer as a whole (`_LayerProgram.branch`, which
+also holds each parent's anti-commuting rotations); its children are then
+built by ordinal, a slice at a time, filtered, and pushed as the next
+batch, which is walked to the leaves before the next slice is built.
+Children come out in ordinal order, which is the canonical order, so the
+paths, their order and every counter equal a frame-by-frame depth-first
+walk, and memory stays O(depth * BATCH_ROWS).
+
+Every child counts in `nodes_visited`, pruned or not.  A parent whose least
+possible child weight already exceeds the budget has all 2^a children
+counted as visited and pruned by budget without being built, and a leaf
+candidate whose x mask is not a flip mask of the state counts as pruned
+for zero overlap without an overlap call.  The limits are checked against
+the exact child count of a batch before it is built and the path count of
+a leaf batch before it is yielded, so a run raises the same error as a
+frame-by-frame walk, possibly after yielding fewer paths (and a run over
+both limits may report either).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
-from .circuit import Circuit, Layer, RotationGate, conjugate_masks, require_valid
+import numpy as np
+
+from .circuit import Circuit, Layer, conjugate_masks, require_valid
 from .observables import Hamiltonian, SparseDensity
-from .pauli import PauliWord
+from .pauli import PauliWord, popcount, product_phase_masks
 
 DEFAULT_PATH_LIMIT = 10_000_000
 DEFAULT_NODE_LIMIT = 100_000_000
+# Rows of one batch.  Larger batches make fewer numpy calls and hold more
+# memory, O(depth * BATCH_ROWS) per walk; at 1024 one pass over the
+# ansatz(8,12) benchmark instance peaks near 1 MB of traced memory.
+BATCH_ROWS = 1024
+# Child ordinals are int64 within a batch; a batch beyond this many
+# children is refused even when the node limit would allow it.
+_MAX_BATCH_CHILDREN = 1 << 62
 
 
 class ResourceLimitError(RuntimeError):
@@ -85,77 +121,96 @@ class EnumerationStats:
         }
 
 
+def _mask_dtype(n: int) -> type:
+    """int64 holds the masks of up to 63 qubits; wider words stay ints."""
+    return np.int64 if n <= 63 else object
+
+
 # --- compiled per-layer transition programs ---------------------------------
 
-class _RotOp:
-    __slots__ = ("mask", "gx", "gz", "atom_cos", "atom_sin")
 
-    def __init__(self, gate: RotationGate) -> None:
-        gen = gate.generator
-        self.mask = gen.x | gen.z
-        self.gx = gen.x
-        self.gz = gen.z
-        key = gate.param if gate.param is not None else gate.angle
-        self.atom_cos = FactorAtom("cos", key)
-        self.atom_sin = FactorAtom("sin", key)
+class _Branching:
+    """A batch of successor words seen through one layer, per row: the word
+    after the Clifford part and its sign; as bit masks over the rotations,
+    the anti-commuting ones and those whose sin branch has sigma = -1; and
+    per rotation (shape (R, rows)), the bit of the child ordinal that
+    selects its sin branch, or 63 (always clear) for a commuting one."""
+
+    __slots__ = ("x", "z", "sign", "anti_bits", "neg_bits", "select")
 
 
 class _LayerProgram:
-    """One layer compiled to bit operations on (x, z) masks."""
+    """One layer compiled to bit operations on arrays of (x, z) masks."""
 
-    __slots__ = ("cliffords", "rotations")
+    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "table")
 
-    def __init__(self, layer: Layer) -> None:
+    def __init__(self, layer: Layer, dtype: type) -> None:
         self.cliffords = [
             (gate.kind, *gate.bits)
             for gate in sorted(layer.cliffords, key=lambda g: min(g.qubits))
         ]
-        self.rotations = sorted(
-            (_RotOp(g) for g in layer.rotations), key=lambda r: r.mask & -r.mask
+        rotations = sorted(
+            layer.rotations,
+            key=lambda g: (g.generator.x | g.generator.z)
+            & -(g.generator.x | g.generator.z),
         )
+        keys = [g.param if g.param is not None else g.angle for g in rotations]
+        self.atom_pairs = [(FactorAtom("cos", k), FactorAtom("sin", k)) for k in keys]
+        self.gx = np.array([g.generator.x for g in rotations], dtype=dtype).reshape(-1, 1)
+        self.gz = np.array([g.generator.z for g in rotations], dtype=dtype).reshape(-1, 1)
+        bits = [1 << j for j in range(len(rotations))]
+        # sin choices (R, rows) -> x flips, z flips and sin bit masks in one product
+        self.table = np.array(
+            [self.gx[:, 0], self.gz[:, 0], bits], dtype=dtype
+        ).reshape(3, len(rotations))
 
-    def children(
-        self, x: int, z: int
-    ) -> list[tuple[int, int, int, tuple[FactorAtom, ...]]]:
-        """All predecessors (x, z, sign, atoms) of the word (x, z)."""
-        sign = 1
+    def branch(self, x: np.ndarray, z: np.ndarray) -> tuple[_Branching, np.ndarray, np.ndarray]:
+        """The layer applied to a batch of successor words: the branching,
+        and per row the number a of anti-commuting rotations and the least
+        weight any of the 2^a children has."""
+        b = _Branching()
+        sign = np.ones(len(x), dtype=np.int8)
         for kind, b0, b1 in self.cliffords:
             gate_sign, x, z = conjugate_masks(kind, b0, b1, x, z, True)
-            sign *= gate_sign
-        states = [(x, z, sign, ())]
-        for rot in self.rotations:
-            sxr = x & rot.mask
-            szr = z & rot.mask
-            anti = ((rot.gx & szr).bit_count() + (rot.gz & sxr).bit_count()) % 2
-            if not anti:
-                continue
-            px = sxr ^ rot.gx
-            pz = szr ^ rot.gz
-            # sigma w = i G s fixes the sign of the sin branch; pinned by
-            # exp(+i theta G/2) s exp(-i theta G/2) = cos(theta) s + sigma sin(theta) w
-            exp = (
-                1
-                + (rot.gx & rot.gz).bit_count()
-                + (sxr & szr).bit_count()
-                - (px & pz).bit_count()
-                + 2 * (rot.gz & sxr).bit_count()
-            ) % 4
-            sigma = 1 if exp == 0 else -1
-            keep = ~rot.mask
-            states = [
-                branch
-                for sx, sz, s, atoms in states
-                for branch in (
-                    (sx, sz, s, atoms + (rot.atom_cos,)),
-                    (
-                        (sx & keep) | px,
-                        (sz & keep) | pz,
-                        s * sigma,
-                        atoms + (rot.atom_sin,),
-                    ),
-                )
-            ]
-        return states
+            sign = sign * gate_sign
+        gx, gz, bits = self.gx, self.gz, self.table[2]
+        anti = ((popcount(gx & z) + popcount(gz & x)) & 1).astype(bool)
+        # sigma w = i G s with G s = i^k w, so sigma = i^(k+1): -1 when k = 1
+        # mod 4; pinned by exp(+i t G/2) s exp(-i t G/2) = cos(t) s + sigma sin(t) w
+        neg = ((product_phase_masks(gx, gz, x, z) + 1) & 2).astype(bool)
+        weight = popcount(x | z).astype(np.int32)
+        gain = popcount((x ^ gx) | (z ^ gz)).astype(np.int32) - weight
+        count = np.count_nonzero(anti, axis=0)
+        # the first anti-commuting rotation of a row is the most significant
+        # ordinal bit: rotation j takes bit count - 1 - (anti-commuting before j)
+        below = np.cumsum(anti, axis=0) - anti
+        b.x, b.z, b.sign = x, z, sign.astype(np.int8)
+        b.anti_bits = bits @ anti
+        b.neg_bits = bits @ neg
+        b.select = np.where(anti, count - 1 - below, 63).astype(np.int8)
+        least = weight + (np.minimum(gain, 0) * anti).sum(axis=0)
+        return b, count, least
+
+    def children(self, b: _Branching, parent: np.ndarray, ordinal: np.ndarray):
+        """Child `ordinal` of each row `parent` of a branching: masks,
+        weight, sign, and the bit mask of the rotations taking sin."""
+        sin = (ordinal >> b.select[:, parent]) & 1
+        flip_x, flip_z, sin_bits = self.table @ sin
+        x = b.x[parent] ^ flip_x
+        z = b.z[parent] ^ flip_z
+        weight = popcount(x | z).astype(np.int32)
+        flips = (popcount(b.neg_bits[parent] & sin_bits) & 1).astype(np.int8)
+        return x, z, weight, b.sign[parent] * (1 - 2 * flips), sin_bits
+
+    def atoms(self, anti: int, sin: int) -> tuple[FactorAtom, ...]:
+        """Atoms of one step in rotation order, from its bit masks."""
+        if not anti:
+            return ()
+        # tuples from a list get their exact size; from an iterator they are
+        # resized, and the freed ones pile up in the interpreter's free lists
+        return tuple(
+            [pair[sin >> j & 1] for j, pair in enumerate(self.atom_pairs) if anti >> j & 1]
+        )
 
 
 def layer_predecessors(
@@ -163,10 +218,55 @@ def layer_predecessors(
 ) -> list[tuple[PauliWord, int, tuple[FactorAtom, ...]]]:
     """Predecessors (word, sign, atoms) of a full word through one layer,
     in the order the enumeration walks them."""
+    dtype = _mask_dtype(succ.n)
+    program = _LayerProgram(layer, dtype)
+    b, count, _ = program.branch(
+        np.array([succ.x], dtype=dtype), np.array([succ.z], dtype=dtype)
+    )
+    children = 1 << int(count[0])
+    x, z, _, sign, sin = program.children(
+        b, np.zeros(children, dtype=np.intp), np.arange(children, dtype=np.int64)
+    )
+    anti = int(b.anti_bits[0])
     return [
-        (PauliWord(succ.n, x, z), sign, atoms)
-        for x, z, sign, atoms in _LayerProgram(layer).children(succ.x, succ.z)
+        (PauliWord(succ.n, int(cx), int(cz)), int(s), program.atoms(anti, int(c)))
+        for cx, cz, s, c in zip(x, z, sign, sin)
     ]
+
+
+# --- the batched depth-first walk ------------------------------------------
+
+
+class _Batch:
+    """Frames at one word index in canonical order.  Once the batch is a
+    parent it also holds its branching through the next layer, the rows
+    with children to build, their ordinal offsets, and the cursor."""
+
+    ROW_FIELDS = ("x", "z", "spent", "sign", "sin", "parent")
+    __slots__ = (*ROW_FIELDS, "program", "branching", "rows", "offsets", "cursor", "cache")
+
+    def __init__(self, x, z, spent, sign, sin, parent, program) -> None:
+        self.x, self.z, self.spent = x, z, spent
+        self.sign, self.sin, self.parent = sign, sin, parent
+        self.program = program  # the layer stepped through into these rows
+        self.branching: _Branching | None = None
+        # row -> (word, atoms of the step into it), for rows on emitted paths
+        self.cache: dict[int, tuple[PauliWord, tuple[FactorAtom, ...]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def take(self, keep: np.ndarray) -> _Batch:
+        return _Batch(*(getattr(self, f)[keep] for f in self.ROW_FIELDS), self.program)
+
+
+def _concat(parts: list[_Batch]) -> _Batch:
+    if len(parts) == 1:
+        return parts[0]
+    return _Batch(
+        *(np.concatenate([getattr(p, f) for p in parts]) for f in _Batch.ROW_FIELDS),
+        parts[0].program,
+    )
 
 
 class PathEnumeration:
@@ -213,65 +313,195 @@ class PathEnumeration:
         self.path_limit = path_limit
         self.node_limit = node_limit
         self.stats = EnumerationStats()
-        self._programs = [_LayerProgram(layer) for layer in circuit.layers]
+        self._dtype = _mask_dtype(circuit.n)
+        self._programs = [_LayerProgram(layer, self._dtype) for layer in circuit.layers]
+        self._flips = np.array(sorted(rho.flip_masks()), dtype=self._dtype)
 
     def __iter__(self) -> Iterator[PauliPath]:
         stats = EnumerationStats()
         self.stats = stats
-        n = self.circuit.n
         depth = self.circuit.depth
-        m = self.m
-        programs = self._programs
-        rho = self.rho
-        too_many_nodes = f"more than {self.node_limit} enumeration nodes visited"
-        # frame: (word index, x, z, spent weight, parent frame, sign, atoms added)
-        for word, _ in self.h.terms():
-            stats.nodes_visited += 1
-            if stats.nodes_visited > self.node_limit:
-                raise ResourceLimitError(too_many_nodes)
-            weight = word.weight
-            if weight > m - depth:
-                stats.pruned_budget += 1
-                continue
-            stack = [(depth, word.x, word.z, weight, None, 1, ())]
-            while stack:
-                frame = stack.pop()
-                idx, x, z, spent, _, _, _ = frame
-                if idx == 0:
-                    if rho.overlap_masks(x, z) == 0.0:
-                        stats.pruned_zero_overlap += 1
-                        continue
-                    stats.paths_emitted += 1
-                    if stats.paths_emitted > self.path_limit:
-                        raise ResourceLimitError(
-                            f"more than {self.path_limit} paths survive truncation"
-                        )
-                    yield self._build_path(frame, n)
-                    continue
-                children = programs[idx - 1].children(x, z)
-                next_idx = idx - 1
-                for cx, cz, sign, atoms in reversed(children):
-                    stats.nodes_visited += 1
-                    if stats.nodes_visited > self.node_limit:
-                        raise ResourceLimitError(too_many_nodes)
-                    cw = (cx | cz).bit_count()
-                    if cw == 0:
-                        stats.pruned_zero_weight += 1
-                        continue
-                    if spent + cw > m - next_idx:
-                        stats.pruned_budget += 1
-                        continue
-                    stack.append((next_idx, cx, cz, spent + cw, frame, sign, atoms))
+        terms = [word for word, _ in self.h.terms()]
+        for start in range(0, len(terms), BATCH_ROWS):
+            chunk = terms[start : start + BATCH_ROWS]
+            self._visit(stats, len(chunk))
+            weight = np.array([word.weight for word in chunk], dtype=np.int32)
+            keep = weight <= self.m - depth
+            stats.pruned_budget += int(np.count_nonzero(~keep))
+            roots = _Batch(
+                np.array([word.x for word in chunk], dtype=self._dtype),
+                np.array([word.z for word in chunk], dtype=self._dtype),
+                weight,
+                np.ones(len(chunk), dtype=np.int8),
+                np.zeros(len(chunk), dtype=np.int64),
+                np.zeros(len(chunk), dtype=np.intp),
+                None,
+            ).take(keep)
+            if depth == 0:
+                roots = self._admit_leaves(roots, stats)
+            yield from self._walk(roots, stats)
 
-    @staticmethod
-    def _build_path(frame: tuple, n: int) -> PauliPath:
-        words: list[PauliWord] = []
-        atoms: list[FactorAtom] = []
-        sign = 1
-        cursor = frame
-        while cursor is not None:  # leaf (s_0) to root (s_L)
-            words.append(PauliWord(n, cursor[1], cursor[2]))
-            sign *= cursor[5]
-            atoms.extend(cursor[6])
-            cursor = cursor[4]
-        return PauliPath(tuple(words), sign, tuple(atoms), frame[3])
+    def _visit(self, stats: EnumerationStats, count: int) -> None:
+        if stats.nodes_visited + count > self.node_limit:
+            raise ResourceLimitError(
+                f"more than {self.node_limit} enumeration nodes visited"
+            )
+        stats.nodes_visited += count
+
+    def _walk(self, roots: _Batch, stats: EnumerationStats) -> Iterator[PauliPath]:
+        """Every path below a batch of roots, depth first a batch at a time:
+        the top batch is walked to the leaves before its parent builds its
+        next children."""
+        stack = [roots]
+        while stack:
+            idx = self.circuit.depth + 1 - len(stack)  # word index of the top
+            top = stack[-1]
+            if idx == 0:
+                yield from self._paths(stack, stats)
+                stack.pop()
+                continue
+            room = self.m - idx + 1  # weight the children may have spent
+            program = self._programs[idx - 1]
+            if top.branching is None:
+                self._branch(top, program, room, stats)
+            children = self._next_children(top, program, room, idx == 1, stats)
+            if children is None:
+                stack.pop()
+            else:
+                stack.append(children)
+
+    def _branch(
+        self, parent: _Batch, program: _LayerProgram, room: int, stats: EnumerationStats
+    ) -> None:
+        """Push a batch through its layer, count all its children, and
+        settle the parents none of whose children fit in `room`."""
+        b, count, least = program.branch(parent.x, parent.z)
+        over = parent.spent + least > room
+        # sums of 2^a as exact ints, grouped by a
+        per_a = np.bincount(count, minlength=len(program.atom_pairs) + 1)
+        pruned_per_a = np.bincount(count[over], minlength=len(per_a))
+        total = sum(int(c) << a for a, c in enumerate(per_a))
+        pruned = sum(int(c) << a for a, c in enumerate(pruned_per_a))
+        self._visit(stats, total)
+        stats.pruned_budget += pruned
+        if total - pruned > _MAX_BATCH_CHILDREN:
+            raise ResourceLimitError(
+                f"a batch of {len(parent)} words has {total - pruned}"
+                f" predecessors to build, more than {_MAX_BATCH_CHILDREN}"
+            )
+        rows = np.flatnonzero(~over)
+        counts = np.left_shift(1, count[rows].astype(np.int64))
+        parent.branching = b
+        parent.rows = rows
+        parent.offsets = np.concatenate(([0], np.cumsum(counts)))
+        parent.cursor = 0
+
+    def _next_children(
+        self,
+        parent: _Batch,
+        program: _LayerProgram,
+        room: int,
+        leaves: bool,
+        stats: EnumerationStats,
+    ) -> _Batch | None:
+        """The next surviving children of a parent batch in canonical order,
+        at most BATCH_ROWS of them: slices of ordinals are built until half
+        that many survive, each slice no larger than the room left; None
+        once every child has been built."""
+        parts: list[_Batch] = []
+        kept = 0
+        total = int(parent.offsets[-1])
+        while parent.cursor < total and kept < BATCH_ROWS // 2:
+            lo = parent.cursor
+            parent.cursor = min(lo + BATCH_ROWS - kept, total)
+            ordinal = np.arange(lo, parent.cursor, dtype=np.int64)
+            which = np.searchsorted(parent.offsets, ordinal, side="right") - 1
+            ordinal -= parent.offsets[which]
+            rows = parent.rows[which]
+            x, z, weight, sign, sin = program.children(
+                parent.branching, rows, ordinal
+            )
+            spent = parent.spent[rows] + weight
+            zero = weight == 0
+            over = spent > room
+            stats.pruned_zero_weight += int(np.count_nonzero(zero))
+            stats.pruned_budget += int(np.count_nonzero(over & ~zero))
+            part = _Batch(x, z, spent, sign, sin, rows, program)
+            keep = ~(zero | over)
+            if not keep.all():
+                part = part.take(keep)
+            if leaves:
+                part = self._admit_leaves(part, stats)
+            if len(part):
+                parts.append(part)
+                kept += len(part)
+        return _concat(parts) if parts else None
+
+    def _admit_leaves(self, leaves: _Batch, stats: EnumerationStats) -> _Batch:
+        """The leaf candidates whose state overlap is non-zero.  A candidate
+        whose x is not a flip mask of the state has none, and is dropped
+        without an overlap call."""
+        flips = self._flips
+        if len(flips):
+            hit = flips[np.minimum(np.searchsorted(flips, leaves.x), len(flips) - 1)] == leaves.x
+        else:
+            hit = np.zeros(len(leaves), dtype=bool)
+        rows = np.flatnonzero(hit)
+        overlap = self.rho.overlap_masks
+        keep = [
+            row
+            for row, x, z in zip(rows.tolist(), leaves.x[rows].tolist(), leaves.z[rows].tolist())
+            if overlap(x, z) != 0.0
+        ]
+        stats.pruned_zero_overlap += len(leaves) - len(keep)
+        return leaves.take(np.array(keep, dtype=np.intp))
+
+    def _paths(self, stack: list[_Batch], stats: EnumerationStats) -> Iterator[PauliPath]:
+        """The paths ending in the leaf batch on top of the stack."""
+        leaves = stack[-1]
+        if stats.paths_emitted + len(leaves) > self.path_limit:
+            raise ResourceLimitError(
+                f"more than {self.path_limit} paths survive truncation"
+            )
+        rows = np.arange(len(leaves))
+        sign = np.ones(len(leaves), dtype=np.int8)
+        words, atoms = [], []  # per batch, leaf (s_0) to root (s_L): one entry per leaf
+        for j in range(len(stack) - 1, -1, -1):
+            level = stack[j]
+            parents = level.parent[rows]
+            level_rows = rows.tolist()
+            new = [row for row in dict.fromkeys(level_rows) if row not in level.cache]
+            level.cache.update(zip(new, self._steps(stack, j, new)))
+            steps = [level.cache[row] for row in level_rows]
+            words.append([word for word, _ in steps])
+            atoms.append([step_atoms for _, step_atoms in steps])
+            sign *= level.sign[rows]
+            rows = parents
+        for path_words, path_sign, path_atoms, spent in zip(
+            zip(*words), sign.tolist(), zip(*atoms), leaves.spent.tolist()
+        ):
+            stats.paths_emitted += 1
+            # a tuple built from an iterator is resized, and the freed
+            # tuples pile up in the interpreter's free lists; from a list it
+            # gets its exact size
+            yield PauliPath(
+                path_words, path_sign, tuple(list(chain.from_iterable(path_atoms))), spent
+            )
+
+    def _steps(self, stack: list[_Batch], j: int, rows: list[int]) -> Iterator[tuple]:
+        """Per row of stack[j]: its word and the atoms of the step into it."""
+        level = stack[j]
+        picked = np.array(rows, dtype=np.intp)
+        n = self.circuit.n
+        words = (
+            PauliWord(n, x, z)
+            for x, z in zip(level.x[picked].tolist(), level.z[picked].tolist())
+        )
+        if j == 0:
+            return ((word, ()) for word in words)
+        anti = stack[j - 1].branching.anti_bits[level.parent[picked]]
+        atoms = level.program.atoms
+        return (
+            (word, atoms(a, s))
+            for word, a, s in zip(words, anti.tolist(), level.sin[picked].tolist())
+        )

@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import oracle
 from .circuit import Circuit, circuit_generation_certified, require_valid
 from .engine import (
     DEFAULT_NODE_LIMIT,
@@ -450,8 +451,6 @@ def mse_benchmark(
     dense oracle, and compares the mean squared difference against the
     certified bound (pass means empirical <= bound + 3 standard errors).
     """
-    from . import oracle
-
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     params = _require_distinct_params(circuit)

@@ -9,13 +9,17 @@ encoding: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1), with the matrix convention
 Products and commutation tests reduce to word-parallel bit operations: the
 product of a and b is the word (x_a ^ x_b, z_a ^ z_b) times a phase i^k,
 and `product_phase_exponent` gives k mod 4 exactly, never as a floating
-complex number.  Words are unnormalized: Tr(w * w) = 2^n.
+complex number.  `product_phase_masks` is the same rule on raw masks, for
+ints or for numpy arrays of masks (int64, or object beyond 63 qubits).
+Words are unnormalized: Tr(w * w) = 2^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 LETTERS = "IXYZ"
 
@@ -24,6 +28,8 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+_object_bit_count = np.frompyfunc(int.bit_count, 1, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,22 +122,40 @@ class PauliWord:
         return PauliWord(len(picked), x, z)
 
 
-def product_phase_exponent(a: PauliWord, b: PauliWord) -> int:
-    """Power of i in a*b relative to the bare product word.
+def popcount(masks):
+    """Set bits of an int mask, or of every entry of a mask array: uint8
+    counts for int64 masks, int64 counts for object arrays of ints (the
+    masks of words beyond 63 qubits)."""
+    if not isinstance(masks, np.ndarray):
+        return masks.bit_count()
+    if masks.dtype == object:
+        return _object_bit_count(masks).astype(np.int64)
+    return np.bitwise_count(masks)
+
+
+def product_phase_masks(ax, az, bx, bz):
+    """Power of i in a*b relative to the bare product word, mod 4, for words
+    given as raw (x, z) masks: ints, or arrays of masks entry by entry.
 
     With the i^(x.z) X^x Z^z convention the per-qubit bookkeeping collapses
     to popcounts: exponent = x_a.z_a + x_b.z_b - x_c.z_c + 2 z_a.x_b mod 4,
-    where c = a XOR b.
+    where c = a XOR b.  Array popcounts are uint8, whose wrap-around is a
+    multiple of 4, so the result stays exact mod 4.
     """
-    cx = a.x ^ b.x
-    cz = a.z ^ b.z
+    cx = ax ^ bx
+    cz = az ^ bz
     exp = (
-        (a.x & a.z).bit_count()
-        + (b.x & b.z).bit_count()
-        - (cx & cz).bit_count()
-        + 2 * (a.z & b.x).bit_count()
+        popcount(ax & az)
+        + popcount(bx & bz)
+        - popcount(cx & cz)
+        + 2 * popcount(az & bx)
     )
     return exp % 4
+
+
+def product_phase_exponent(a: PauliWord, b: PauliWord) -> int:
+    """Power of i in a*b relative to the bare product word."""
+    return product_phase_masks(a.x, a.z, b.x, b.z)
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:

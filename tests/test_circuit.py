@@ -78,17 +78,22 @@ def test_parameters_first_use_order():
 def test_conjugation_matches_dense(gate, direction):
     n = 3
     u = dense_gate(gate, n, {})
+    backward = direction == "backward"
+    scalar = []
     for x in range(2**n):
         for z in range(2**n):
             word = PauliWord(n, x, z)
-            sign, cx, cz = conjugate_masks(
-                gate.kind, *gate.bits, x, z, direction == "backward"
-            )
+            sign, cx, cz = conjugate_masks(gate.kind, *gate.bits, x, z, backward)
+            scalar.append((sign, cx, cz))
             if direction == "forward":
                 lhs = u @ dense_word(word) @ u.conj().T
             else:
                 lhs = u.conj().T @ dense_word(word) @ u
             assert np.allclose(lhs, sign * dense_word(PauliWord(n, cx, cz)))
+    # the same rule on arrays maps all 64 words at once, entry by entry
+    xs, zs = np.divmod(np.arange(4**n, dtype=np.int64), 2**n)
+    signs, axs, azs = conjugate_masks(gate.kind, *gate.bits, xs, zs, backward)
+    assert list(zip(signs.tolist(), axs.tolist(), azs.tolist())) == scalar
 
 
 def test_effected_words_pull_back_through_cliffords():

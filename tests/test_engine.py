@@ -3,12 +3,14 @@ census counts, and resource guards."""
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulipath import (
+    Circuit,
     CliffordGate,
     Hamiltonian,
     Layer,
@@ -19,8 +21,11 @@ from paulipath import (
     rx_chain_instance,
 )
 from paulipath.engine import (
+    BATCH_ROWS,
+    EnumerationStats,
     FactorAtom,
     PathEnumeration,
+    PauliPath,
     ResourceLimitError,
     layer_predecessors,
 )
@@ -45,6 +50,21 @@ def test_rotation_predecessors_anticommuting():
     assert out == [
         (PauliWord.from_string("Z"), 1, (FactorAtom("cos", "a"),)),
         (PauliWord.from_string("Y"), 1, (FactorAtom("sin", "a"),)),
+    ]
+    # with two, the rotation on the lower qubit splits first
+    layer = Layer(
+        (
+            RotationGate(PauliWord.from_string("IX"), param="b"),
+            RotationGate(PauliWord.from_string("XI"), param="a"),
+        )
+    )
+    cos_a, sin_a = FactorAtom("cos", "a"), FactorAtom("sin", "a")
+    cos_b, sin_b = FactorAtom("cos", "b"), FactorAtom("sin", "b")
+    assert layer_predecessors(layer, PauliWord.from_string("ZZ")) == [
+        (PauliWord.from_string("ZZ"), 1, (cos_a, cos_b)),
+        (PauliWord.from_string("ZY"), 1, (cos_a, sin_b)),
+        (PauliWord.from_string("YZ"), 1, (sin_a, cos_b)),
+        (PauliWord.from_string("YY"), 1, (sin_a, sin_b)),
     ]
 
 
@@ -243,6 +263,20 @@ def test_path_limit_guard():
         list(PathEnumeration(circuit, h, rho, None, path_limit=3, warn=False))
     with pytest.raises(ResourceLimitError, match="nodes"):
         list(PathEnumeration(circuit, h, rho, None, node_limit=3, warn=False))
+    # 2^63 predecessors of one word: refused before anything is built, even
+    # under a node limit that would allow them
+    n = 63
+    wide = Circuit(
+        n,
+        (Layer(tuple(RotationGate(PauliWord.from_map(n, {q: "X"}), param=f"a{q}")
+                     for q in range(1, n + 1))),),
+    )
+    h_wide = Hamiltonian(n, [(PauliWord(n, 0, 2**n - 1), 1.0)])
+    run = PathEnumeration(
+        wide, h_wide, SparseDensity.computational_basis(n), None, node_limit=2**70
+    )
+    with pytest.raises(ResourceLimitError, match="predecessors to build"):
+        next(iter(run))
 
 
 def test_estimate_limits_are_global():
@@ -286,3 +320,132 @@ def test_total_weight_matches_words():
         assert path.total_weight == sum(w.weight for w in path.words)
         assert len(path.words) == circuit.depth + 1
         assert not any(w.is_identity for w in path.words)
+
+
+def _reference_walk(circuit, h, rho, m):
+    """The enumeration frame by frame: depth first over `layer_predecessors`,
+    with the same pruning rules and counters."""
+    stats = EnumerationStats()
+    paths = []
+    depth = circuit.depth
+
+    def visit(idx, words, spent, sign, atoms):
+        if idx == 0:
+            if rho.overlap(words[-1]) == 0.0:
+                stats.pruned_zero_overlap += 1
+                return
+            stats.paths_emitted += 1
+            paths.append(PauliPath(tuple(reversed(words)), sign, atoms, spent))
+            return
+        for pred, step_sign, step_atoms in layer_predecessors(
+            circuit.layers[idx - 1], words[-1]
+        ):
+            stats.nodes_visited += 1
+            weight = pred.weight
+            if weight == 0:
+                stats.pruned_zero_weight += 1
+            elif spent + weight > m - (idx - 1):
+                stats.pruned_budget += 1
+            else:
+                visit(idx - 1, words + [pred], spent + weight, sign * step_sign,
+                      step_atoms + atoms)
+
+    for word, _ in h.terms():
+        stats.nodes_visited += 1
+        if word.weight > m - depth:
+            stats.pruned_budget += 1
+        else:
+            visit(depth, [word], word.weight, 1, ())
+    return paths, stats
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_batched_walk_equals_reference_walk_at_every_m(seed):
+    # same paths in the same order, and the same five counters, at every
+    # truncation order up to untruncated
+    circuit, h, rho, _ = random_certified_instance(seed, max_n=4, max_depth=5)
+    for m in range(circuit.depth + 1, circuit.n * (circuit.depth + 1) + 1):
+        run = PathEnumeration(circuit, h, rho, m, warn=False)
+        want_paths, want_stats = _reference_walk(circuit, h, rho, m)
+        assert list(run) == want_paths
+        assert run.stats == want_stats
+
+
+def _ansatz_instance(n, depth):
+    """Hardware-efficient ansatz: even layers rotate every qubit, all-Y and
+    all-Z in turn; odd layers are a CNOT brickwork whose offset alternates
+    between 1 and 2.  H = sum Z_q Z_q+1 + 0.5 sum X_q, rho = |0...0>."""
+    layers = []
+    for li in range(depth):
+        if li % 2 == 0:
+            letter = "YZ"[(li // 2) % 2]
+            gates = tuple(
+                RotationGate(PauliWord.from_map(n, {q: letter}), param=f"t{li}_{q}")
+                for q in range(1, n + 1)
+            )
+        else:
+            offset = 1 + (li // 2) % 2
+            gates = tuple(CliffordGate("CNOT", (q, q + 1)) for q in range(offset, n, 2))
+        layers.append(Layer(gates))
+    terms = [(PauliWord.from_map(n, {q: "Z", q + 1: "Z"}), 1.0) for q in range(1, n)]
+    terms += [(PauliWord.from_map(n, {q: "X"}), 0.5) for q in range(1, n + 1)]
+    return Circuit(n, tuple(layers)), Hamiltonian(n, terms), SparseDensity.computational_basis(n)
+
+
+def test_pinned_ansatz_counters_and_memory():
+    # ansatz(8,12) at m=44 emits more paths than one batch holds; one full
+    # pass keeps the pinned counters and at most 2 MB of traced memory
+    circuit, h, rho = _ansatz_instance(8, 12)
+    run = PathEnumeration(circuit, h, rho, 44)
+    tracemalloc.start()
+    try:
+        for _ in run:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.stats == EnumerationStats(
+        nodes_visited=415_928,
+        paths_emitted=1_491,
+        pruned_budget=263_414,
+        pruned_zero_weight=0,
+        pruned_zero_overlap=74_240,
+    )
+    assert run.stats.paths_emitted > BATCH_ROWS
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("seed", [7, 27, 31])
+def test_words_beyond_63_qubits_walk_like_narrow_ones(seed):
+    # masks of more than 63 qubits are Python ints in object arrays; moving
+    # an instance onto the top qubits of 70 leaves its paths as they were
+    circuit, h, rho, _ = random_certified_instance(seed, max_n=4, max_depth=5)
+    n, shift = 70, 70 - circuit.n
+
+    def moved(word):
+        return PauliWord(n, word.x << shift, word.z << shift)
+
+    layers = []
+    for layer in circuit.layers:
+        gates = []
+        for gate in layer.gates:
+            if isinstance(gate, RotationGate):
+                gates.append(RotationGate(moved(gate.generator), param=gate.param))
+            else:
+                gates.append(CliffordGate(gate.kind, tuple(q + shift for q in gate.qubits)))
+        layers.append(Layer(tuple(gates)))
+    wide = Circuit(n, tuple(layers))
+    h_wide = Hamiltonian(n, [(moved(word), c) for word, c in h.terms()])
+    rho_wide = SparseDensity(
+        n, [(ket << shift, bra << shift, v) for ket, bra, v in rho.entries()]
+    )
+    for m in (circuit.depth + 1, circuit.depth + 1 + circuit.n, None):
+        narrow = PathEnumeration(circuit, h, rho, m, warn=False)
+        run = PathEnumeration(wide, h_wide, rho_wide, m, warn=False)
+        want = [
+            (tuple(moved(w) for w in p.words), p.sign, p.atoms, p.total_weight)
+            for p in narrow
+        ]
+        assert [(p.words, p.sign, p.atoms, p.total_weight) for p in run] == want
+        assert run.stats == narrow.stats

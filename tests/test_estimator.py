@@ -1,7 +1,9 @@
 """Estimator:  truncation-order selection, certified bounds, determinism,
 and the sampled error benchmarks."""
 
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from paulipath import (
     mse_benchmark,
     rx_chain_instance,
 )
+from paulipath import oracle
 from paulipath.engine import FactorAtom, PathEnumeration
 from paulipath.estimator import (
     _term_sums,
@@ -231,6 +234,36 @@ def test_mse_benchmark_reproducible_and_bounded():
     assert a.bound <= a.bound_exp
     c = mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=60, seed=12)
     assert c.empirical_mse != a.empirical_mse
+
+
+def test_mse_benchmark_builds_dense_hamiltonian_once(monkeypatch):
+    # the oracle runs once per sample; the dense H it needs is built once per
+    # Hamiltonian, and a later call on the same H reuses it
+    built = []
+    original = oracle.pauli_sum_matrix
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "pauli_sum_matrix", counting)
+    circuit, h, rho = rx_chain_instance(2, 4)
+    report = mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=8, seed=3)
+    assert report.passed and built == [2]
+    mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=8, seed=4)
+    assert built == [2]
+    assert not oracle.hamiltonian_matrix(h).flags.writeable
+
+
+def test_mse_benchmark_survives_package_reimport(monkeypatch):
+    # a fresh import of the package (as a benchmark harness does) must not
+    # rebind the modules that functions imported earlier call into
+    circuit, h, rho = rx_chain_instance(2, 4)
+    for name in [m for m in sys.modules if m == "paulipath" or m.startswith("paulipath.")]:
+        monkeypatch.delitem(sys.modules, name)
+    assert importlib.import_module("paulipath.oracle") is not oracle
+    report = mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=8, seed=3)
+    assert report.passed
 
 
 def test_mse_benchmark_rejects_bound_angles():
