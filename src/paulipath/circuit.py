@@ -8,10 +8,10 @@ float; naming is per gate, so symbols may be shared across gates when a
 single-point evaluation is all that is needed.
 
 Clifford conjugation is one rule, `conjugate_masks`: closed-form bit updates
-on the (x, z) masks that return the new word and a +-1 sign, for int masks
-or for numpy arrays of them.  The path engine (on arrays) and
-`effected_words` (on ints) both call it, and the test suite checks it
-against dense matrix conjugation.
+on the (x, z) masks that pull a word back through a gate, P to Vdag P V,
+and return the new word and a +-1 sign, for int masks or for numpy arrays
+of them.  The path engine (on arrays) and `effected_words` (on ints) both
+call it, and the test suite checks it against dense matrix conjugation.
 """
 
 from __future__ import annotations
@@ -147,16 +147,16 @@ def require_valid(circuit: Circuit) -> None:
         raise ValueError("invalid circuit: " + "; ".join(errors))
 
 
-def conjugate_masks(kind: str, b0: int, b1: int, x, z, backward: bool):
-    """Conjugate the word (x, z) by one Clifford gate; return (sign, x, z).
+def conjugate_masks(kind: str, b0: int, b1: int, x, z):
+    """Pull the word P = (x, z) back through one Clifford gate V, P to
+    Vdag P V; return (sign, x, z).
 
-    backward maps P to Vdag P V, forward maps P to V P Vdag; H and CNOT are
-    self-inverse, so only the sign of S depends on it.  (b0, b1) are the
-    gate's `CliffordGate.bits`.  The updates are the stabilizer-tableau rule
-    of Aaronson & Gottesman (quant-ph/0406196), with c = b0 and t = b1:
+    (b0, b1) are the gate's `CliffordGate.bits`.  The updates are the
+    stabilizer-tableau rule of Aaronson & Gottesman (quant-ph/0406196),
+    with c = b0 and t = b1:
 
       H     swap x_b, z_b        sign -1 when x_b & z_b (Y -> -Y)
-      S     z_b ^= x_b           sign -1 forward on Y, backward on X
+      S     z_b ^= x_b           sign -1 on X
       CNOT  x_t ^= x_c,          sign -1 when x_c & z_t & not (x_t ^ z_c)
             z_c ^= z_t
 
@@ -174,7 +174,7 @@ def conjugate_masks(kind: str, b0: int, b1: int, x, z, backward: bool):
     if kind == "H":
         swap = (xb ^ zb) << b0
         return 1 - 2 * (xb & zb), x ^ swap, z ^ swap
-    return 1 - 2 * (xb & (zb ^ int(backward))), x, z ^ (xb << b0)
+    return 1 - 2 * (xb & (zb ^ 1)), x, z ^ (xb << b0)
 
 
 def effected_words(circuit: Circuit) -> list[PauliWord]:
@@ -192,7 +192,7 @@ def effected_words(circuit: Circuit) -> list[PauliWord]:
             x, z = gate.generator.x, gate.generator.z
             for earlier in reversed(circuit.layers[:li]):
                 for cliff in reversed(earlier.cliffords):
-                    _, x, z = conjugate_masks(cliff.kind, *cliff.bits, x, z, True)
+                    _, x, z = conjugate_masks(cliff.kind, *cliff.bits, x, z)
             out.append(PauliWord(circuit.n, x, z))
     return out
 

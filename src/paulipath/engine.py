@@ -56,10 +56,11 @@ both limits may report either).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,17 @@ class ResourceLimitError(RuntimeError):
     """Raised when enumeration exceeds a configured path or node limit."""
 
 
-@dataclass(frozen=True, slots=True)
-class FactorAtom:
+def truncation_order(circuit: Circuit, m: int | None) -> int:
+    """The truncation order a run uses: m, a non-negative integer, or for
+    None (untruncated) the largest total weight of a path, n(L+1)."""
+    if m is None:
+        return circuit.n * (circuit.depth + 1)
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 0:
+        raise ValueError(f"truncation order must be a non-negative integer, got {m!r}")
+    return int(m)
+
+
+class FactorAtom(NamedTuple):
     """One trig factor of a path value: cos(theta) or sin(theta), where
     theta is looked up by `param` (a symbol) or taken literally (a bound
     float)."""
@@ -171,7 +181,7 @@ class _LayerProgram:
         b = _Branching()
         sign = np.ones(len(x), dtype=np.int8)
         for kind, b0, b1 in self.cliffords:
-            gate_sign, x, z = conjugate_masks(kind, b0, b1, x, z, True)
+            gate_sign, x, z = conjugate_masks(kind, b0, b1, x, z)
             sign = sign * gate_sign
         gx, gz, bits = self.gx, self.gz, self.table[2]
         anti = ((popcount(gx & z) + popcount(gz & x)) & 1).astype(bool)
@@ -294,12 +304,8 @@ class PathEnumeration:
             raise ValueError(f"observable on {h.n} qubits, circuit has {circuit.n}")
         if rho.n != circuit.n:
             raise ValueError(f"state on {rho.n} qubits, circuit has {circuit.n}")
+        m = truncation_order(circuit, m)
         depth = circuit.depth
-        max_weight = circuit.n * (depth + 1)
-        if m is None:
-            m = max_weight
-        elif m < 0:
-            raise ValueError(f"truncation order must be non-negative, got {m}")
         if warn and m < depth + 1:
             warnings.warn(
                 f"truncation order {m} is below depth + 1 = {depth + 1};"

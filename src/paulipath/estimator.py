@@ -39,6 +39,7 @@ from .engine import (
     FactorAtom,
     PathEnumeration,
     PauliPath,
+    truncation_order,
 )
 from .observables import (
     DEFAULT_EXACT_NORM_QUBITS,
@@ -103,7 +104,7 @@ def _term_sums(
     circuit: Circuit,
     h: Hamiltonian,
     rho: SparseDensity,
-    m: int | None,
+    m: int,
     assignment: ParameterAssignment,
     lam: float,
     path_limit: int,
@@ -112,9 +113,8 @@ def _term_sums(
     """Sum over all terms of coeff * damped path sum, folded in canonical
     term order, from one walk over their paths; per-sample arrays when the
     angles are arrays."""
-    max_weight = circuit.n * (circuit.depth + 1)
     damp = [1.0]
-    for _ in range(max_weight):
+    for _ in range(truncation_order(circuit, None)):  # the largest path weight
         damp.append(damp[-1] * (1.0 - lam))
     terms = h.terms()
     # every term gets a sum, so terms without paths still fold in
@@ -244,15 +244,14 @@ def estimate(
 ) -> EstimateReport:
     """Truncated path-sum estimate of the noisy mean value.
 
-    `m` is the truncation order; None runs untruncated (M = n(L+1), the
-    largest possible total weight).  The report carries both MSE bound
-    forms, the norm bound used, and enumeration statistics.
+    `m` is the truncation order, a non-negative integer; None runs
+    untruncated (M = n(L+1)).  The report carries both MSE bound forms,
+    the norm bound used, and enumeration statistics.
     """
     started = time.perf_counter()
+    m_eff = truncation_order(circuit, m)
+    untruncated = m_eff >= truncation_order(circuit, None)
     _check_assignment(circuit, assignment)
-    max_weight = circuit.n * (circuit.depth + 1)
-    untruncated = m is None or m >= max_weight
-    m_eff = max_weight if m is None else m
     norm, certified, bound, bound_exp = _certificate(
         circuit, h, lam, m_eff, exact_norm_threshold
     )
@@ -434,11 +433,10 @@ def mse_benchmark(
     h: Hamiltonian,
     rho: SparseDensity,
     lam: float,
-    m: int,
+    m: int | None,
     samples: int,
     seed: int,
     *,
-    oracle_cap: int | None = None,
     exact_norm_threshold: int = DEFAULT_EXACT_NORM_QUBITS,
     path_limit: int = DEFAULT_PATH_LIMIT,
     node_limit: int = DEFAULT_NODE_LIMIT,
@@ -450,7 +448,9 @@ def mse_benchmark(
     them in one walk over the paths and the exact noisy value through the
     dense oracle, and compares the mean squared difference against the
     certified bound (pass means empirical <= bound + 3 standard errors).
+    `m` is the truncation order; None runs untruncated, as in `estimate`.
     """
+    m = truncation_order(circuit, m)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     params = _require_distinct_params(circuit)
@@ -462,11 +462,10 @@ def mse_benchmark(
         circuit, h, rho, m, dict(zip(params, thetas.T)), lam, path_limit, node_limit
     )
     estimates = h.identity_coeff * rho.overlap_masks(0, 0) + total
-    cap = oracle.DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap
     exact = np.empty(samples, dtype=float)
     for i in range(samples):
         assignment = {p: float(thetas[i, j]) for j, p in enumerate(params)}
-        exact[i] = oracle.noisy_mean_value(circuit, h, rho, assignment, lam, cap=cap)
+        exact[i] = oracle.noisy_mean_value(circuit, h, rho, assignment, lam)
     squared = (estimates - exact) ** 2
     empirical = float(np.mean(squared))
     std_error = float(np.std(squared, ddof=1) / math.sqrt(samples))

@@ -187,6 +187,10 @@ class SparseDensity:
         self._by_flip: dict[int, list[tuple[int, complex]]] = {}
         for ket, bra, value in self._entries:
             self._by_flip.setdefault(ket ^ bra, []).append((ket, value))
+        # the imaginary-part tolerance of each group's overlaps
+        self._imag_tol = {
+            x: IMAG_TOL * max(1.0, sum(abs(v) for _, v in g)) for x, g in self._by_flip.items()
+        }
         tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             warnings.warn(f"state trace is {tr!r}, expected 1", stacklevel=2)
@@ -210,7 +214,9 @@ class SparseDensity:
 
         Only entries with ket XOR bra equal to the word's x mask can
         contribute; each contributes v * i^{#Y} * (-1)^{popcount(ket & z)}.
-        The total is asserted real within 1e-12.
+        The total must be real within 1e-12 * max(1, sum of |v| over the
+        group), the scale of its roundoff; the sum is at most 1 for a
+        normalized positive semidefinite state.
         """
         group = self._by_flip.get(x)
         if not group:
@@ -222,7 +228,7 @@ class SparseDensity:
             else:
                 acc += value
         acc *= _PHASE_VALUES[(x & z).bit_count() % 4]
-        if abs(acc.imag) > IMAG_TOL:
+        if abs(acc.imag) > self._imag_tol[x]:
             raise ValueError(
                 f"overlap has imaginary part {acc.imag!r};"
                 " state entries are inconsistent"
@@ -230,7 +236,7 @@ class SparseDensity:
         return acc.real
 
     def overlap(self, word: PauliWord) -> float:
-        """Tr(word * rho), asserted real within 1e-12."""
+        """Tr(word * rho), checked real as in `overlap_masks`."""
         if word.n != self.n:
             raise ValueError(f"word on {word.n} qubits, state has {self.n}")
         return self.overlap_masks(word.x, word.z)

@@ -1,17 +1,20 @@
 """Dense-matrix reference simulator for small systems.
 
-Everything here works on explicit numpy arrays: states are 2^n x 2^n
-density matrices, gates are embedded by tensor contraction, and the
-single-qubit depolarizing channel is applied by partial trace.  Dense
-Pauli sums come from `observables.pauli_sum_matrix`, shared with
-`norm_bound`; the path engine never calls it, and mean values, conjugation
-and damping are all recomputed from matrices, so the two routes stay
-independent checks of each other.  The tests check that builder against
-their own kron construction.
+A state is a 2^n x 2^n density matrix held as a (2,)*2n tensor, and every
+gate and noise step is one call to `_apply`, which contracts a 2^k x 2^k
+operator with k axes of it: a gate U is U on its row axes, then conj(U) on
+its column axes; one qubit's depolarizing step is a 4 x 4 operator on its
+(row, column) axis pair.  Every dense Pauli matrix (H, the factor checks'
+words, rotation generators) comes from `observables.pauli_sum_matrix`,
+which the path engine never calls; mean values, conjugation and damping
+are all recomputed from matrices, so the two routes stay independent
+checks of each other.  The tests check that builder against their own
+kron construction.
 
-Flat index convention: basis state index b has bit q-1 equal to the value
-of qubit q, matching the bit-mask convention of `pauli.PauliWord`.  In
-tensor form a 2^n vector reshapes to (2,)*n with qubit q on axis n-q.
+One bit order, that of `pauli.PauliWord`: basis index b has bit q-1 equal
+to qubit q, and a gate matrix on support qubits (q_0, q_1, ...) has q_j on
+index bit j, so a CNOT's control is bit 0.  In tensor form qubit q is row
+axis n-q and column axis 2n-q.
 
 The noisy run interleaves one round of per-qubit depolarizing noise before
 every layer and one more before measurement:
@@ -22,6 +25,7 @@ every layer and one more before measurement:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,17 +35,10 @@ from .pauli import PauliWord
 
 DEFAULT_ORACLE_CAP = 10
 
-_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S_GATE = np.array([[1, 0], [0, 1j]], dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+# control on bit 0: index 1 (control set, target clear) swaps with 3
+_CNOT = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
 
 
 class OracleCapError(RuntimeError):
@@ -89,20 +86,23 @@ def state_matrix(rho: SparseDensity) -> np.ndarray:
 
 
 def gate_matrix(gate: RotationGate | CliffordGate, theta: float | None = None) -> np.ndarray:
-    """Dense matrix on the gate's support qubits, first support qubit as
-    the most significant index bit."""
+    """Dense matrix on the gate's support qubits in the `PauliWord` bit
+    order: support qubit j (a CNOT's control first) is on index bit j."""
     if isinstance(gate, CliffordGate):
         return {"H": _HADAMARD, "S": _S_GATE, "CNOT": _CNOT}[gate.kind]
     if theta is None:
         raise ValueError("rotation gate needs an angle")
-    support = gate.support
-    pauli = np.array([[1.0 + 0j]])
-    for q in support:
-        pauli = np.kron(pauli, _MATS[gate.generator.letter(q)])
-    dim = 1 << len(support)
-    return math.cos(theta / 2) * np.eye(dim, dtype=complex) - 1j * math.sin(
-        theta / 2
-    ) * pauli
+    pauli = _generator_matrix(gate.generator)
+    return math.cos(theta / 2) * np.eye(len(pauli)) - 1j * math.sin(theta / 2) * pauli
+
+
+@lru_cache(maxsize=64)
+def _generator_matrix(generator: PauliWord) -> np.ndarray:
+    """A rotation generator restricted to its support, as a read-only dense
+    matrix; cached, since every sample of a circuit rebuilds its gates."""
+    matrix = word_matrix(generator.restrict(generator.support()))
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _resolve_angle(gate: RotationGate, assignment: dict[str, float]) -> float:
@@ -113,63 +113,50 @@ def _resolve_angle(gate: RotationGate, assignment: dict[str, float]) -> float:
     return assignment[gate.param]
 
 
-def _left_multiply(
-    tensor: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], n: int
-) -> np.ndarray:
-    """G . M on the row axes of a matrix in (2,)*2n tensor form."""
-    k = len(qubits)
-    g = gate.reshape((2,) * (2 * k))
-    row_axes = [n - q for q in qubits]
-    tensor = np.tensordot(g, tensor, axes=(list(range(k, 2 * k)), row_axes))
-    return np.moveaxis(tensor, list(range(k)), row_axes)
+def _apply(tensor: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
+    """op applied to k axes of a (2,)*2n matrix tensor, where axes[j]
+    carries bit j of op's 2^k x 2^k index; every gate and noise step is
+    this one contraction."""
+    k = len(axes)
+    high_first = axes[::-1]  # a reshaped op's axis 0 is its top index bit
+    out = np.tensordot(
+        op.reshape((2,) * (2 * k)), tensor, axes=(list(range(k, 2 * k)), high_first)
+    )
+    return np.moveaxis(out, list(range(k)), high_first)
 
 
-def _right_multiply_dagger(
-    tensor: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], n: int
-) -> np.ndarray:
-    """M . Gdag on the column axes of a matrix in (2,)*2n tensor form."""
-    k = len(qubits)
-    gd = gate.conj().T.reshape((2,) * (2 * k))
-    col_axes = [2 * n - q for q in qubits]
-    tensor = np.tensordot(tensor, gd, axes=(col_axes, list(range(k))))
-    return np.moveaxis(tensor, list(range(-k, 0)), col_axes)
-
-
-def _apply_gate(
-    tensor: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], n: int
-) -> np.ndarray:
-    return _right_multiply_dagger(_left_multiply(tensor, gate, qubits, n), gate, qubits, n)
-
-
-def _depolarize_qubit(tensor: np.ndarray, q: int, n: int, lam: float) -> np.ndarray:
-    """(1-lam) M + lam Tr_q(M) (x) I/2 on one qubit of a matrix tensor."""
-    ra, ca = n - q, 2 * n - q
-    traced = np.trace(tensor, axis1=ra, axis2=ca)
-    traced = np.expand_dims(np.expand_dims(traced, ra), ca)
-    shape = [1] * (2 * n)
-    shape[ra] = shape[ca] = 2
-    eye = np.eye(2, dtype=complex).reshape(shape)
-    return (1.0 - lam) * tensor + (lam / 2.0) * traced * eye
+@lru_cache(maxsize=16)
+def _depolarizer(lam: float) -> np.ndarray:
+    """(1-lam) M + lam Tr(M) I/2 on one qubit's (row, column) index pair:
+    (1-lam) 1 plus lam/2 on the |00>/|11> block; read-only."""
+    op = (1.0 - lam) * np.eye(4)
+    op[np.ix_((0, 3), (0, 3))] += lam / 2.0
+    op.flags.writeable = False
+    return op
 
 
 def depolarize_all(mat: np.ndarray, n: int, lam: float) -> np.ndarray:
     """One round of the per-qubit depolarizing channel on a dense matrix."""
     if lam == 0.0:
         return mat
+    op = _depolarizer(lam)
     tensor = mat.reshape((2,) * (2 * n))
     for q in range(1, n + 1):
-        tensor = _depolarize_qubit(tensor, q, n, lam)
+        tensor = _apply(tensor, op, [n - q, 2 * n - q])
     return tensor.reshape(mat.shape)
 
 
 def apply_layer(
     mat: np.ndarray, layer: Layer, assignment: dict[str, float], n: int
 ) -> np.ndarray:
-    """U rho Udag for one layer; gate order is irrelevant on disjoint supports."""
+    """U rho Udag for one layer: U on the row axes, conj(U) on the column
+    axes; gate order is irrelevant on disjoint supports."""
     tensor = mat.reshape((2,) * (2 * n))
     for gate in layer.gates:
         theta = _resolve_angle(gate, assignment) if isinstance(gate, RotationGate) else None
-        tensor = _apply_gate(tensor, gate_matrix(gate, theta), gate.support, n)
+        u = gate_matrix(gate, theta)
+        tensor = _apply(tensor, u, [n - q for q in gate.support])
+        tensor = _apply(tensor, u.conj(), [2 * n - q for q in gate.support])
     return tensor.reshape(mat.shape)
 
 

@@ -1,7 +1,5 @@
 """Circuit structure, the Clifford conjugation rule, and the generation check."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,33 +64,29 @@ def test_parameters_first_use_order():
     assert c.depth == 3
 
 
-# every 3-qubit word, both directions, against dense conjugation;
-# gates are embedded at a non-trivial position to exercise bit surgery
+# every 3-qubit word pulled back through each gate, Vdag P V, against dense
+# conjugation; gates are embedded at a non-trivial position to exercise bit
+# surgery
 @pytest.mark.parametrize(
     "gate",
     [CliffordGate("H", (2,)), CliffordGate("S", (2,)),
      CliffordGate("CNOT", (2, 3)), CliffordGate("CNOT", (3, 1))],
-    ids=lambda g: f"{g.kind}{g.qubits}",
+    ids=lambda g: f"backward-{g.kind}{g.qubits}",
 )
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_conjugation_matches_dense(gate, direction):
+def test_conjugation_matches_dense(gate):
     n = 3
     u = dense_gate(gate, n, {})
-    backward = direction == "backward"
     scalar = []
     for x in range(2**n):
         for z in range(2**n):
             word = PauliWord(n, x, z)
-            sign, cx, cz = conjugate_masks(gate.kind, *gate.bits, x, z, backward)
+            sign, cx, cz = conjugate_masks(gate.kind, *gate.bits, x, z)
             scalar.append((sign, cx, cz))
-            if direction == "forward":
-                lhs = u @ dense_word(word) @ u.conj().T
-            else:
-                lhs = u.conj().T @ dense_word(word) @ u
+            lhs = u.conj().T @ dense_word(word) @ u
             assert np.allclose(lhs, sign * dense_word(PauliWord(n, cx, cz)))
     # the same rule on arrays maps all 64 words at once, entry by entry
     xs, zs = np.divmod(np.arange(4**n, dtype=np.int64), 2**n)
-    signs, axs, azs = conjugate_masks(gate.kind, *gate.bits, xs, zs, backward)
+    signs, axs, azs = conjugate_masks(gate.kind, *gate.bits, xs, zs)
     assert list(zip(signs.tolist(), axs.tolist(), azs.tolist())) == scalar
 
 
@@ -204,13 +198,3 @@ def test_json_round_trip():
 def test_format_errors(obj, match):
     with pytest.raises(CircuitFormatError, match=match):
         circuit_from_dict(obj)
-
-
-def test_self_inverse_tables():
-    # H and CNOT are involutions, so both directions coincide on every input
-    for gate in (CliffordGate("H", (1,)), CliffordGate("CNOT", (1, 2))):
-        n = max(gate.qubits)
-        for x, z in itertools.product(range(2**n), repeat=2):
-            fwd = conjugate_masks(gate.kind, *gate.bits, x, z, False)
-            bwd = conjugate_masks(gate.kind, *gate.bits, x, z, True)
-            assert fwd == bwd

@@ -302,6 +302,23 @@ def test_invalid_circuit_exit(files, capsys, tmp_path):
     assert "wat" in err
 
 
+def test_negative_trunc_m_exits_2(files, capsys):
+    # exit 1 is reserved for an oracle-check disagreement
+    code, out, err = _run(
+        capsys,
+        [
+            "--mode", "estimate",
+            "--circuit", files["circuit"],
+            "--hamiltonian", files["hamiltonian"],
+            "--params", files["params"],
+            "--lambda", "1",
+            "--trunc-m", "-1",
+        ],
+    )
+    assert code == 2 and out == ""
+    assert "truncation order must be a non-negative integer, got -1" in err
+
+
 _OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e308}, {"pauli": "IZ", "coeff": 1e308}]
 # a finite 1-norm whose square, used by the MSE bounds, overflows
 _SQUARE_OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e200}, {"pauli": "IZ", "coeff": 1e200}]

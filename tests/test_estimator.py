@@ -236,14 +236,54 @@ def test_mse_benchmark_reproducible_and_bounded():
     assert c.empirical_mse != a.empirical_mse
 
 
+def test_mse_benchmark_none_runs_untruncated():
+    # as in estimate, None is the largest total weight n(L+1)
+    circuit, h, rho = rx_chain_instance(2, 4)
+    report = mse_benchmark(circuit, h, rho, lam=0.2, m=None, samples=8, seed=3)
+    assert report.m == 2 * (4 + 1)
+    assert report.passed and report.empirical_mse < 1e-24
+
+
+_IDENTITY_ONLY = Hamiltonian(2, [(PauliWord.identity(2), 0.7)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # (1 - lam)^(2m) divides by zero at lam = 1 if the certificate sees m
+        lambda c, h, rho, th: estimate(c, h, rho, th, 1.0, m=-1),
+        lambda c, h, rho, th: mse_benchmark(c, h, rho, lam=1.0, m=-2, samples=8, seed=3),
+        # an identity-only H never reaches the path walk
+        lambda c, h, rho, th: estimate(c, _IDENTITY_ONLY, rho, th, 0.3, m=-4),
+        lambda c, h, rho, th: estimate(c, h, rho, th, 0.2, m=7.5),
+        lambda c, h, rho, th: PathEnumeration(c, h, rho, 7.5),
+    ],
+    ids=[
+        "estimate-full-noise",
+        "mse-benchmark-full-noise",
+        "identity-only",
+        "float",
+        "enumeration-float",
+    ],
+)
+def test_truncation_order_must_be_a_non_negative_integer(call):
+    circuit, h, rho = rx_chain_instance(2, 4)
+    theta = {p: 0.4 for p in circuit.parameters()}
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer"):
+        call(circuit, h, rho, theta)
+
+
 def test_mse_benchmark_builds_dense_hamiltonian_once(monkeypatch):
     # the oracle runs once per sample; the dense H it needs is built once per
-    # Hamiltonian, and a later call on the same H reuses it
+    # Hamiltonian, and a later call on the same H reuses it.  Rotation
+    # matrices come from the same builder, on their 1-qubit supports here,
+    # so only the 2-qubit (H-sized) builds count.
     built = []
     original = oracle.pauli_sum_matrix
 
     def counting(*args, **kwargs):
-        built.append(args[0])
+        if args[0] == 2:
+            built.append(args[0])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "pauli_sum_matrix", counting)

@@ -139,6 +139,23 @@ def test_overlap_matches_dense_trace(case):
     assert rho.overlap(word) == pytest.approx(expected.real, abs=1e-12)
 
 
+def test_overlap_imaginary_check_scales_with_the_entries():
+    # summation roundoff in an overlap grows with the entries it adds; a
+    # state scaled by 1e5 keeps its overlaps, scaled, and raises nothing
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    dense = a @ a.conj().T
+    dense /= np.trace(dense).real
+    entries = [(k, b, dense[k, b]) for k in range(8) for b in range(8)]
+    rho = SparseDensity(3, entries)
+    with pytest.warns(UserWarning, match="trace"):
+        scaled = SparseDensity(3, [(k, b, 1e5 * v) for k, b, v in entries])
+    for x in range(8):
+        for z in range(8):
+            expected = 1e5 * rho.overlap_masks(x, z)
+            assert scaled.overlap_masks(x, z) == pytest.approx(expected, rel=1e-12)
+
+
 def test_hamiltonian_json_round_trip():
     h = _h(("XI", 1.5), ("ZZ", -1.5), ("II", 0.3))
     back = hamiltonian_from_dict(hamiltonian_to_dict(h))

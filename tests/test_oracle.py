@@ -71,18 +71,21 @@ def test_depolarize_matches_kraus_form(lam):
 
 
 def test_layer_unitary_matches_projector_build():
-    layer = Layer(
-        (
-            RotationGate(PauliWord.from_string("XZI"), param="a"),
-            CliffordGate("H", (3,)),
-        )
-    )
+    # the second layer pins the gate bit order: a generator on qubits that
+    # are not adjacent, and a CNOT whose control is the higher qubit
+    rotation = lambda letters: RotationGate(PauliWord.from_string(letters), param="a")
+    layers = [
+        Layer((rotation("XZI"), CliffordGate("H", (3,)))),
+        Layer((rotation("YIXZI"), CliffordGate("CNOT", (5, 2)))),
+    ]
     theta = {"a": 1.234}
-    u = dense_layer_unitary(layer, 3, theta)
     rng = np.random.default_rng(5)
-    mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert np.allclose(apply_layer(mat, layer, theta, 3), u @ mat @ u.conj().T)
-    assert np.allclose(apply_layer(np.eye(8, dtype=complex), layer, theta, 3), np.eye(8))
+    for layer, n in zip(layers, (3, 5)):
+        u = dense_layer_unitary(layer, n, theta)
+        mat = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        assert np.allclose(apply_layer(mat, layer, theta, n), u @ mat @ u.conj().T)
+        eye = np.eye(2**n, dtype=complex)
+        assert np.allclose(apply_layer(eye, layer, theta, n), eye)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 10, 17, 23, 31])
