@@ -17,7 +17,7 @@ def main() -> None:
     print(f"{'depth':>6} {'paths':>8} {'2^(L-1)':>8} {'nodes':>8}  weights")
     for depth in args.depths:
         circuit, h, rho = pp.rx_chain_instance(args.qubits, depth)
-        run = PathEnumeration(circuit, h, rho, None, warn=False)
+        run = PathEnumeration(circuit, h, rho, None)
         weights = Counter(p.total_weight for p in run)
         stats = run.stats
         histogram = " ".join(f"{w}:{c}" for w, c in sorted(weights.items()))

@@ -14,7 +14,6 @@ from .circuit import (
     generation_check,
     gf2_rank,
     symplectic_vector,
-    validate,
 )
 from .observables import (
     Hamiltonian,

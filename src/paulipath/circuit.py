@@ -12,15 +12,22 @@ on the (x, z) masks that pull a word back through a gate, P to Vdag P V,
 and return the new word and a +-1 sign, for int masks or for numpy arrays
 of them.  The path engine (on arrays) and `effected_words` (on ints) both
 call it, and the test suite checks it against dense matrix conjugation.
+
+A `Circuit` is valid by construction, as its gates are.  The rules tying it
+to the rest of a run, `check_instance` and `check_noise_rate`, live here
+once, and every entry point calls them before any work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .pauli import PauliWord
+
+if TYPE_CHECKING:
+    from .observables import Hamiltonian, SparseDensity
 
 CLIFFORD_KINDS = ("H", "S", "CNOT")
 
@@ -87,10 +94,41 @@ class Layer:
 
 @dataclass(frozen=True, slots=True)
 class Circuit:
-    """n qubits, depth = len(layers); layer 1 acts first."""
+    """n qubits, depth = len(layers); layer 1 acts first.  Construction
+    raises ValueError listing every defect by layer and gate."""
 
     n: int
     layers: tuple[Layer, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"qubit count must be positive, got {self.n}")
+        errors: list[str] = []
+        for li, layer in enumerate(self.layers, start=1):
+            used: dict[int, int] = {}
+            for gi, gate in enumerate(layer.gates, start=1):
+                where = f"layer {li}, gate {gi}"
+                if isinstance(gate, RotationGate):
+                    if gate.generator.n != self.n:
+                        errors.append(
+                            f"{where}: generator is on {gate.generator.n} qubits,"
+                            f" circuit has {self.n}"
+                        )
+                        continue
+                else:
+                    bad = [q for q in gate.qubits if not 1 <= q <= self.n]
+                    if bad:
+                        errors.append(f"{where}: qubit {bad[0]} outside 1..{self.n}")
+                        continue
+                for q in gate.support:
+                    if q in used:
+                        errors.append(
+                            f"{where}: support overlaps gate {used[q]} at qubit {q}"
+                        )
+                    else:
+                        used[q] = gi
+        if errors:
+            raise ValueError("; ".join(errors))
 
     @property
     def depth(self) -> int:
@@ -109,42 +147,17 @@ class Circuit:
         return sum(len(layer.rotations) for layer in self.layers)
 
 
-def validate(circuit: Circuit) -> list[str]:
-    """Collect human-readable defects; an empty list means valid."""
-    errors: list[str] = []
-    if circuit.n < 1:
-        errors.append(f"qubit count must be positive, got {circuit.n}")
-        return errors
-    for li, layer in enumerate(circuit.layers, start=1):
-        used: dict[int, int] = {}
-        for gi, gate in enumerate(layer.gates, start=1):
-            where = f"layer {li}, gate {gi}"
-            if isinstance(gate, RotationGate):
-                if gate.generator.n != circuit.n:
-                    errors.append(
-                        f"{where}: generator is on {gate.generator.n} qubits,"
-                        f" circuit has {circuit.n}"
-                    )
-                    continue
-            else:
-                bad = [q for q in gate.qubits if not 1 <= q <= circuit.n]
-                if bad:
-                    errors.append(f"{where}: qubit {bad[0]} outside 1..{circuit.n}")
-                    continue
-            for q in gate.support:
-                if q in used:
-                    errors.append(
-                        f"{where}: support overlaps gate {used[q]} at qubit {q}"
-                    )
-                else:
-                    used[q] = gi
-    return errors
+def check_instance(circuit: Circuit, h: Hamiltonian | None, rho: SparseDensity) -> None:
+    """Refuse an observable (None skips it) or a state off the circuit's qubits."""
+    for what, operand in (("observable", h), ("state", rho)):
+        if operand is not None and operand.n != circuit.n:
+            raise ValueError(f"{what} on {operand.n} qubits, circuit has {circuit.n}")
 
 
-def require_valid(circuit: Circuit) -> None:
-    errors = validate(circuit)
-    if errors:
-        raise ValueError("invalid circuit: " + "; ".join(errors))
+def check_noise_rate(lam: float) -> None:
+    """Refuse a depolarizing rate outside [0, 1], NaN included."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"noise rate must lie in [0, 1], got {lam}")
 
 
 def conjugate_masks(kind: str, b0: int, b1: int, x, z):
@@ -185,7 +198,6 @@ def effected_words(circuit: Circuit) -> list[PauliWord]:
     part of layer k; rotations in earlier layers do not contribute.  Phases
     are discarded.  Order follows (layer, gate) iteration order.
     """
-    require_valid(circuit)
     out: list[PauliWord] = []
     for li, layer in enumerate(circuit.layers):
         for gate in layer.rotations:
@@ -318,11 +330,10 @@ def circuit_from_dict(obj: dict) -> Circuit:
             for gi, g in enumerate(gates, start=1)
         )
         layers.append(Layer(parsed))
-    circuit = Circuit(n, tuple(layers))
-    errors = validate(circuit)
-    if errors:
-        raise CircuitFormatError("; ".join(errors))
-    return circuit
+    try:
+        return Circuit(n, tuple(layers))
+    except ValueError as exc:
+        raise CircuitFormatError(str(exc)) from None
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

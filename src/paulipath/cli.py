@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .benchmarks import scaling_sweep
-from .circuit import Circuit, CircuitFormatError, circuit_from_dict
+from .circuit import Circuit, CircuitFormatError, check_instance, circuit_from_dict
 from .engine import PathEnumeration, ResourceLimitError
 from .estimator import (
     choose_m,
@@ -92,13 +92,17 @@ def _load_hamiltonian(args) -> Hamiltonian:
     return hamiltonian_from_dict(_load_json(args.hamiltonian, "Hamiltonian"))
 
 
-def _load_state(args, n: int) -> SparseDensity:
+def _load_instance(args) -> tuple[Circuit, Hamiltonian, SparseDensity]:
+    """Circuit, observable and state (default |0...0>), checked against
+    each other before any work."""
+    circuit = _load_circuit(args)
+    h = _load_hamiltonian(args)
     if args.state is None:
-        return SparseDensity.computational_basis(n)
-    rho = state_from_dict(_load_json(args.state, "state"))
-    if rho.n != n:
-        raise ValueError(f"state is on {rho.n} qubits, circuit has {n}")
-    return rho
+        rho = SparseDensity.computational_basis(circuit.n)
+    else:
+        rho = state_from_dict(_load_json(args.state, "state"))
+    check_instance(circuit, h, rho)
+    return circuit, h, rho
 
 
 def _resolve_theta(circuit: Circuit, args) -> tuple[dict[str, float], bool]:
@@ -184,9 +188,7 @@ def _config_echo(args) -> dict:
 
 
 def _mode_estimate(args) -> int:
-    circuit = _load_circuit(args)
-    h = _load_hamiltonian(args)
-    rho = _load_state(args, circuit.n)
+    circuit, h, rho = _load_instance(args)
     theta, drawn = _resolve_theta(circuit, args)
     m, m_detail = _resolve_m(args, circuit, h)
     eps_delta = (
@@ -233,9 +235,7 @@ def _mode_choose_m(args) -> int:
 
 
 def _mode_mse_benchmark(args) -> int:
-    circuit = _load_circuit(args)
-    h = _load_hamiltonian(args)
-    rho = _load_state(args, circuit.n)
+    circuit, h, rho = _load_instance(args)
     if args.seed is None:
         raise ValueError("mse-benchmark needs --seed")
     m, m_detail = _resolve_m(args, circuit, h)
@@ -257,13 +257,13 @@ def _mode_mse_benchmark(args) -> int:
 
 
 def _mode_oracle_check(args) -> int:
-    """Untruncated estimate against the dense oracle; exit 1 on mismatch."""
-    circuit = _load_circuit(args)
-    h = _load_hamiltonian(args)
-    rho = _load_state(args, circuit.n)
+    """Untruncated estimate against the dense oracle; exit 1 on mismatch.
+    The oracle runs first: it refuses a system over its qubit cap before
+    the estimate's norm bound, itself dense up to 12 qubits, is computed."""
+    circuit, h, rho = _load_instance(args)
     theta, drawn = _resolve_theta(circuit, args)
-    report = estimate(circuit, h, rho, theta, args.lam, None)
     reference = noisy_mean_value(circuit, h, rho, theta, args.lam)
+    report = estimate(circuit, h, rho, theta, args.lam, None)
     difference = abs(report.value - reference)
     agrees = bool(difference <= ORACLE_CHECK_TOL)
     document = {
@@ -281,9 +281,7 @@ def _mode_oracle_check(args) -> int:
 
 
 def _mode_path_dump(args) -> int:
-    circuit = _load_circuit(args)
-    h = _load_hamiltonian(args)
-    rho = _load_state(args, circuit.n)
+    circuit, h, rho = _load_instance(args)
     theta, _ = _resolve_theta(circuit, args)
     m, _ = _resolve_m(args, circuit, h)
     run = PathEnumeration(circuit, h, rho, m)

@@ -64,7 +64,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, Layer, conjugate_masks, require_valid
+from .circuit import Circuit, Layer, check_instance, conjugate_masks
 from .observables import Hamiltonian, SparseDensity
 from .pauli import PauliWord, popcount, product_phase_masks
 
@@ -297,16 +297,11 @@ class PathEnumeration:
         *,
         path_limit: int = DEFAULT_PATH_LIMIT,
         node_limit: int = DEFAULT_NODE_LIMIT,
-        warn: bool = True,
     ) -> None:
-        require_valid(circuit)
-        if h.n != circuit.n:
-            raise ValueError(f"observable on {h.n} qubits, circuit has {circuit.n}")
-        if rho.n != circuit.n:
-            raise ValueError(f"state on {rho.n} qubits, circuit has {circuit.n}")
+        check_instance(circuit, h, rho)
         m = truncation_order(circuit, m)
         depth = circuit.depth
-        if warn and m < depth + 1:
+        if m < depth + 1:
             warnings.warn(
                 f"truncation order {m} is below depth + 1 = {depth + 1};"
                 " every path is truncated away",

@@ -31,7 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import oracle
-from .circuit import Circuit, circuit_generation_certified, require_valid
+from .circuit import Circuit, check_instance, check_noise_rate
+from .circuit import circuit_generation_certified
 from .engine import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_PATH_LIMIT,
@@ -51,11 +52,6 @@ from .observables import (
 
 # float angles, or one ndarray of per-sample angles per parameter
 ParameterAssignment = Mapping[str, float | np.ndarray]
-
-
-def _check_noise_rate(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"noise rate must lie in [0, 1], got {lam}")
 
 
 def atom_value(atom: FactorAtom, assignment: ParameterAssignment) -> float | np.ndarray:
@@ -123,13 +119,7 @@ def _term_sums(
     }
     atom_cache: dict[FactorAtom, float | np.ndarray] = {}
     run = PathEnumeration(
-        circuit,
-        h,
-        rho,
-        m,
-        path_limit=path_limit,
-        node_limit=node_limit,
-        warn=False,
+        circuit, h, rho, m, path_limit=path_limit, node_limit=node_limit
     )
     for path in run:
         factor = path.sign * damp[path.total_weight]
@@ -196,23 +186,18 @@ def _check_assignment(circuit: Circuit, assignment: ParameterAssignment) -> None
 def _certificate(
     circuit: Circuit,
     h: Hamiltonian,
+    rho: SparseDensity,
     lam: float,
     m: int,
     exact_norm_threshold: int,
 ) -> tuple[NormBound, bool, float, float]:
-    """Validate the circuit and the noise rate, warn about a truncation
-    order below depth + 1 and a failed generation check, and return the
-    norm bound, the generation certificate, and the truncation MSE bound at
-    order m in its (1 - lam)^2m and exp(-2 lam m) forms.  Warnings point at
-    the caller of the public function that calls this."""
-    require_valid(circuit)
-    _check_noise_rate(lam)
-    if m < circuit.depth + 1 and h.term_count > 0:
-        warnings.warn(
-            f"truncation order {m} is below depth + 1 = {circuit.depth + 1};"
-            " every path is truncated away",
-            stacklevel=3,
-        )
+    """Check the instance and the noise rate, warn about a failed generation
+    check, and return the norm bound, the generation certificate, and the
+    truncation MSE bound at order m in its (1 - lam)^2m and exp(-2 lam m)
+    forms.  The warning points at the caller of the public function that
+    calls this."""
+    check_instance(circuit, h, rho)
+    check_noise_rate(lam)
     norm = norm_bound(h, exact_norm_threshold)
     certified = circuit_generation_certified(circuit)
     if not certified:
@@ -253,12 +238,13 @@ def estimate(
     untruncated = m_eff >= truncation_order(circuit, None)
     _check_assignment(circuit, assignment)
     norm, certified, bound, bound_exp = _certificate(
-        circuit, h, lam, m_eff, exact_norm_threshold
+        circuit, h, rho, lam, m_eff, exact_norm_threshold
     )
     identity_offset = h.identity_coeff * rho.overlap_masks(0, 0)
     stats = EnumerationStats()
     value = identity_offset
-    # with lam == 1 every non-identity word is fully damped
+    # with lam == 1 every non-identity word is fully damped; without a walk
+    # there is no truncation warning either
     if lam < 1.0 and h.term_count > 0:
         total, stats = _term_sums(
             circuit, h, rho, m_eff, assignment, lam, path_limit, node_limit
@@ -313,7 +299,7 @@ def choose_m(
     truncation is certified.  `floor` (depth + 1) lifts choices below the
     smallest weight any path can have.
     """
-    _check_noise_rate(lam)
+    check_noise_rate(lam)
     for name, value in (
         ("target_mse", target_mse),
         ("epsilon", epsilon),
@@ -455,7 +441,7 @@ def mse_benchmark(
         raise ValueError(f"need at least 2 samples, got {samples}")
     params = _require_distinct_params(circuit)
     norm, certified, bound, bound_exp = _certificate(
-        circuit, h, lam, m, exact_norm_threshold
+        circuit, h, rho, lam, m, exact_norm_threshold
     )
     sample_seeds, thetas = _sample_thetas(seed, samples, params)
     total, _ = _term_sums(

@@ -34,7 +34,9 @@ class Hamiltonian:
     Duplicate words are merged by coefficient addition at build time and
     exact-zero sums are dropped.  `terms()` iterates non-identity terms in
     order of their letter strings (I < X < Y < Z, qubit 1 first), which
-    fixes a canonical term order for enumeration and reporting.
+    fixes a canonical term order for enumeration and reporting.  The square
+    of the coefficient 1-norm must be finite: the 1-norm bounds every matrix
+    entry and eigenvalue, and the MSE bounds square the norm bound.
     """
 
     def __init__(self, n: int, terms: Iterable[tuple[PauliWord, float]]) -> None:
@@ -58,6 +60,12 @@ class Hamiltonian:
             ((PauliWord(n, x, z), c) for (x, z), c in self._coeffs.items()),
             key=lambda term: str(term[0]),
         )
+        l1 = self.coefficient_l1()
+        if not np.isfinite(l1 * l1):
+            raise ValueError(
+                f"Hamiltonian coefficients overflow: the square of their 1-norm {l1}"
+                " is not finite"
+            )
         self._norm_bounds: dict[bool, NormBound] = {}
         self._matrix: np.ndarray | None = None  # dense H, built by the oracle
 
@@ -113,26 +121,20 @@ def norm_bound(
     Exact dense eigenvalue computation up to `exact_threshold` qubits, the
     coefficient 1-norm beyond that.  The identity offset never enters: it
     shifts every eigenvalue equally and cancels from truncation error.
-    Cached on the immutable `h`, one entry per branch.  The 1-norm bounds
-    every matrix entry and eigenvalue, so it is the overflow check: its
-    square must be finite, because the MSE bounds square the norm bound.
+    Cached on the immutable `h`, one entry per branch.  `Hamiltonian`
+    refuses coefficients whose 1-norm squared overflows, so neither branch
+    can overflow.
     """
     exact = h.n <= exact_threshold
     if exact in h._norm_bounds:
         return h._norm_bounds[exact]
-    l1 = h.coefficient_l1()
-    if not np.isfinite(l1 * l1):
-        raise ValueError(
-            f"Hamiltonian coefficients overflow: the square of their 1-norm {l1}"
-            " is not finite"
-        )
     if h.term_count == 0:
         bound = NormBound(0.0, "exact-dense")
     elif exact:
         eigs = np.linalg.eigvalsh(pauli_sum_matrix(h.n, h.terms()))
         bound = NormBound(float(np.max(np.abs(eigs))), "exact-dense")
     else:
-        bound = NormBound(l1, "coefficient-1-norm")
+        bound = NormBound(h.coefficient_l1(), "coefficient-1-norm")
     h._norm_bounds[exact] = bound
     return bound
 

@@ -29,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, CliffordGate, Layer, RotationGate, require_valid
+from .circuit import Circuit, CliffordGate, Layer, RotationGate
+from .circuit import check_instance, check_noise_rate
 from .observables import Hamiltonian, SparseDensity, pauli_sum_matrix
 from .pauli import PauliWord
 
@@ -50,13 +51,15 @@ class OracleCapError(RuntimeError):
         self.cap = cap
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _check_cap(n: int, cap: int = DEFAULT_ORACLE_CAP) -> None:
     if n > cap:
         raise OracleCapError(n, cap)
 
 
-def _real(value: complex, what: str) -> float:
-    """The real part of a trace that must be real and finite."""
+def _real_trace(a: np.ndarray, b: np.ndarray, what: str, scale: int = 1) -> float:
+    """Tr(a b) / scale, which must be real and finite.  The trace is the
+    sum of a_ij b_ji, O(4^n), where forming a @ b would be O(8^n)."""
+    value = complex(np.einsum("ij,ji->", a, b)) / scale
     if not (math.isfinite(value.real) and abs(value.imag) < 1e-10):
         raise ValueError(f"{what} is not a finite real number: {value!r}")
     return value.real
@@ -168,13 +171,11 @@ def evolve_noisy(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Final dense density matrix after the noisy circuit (noise applied
-    before each layer and once more at the end)."""
+    before each layer and once more at the end).  The input checks come
+    before the cap check, so a malformed instance is reported as such."""
+    check_instance(circuit, None, rho)
+    check_noise_rate(lam)
     _check_cap(circuit.n, cap)
-    require_valid(circuit)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"noise rate must lie in [0, 1], got {lam}")
-    if rho.n != circuit.n:
-        raise ValueError(f"state on {rho.n} qubits, circuit has {circuit.n}")
     mat = state_matrix(rho)
     for layer in circuit.layers:
         mat = depolarize_all(mat, circuit.n, lam)
@@ -191,10 +192,9 @@ def noisy_mean_value(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> float:
     """Tr(H rho_final), checked real."""
-    if h.n != circuit.n:
-        raise ValueError(f"observable on {h.n} qubits, circuit has {circuit.n}")
+    check_instance(circuit, h, rho)
     final = evolve_noisy(circuit, rho, assignment, lam, cap=cap)
-    return _real(complex(np.trace(hamiltonian_matrix(h) @ final)), "mean value")
+    return _real_trace(hamiltonian_matrix(h), final, "mean value")
 
 
 # --- per-path factor checks -------------------------------------------------
@@ -212,27 +212,22 @@ def transition_factor(
     prev_word: PauliWord,
     next_word: PauliWord,
     lam: float = 0.0,
-    cap: int = DEFAULT_ORACLE_CAP,
 ) -> float:
     """Tr(next U N(prev) Udag) / 2^n, checked real."""
-    _check_cap(n, cap)
+    _check_cap(n)
     mat = depolarize_all(word_matrix(prev_word), n, lam)
     mat = apply_layer(mat, layer, assignment, n)
-    value = complex(np.trace(word_matrix(next_word) @ mat)) / (1 << n)
-    return _real(value, "transition factor")
+    return _real_trace(word_matrix(next_word), mat, "transition factor", 1 << n)
 
 
-def observable_factor(
-    h: Hamiltonian, word: PauliWord, lam: float = 0.0, cap: int = DEFAULT_ORACLE_CAP
-) -> float:
+def observable_factor(h: Hamiltonian, word: PauliWord, lam: float = 0.0) -> float:
     """Tr(H N(word)) / 2^n, checked real."""
-    _check_cap(h.n, cap)
+    _check_cap(h.n)
     mat = depolarize_all(word_matrix(word), h.n, lam)
-    value = complex(np.trace(hamiltonian_matrix(h) @ mat)) / (1 << h.n)
-    return _real(value, "observable factor")
+    return _real_trace(hamiltonian_matrix(h), mat, "observable factor", 1 << h.n)
 
 
-def state_factor(rho: SparseDensity, word: PauliWord, cap: int = DEFAULT_ORACLE_CAP) -> float:
+def state_factor(rho: SparseDensity, word: PauliWord) -> float:
     """Tr(word rho) from dense matrices, checked real."""
-    _check_cap(rho.n, cap)
-    return _real(complex(np.trace(word_matrix(word) @ state_matrix(rho))), "state factor")
+    _check_cap(rho.n)
+    return _real_trace(word_matrix(word), state_matrix(rho), "state factor")

@@ -15,9 +15,7 @@ from paulipath.circuit import (
     effected_words,
     generation_check,
     gf2_rank,
-    require_valid,
     symplectic_vector,
-    validate,
 )
 
 from conftest import dense_gate, dense_word
@@ -47,13 +45,18 @@ def test_layer_splits_gate_kinds():
 
 
 def test_validate_reports_position():
-    c = Circuit(2, (Layer((CliffordGate("CNOT", (1, 2)), CliffordGate("H", (1,)))),))
-    msgs = validate(c)
-    assert msgs == ["layer 1, gate 2: support overlaps gate 1 at qubit 1"]
-    c2 = Circuit(2, (Layer((CliffordGate("H", (3,)),)),))
-    assert "qubit 3 outside 1..2" in validate(c2)[0]
-    with pytest.raises(ValueError):
-        require_valid(c)
+    # a circuit is valid by construction: every defect is named, by layer
+    # and gate, when it is built
+    overlap = Layer((CliffordGate("CNOT", (1, 2)), CliffordGate("H", (1,))))
+    outside = Layer((CliffordGate("H", (3,)),))
+    with pytest.raises(ValueError) as info:
+        Circuit(2, (overlap, outside))
+    assert str(info.value) == (
+        "layer 1, gate 2: support overlaps gate 1 at qubit 1;"
+        " layer 2, gate 1: qubit 3 outside 1..2"
+    )
+    with pytest.raises(ValueError, match="qubit count must be positive"):
+        Circuit(0, ())
 
 
 def test_parameters_first_use_order():

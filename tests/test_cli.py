@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from paulipath import cli, observables
+from paulipath import cli, estimator, observables
 from paulipath.engine import ResourceLimitError
 
 
@@ -238,7 +238,18 @@ def test_oracle_check_mismatch_exit(files, capsys, monkeypatch):
     assert json.loads(out)["agrees"] is False
 
 
-def test_oracle_cap_exit(tmp_path, capsys):
+def _norm_bound_tripwire(monkeypatch):
+    def tripwire(*args, **kwargs):
+        pytest.fail("norm bound computed")
+
+    monkeypatch.setattr(cli, "norm_bound", tripwire)
+    monkeypatch.setattr(estimator, "norm_bound", tripwire)
+
+
+def test_oracle_cap_exit(tmp_path, capsys, monkeypatch):
+    # the cap is checked before the estimate's norm bound (dense at n = 11),
+    # and malformed input still exits 2 before the cap
+    _norm_bound_tripwire(monkeypatch)
     n = 11
     circuit = {
         "n": n,
@@ -248,22 +259,67 @@ def test_oracle_cap_exit(tmp_path, capsys):
         ],
     }
     hamiltonian = {"n": n, "terms": [{"pauli": "Z" + "I" * (n - 1), "coeff": 1.0}]}
+    state = {"n": 1, "entries": [{"ket": "0", "bra": "0", "re": 1.0}]}
     cpath = tmp_path / "c.json"
     hpath = tmp_path / "h.json"
+    spath = tmp_path / "s.json"
     cpath.write_text(json.dumps(circuit))
     hpath.write_text(json.dumps(hamiltonian))
-    code, _, err = _run(
-        capsys,
-        [
-            "--mode", "oracle-check",
-            "--circuit", str(cpath),
-            "--hamiltonian", str(hpath),
-            "--seed", "1",
-            "--lambda", "0.1",
-        ],
-    )
+    spath.write_text(json.dumps(state))
+    argv = [
+        "--mode", "oracle-check",
+        "--circuit", str(cpath),
+        "--hamiltonian", str(hpath),
+        "--seed", "1",
+    ]
+    code, _, err = _run(capsys, argv + ["--lambda", "0.1"])
     assert code == 4
     assert "cap" in err.lower() or "qubit" in err.lower()
+    code, _, err = _run(capsys, argv + ["--lambda", "1.5"])
+    assert code == 2 and "noise rate must lie in [0, 1]" in err
+    code, _, err = _run(capsys, argv + ["--lambda", "0.1", "--state", str(spath)])
+    assert code == 2 and "state on 1 qubits, circuit has 11" in err
+    hamiltonian["terms"] = [dict(term, coeff=1e200) for term in 2 * hamiltonian["terms"]]
+    hamiltonian["terms"][1]["pauli"] = "IZ" + "I" * (n - 2)
+    hpath.write_text(json.dumps(hamiltonian))
+    code, _, err = _run(capsys, argv + ["--lambda", "0.1"])
+    assert code == 2 and "coefficients overflow" in err
+
+
+@pytest.mark.parametrize("operand", ["observable", "state"])
+@pytest.mark.parametrize(
+    "mode_args",
+    [
+        ["--mode", "estimate", "--trunc-m", "8"],
+        ["--mode", "mse-benchmark", "--trunc-m", "8", "--seed", "1", "--samples", "4"],
+        ["--mode", "oracle-check"],
+        ["--mode", "path-dump", "--trunc-m", "8"],
+    ],
+    ids=["estimate", "mse-benchmark", "oracle-check", "path-dump"],
+)
+def test_mismatched_instance_exits_2_before_any_work(
+    files, capsys, tmp_path, monkeypatch, mode_args, operand
+):
+    # at lambda = 1 the estimate never walks the paths; the instance is
+    # still checked first, before any norm bound
+    _norm_bound_tripwire(monkeypatch)
+    wide = tmp_path / "wide.json"
+    if operand == "observable":
+        wide.write_text(json.dumps({"n": 3, "terms": [{"pauli": "ZIZ", "coeff": 1.0}]}))
+        inputs = ["--hamiltonian", str(wide), "--state", files["state"]]
+    else:
+        wide.write_text(
+            json.dumps({"n": 3, "entries": [{"ket": "000", "bra": "000", "re": 1.0}]})
+        )
+        inputs = ["--hamiltonian", files["hamiltonian"], "--state", str(wide)]
+    code, out, err = _run(
+        capsys,
+        mode_args
+        + inputs
+        + ["--circuit", files["circuit"], "--params", files["params"], "--lambda", "1"],
+    )
+    assert code == 2 and out == ""
+    assert f"{operand} on 3 qubits, circuit has 2" in err
 
 
 def test_resource_limit_exit(files, capsys, monkeypatch):

@@ -180,7 +180,7 @@ def test_enumeration_complete_against_exhaustive_sum(seed, lam):
         seed, max_n=2, max_depth=3, max_rotations=6
     )
     expected_total, expected_seqs = _brute_force_reference(circuit, h, rho, theta, lam)
-    run = PathEnumeration(circuit, h, rho, None, warn=False)
+    run = PathEnumeration(circuit, h, rho, None)
     got_total = h.identity_coeff
     got_seqs = set()
     for path in run:
@@ -195,8 +195,8 @@ def test_enumeration_complete_against_exhaustive_sum(seed, lam):
 def test_untruncated_sentinel_equals_max_weight():
     circuit, h, rho, _ = random_certified_instance(7, max_n=2, max_depth=3)
     full_m = circuit.n * (circuit.depth + 1)
-    a = [p.words for p in PathEnumeration(circuit, h, rho, None, warn=False)]
-    b = [p.words for p in PathEnumeration(circuit, h, rho, full_m, warn=False)]
+    a = [p.words for p in PathEnumeration(circuit, h, rho, None)]
+    b = [p.words for p in PathEnumeration(circuit, h, rho, full_m)]
     assert a == b
 
 
@@ -206,10 +206,10 @@ def test_truncation_monotone_in_m():
     for m in range(circuit.depth + 1, circuit.n * (circuit.depth + 1) + 1):
         current = {
             tuple((w.x, w.z) for w in p.words)
-            for p in PathEnumeration(circuit, h, rho, m, warn=False)
+            for p in PathEnumeration(circuit, h, rho, m)
         }
         assert seen_prev <= current
-        for p in PathEnumeration(circuit, h, rho, m, warn=False):
+        for p in PathEnumeration(circuit, h, rho, m):
             assert p.total_weight <= m
         seen_prev = current
 
@@ -217,7 +217,7 @@ def test_truncation_monotone_in_m():
 def test_rx_chain_census():
     for depth in (3, 5, 7):
         circuit, h, rho = rx_chain_instance(2, depth)
-        paths = list(PathEnumeration(circuit, h, rho, None, warn=False))
+        paths = list(PathEnumeration(circuit, h, rho, None))
         assert len(paths) == 2 ** (depth - 1)
         assert all(p.total_weight == depth + 1 for p in paths)
 
@@ -225,7 +225,7 @@ def test_rx_chain_census():
 def test_minimum_weight_cutoff():
     # every surviving path costs at least depth + 1, so m = depth kills all
     circuit, h, rho = rx_chain_instance(2, 5)
-    assert len(list(PathEnumeration(circuit, h, rho, 6, warn=False))) == 16
+    assert len(list(PathEnumeration(circuit, h, rho, 6))) == 16
     with pytest.warns(UserWarning, match="below depth"):
         run = PathEnumeration(circuit, h, rho, 5)
     assert list(run) == []
@@ -233,7 +233,7 @@ def test_minimum_weight_cutoff():
 
 def test_enumeration_deterministic():
     circuit, h, rho, _ = random_certified_instance(19)
-    run = PathEnumeration(circuit, h, rho, None, warn=False)
+    run = PathEnumeration(circuit, h, rho, None)
     first = [(p.words, p.sign, p.atoms) for p in run]
     second = [(p.words, p.sign, p.atoms) for p in run]
     assert first == second
@@ -241,7 +241,7 @@ def test_enumeration_deterministic():
 
 def test_stats_shape():
     circuit, h, rho = rx_chain_instance(2, 6)
-    run = PathEnumeration(circuit, h, rho, None, warn=False)
+    run = PathEnumeration(circuit, h, rho, None)
     list(run)
     stats = run.stats
     assert stats.paths_emitted == 32
@@ -260,9 +260,9 @@ def test_stats_shape():
 def test_path_limit_guard():
     circuit, h, rho = rx_chain_instance(2, 8)
     with pytest.raises(ResourceLimitError, match="paths"):
-        list(PathEnumeration(circuit, h, rho, None, path_limit=3, warn=False))
+        list(PathEnumeration(circuit, h, rho, None, path_limit=3))
     with pytest.raises(ResourceLimitError, match="nodes"):
-        list(PathEnumeration(circuit, h, rho, None, node_limit=3, warn=False))
+        list(PathEnumeration(circuit, h, rho, None, node_limit=3))
     # 2^63 predecessors of one word: refused before anything is built, even
     # under a node limit that would allow them
     n = 63
@@ -295,10 +295,13 @@ def test_node_limit_counts_term_roots():
     # at m=2 both terms are pruned at their roots, the only nodes visited
     circuit, h, rho = rx_chain_instance(2, 8)
     theta = {p: 0.3 for p in circuit.parameters()}
-    run = PathEnumeration(circuit, h, rho, 2, node_limit=2, warn=False)
+    with pytest.warns(UserWarning, match="below depth"):
+        run = PathEnumeration(circuit, h, rho, 2, node_limit=2)
     assert list(run) == [] and run.stats.nodes_visited == 2
+    with pytest.warns(UserWarning, match="below depth"):
+        run = PathEnumeration(circuit, h, rho, 2, node_limit=1)
     with pytest.raises(ResourceLimitError, match="more than 1 enumeration nodes"):
-        list(PathEnumeration(circuit, h, rho, 2, node_limit=1, warn=False))
+        list(run)
     with pytest.warns(UserWarning, match="below depth"):
         with pytest.raises(ResourceLimitError, match="more than 1 enumeration nodes"):
             estimate(circuit, h, rho, theta, 0.1, 2, node_limit=1)
@@ -307,7 +310,7 @@ def test_node_limit_counts_term_roots():
 def test_zero_overlap_roots_pruned():
     # |00> has zero overlap with any X or Y letter at the far end
     circuit, h, rho = rx_chain_instance(1, 3)
-    run = PathEnumeration(circuit, h, rho, None, warn=False)
+    run = PathEnumeration(circuit, h, rho, None)
     for path in run:
         overlap = rho.overlap(path.words[0])
         assert abs(overlap) > 0
@@ -316,7 +319,7 @@ def test_zero_overlap_roots_pruned():
 
 def test_total_weight_matches_words():
     circuit, h, rho, _ = random_certified_instance(23)
-    for path in PathEnumeration(circuit, h, rho, None, warn=False):
+    for path in PathEnumeration(circuit, h, rho, None):
         assert path.total_weight == sum(w.weight for w in path.words)
         assert len(path.words) == circuit.depth + 1
         assert not any(w.is_identity for w in path.words)
@@ -366,7 +369,7 @@ def test_batched_walk_equals_reference_walk_at_every_m(seed):
     # truncation order up to untruncated
     circuit, h, rho, _ = random_certified_instance(seed, max_n=4, max_depth=5)
     for m in range(circuit.depth + 1, circuit.n * (circuit.depth + 1) + 1):
-        run = PathEnumeration(circuit, h, rho, m, warn=False)
+        run = PathEnumeration(circuit, h, rho, m)
         want_paths, want_stats = _reference_walk(circuit, h, rho, m)
         assert list(run) == want_paths
         assert run.stats == want_stats
@@ -441,8 +444,8 @@ def test_words_beyond_63_qubits_walk_like_narrow_ones(seed):
         n, [(ket << shift, bra << shift, v) for ket, bra, v in rho.entries()]
     )
     for m in (circuit.depth + 1, circuit.depth + 1 + circuit.n, None):
-        narrow = PathEnumeration(circuit, h, rho, m, warn=False)
-        run = PathEnumeration(wide, h_wide, rho_wide, m, warn=False)
+        narrow = PathEnumeration(circuit, h, rho, m)
+        run = PathEnumeration(wide, h_wide, rho_wide, m)
         want = [
             (tuple(moved(w) for w in p.words), p.sign, p.atoms, p.total_weight)
             for p in narrow

@@ -3,6 +3,7 @@ and the sampled error benchmarks."""
 
 import importlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ from paulipath import (
     mse_benchmark,
     rx_chain_instance,
 )
-from paulipath import oracle
+from paulipath import estimator, oracle
 from paulipath.engine import FactorAtom, PathEnumeration
 from paulipath.estimator import (
     _term_sums,
@@ -93,7 +94,7 @@ def test_estimate_equals_path_sum_at_every_m(seed, lam):
     max_weight = circuit.n * (circuit.depth + 1)
     for m in range(circuit.depth + 1, max_weight + 1):
         report = estimate(circuit, h, rho, theta, lam, m)
-        paths = list(PathEnumeration(circuit, h, rho, m, warn=False))
+        paths = list(PathEnumeration(circuit, h, rho, m))
         path_sum = report.identity_offset
         for path in paths:
             path_sum += damping(path, lam) * path_value(path, theta, h, rho)
@@ -205,7 +206,7 @@ def test_eps_delta_requires_certification():
 
 def test_describe_factors_format():
     circuit, h, rho = rx_chain_instance(2, 4)
-    run = PathEnumeration(circuit, h, rho, None, warn=False)
+    run = PathEnumeration(circuit, h, rho, None)
     descriptions = [describe_factors(p) for p in run]
     assert "-sin(t2_1)*cos(t3_1)*cos(t4_1)" in descriptions
     for text in descriptions:
@@ -215,7 +216,7 @@ def test_describe_factors_format():
 def test_path_value_factorization():
     circuit, h, rho = rx_chain_instance(1, 3)
     theta = {p: 0.6 for p in circuit.parameters()}
-    run = PathEnumeration(circuit, h, rho, None, warn=False)
+    run = PathEnumeration(circuit, h, rho, None)
     for path in run:
         expected = h.coeff(path.words[-1]) * path.sign * rho.overlap(path.words[0])
         for atom in path.atoms:
@@ -273,6 +274,62 @@ def test_truncation_order_must_be_a_non_negative_integer(call):
         call(circuit, h, rho, theta)
 
 
+@pytest.mark.parametrize("operand", ["observable", "state"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "estimate-full-noise",
+        "estimate-identity-only",
+        "mse-benchmark",
+        "enumeration",
+        "oracle-over-cap",
+    ],
+)
+def test_mismatched_instance_refused_before_any_work(entry, operand, monkeypatch):
+    # every entry point checks the qubit counts first: before the norm bound,
+    # before the lam = 1 and identity-only shortcuts, before the oracle's cap
+    def tripwire(*args, **kwargs):
+        pytest.fail("norm bound computed before the instance check")
+
+    monkeypatch.setattr(estimator, "norm_bound", tripwire)
+    circuit, h, rho = rx_chain_instance(2, 4)
+    theta = {p: 0.4 for p in circuit.parameters()}
+    wide = 2 if operand == "state" else 3
+    if entry == "estimate-identity-only":
+        h = Hamiltonian(wide, [(PauliWord.identity(wide), 0.7)])
+    elif operand == "observable":
+        h = Hamiltonian(3, [(PauliWord.from_string("ZIZ"), 1.0)])
+    if operand == "state":
+        rho = SparseDensity.computational_basis(1)
+    calls = {
+        "estimate-full-noise": lambda: estimate(circuit, h, rho, theta, 1.0),
+        "estimate-identity-only": lambda: estimate(circuit, h, rho, theta, 0.3),
+        "mse-benchmark": lambda: mse_benchmark(circuit, h, rho, 0.2, 6, 8, 3),
+        "enumeration": lambda: PathEnumeration(circuit, h, rho, 6),
+        "oracle-over-cap": lambda: noisy_mean_value(circuit, h, rho, theta, 0.2, cap=1),
+    }
+    qubits = 3 if operand == "observable" else 1
+    with pytest.raises(ValueError, match=f"^{operand} on {qubits} qubits, circuit has 2$"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan])
+def test_noise_rate_has_one_rule(lam):
+    # one message from every entry point, NaN included, and the oracle names
+    # it before its qubit cap
+    circuit, h, rho = rx_chain_instance(2, 4)
+    theta = {p: 0.4 for p in circuit.parameters()}
+    message = re.escape(f"noise rate must lie in [0, 1], got {lam}")
+    for call in (
+        lambda: estimate(circuit, h, rho, theta, lam),
+        lambda: choose_m(lam, 1.0, target_mse=0.1),
+        lambda: noisy_mean_value(circuit, h, rho, theta, lam),
+        lambda: noisy_mean_value(circuit, h, rho, theta, lam, cap=1),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_mse_benchmark_builds_dense_hamiltonian_once(monkeypatch):
     # the oracle runs once per sample; the dense H it needs is built once per
     # Hamiltonian, and a later call on the same H reuses it.  Rotation
@@ -322,7 +379,7 @@ def test_mse_benchmark_rejects_bound_angles():
 
 def test_cross_term_vanishes_when_certified():
     circuit, h, rho = rx_chain_instance(2, 4)
-    paths = list(PathEnumeration(circuit, h, rho, None, warn=False))
+    paths = list(PathEnumeration(circuit, h, rho, None))
     result = cross_term_check(circuit, h, rho, paths[0], paths[1], samples=4000, seed=5)
     assert result.generation_certified
     assert abs(result.mean) <= 4 * result.std_error
@@ -346,7 +403,7 @@ def test_cross_term_counterexample_without_certification():
         2, [(PauliWord.from_string("ZI"), 1.0), (PauliWord.from_string("ZZ"), 1.0)]
     )
     rho = SparseDensity.computational_basis(2)
-    paths = list(PathEnumeration(circuit, h, rho, None, warn=False))
+    paths = list(PathEnumeration(circuit, h, rho, None))
     assert len(paths) == 2
     result = cross_term_check(circuit, h, rho, paths[0], paths[1], samples=500, seed=3)
     assert not result.generation_certified

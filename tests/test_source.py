@@ -15,3 +15,19 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_each_input_rule_is_written_once():
+    # each input rule lives in one module, which every entry point calls,
+    # so copies cannot drift apart
+    sources = {
+        path.name: path.read_text()
+        for path in Path(paulipath.__file__).parent.glob("*.py")
+    }
+    for literal, home in (
+        ("noise rate must lie in [0, 1]", "circuit.py"),
+        ("qubits, circuit has", "circuit.py"),
+        ("coefficients overflow", "observables.py"),
+    ):
+        homes = [name for name, text in sources.items() if literal in text]
+        assert homes == [home], (literal, homes)
