@@ -57,6 +57,8 @@ both limits may report either).
 from __future__ import annotations
 
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -279,6 +281,22 @@ def _concat(parts: list[_Batch]) -> _Batch:
     )
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """The stacklevel that makes a `warnings.warn` in the calling function
+    name the first frame outside this package: the user's line, however
+    deep in the package the warning starts (Python 3.10 has no
+    `skip_file_prefixes`)."""
+    frame = sys._getframe(1)
+    level = 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame = frame.f_back
+        level += 1
+    return level
+
+
 class PathEnumeration:
     """Iterable stream of surviving paths for (circuit, H, rho, M).
 
@@ -305,7 +323,7 @@ class PathEnumeration:
             warnings.warn(
                 f"truncation order {m} is below depth + 1 = {depth + 1};"
                 " every path is truncated away",
-                stacklevel=2,
+                stacklevel=_outside_stacklevel(),
             )
         self.circuit = circuit
         self.h = h

@@ -13,6 +13,7 @@ as Pauli strings, leftmost character = qubit 1.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -95,11 +96,19 @@ def pauli_sum_matrix(
 ) -> np.ndarray:
     """Dense matrix of identity * 1 + sum of coeff * word, O(2^n) per term:
     a word sends basis state b (bit q-1 = qubit q, as in `PauliWord`) to
-    b XOR x with the factor i^{|x & z|} (-1)^{|b & z|}."""
+    b XOR x with the factor i^{|x & z|} (-1)^{|b & z|}.
+
+    A word with an even number of Y letters (|x & z| even) is a real
+    matrix, so when every word is, the sum is built as float64; otherwise
+    as complex128.  Entries where several words land are summed in term
+    order."""
+    terms = [(word, coeff, (word.x & word.z).bit_count() % 4) for word, coeff in terms]
+    real = all(k % 2 == 0 for _, _, k in terms)
     basis = np.arange(1 << n)
-    matrix = np.diag(np.full(basis.size, complex(identity)))
-    for word, coeff in terms:
-        value = coeff * _PHASE_VALUES[(word.x & word.z).bit_count() % 4]
+    matrix = np.diag(np.full(basis.size, identity, dtype=float if real else complex))
+    for word, coeff, k in terms:
+        phase = _PHASE_VALUES[k]
+        value = coeff * (phase.real if real else phase)
         odd = np.bitwise_count(basis & word.z) & 1
         matrix[basis ^ word.x, basis] += np.where(odd, -value, value)
     return matrix
@@ -124,6 +133,11 @@ def norm_bound(
     Cached on the immutable `h`, one entry per branch.  `Hamiltonian`
     refuses coefficients whose 1-norm squared overflows, so neither branch
     can overflow.
+
+    The exact branch returns min(1-norm, max|eigenvalue| + `_roundoff_margin`),
+    the roundoff margin making it an upper bound despite floating point.
+    The matrix is real, and `eigvalsh` runs the real symmetric solver, when
+    every word has an even number of Y letters (see `pauli_sum_matrix`).
     """
     exact = h.n <= exact_threshold
     if exact in h._norm_bounds:
@@ -132,11 +146,49 @@ def norm_bound(
         bound = NormBound(0.0, "exact-dense")
     elif exact:
         eigs = np.linalg.eigvalsh(pauli_sum_matrix(h.n, h.terms()))
-        bound = NormBound(float(np.max(np.abs(eigs))), "exact-dense")
+        top = math.nextafter(float(np.max(np.abs(eigs))) + _roundoff_margin(h), math.inf)
+        bound = NormBound(min(h.coefficient_l1(), top), "exact-dense")
     else:
         bound = NormBound(h.coefficient_l1(), "coefficient-1-norm")
     h._norm_bounds[exact] = bound
     return bound
+
+
+def _roundoff_margin(h: Hamiltonian) -> float:
+    """How far the computed max|eigenvalue| of the traceless part of H can
+    lie from its spectral norm, from the coefficients alone.
+
+    Let d = 2^n and eps = 2^-52.  Two errors separate the computed
+    eigenvalues from those of H:
+
+    - Building the matrix.  `pauli_sum_matrix` returns H + E.  The words
+      of one x mask share their entries, one per row and column, and each
+      entry is a recursive sum of their signed coefficients (the phases
+      ±1, ±i multiply exactly), off by at most (k - 1) eps times the sum
+      of their |c| for k words.  A matrix with one entry per row and
+      column has spectral norm equal to its largest entry, so ||E||_2 <= s,
+      the sum of those entry bounds over the x masks.
+    - The eigensolver.  LAPACK returns the exact eigenvalues of H + E + F
+      with ||F||_2 <= p(d) eps ||H + E||_2, p(d) a modestly growing
+      function of d; here p(d) = d.  Distinct words are orthogonal,
+      Tr(P Q) = d delta_PQ, so ||H||_2 <= ||H||_F = sqrt(d sum c^2).
+
+    By Weyl's inequality no eigenvalue moves by more than ||E + F||_2, so
+
+        | max|computed eigenvalue| - ||H||_2 | <= s + d eps (||H||_F + s),
+
+    the margin returned.  The caller adds it and rounds up by one ulp, so
+    its bound lies between ||H||_2 and ||H||_2 plus twice the margin.  A
+    margin that overflows leaves the bound to the 1-norm cap.
+    """
+    eps = float(np.finfo(float).eps)
+    groups: dict[int, list[float]] = {}
+    for word, coeff in h.terms():
+        groups.setdefault(word.x, []).append(abs(coeff))
+    s = eps * sum((len(g) - 1) * sum(g) for g in groups.values())
+    d = 1 << h.n
+    frobenius = math.sqrt(d) * math.hypot(*(c for _, c in h.terms()))
+    return s + d * eps * (frobenius + s)
 
 
 class SparseDensity:

@@ -416,3 +416,19 @@ def test_report_serializes():
     doc = report.to_dict()
     assert doc["value"] == report.value
     assert doc["stats"]["paths_emitted"] == report.paths_used
+
+
+def test_truncation_warning_names_the_callers_line():
+    # the warning starts in the engine, but names the line that called
+    # into the package, however deep the call went
+    circuit, h, rho = rx_chain_instance(2, 5)
+    angles = {p: 0.3 for p in circuit.parameters()}
+    calls = [
+        lambda: estimate(circuit, h, rho, angles, 0.1, m=4),
+        lambda: mse_benchmark(circuit, h, rho, 0.1, 4, samples=4, seed=1),
+        lambda: list(PathEnumeration(circuit, h, rho, 4)),
+    ]
+    for call in calls:
+        with pytest.warns(UserWarning, match="below depth") as record:
+            call()
+        assert [w.filename for w in record if "below depth" in str(w.message)] == [__file__]

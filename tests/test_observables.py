@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from paulipath import Hamiltonian, PauliWord, SparseDensity
 from paulipath.observables import (
     ObservableFormatError,
+    _roundoff_margin,
     hamiltonian_from_dict,
     hamiltonian_to_dict,
     norm_bound,
+    pauli_sum_matrix,
     state_from_dict,
     state_to_dict,
 )
@@ -67,6 +69,57 @@ def test_norm_bound_exact_matches_dense_traceless(h):
     assert nb.value == pytest.approx(norm_bound(Hamiltonian(h.n, h.terms())).value)
     # the bound is cached on the instance
     assert norm_bound(h) is nb
+
+
+@given(pauli_sums())
+@example(_h(("XY", -1.25)))  # one word: the norm is the 1-norm, the cap binds
+@example(_h(("ZZI", 1.0), ("IZZ", 1.0), ("XII", 0.5), ("IXI", 0.5), ("IIX", 0.5)))
+@settings(max_examples=80, deadline=None)
+def test_norm_bound_is_an_upper_bound_within_its_margin(h):
+    # the reference never goes through pauli_sum_matrix: the kron-built
+    # complex matrix of the traceless part
+    dense = dense_hamiltonian(Hamiltonian(h.n, h.terms()))
+    reference = float(max(abs(np.linalg.eigvalsh(dense))))
+    value, l1 = norm_bound(h).value, h.coefficient_l1()
+    # the 1-norm bounds the norm by the triangle inequality; where the cap
+    # binds, the reference can exceed it by its own roundoff
+    assert value >= min(reference, l1)
+    assert value <= l1
+    # the computed max|eigenvalue| lies within one margin of the norm, so the
+    # bound lies within two of it
+    assert value <= reference + 2 * _roundoff_margin(h)
+
+
+@given(pauli_sums())
+@example(_h(("YY", 0.5), ("XZ", -1.0), ("II", 0.25)))
+@example(_h(("YZ", 0.5), ("XX", 1.0)))
+@settings(max_examples=80, deadline=None)
+def test_pauli_sum_matrix_is_real_iff_every_word_has_even_y_count(h):
+    matrix = pauli_sum_matrix(h.n, h.terms(), h.identity_coeff)
+    real = all(str(word).count("Y") % 2 == 0 for word, _ in h.terms())
+    assert matrix.dtype == (np.float64 if real else np.complex128)
+    np.testing.assert_allclose(matrix, dense_hamiltonian(h), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pairs, dtype",
+    [
+        # ansatz-style ZZ + X, plus a YY term, which is real too
+        ((("ZZI", 1.0), ("IZZ", 1.0), ("XII", 0.5), ("IXI", 0.5), ("YYI", 0.3)), np.float64),
+        ((("ZZI", 1.0), ("XII", 0.5), ("IYI", 0.5)), np.complex128),
+    ],
+)
+def test_exact_norm_bound_solves_a_real_matrix_when_h_is_real(pairs, dtype, monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(matrix):
+        seen.append(matrix.dtype)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    norm_bound(_h(*pairs))
+    assert seen == [dtype]
 
 
 def test_norm_bound_falls_back_to_l1():
