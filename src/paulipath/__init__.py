@@ -9,11 +9,6 @@ from .circuit import (
     RotationGate,
     circuit_from_dict,
     circuit_generation_certified,
-    circuit_to_dict,
-    effected_words,
-    generation_check,
-    gf2_rank,
-    symplectic_vector,
 )
 from .observables import (
     Hamiltonian,
@@ -21,10 +16,8 @@ from .observables import (
     ObservableFormatError,
     SparseDensity,
     hamiltonian_from_dict,
-    hamiltonian_to_dict,
     norm_bound,
     state_from_dict,
-    state_to_dict,
 )
 from .engine import (
     EnumerationStats,
@@ -32,7 +25,6 @@ from .engine import (
     PathEnumeration,
     PauliPath,
     ResourceLimitError,
-    layer_predecessors,
 )
 from .estimator import (
     CrossTermResult,

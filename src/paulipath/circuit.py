@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .pauli import PauliWord
+from .pauli import PauliWord, gf2_rank
 
 if TYPE_CHECKING:
     from .observables import Hamiltonian, SparseDensity
@@ -214,22 +214,6 @@ def symplectic_vector(word: PauliWord) -> int:
     return (word.x << word.n) | word.z
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank of a set of GF(2) row vectors given as integers."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            msb = row.bit_length() - 1
-            if msb in pivots:
-                row ^= pivots[msb]
-            else:
-                pivots[msb] = row
-                rank += 1
-                break
-    return rank
-
-
 def generation_check(words: Iterable[PauliWord]) -> bool:
     """True when the words generate the full n-qubit Pauli group mod phase.
 
@@ -335,22 +319,3 @@ def circuit_from_dict(obj: dict) -> Circuit:
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from None
 
-
-def circuit_to_dict(circuit: Circuit) -> dict:
-    layers = []
-    for layer in circuit.layers:
-        gates: list[dict] = []
-        for gate in layer.gates:
-            if isinstance(gate, RotationGate):
-                entry: dict = {"kind": "rot", "pauli": str(gate.generator)}
-                if gate.param is not None:
-                    entry["param"] = gate.param
-                else:
-                    entry["angle"] = gate.angle
-            elif gate.kind == "CNOT":
-                entry = {"kind": "CNOT", "control": gate.qubits[0], "target": gate.qubits[1]}
-            else:
-                entry = {"kind": gate.kind, "qubit": gate.qubits[0]}
-            gates.append(entry)
-        layers.append({"gates": gates})
-    return {"n": circuit.n, "layers": layers}

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import _PHASE_VALUES, PauliWord
+from .pauli import _PHASE_VALUES, PauliWord, symmetry_word
 
 HERMITIZE_WARN = 1e-9
 TRACE_TOL = 1e-9
@@ -87,8 +87,35 @@ class Hamiltonian:
         return len(self._terms)
 
     def coefficient_l1(self) -> float:
-        """Sum of |coeff| over non-identity terms."""
-        return sum(abs(c) for _, c in self._terms)
+        """Sum of |coeff| over non-identity terms, never below the exact
+        sum: `fsum` rounds it to nearest, and one ulp up when it rounded down."""
+        magnitudes = [abs(c) for _, c in self._terms]
+        try:
+            total = math.fsum(magnitudes)
+        except OverflowError:
+            return math.inf
+        if math.fsum([*magnitudes, -total]) > 0:
+            total = math.nextafter(total, math.inf)
+        return total
+
+
+def _phased(terms: Iterable[tuple[PauliWord, float]], *extra: PauliWord):
+    """Terms as (word, coeff * i^{|x & z|}), and whether these words and
+    `extra` all have an even Y count, which makes them real (and the
+    values floats)."""
+    phased = [(word, coeff, (word.x & word.z).bit_count() % 4) for word, coeff in terms]
+    real = all(k % 2 == 0 for _, _, k in phased) and all(
+        (word.x & word.z).bit_count() % 2 == 0 for word in extra
+    )
+    return [
+        (word, coeff * (_PHASE_VALUES[k].real if real else _PHASE_VALUES[k]))
+        for word, coeff, k in phased
+    ], real
+
+
+def _signs(states: np.ndarray, z: int) -> np.ndarray:
+    """(-1)^{|b & z|} as a parity per basis state b: 1 where it is -1."""
+    return np.bitwise_count(states & z) & 1
 
 
 def pauli_sum_matrix(
@@ -98,20 +125,49 @@ def pauli_sum_matrix(
     a word sends basis state b (bit q-1 = qubit q, as in `PauliWord`) to
     b XOR x with the factor i^{|x & z|} (-1)^{|b & z|}.
 
-    A word with an even number of Y letters (|x & z| even) is a real
-    matrix, so when every word is, the sum is built as float64; otherwise
-    as complex128.  Entries where several words land are summed in term
-    order."""
-    terms = [(word, coeff, (word.x & word.z).bit_count() % 4) for word, coeff in terms]
-    real = all(k % 2 == 0 for _, _, k in terms)
+    When every word has an even number of Y letters the sum is built as
+    float64; otherwise as complex128.  Entries where several words land
+    are summed in term order."""
+    terms, real = _phased(terms)
     basis = np.arange(1 << n)
     matrix = np.diag(np.full(basis.size, identity, dtype=float if real else complex))
-    for word, coeff, k in terms:
-        phase = _PHASE_VALUES[k]
-        value = coeff * (phase.real if real else phase)
-        odd = np.bitwise_count(basis & word.z) & 1
-        matrix[basis ^ word.x, basis] += np.where(odd, -value, value)
+    for word, value in terms:
+        matrix[basis ^ word.x, basis] += np.where(_signs(basis, word.z), -value, value)
     return matrix
+
+
+def symmetry_block(
+    n: int, terms: Iterable[tuple[PauliWord, float]], symmetry: PauliWord, sign: int
+) -> np.ndarray:
+    """H = sum of coeff * word on the `sign` (+1 or -1) eigenspace of
+    `symmetry`, a word S with x_S != 0 that commutes with every word.
+
+    S sends r to r XOR x_S with a factor s(r), so with p the lowest set bit
+    of x_S, the block over the states r with bit p clear (numbered with bit
+    p removed) is B[r, r'] = H[r, r'] + sign s(r') H[r, r' XOR x_S].  Each
+    word adds one entry per column, and the words of one x-mask pair
+    {x, x XOR x_S} share theirs, summed in term order.  Real when every
+    word and S have an even number of Y letters.  The two blocks together
+    have the eigenvalues of H."""
+    terms, real = _phased(terms, symmetry)
+    p = (symmetry.x & -symmetry.x).bit_length() - 1
+    low = (1 << p) - 1
+    index = np.arange(1 << (n - 1))
+    cols = ((index & ~low) << 1) | (index & low)  # bit p clear
+    flipped = sign * _PHASE_VALUES[(symmetry.x & symmetry.z).bit_count() % 4]
+    flipped = flipped.real if real else flipped
+    flipped_odd = _signs(cols, symmetry.z)
+    block = np.zeros((index.size, index.size), dtype=float if real else complex)
+    for word, value in terms:
+        if (word.x >> p) & 1:
+            src = cols ^ symmetry.x
+            odd = _signs(src, word.z) ^ flipped_odd
+            value = value * flipped
+        else:
+            src, odd = cols, _signs(cols, word.z)
+        rows = src ^ word.x
+        block[((rows >> 1) & ~low) | (rows & low), index] += np.where(odd, -value, value)
+    return block
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +192,11 @@ def norm_bound(
 
     The exact branch returns min(1-norm, max|eigenvalue| + `_roundoff_margin`),
     the roundoff margin making it an upper bound despite floating point.
-    The matrix is real, and `eigvalsh` runs the real symmetric solver, when
-    every word has an even number of Y letters (see `pauli_sum_matrix`).
+    When a word S with x != 0 commutes with every term (`_norm_symmetry`),
+    the eigenvalues come from H's two half-size blocks (`symmetry_block`),
+    one at a time, and H is never built whole; otherwise from H.  A real H
+    (every word with an even Y count) keeps real blocks, and `eigvalsh`
+    runs the real symmetric solver.
     """
     exact = h.n <= exact_threshold
     if exact in h._norm_bounds:
@@ -145,8 +204,16 @@ def norm_bound(
     if h.term_count == 0:
         bound = NormBound(0.0, "exact-dense")
     elif exact:
-        eigs = np.linalg.eigvalsh(pauli_sum_matrix(h.n, h.terms()))
-        top = math.nextafter(float(np.max(np.abs(eigs))) + _roundoff_margin(h), math.inf)
+        terms = h.terms()
+        symmetry = _norm_symmetry(h)
+        if symmetry is None:
+            top = _max_abs_eigenvalue(pauli_sum_matrix(h.n, terms))
+        else:
+            top = max(
+                _max_abs_eigenvalue(symmetry_block(h.n, terms, symmetry, sign))
+                for sign in (1, -1)
+            )
+        top = math.nextafter(top + _roundoff_margin(h), math.inf)
         bound = NormBound(min(h.coefficient_l1(), top), "exact-dense")
     else:
         bound = NormBound(h.coefficient_l1(), "coefficient-1-norm")
@@ -154,24 +221,41 @@ def norm_bound(
     return bound
 
 
+def _max_abs_eigenvalue(matrix: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
+
+
+def _norm_symmetry(h: Hamiltonian) -> PauliWord | None:
+    """The word `norm_bound` splits H along, or None.  A real H takes only
+    a symmetry with an even number of Y letters, which keeps its blocks
+    real."""
+    words = [word for word, _ in h.terms()]
+    real = all((word.x & word.z).bit_count() % 2 == 0 for word in words)
+    return symmetry_word(h.n, words, even_y=real)
+
+
 def _roundoff_margin(h: Hamiltonian) -> float:
     """How far the computed max|eigenvalue| of the traceless part of H can
     lie from its spectral norm, from the coefficients alone.
 
-    Let d = 2^n and eps = 2^-52.  Two errors separate the computed
-    eigenvalues from those of H:
+    Let d = 2^n and eps = 2^-52, and let x_S be the x mask of the symmetry
+    `norm_bound` splits H along (x_S = 0 when it builds H whole).  Two
+    errors separate the computed eigenvalues from those of H:
 
-    - Building the matrix.  `pauli_sum_matrix` returns H + E.  The words
-      of one x mask share their entries, one per row and column, and each
-      entry is a recursive sum of their signed coefficients (the phases
-      ±1, ±i multiply exactly), off by at most (k - 1) eps times the sum
-      of their |c| for k words.  A matrix with one entry per row and
-      column has spectral norm equal to its largest entry, so ||E||_2 <= s,
-      the sum of those entry bounds over the x masks.
-    - The eigensolver.  LAPACK returns the exact eigenvalues of H + E + F
-      with ||F||_2 <= p(d) eps ||H + E||_2, p(d) a modestly growing
-      function of d; here p(d) = d.  Distinct words are orthogonal,
-      Tr(P Q) = d delta_PQ, so ||H||_2 <= ||H||_F = sqrt(d sum c^2).
+    - Building the matrices.  `symmetry_block` (or `pauli_sum_matrix`)
+      returns B + E for each block B.  The words whose x masks form one
+      pair {x, x XOR x_S} share their entries, one per row and column, and
+      each entry is a recursive sum of exactly that pair group's signed
+      coefficients (the phases ±1, ±i multiply exactly), off by at most
+      (k - 1) eps times the sum of their |c| for k words.  A matrix with
+      one entry per row and column has spectral norm equal to its largest
+      entry, so ||E||_2 <= s, the sum of those entry bounds over the pair
+      groups.
+    - The eigensolver.  LAPACK returns the exact eigenvalues of B + E + F
+      with ||F||_2 <= p(m) eps ||B + E||_2 for a block of size m, p(m) a
+      modestly growing function of m; here p(m) = m <= d.  Distinct words
+      are orthogonal, Tr(P Q) = d delta_PQ, so ||B||_2 <= ||H||_2 <=
+      ||H||_F = sqrt(d sum c^2).
 
     By Weyl's inequality no eigenvalue moves by more than ||E + F||_2, so
 
@@ -182,9 +266,11 @@ def _roundoff_margin(h: Hamiltonian) -> float:
     margin that overflows leaves the bound to the 1-norm cap.
     """
     eps = float(np.finfo(float).eps)
+    symmetry = _norm_symmetry(h)
+    x_s = 0 if symmetry is None else symmetry.x
     groups: dict[int, list[float]] = {}
     for word, coeff in h.terms():
-        groups.setdefault(word.x, []).append(abs(coeff))
+        groups.setdefault(min(word.x, word.x ^ x_s), []).append(abs(coeff))
     s = eps * sum((len(g) - 1) * sum(g) for g in groups.values())
     d = 1 << h.n
     frobenius = math.sqrt(d) * math.hypot(*(c for _, c in h.terms()))
@@ -340,15 +426,6 @@ def hamiltonian_from_dict(obj: dict) -> Hamiltonian:
     return Hamiltonian(n, terms)
 
 
-def hamiltonian_to_dict(h: Hamiltonian) -> dict:
-    terms = [
-        {"pauli": str(word), "coeff": coeff} for word, coeff in h.terms()
-    ]
-    if h.identity_coeff != 0.0:
-        terms.insert(0, {"pauli": "I" * h.n, "coeff": h.identity_coeff})
-    return {"n": h.n, "terms": terms}
-
-
 def _bits_from_string(text: str, n: int, where: str) -> int:
     if not isinstance(text, str) or len(text) != n or set(text) - {"0", "1"}:
         raise ObservableFormatError(
@@ -384,14 +461,3 @@ def state_from_dict(obj: dict, entry_cap: int = DEFAULT_ENTRY_CAP) -> SparseDens
             raise ObservableFormatError(f"{where}: {exc}") from None
         entries.append((ket, bra, value))
     return SparseDensity(n, entries, entry_cap=entry_cap)
-
-
-def state_to_dict(rho: SparseDensity) -> dict:
-    def bit_string(bits: int) -> str:
-        return "".join("1" if (bits >> i) & 1 else "0" for i in range(rho.n))
-
-    entries = [
-        {"ket": bit_string(ket), "bra": bit_string(bra), "re": v.real, "im": v.imag}
-        for ket, bra, v in sorted(rho.entries(), key=lambda e: (e[0], e[1]))
-    ]
-    return {"n": rho.n, "entries": entries}

@@ -12,11 +12,17 @@ and `product_phase_exponent` gives k mod 4 exactly, never as a floating
 complex number.  `product_phase_masks` is the same rule on raw masks, for
 ints or for numpy arrays of masks (int64, or object beyond 63 qubits).
 Words are unnormalized: Tr(w * w) = 2^n.
+
+GF(2) elimination on packed rows (`gf2_echelon`) serves the generation
+certificate (`gf2_rank`) and the symmetry search (`symmetry_word`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import xor
 from typing import Iterable
 
 import numpy as np
@@ -163,3 +169,50 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
     if a.n != b.n:
         raise ValueError(f"word lengths differ: {a.n} vs {b.n}")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
+
+
+def gf2_echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the GF(2) span of integer rows, by leading bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            msb = row.bit_length() - 1
+            if msb not in pivots:
+                pivots[msb] = row
+                break
+            row ^= pivots[msb]
+    return pivots
+
+
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank of a set of GF(2) row vectors given as integers."""
+    return len(gf2_echelon(rows))
+
+
+def symmetry_word(n: int, words: Iterable[PauliWord], even_y: bool = False) -> PauliWord | None:
+    """A word S with x != 0 that commutes with every one of `words`, with
+    an even number of Y letters if `even_y`; None when there is none.
+
+    Those S are the null space of the words' swapped rows (z | x), found by
+    eliminating [A^T | 1].  In an echelon basis of it in (x | z) order, any
+    sum with an x-led vector has x != 0.  The Y parity q is quadratic,
+    q(u + v) = q(u) + q(v) + <u, v>, so if a wanted S = c + u exists (c
+    x-led), q(u) + <c, u> = q(c) already holds for u = 0, for one other
+    basis vector or for a pair of them: sums of one to three basis vectors
+    suffice.
+    """
+    width = 2 * n
+    swapped = [(word.z << n) | word.x for word in words]
+    columns = (
+        (sum(((row >> j) & 1) << t for t, row in enumerate(swapped)) << width) | (1 << j)
+        for j in range(width)
+    )
+    null = [row for msb, row in gf2_echelon(columns).items() if msb < width]
+    basis = sorted(gf2_echelon(null).values(), reverse=True)
+    for size in (1, 2, 3):
+        for picked in combinations(basis, size):
+            v = reduce(xor, picked)
+            x, z = v >> n, v & ((1 << n) - 1)
+            if x and not (even_y and (x & z).bit_count() % 2):
+                return PauliWord(n, x, z)
+    return None

@@ -1,5 +1,7 @@
 """Circuit structure, the Clifford conjugation rule, and the generation check."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,12 @@ from paulipath.circuit import (
     CircuitFormatError,
     circuit_from_dict,
     circuit_generation_certified,
-    circuit_to_dict,
     conjugate_masks,
     effected_words,
     generation_check,
-    gf2_rank,
     symplectic_vector,
 )
+from paulipath.pauli import gf2_rank
 
 from conftest import dense_gate, dense_word
 
@@ -171,6 +172,14 @@ def test_circuit_certification():
 
 
 def test_json_round_trip():
+    # every gate kind of the wire format, as a literal document
+    doc = json.loads(
+        """{"n": 3, "layers": [
+            {"gates": [{"kind": "rot", "pauli": "XZI", "param": "t0"},
+                       {"kind": "H", "qubit": 3}]},
+            {"gates": [{"kind": "CNOT", "control": 1, "target": 3}]},
+            {"gates": [{"kind": "rot", "pauli": "IIY", "angle": 0.75}]}]}"""
+    )
     c = Circuit(
         3,
         (
@@ -184,7 +193,7 @@ def test_json_round_trip():
             Layer((RotationGate(PauliWord.from_string("IIY"), angle=0.75),)),
         ),
     )
-    assert circuit_from_dict(circuit_to_dict(c)) == c
+    assert circuit_from_dict(doc) == c
 
 
 @pytest.mark.parametrize(

@@ -124,13 +124,13 @@ def test_estimate_without_params_or_seed_fails(files, capsys):
 def test_estimate_target_mse_selects_m(files, capsys, monkeypatch):
     # m selection and the report's certificate share one dense norm bound
     builds = []
-    build = observables.pauli_sum_matrix
+    for name in ("pauli_sum_matrix", "symmetry_block"):
 
-    def counting(*args, **kwargs):
-        builds.append(args[0])
-        return build(*args, **kwargs)
+        def counting(*args, _name=name, _build=getattr(observables, name), **kwargs):
+            builds.append((_name, args[0]))
+            return _build(*args, **kwargs)
 
-    monkeypatch.setattr(observables, "pauli_sum_matrix", counting)
+        monkeypatch.setattr(observables, name, counting)
     code, out, _ = _run(
         capsys,
         [
@@ -147,7 +147,8 @@ def test_estimate_target_mse_selects_m(files, capsys, monkeypatch):
     chosen = doc["m_selection"]["selection"]["m"]
     assert chosen >= 5  # never below depth + 1
     assert doc["report"]["m"] == chosen
-    assert builds == [2]
+    # H = ZI - 0.5 XZ commutes with ZX, so its one bound is two blocks
+    assert builds == [("symmetry_block", 2)] * 2
 
 
 def test_m_flags_mutually_exclusive(files, capsys):

@@ -1,5 +1,9 @@
 """Observable container, norm certificates, and sparse state overlaps."""
 
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,14 +12,15 @@ from hypothesis import strategies as st
 from paulipath import Hamiltonian, PauliWord, SparseDensity
 from paulipath.observables import (
     ObservableFormatError,
+    _norm_symmetry,
     _roundoff_margin,
     hamiltonian_from_dict,
-    hamiltonian_to_dict,
     norm_bound,
     pauli_sum_matrix,
     state_from_dict,
-    state_to_dict,
+    symmetry_block,
 )
+from paulipath.pauli import commutes
 
 from conftest import dense_hamiltonian, dense_state, dense_word, pauli_sums
 
@@ -110,16 +115,76 @@ def test_pauli_sum_matrix_is_real_iff_every_word_has_even_y_count(h):
     ],
 )
 def test_exact_norm_bound_solves_a_real_matrix_when_h_is_real(pairs, dtype, monkeypatch):
+    # both cases commute with a word with x != 0 (XXX, IIX), so the solver
+    # sees two blocks of half the size, each of the case's dtype
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
     def recording(matrix):
-        seen.append(matrix.dtype)
+        seen.append((matrix.dtype, matrix.shape))
         return eigvalsh(matrix)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     norm_bound(_h(*pairs))
-    assert seen == [dtype]
+    assert seen == [(dtype, (4, 4))] * 2
+
+
+@st.composite
+def _symmetric_sums(draw, max_n: int = 5):
+    """A random Hamiltonian, as in `pauli_sums`, whose every word commutes
+    with a planted word S with x != 0; returns (H, S)."""
+    n = draw(st.integers(1, max_n))
+    masks = st.integers(0, 2**n - 1)
+    s = PauliWord(n, draw(st.integers(1, 2**n - 1)), draw(masks))
+    word = st.builds(PauliWord, st.just(n), masks, masks).filter(lambda w: commutes(w, s))
+    words = draw(st.lists(word, min_size=1, max_size=4))
+    coeffs = st.floats(-2, 2, allow_nan=False)
+    terms = draw(st.lists(st.tuples(st.sampled_from(words), coeffs), min_size=1, max_size=8))
+    return Hamiltonian(n, terms + [(PauliWord.identity(n), draw(coeffs))]), s
+
+
+@given(_symmetric_sums())
+@example((_h(("ZZI", 1.0), ("IZZ", 1.0), ("XII", 0.5), ("IXI", 0.5), ("IIX", 0.5)),
+          PauliWord.from_string("XXX")))
+@example((_h(("ZZI", 1.0), ("XII", 0.5), ("IYI", 0.5)), PauliWord.from_string("IIY")))
+@example((_h(("ZI", 1.0), ("XI", -0.5), ("YY", 0.25)), PauliWord.from_string("IY")))  # odd Y only
+@settings(max_examples=150, deadline=None)
+def test_norm_bound_on_symmetry_blocks_is_an_upper_bound_within_its_margin(case):
+    h, s = case
+    dense = dense_hamiltonian(Hamiltonian(h.n, h.terms()))
+    spectrum = np.linalg.eigvalsh(dense)
+    reference = float(max(abs(spectrum)))
+    value, l1 = norm_bound(h).value, h.coefficient_l1()
+    assert value >= min(reference, l1)
+    assert value <= l1
+    assert value <= reference + 2 * _roundoff_margin(h)
+    # the search finds a symmetry unless H is real and S's Y count is odd
+    real = all(str(word).count("Y") % 2 == 0 for word, _ in h.terms())
+    if not real or str(s).count("Y") % 2 == 0:
+        assert _norm_symmetry(h) is not None
+    # the planted S and the one found both split H's spectrum in two
+    for sym in {s, _norm_symmetry(h)} - {None}:
+        halves = [np.linalg.eigvalsh(symmetry_block(h.n, h.terms(), sym, sign)) for sign in (1, -1)]
+        np.testing.assert_allclose(np.sort(np.concatenate(halves)), spectrum, rtol=0, atol=1e-12)
+
+
+@given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=15))
+@example([2.3, 2.3, 0.1])
+@settings(max_examples=200, deadline=None)
+def test_coefficient_l1_is_the_exact_sum_rounded_up(coeffs):
+    h = Hamiltonian(4, [(PauliWord(4, 0, k + 1), c) for k, c in enumerate(coeffs)])
+    exact = sum(Fraction(abs(c)) for c in coeffs)
+    l1 = h.coefficient_l1()
+    assert Fraction(l1) >= exact
+    assert Fraction(math.nextafter(l1, -math.inf)) < exact
+
+
+def test_norm_bounds_of_a_commuting_sum_cover_its_exact_1_norm():
+    # ||H|| equals the sum of |c| here, which rounds to 4.699999999999999
+    h = _h(("ZII", 2.3), ("IZI", 2.3), ("IIZ", 0.1))
+    exact = Fraction(2.3) * 2 + Fraction(0.1)
+    assert Fraction(norm_bound(h).value) >= exact
+    assert Fraction(norm_bound(h, exact_threshold=0).value) >= exact
 
 
 def test_norm_bound_falls_back_to_l1():
@@ -210,23 +275,35 @@ def test_overlap_imaginary_check_scales_with_the_entries():
 
 
 def test_hamiltonian_json_round_trip():
+    # the identity word goes to identity_coeff, the rest sort by letters
+    doc = json.loads(
+        """{"n": 2, "terms": [{"pauli": "ZZ", "coeff": -1.5},
+                              {"pauli": "II", "coeff": 0.3},
+                              {"pauli": "XI", "coeff": 1.5}]}"""
+    )
     h = _h(("XI", 1.5), ("ZZ", -1.5), ("II", 0.3))
-    back = hamiltonian_from_dict(hamiltonian_to_dict(h))
+    back = hamiltonian_from_dict(doc)
     assert back.terms() == h.terms()
     assert back.identity_coeff == h.identity_coeff
 
 
 def test_state_json_round_trip():
+    doc = json.loads(
+        """{"n": 2, "entries": [{"ket": "00", "bra": "00", "re": 0.5, "im": 0.0},
+                                {"ket": "11", "bra": "11", "re": 0.5},
+                                {"ket": "00", "bra": "11", "re": 0.25, "im": 0.1},
+                                {"ket": "11", "bra": "00", "re": 0.25, "im": -0.1}]}"""
+    )
     rho = SparseDensity(
         2, [(0, 0, 0.5), (3, 3, 0.5), (0, 3, 0.25 + 0.1j), (3, 0, 0.25 - 0.1j)]
     )
-    assert sorted(state_from_dict(state_to_dict(rho)).entries()) == sorted(rho.entries())
+    assert sorted(state_from_dict(doc).entries()) == sorted(rho.entries())
 
 
 def test_state_bit_string_orientation():
     # ket "10" means qubit 1 is |1>, qubit 2 is |0>, i.e. basis index 1
-    doc = state_to_dict(SparseDensity.computational_basis(2, 1))
-    assert doc["entries"] == [{"ket": "10", "bra": "10", "re": 1.0, "im": 0.0}]
+    doc = json.loads('{"n": 2, "entries": [{"ket": "10", "bra": "10", "re": 1.0, "im": 0.0}]}')
+    assert state_from_dict(doc).entries() == [(1, 1, 1.0 + 0j)]
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulipath.observables import pauli_sum_matrix
-from paulipath.pauli import LETTERS, PauliWord, commutes, product_phase_exponent
+from paulipath.pauli import (
+    LETTERS,
+    PauliWord,
+    commutes,
+    product_phase_exponent,
+    symmetry_word,
+)
 
 from conftest import dense_word
 
@@ -123,3 +129,30 @@ def test_basis_matrix_element(letter):
     for bra in (0, 1):
         for ket in (0, 1):
             assert got[bra, ket] == dense[bra, ket]
+
+
+def _words(*letters):
+    return [PauliWord.from_string(s) for s in letters]
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(_word_strategy(n), max_size=6)),
+    st.booleans(),
+)
+@example(_words("ZZI", "IZZ", "XII", "IXI", "IIX"), True)  # the ansatz H: XXX
+@example(_words("ZZI", "IXY", "IZX", "ZIZ"), True)  # only a pair sum has even Y
+@example(_words("YXY", "YII", "XZY"), True)  # only a sum of three has even Y
+@example(_words("XI", "ZI", "IX", "IZ"), False)  # the whole group: only I commutes
+@settings(max_examples=300, deadline=None)
+def test_symmetry_word_finds_one_exactly_when_one_exists(words, even_y):
+    n = words[0].n if words else 1
+
+    def wanted(s: PauliWord) -> bool:
+        even = (s.x & s.z).bit_count() % 2 == 0
+        return s.x != 0 and all(commutes(s, w) for w in words) and (even or not even_y)
+
+    exists = any(wanted(PauliWord(n, x, z)) for x in range(2**n) for z in range(2**n))
+    found = symmetry_word(n, words, even_y=even_y)
+    assert (found is not None) == exists
+    if found is not None:
+        assert wanted(found)
