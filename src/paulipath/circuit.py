@@ -14,15 +14,17 @@ of them.  The path engine (on arrays) and `effected_words` (on ints) both
 call it, and the test suite checks it against dense matrix conjugation.
 
 A `Circuit` is valid by construction, as its gates are.  The rules tying it
-to the rest of a run, `check_instance` and `check_noise_rate`, live here
-once, and every entry point calls them before any work.
+to the rest of a run, `check_instance`, `check_noise_rate` and
+`check_assignment`, live here once, and every entry point calls them
+before any work.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .pauli import PauliWord, gf2_rank
 
@@ -158,6 +160,23 @@ def check_noise_rate(lam: float) -> None:
     """Refuse a depolarizing rate outside [0, 1], NaN included."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"noise rate must lie in [0, 1], got {lam}")
+
+
+def check_assignment(circuit: Circuit, assignment: Mapping[str, float]) -> None:
+    """Refuse an assignment that does not bind every symbol of the circuit
+    to a finite real number, naming the first symbol that breaks the rule."""
+    for param in circuit.parameters():
+        if param not in assignment:
+            raise ValueError(f"parameter {param!r} needs a finite real angle and has none")
+        value = assignment[param]
+        if (
+            not isinstance(value, numbers.Real)
+            or isinstance(value, bool)
+            or not math.isfinite(value)
+        ):
+            raise ValueError(
+                f"parameter {param!r} needs a finite real angle, got {value!r}"
+            )
 
 
 def conjugate_masks(kind: str, b0: int, b1: int, x, z):

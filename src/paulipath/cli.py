@@ -26,9 +26,16 @@ import sys
 import numpy as np
 
 from .benchmarks import scaling_sweep
-from .circuit import Circuit, CircuitFormatError, check_instance, circuit_from_dict
+from .circuit import (
+    Circuit,
+    CircuitFormatError,
+    check_assignment,
+    check_instance,
+    circuit_from_dict,
+)
 from .engine import PathEnumeration, ResourceLimitError
 from .estimator import (
+    MSelection,
     choose_m,
     damping,
     describe_factors,
@@ -38,6 +45,7 @@ from .estimator import (
 )
 from .observables import (
     Hamiltonian,
+    NormBound,
     ObservableFormatError,
     SparseDensity,
     hamiltonian_from_dict,
@@ -119,9 +127,7 @@ def _resolve_theta(circuit: Circuit, args) -> tuple[dict[str, float], bool]:
             if not math.isfinite(value):
                 raise ValueError(f"params entry {key!r} must be finite, got {value}")
             theta[str(key)] = float(value)
-        missing = [p for p in params if p not in theta]
-        if missing:
-            raise ValueError(f"params file misses: {', '.join(missing)}")
+        check_assignment(circuit, theta)
         return theta, False
     if not params:
         return {}, False
@@ -152,6 +158,17 @@ def _resolve_m(args, circuit: Circuit, h: Hamiltonian) -> tuple[int | None, dict
         )
     if args.trunc_m is not None:
         return args.trunc_m, {"kind": "explicit", "m": args.trunc_m}
+    norm, selection = _select_m(args, h, circuit.depth + 1)
+    detail = {
+        "kind": "target-mse" if args.target_mse is not None else "epsilon-delta",
+        "selection": selection.to_dict(),
+        "norm_bound": norm.to_dict(),
+    }
+    return selection.m, detail
+
+
+def _select_m(args, h: Hamiltonian, floor: int | None) -> tuple[NormBound, MSelection]:
+    """H's norm bound and the truncation order the accuracy flags ask for."""
     norm = norm_bound(h)
     selection = choose_m(
         args.lam,
@@ -159,15 +176,10 @@ def _resolve_m(args, circuit: Circuit, h: Hamiltonian) -> tuple[int | None, dict
         target_mse=args.target_mse,
         epsilon=args.epsilon,
         delta=args.delta,
-        floor=circuit.depth + 1,
+        floor=floor,
         term_count=h.term_count,
     )
-    detail = {
-        "kind": "target-mse" if args.target_mse is not None else "epsilon-delta",
-        "selection": selection.to_dict(),
-        "norm_bound": {"value": norm.value, "kind": norm.kind},
-    }
-    return selection.m, detail
+    return norm, selection
 
 
 def _config_echo(args) -> dict:
@@ -211,23 +223,12 @@ def _mode_estimate(args) -> int:
 def _mode_choose_m(args) -> int:
     h = _load_hamiltonian(args)
     floor = None
-    circuit = None
     if args.circuit is not None:
-        circuit = _load_circuit(args)
-        floor = circuit.depth + 1
-    norm = norm_bound(h)
-    selection = choose_m(
-        args.lam,
-        norm.value,
-        target_mse=args.target_mse,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        floor=floor,
-        term_count=h.term_count,
-    )
+        floor = _load_circuit(args).depth + 1
+    norm, selection = _select_m(args, h, floor)
     document = {
         "config": _config_echo(args),
-        "norm_bound": {"value": norm.value, "kind": norm.kind},
+        "norm_bound": norm.to_dict(),
         "selection": selection.to_dict(),
     }
     _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)

@@ -31,17 +31,21 @@ predecessors; predecessor k takes the sin branch at the j-th of them when
 bit a-1-j of k is set, so the first rotation is the most significant bit.
 
 The walk visits that tree depth first, but a batch of frames at a time.
-A batch is up to `BATCH_ROWS` numpy rows at one word index, in canonical
-order: the x and z masks (int64, or Python ints in object arrays beyond 63
-qubits), the weight spent so far, and the step into the row: its sign, its
-sin choices as a bit mask over the layer's rotations, and the parent's row.
-A batch goes through its layer as a whole (`_LayerProgram.branch`, which
-also holds each parent's anti-commuting rotations); its children are then
-built by ordinal, a slice at a time, filtered, and pushed as the next
-batch, which is walked to the leaves before the next slice is built.
-Children come out in ordinal order, which is the canonical order, so the
-paths, their order and every counter equal a frame-by-frame depth-first
-walk, and memory stays O(depth * BATCH_ROWS).
+A batch is an immutable tuple of up to `BATCH_ROWS` numpy rows at one word
+index, in canonical order: the x and z masks (int64, or Python ints in
+object arrays beyond 63 qubits), the weight spent so far, and the step
+into the row: its sign, its sin choices and its parent's anti-commuting
+rotations as bit masks over the layer's rotations, and the parent's row.
+One generator per parent batch yields its child batches: it pushes the
+parent through its layer as a whole (`_LayerProgram.branch`), then builds
+the children by ordinal, a slice at a time, and filters them.  The walk
+is one loop over a stack of these generators, one per word index, and
+walks each child batch to the leaves before it asks its parent's
+generator for the next.  Children come out in ordinal order, which is the
+canonical order, so the paths, their order and every counter equal a
+frame-by-frame depth-first walk.  Each word index also keeps, next to its
+current batch, a cache of the words and atoms of the rows on emitted
+paths; memory stays O(depth * BATCH_ROWS).
 
 Every child counts in `nodes_visited`, pruned or not.  A parent whose least
 possible child weight already exceeds the budget has all 2^a children
@@ -122,15 +126,6 @@ class EnumerationStats:
     pruned_budget: int = 0
     pruned_zero_weight: int = 0
     pruned_zero_overlap: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "nodes_visited": self.nodes_visited,
-            "paths_emitted": self.paths_emitted,
-            "pruned_budget": self.pruned_budget,
-            "pruned_zero_weight": self.pruned_zero_weight,
-            "pruned_zero_overlap": self.pruned_zero_overlap,
-        }
 
 
 def _mask_dtype(n: int) -> type:
@@ -216,8 +211,6 @@ class _LayerProgram:
 
     def atoms(self, anti: int, sin: int) -> tuple[FactorAtom, ...]:
         """Atoms of one step in rotation order, from its bit masks."""
-        if not anti:
-            return ()
         # tuples from a list get their exact size; from an iterator they are
         # resized, and the freed ones pile up in the interpreter's free lists
         return tuple(
@@ -249,36 +242,28 @@ def layer_predecessors(
 # --- the batched depth-first walk ------------------------------------------
 
 
-class _Batch:
-    """Frames at one word index in canonical order.  Once the batch is a
-    parent it also holds its branching through the next layer, the rows
-    with children to build, their ordinal offsets, and the cursor."""
+class _Batch(NamedTuple):
+    """Rows at one word index in canonical order: the masks, the weight
+    spent so far, and the step into each row: its sign, its sin choices
+    and the parent's anti-commuting rotations as bit masks over the
+    layer's rotations, and the parent's row."""
 
-    ROW_FIELDS = ("x", "z", "spent", "sign", "sin", "parent")
-    __slots__ = (*ROW_FIELDS, "program", "branching", "rows", "offsets", "cursor", "cache")
-
-    def __init__(self, x, z, spent, sign, sin, parent, program) -> None:
-        self.x, self.z, self.spent = x, z, spent
-        self.sign, self.sin, self.parent = sign, sin, parent
-        self.program = program  # the layer stepped through into these rows
-        self.branching: _Branching | None = None
-        # row -> (word, atoms of the step into it), for rows on emitted paths
-        self.cache: dict[int, tuple[PauliWord, tuple[FactorAtom, ...]]] = {}
-
-    def __len__(self) -> int:
-        return len(self.x)
+    x: np.ndarray
+    z: np.ndarray
+    spent: np.ndarray
+    sign: np.ndarray
+    sin: np.ndarray
+    parent: np.ndarray
+    anti: np.ndarray
 
     def take(self, keep: np.ndarray) -> _Batch:
-        return _Batch(*(getattr(self, f)[keep] for f in self.ROW_FIELDS), self.program)
+        return _Batch(*(field[keep] for field in self))
 
 
 def _concat(parts: list[_Batch]) -> _Batch:
     if len(parts) == 1:
         return parts[0]
-    return _Batch(
-        *(np.concatenate([getattr(p, f) for p in parts]) for f in _Batch.ROW_FIELDS),
-        parts[0].program,
-    )
+    return _Batch(*(np.concatenate(fields) for fields in zip(*parts)))
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -347,14 +332,15 @@ class PathEnumeration:
             weight = np.array([word.weight for word in chunk], dtype=np.int32)
             keep = weight <= self.m - depth
             stats.pruned_budget += int(np.count_nonzero(~keep))
+            zeros = np.zeros(len(chunk), dtype=np.intp)
             roots = _Batch(
                 np.array([word.x for word in chunk], dtype=self._dtype),
                 np.array([word.z for word in chunk], dtype=self._dtype),
                 weight,
                 np.ones(len(chunk), dtype=np.int8),
-                np.zeros(len(chunk), dtype=np.int64),
-                np.zeros(len(chunk), dtype=np.intp),
-                None,
+                zeros,
+                zeros,
+                zeros,
             ).take(keep)
             if depth == 0:
                 roots = self._admit_leaves(roots, stats)
@@ -368,32 +354,38 @@ class PathEnumeration:
         stats.nodes_visited += count
 
     def _walk(self, roots: _Batch, stats: EnumerationStats) -> Iterator[PauliPath]:
-        """Every path below a batch of roots, depth first a batch at a time:
-        the top batch is walked to the leaves before its parent builds its
-        next children."""
-        stack = [roots]
-        while stack:
-            idx = self.circuit.depth + 1 - len(stack)  # word index of the top
-            top = stack[-1]
-            if idx == 0:
-                yield from self._paths(stack, stats)
-                stack.pop()
+        """Every path below a batch of roots, depth first a batch at a time.
+        Per word index from the roots down, `generators` holds the source
+        of that index's batches and `levels` the current batch with its
+        row cache; the deepest batch is walked to the leaves before its
+        parent builds its next children."""
+        generators: list[Iterator[_Batch]] = [iter([roots])]
+        levels: list[tuple[_Batch, dict]] = []
+        while generators:
+            # the top generator's previous batch is done with, with all below it
+            del levels[len(generators) - 1 :]
+            batch = next(generators[-1], None)
+            if batch is None:
+                generators.pop()
                 continue
-            room = self.m - idx + 1  # weight the children may have spent
-            program = self._programs[idx - 1]
-            if top.branching is None:
-                self._branch(top, program, room, stats)
-            children = self._next_children(top, program, room, idx == 1, stats)
-            if children is None:
-                stack.pop()
+            levels.append((batch, {}))
+            idx = self.circuit.depth + 1 - len(generators)  # word index of batch
+            if idx == 0:
+                yield from self._paths(levels, stats)
             else:
-                stack.append(children)
+                generators.append(self._children(batch, idx, stats))
 
-    def _branch(
-        self, parent: _Batch, program: _LayerProgram, room: int, stats: EnumerationStats
-    ) -> None:
-        """Push a batch through its layer, count all its children, and
-        settle the parents none of whose children fit in `room`."""
+    def _children(
+        self, parent: _Batch, idx: int, stats: EnumerationStats
+    ) -> Iterator[_Batch]:
+        """The surviving children of a parent batch at word index idx in
+        canonical order, at most BATCH_ROWS per batch.  All children are
+        counted first, and parents none of whose children fit the budget
+        are settled unbuilt; then each batch is built from slices of
+        ordinals until half a batch survives, each slice no larger than the
+        room left."""
+        program = self._programs[idx - 1]
+        room = self.m - idx + 1  # weight the children may have spent
         b, count, least = program.branch(parent.x, parent.z)
         over = parent.spent + least > room
         # sums of 2^a as exact ints, grouped by a
@@ -403,58 +395,52 @@ class PathEnumeration:
         pruned = sum(int(c) << a for a, c in enumerate(pruned_per_a))
         self._visit(stats, total)
         stats.pruned_budget += pruned
-        if total - pruned > _MAX_BATCH_CHILDREN:
+        built = total - pruned
+        if built > _MAX_BATCH_CHILDREN:
             raise ResourceLimitError(
-                f"a batch of {len(parent)} words has {total - pruned}"
+                f"a batch of {len(parent.x)} words has {built}"
                 f" predecessors to build, more than {_MAX_BATCH_CHILDREN}"
             )
         rows = np.flatnonzero(~over)
         counts = np.left_shift(1, count[rows].astype(np.int64))
-        parent.branching = b
-        parent.rows = rows
-        parent.offsets = np.concatenate(([0], np.cumsum(counts)))
-        parent.cursor = 0
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        # only b, rows and offsets stay alive while the children are walked
+        del count, least, over, counts
 
-    def _next_children(
-        self,
-        parent: _Batch,
-        program: _LayerProgram,
-        room: int,
-        leaves: bool,
-        stats: EnumerationStats,
-    ) -> _Batch | None:
-        """The next surviving children of a parent batch in canonical order,
-        at most BATCH_ROWS of them: slices of ordinals are built until half
-        that many survive, each slice no larger than the room left; None
-        once every child has been built."""
-        parts: list[_Batch] = []
-        kept = 0
-        total = int(parent.offsets[-1])
-        while parent.cursor < total and kept < BATCH_ROWS // 2:
-            lo = parent.cursor
-            parent.cursor = min(lo + BATCH_ROWS - kept, total)
-            ordinal = np.arange(lo, parent.cursor, dtype=np.int64)
-            which = np.searchsorted(parent.offsets, ordinal, side="right") - 1
-            ordinal -= parent.offsets[which]
-            rows = parent.rows[which]
-            x, z, weight, sign, sin = program.children(
-                parent.branching, rows, ordinal
-            )
-            spent = parent.spent[rows] + weight
-            zero = weight == 0
-            over = spent > room
-            stats.pruned_zero_weight += int(np.count_nonzero(zero))
-            stats.pruned_budget += int(np.count_nonzero(over & ~zero))
-            part = _Batch(x, z, spent, sign, sin, rows, program)
-            keep = ~(zero | over)
-            if not keep.all():
-                part = part.take(keep)
-            if leaves:
-                part = self._admit_leaves(part, stats)
-            if len(part):
-                parts.append(part)
-                kept += len(part)
-        return _concat(parts) if parts else None
+        def build(cursor: int) -> tuple[_Batch | None, int]:
+            """The survivors of the slices of ordinals from `cursor` on, and
+            the cursor after them.  A function of its own, so that nothing
+            of a slice stays alive while its batch is walked."""
+            parts: list[_Batch] = []
+            kept = 0
+            while cursor < built and kept < BATCH_ROWS // 2:
+                lo, cursor = cursor, min(cursor + BATCH_ROWS - kept, built)
+                ordinal = np.arange(lo, cursor, dtype=np.int64)
+                which = np.searchsorted(offsets, ordinal, side="right") - 1
+                ordinal -= offsets[which]
+                at = rows[which]
+                x, z, weight, sign, sin = program.children(b, at, ordinal)
+                spent = parent.spent[at] + weight
+                zero = weight == 0
+                over = spent > room
+                stats.pruned_zero_weight += int(np.count_nonzero(zero))
+                stats.pruned_budget += int(np.count_nonzero(over & ~zero))
+                part = _Batch(x, z, spent, sign, sin, at, b.anti_bits[at])
+                keep = ~(zero | over)
+                if not keep.all():
+                    part = part.take(keep)
+                if idx == 1:
+                    part = self._admit_leaves(part, stats)
+                if len(part.x):
+                    parts.append(part)
+                    kept += len(part.x)
+            return (_concat(parts) if parts else None), cursor
+
+        cursor = 0
+        while cursor < built:
+            batch, cursor = build(cursor)
+            if batch is not None:
+                yield batch
 
     def _admit_leaves(self, leaves: _Batch, stats: EnumerationStats) -> _Batch:
         """The leaf candidates whose state overlap is non-zero.  A candidate
@@ -464,7 +450,7 @@ class PathEnumeration:
         if len(flips):
             hit = flips[np.minimum(np.searchsorted(flips, leaves.x), len(flips) - 1)] == leaves.x
         else:
-            hit = np.zeros(len(leaves), dtype=bool)
+            hit = np.zeros(len(leaves.x), dtype=bool)
         rows = np.flatnonzero(hit)
         overlap = self.rho.overlap_masks
         keep = [
@@ -472,30 +458,38 @@ class PathEnumeration:
             for row, x, z in zip(rows.tolist(), leaves.x[rows].tolist(), leaves.z[rows].tolist())
             if overlap(x, z) != 0.0
         ]
-        stats.pruned_zero_overlap += len(leaves) - len(keep)
+        stats.pruned_zero_overlap += len(leaves.x) - len(keep)
         return leaves.take(np.array(keep, dtype=np.intp))
 
-    def _paths(self, stack: list[_Batch], stats: EnumerationStats) -> Iterator[PauliPath]:
-        """The paths ending in the leaf batch on top of the stack."""
-        leaves = stack[-1]
-        if stats.paths_emitted + len(leaves) > self.path_limit:
+    def _paths(
+        self, levels: list[tuple[_Batch, dict]], stats: EnumerationStats
+    ) -> Iterator[PauliPath]:
+        """The paths ending in the leaf batch, the last of `levels`.  Each
+        level's cache maps a row on an emitted path to its word and the
+        atoms of the step into it."""
+        leaves = levels[-1][0]
+        if stats.paths_emitted + len(leaves.x) > self.path_limit:
             raise ResourceLimitError(
                 f"more than {self.path_limit} paths survive truncation"
             )
-        rows = np.arange(len(leaves))
-        sign = np.ones(len(leaves), dtype=np.int8)
-        words, atoms = [], []  # per batch, leaf (s_0) to root (s_L): one entry per leaf
-        for j in range(len(stack) - 1, -1, -1):
-            level = stack[j]
-            parents = level.parent[rows]
+        n, depth = self.circuit.n, self.circuit.depth
+        rows = np.arange(len(leaves.x))
+        sign = np.ones(len(leaves.x), dtype=np.int8)
+        words, atoms = [], []  # per level, leaf (s_0) to root (s_L): one entry per leaf
+        for idx, (batch, cache) in enumerate(reversed(levels)):
             level_rows = rows.tolist()
-            new = [row for row in dict.fromkeys(level_rows) if row not in level.cache]
-            level.cache.update(zip(new, self._steps(stack, j, new)))
-            steps = [level.cache[row] for row in level_rows]
+            new = [row for row in dict.fromkeys(level_rows) if row not in cache]
+            picked = np.array(new, dtype=np.intp)
+            # a root has no step, and its anti mask is 0
+            step_atoms = self._programs[idx].atoms if idx < depth else None
+            fields = (batch.x, batch.z, batch.anti, batch.sin)
+            for row, x, z, a, s in zip(new, *(f[picked].tolist() for f in fields)):
+                cache[row] = (PauliWord(n, x, z), step_atoms(a, s) if a else ())
+            steps = [cache[row] for row in level_rows]
             words.append([word for word, _ in steps])
-            atoms.append([step_atoms for _, step_atoms in steps])
-            sign *= level.sign[rows]
-            rows = parents
+            atoms.append([step for _, step in steps])
+            sign *= batch.sign[rows]
+            rows = batch.parent[rows]
         for path_words, path_sign, path_atoms, spent in zip(
             zip(*words), sign.tolist(), zip(*atoms), leaves.spent.tolist()
         ):
@@ -506,21 +500,3 @@ class PathEnumeration:
             yield PauliPath(
                 path_words, path_sign, tuple(list(chain.from_iterable(path_atoms))), spent
             )
-
-    def _steps(self, stack: list[_Batch], j: int, rows: list[int]) -> Iterator[tuple]:
-        """Per row of stack[j]: its word and the atoms of the step into it."""
-        level = stack[j]
-        picked = np.array(rows, dtype=np.intp)
-        n = self.circuit.n
-        words = (
-            PauliWord(n, x, z)
-            for x, z in zip(level.x[picked].tolist(), level.z[picked].tolist())
-        )
-        if j == 0:
-            return ((word, ()) for word in words)
-        anti = stack[j - 1].branching.anti_bits[level.parent[picked]]
-        atoms = level.program.atoms
-        return (
-            (word, atoms(a, s))
-            for word, a, s in zip(words, anti.tolist(), level.sin[picked].tolist())
-        )

@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import oracle
-from .circuit import Circuit, check_instance, check_noise_rate
+from .circuit import Circuit, check_assignment, check_instance, check_noise_rate
 from .circuit import circuit_generation_certified
 from .engine import (
     DEFAULT_NODE_LIMIT,
@@ -162,7 +162,7 @@ class EstimateReport:
             "m": self.m,
             "untruncated": self.untruncated,
             "lambda": self.lam,
-            "norm_bound": {"value": self.norm.value, "kind": self.norm.kind},
+            "norm_bound": self.norm.to_dict(),
             "mse_bound": self.mse_bound,
             "mse_bound_exp": self.mse_bound_exp,
             "eps_delta": (
@@ -175,12 +175,6 @@ class EstimateReport:
             "stats": dict(self.stats),
             "elapsed_seconds": self.elapsed_seconds,
         }
-
-
-def _check_assignment(circuit: Circuit, assignment: ParameterAssignment) -> None:
-    missing = [p for p in circuit.parameters() if p not in assignment]
-    if missing:
-        raise ValueError(f"no angle bound for parameter(s): {', '.join(missing)}")
 
 
 def _certificate(
@@ -236,7 +230,7 @@ def estimate(
     started = time.perf_counter()
     m_eff = truncation_order(circuit, m)
     untruncated = m_eff >= truncation_order(circuit, None)
-    _check_assignment(circuit, assignment)
+    check_assignment(circuit, assignment)
     norm, certified, bound, bound_exp = _certificate(
         circuit, h, rho, lam, m_eff, exact_norm_threshold
     )
@@ -262,7 +256,7 @@ def estimate(
         eps_delta=eps_delta if certified else None,
         generation_certified=certified,
         paths_used=stats.paths_emitted,
-        stats=stats.as_dict(),
+        stats=asdict(stats),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -408,7 +402,7 @@ class MseBenchmarkReport:
             "bound_exp": self.bound_exp,
             "passed": self.passed,
             "generation_certified": self.generation_certified,
-            "norm_bound": {"value": self.norm.value, "kind": self.norm.kind},
+            "norm_bound": self.norm.to_dict(),
             "seed": self.seed,
             "sample_seeds": self.sample_seeds,
         }

@@ -177,6 +177,9 @@ class NormBound:
     value: float
     kind: str  # "exact-dense" | "coefficient-1-norm"
 
+    def to_dict(self) -> dict:
+        return {"value": self.value, "kind": self.kind}
+
 
 def norm_bound(
     h: Hamiltonian, exact_threshold: int = DEFAULT_EXACT_NORM_QUBITS
@@ -213,7 +216,7 @@ def norm_bound(
                 _max_abs_eigenvalue(symmetry_block(h.n, terms, symmetry, sign))
                 for sign in (1, -1)
             )
-        top = math.nextafter(top + _roundoff_margin(h), math.inf)
+        top = math.nextafter(top + _roundoff_margin(h, symmetry), math.inf)
         bound = NormBound(min(h.coefficient_l1(), top), "exact-dense")
     else:
         bound = NormBound(h.coefficient_l1(), "coefficient-1-norm")
@@ -234,13 +237,13 @@ def _norm_symmetry(h: Hamiltonian) -> PauliWord | None:
     return symmetry_word(h.n, words, even_y=real)
 
 
-def _roundoff_margin(h: Hamiltonian) -> float:
+def _roundoff_margin(h: Hamiltonian, symmetry: PauliWord | None) -> float:
     """How far the computed max|eigenvalue| of the traceless part of H can
     lie from its spectral norm, from the coefficients alone.
 
-    Let d = 2^n and eps = 2^-52, and let x_S be the x mask of the symmetry
-    `norm_bound` splits H along (x_S = 0 when it builds H whole).  Two
-    errors separate the computed eigenvalues from those of H:
+    Let d = 2^n and eps = 2^-52, and let x_S be the x mask of `symmetry`,
+    the word `norm_bound` splits H along (x_S = 0 for None, when it builds
+    H whole).  Two errors separate the computed eigenvalues from those of H:
 
     - Building the matrices.  `symmetry_block` (or `pauli_sum_matrix`)
       returns B + E for each block B.  The words whose x masks form one
@@ -266,7 +269,6 @@ def _roundoff_margin(h: Hamiltonian) -> float:
     margin that overflows leaves the bound to the 1-norm cap.
     """
     eps = float(np.finfo(float).eps)
-    symmetry = _norm_symmetry(h)
     x_s = 0 if symmetry is None else symmetry.x
     groups: dict[int, list[float]] = {}
     for word, coeff in h.terms():

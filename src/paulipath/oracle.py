@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, CliffordGate, Layer, RotationGate
-from .circuit import check_instance, check_noise_rate
+from .circuit import check_assignment, check_instance, check_noise_rate
 from .observables import Hamiltonian, SparseDensity, pauli_sum_matrix
 from .pauli import PauliWord
 
@@ -117,14 +117,6 @@ def _generator_matrix(generator: PauliWord) -> np.ndarray:
     return matrix
 
 
-def _resolve_angle(gate: RotationGate, assignment: dict[str, float]) -> float:
-    if gate.angle is not None:
-        return gate.angle
-    if gate.param not in assignment:
-        raise ValueError(f"no angle bound for parameter {gate.param!r}")
-    return assignment[gate.param]
-
-
 def _apply(tensor: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
     """op applied to k axes of a (2,)*2n matrix tensor, where axes[j]
     carries bit j of op's 2^k x 2^k index; every gate and noise step is
@@ -165,7 +157,9 @@ def apply_layer(
     axes; gate order is irrelevant on disjoint supports."""
     tensor = mat.reshape((2,) * (2 * n))
     for gate in layer.gates:
-        theta = _resolve_angle(gate, assignment) if isinstance(gate, RotationGate) else None
+        theta = None
+        if isinstance(gate, RotationGate):
+            theta = gate.angle if gate.param is None else assignment[gate.param]
         u = gate_matrix(gate, theta)
         tensor = _apply(tensor, u, [n - q for q in gate.support])
         tensor = _apply(tensor, u.conj(), [2 * n - q for q in gate.support])
@@ -184,6 +178,7 @@ def evolve_noisy(
     before the cap check, so a malformed instance is reported as such."""
     check_instance(circuit, None, rho)
     check_noise_rate(lam)
+    check_assignment(circuit, assignment)
     _check_cap(circuit.n, cap)
     mat = state_matrix(rho)
     for layer in circuit.layers:

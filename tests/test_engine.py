@@ -4,9 +4,10 @@ census counts, and resource guards."""
 import itertools
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulipath import (
@@ -248,7 +249,7 @@ def test_stats_shape():
     assert stats.nodes_visited >= stats.paths_emitted
     # identity words cannot appear strictly inside a path
     assert stats.pruned_zero_weight == 0
-    assert set(stats.as_dict()) == {
+    assert set(asdict(stats)) == {
         "nodes_visited",
         "paths_emitted",
         "pruned_budget",
@@ -362,12 +363,59 @@ def _reference_walk(circuit, h, rho, m):
     return paths, stats
 
 
-@given(st.integers(0, 10**6))
+def _word(letters):
+    return PauliWord.from_string(letters)
+
+
+def _sum(*terms):
+    """A Hamiltonian from (letters, coefficient) pairs."""
+    return Hamiltonian(len(terms[0][0]), [(_word(w), c) for w, c in terms])
+
+
+# Depths 0 and 1, which `random_certified_instance` never draws: roots that
+# are leaves, and leaves one layer below the roots.
+_SHALLOW_INSTANCES = [
+    (
+        Circuit(2, ()),
+        _sum(("ZI", 1.0), ("XX", 0.5), ("IY", -0.7), ("XY", 0.3)),
+        SparseDensity(2, [(0, 0, 0.6), (3, 3, 0.4), (0, 3, 0.2 + 0.2j), (3, 0, 0.2 - 0.2j)]),
+    ),
+    (
+        Circuit(
+            3,
+            (Layer((RotationGate(_word("XYI"), param="a"), CliffordGate("H", (3,)))),),
+        ),
+        _sum(("ZZI", 1.0), ("XIX", 0.6), ("IYZ", -0.8), ("ZII", 0.4)),
+        SparseDensity(3, [(0, 0, 0.6), (5, 5, 0.4), (0, 5, 0.3), (5, 0, 0.3)]),
+    ),
+    (
+        Circuit(
+            2,
+            (
+                Layer(
+                    (RotationGate(_word("YI"), param="a"), RotationGate(_word("IZ"), angle=0.3))
+                ),
+            ),
+        ),
+        _sum(("XX", 1.0), ("ZY", -0.5), ("IZ", 0.25)),
+        SparseDensity(2, [(1, 1, 0.5), (2, 2, 0.5), (1, 2, 0.3j), (2, 1, -0.3j)]),
+    ),
+]
+
+
+@given(
+    st.integers(0, 10**6).map(
+        lambda seed: random_certified_instance(seed, max_n=4, max_depth=5)[:3]
+    )
+)
+@example(_SHALLOW_INSTANCES[0])
+@example(_SHALLOW_INSTANCES[1])
+@example(_SHALLOW_INSTANCES[2])
 @settings(max_examples=60, deadline=None)
-def test_batched_walk_equals_reference_walk_at_every_m(seed):
+def test_batched_walk_equals_reference_walk_at_every_m(instance):
     # same paths in the same order, and the same five counters, at every
     # truncation order up to untruncated
-    circuit, h, rho, _ = random_certified_instance(seed, max_n=4, max_depth=5)
+    circuit, h, rho = instance
     for m in range(circuit.depth + 1, circuit.n * (circuit.depth + 1) + 1):
         run = PathEnumeration(circuit, h, rho, m)
         want_paths, want_stats = _reference_walk(circuit, h, rho, m)
@@ -417,6 +465,21 @@ def test_pinned_ansatz_counters_and_memory():
     )
     assert run.stats.paths_emitted > BATCH_ROWS
     assert peak <= 2 * 2**20
+
+
+def test_a_deep_circuit_walks_as_a_loop():
+    # one qubit, Z rotations and H = Z: the one path stays Z and is damped
+    # by (1 - lam)^(L + 1), at a depth far beyond Python's recursion limit
+    depth, lam = 2000, 1e-3
+    rotation = Layer((RotationGate(_word("Z"), param="t"),))
+    circuit = Circuit(1, (rotation,) * depth)
+    h = Hamiltonian(1, [(_word("Z"), 1.0)])
+    with pytest.warns(UserWarning, match="not certified"):
+        report = estimate(
+            circuit, h, SparseDensity.computational_basis(1), {"t": 0.7}, lam
+        )
+    assert abs(report.value - (1 - lam) ** (depth + 1)) <= 1e-12
+    assert report.paths_used == 1
 
 
 @pytest.mark.parametrize("seed", [7, 27, 31])

@@ -330,6 +330,30 @@ def test_noise_rate_has_one_rule(lam):
             call()
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, None])
+def test_every_symbol_needs_a_finite_angle(angle, monkeypatch):
+    # a NaN, an infinite or a missing angle is refused by one rule that names
+    # the parameter, before the norm bound and before the oracle's cap
+    def tripwire(*args, **kwargs):
+        pytest.fail("norm bound computed before the assignment check")
+
+    monkeypatch.setattr(estimator, "norm_bound", tripwire)
+    circuit, h, rho = rx_chain_instance(2, 4)
+    name = circuit.parameters()[1]
+    theta = {p: 0.4 for p in circuit.parameters() if p != name}
+    if angle is not None:
+        theta[name] = angle
+    got = " and has none" if angle is None else f", got {angle!r}"
+    message = re.escape(f"parameter {name!r} needs a finite real angle{got}")
+    for call in (
+        lambda: estimate(circuit, h, rho, theta, 0.1),
+        lambda: noisy_mean_value(circuit, h, rho, theta, 0.1),
+        lambda: noisy_mean_value(circuit, h, rho, theta, 0.1, cap=1),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_mse_benchmark_builds_dense_hamiltonian_once(monkeypatch):
     # the oracle runs once per sample; the dense H it needs is built once per
     # Hamiltonian, and a later call on the same H reuses it.  Rotation

@@ -92,7 +92,7 @@ def test_norm_bound_is_an_upper_bound_within_its_margin(h):
     assert value <= l1
     # the computed max|eigenvalue| lies within one margin of the norm, so the
     # bound lies within two of it
-    assert value <= reference + 2 * _roundoff_margin(h)
+    assert value <= reference + 2 * _roundoff_margin(h, _norm_symmetry(h))
 
 
 @given(pauli_sums())
@@ -157,7 +157,7 @@ def test_norm_bound_on_symmetry_blocks_is_an_upper_bound_within_its_margin(case)
     value, l1 = norm_bound(h).value, h.coefficient_l1()
     assert value >= min(reference, l1)
     assert value <= l1
-    assert value <= reference + 2 * _roundoff_margin(h)
+    assert value <= reference + 2 * _roundoff_margin(h, _norm_symmetry(h))
     # the search finds a symmetry unless H is real and S's Y count is odd
     real = all(str(word).count("Y") % 2 == 0 for word, _ in h.terms())
     if not real or str(s).count("Y") % 2 == 0:

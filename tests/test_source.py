@@ -28,6 +28,7 @@ def test_each_input_rule_is_written_once():
         ("noise rate must lie in [0, 1]", "circuit.py"),
         ("qubits, circuit has", "circuit.py"),
         ("coefficients overflow", "observables.py"),
+        ("needs a finite real angle", "circuit.py"),
     ):
         homes = [name for name, text in sources.items() if literal in text]
         assert homes == [home], (literal, homes)
