@@ -40,8 +40,6 @@ def rx_chain_instance(
 
     Parameters are named t{layer}_{qubit}, one per rotation.
     """
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
     if depth < 2:
         raise ValueError(f"need depth >= 2, got {depth}")
     layers = [

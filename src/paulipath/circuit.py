@@ -13,30 +13,30 @@ and return the new word and a +-1 sign, for int masks or for numpy arrays
 of them.  The path engine (on arrays) and `effected_words` (on ints) both
 call it, and the test suite checks it against dense matrix conjugation.
 
-A `Circuit` is valid by construction, as its gates are.  The rules tying it
-to the rest of a run, `check_instance`, `check_noise_rate` and
-`check_assignment`, live here once, and every entry point calls them
-before any work.
+A `Circuit` is valid by construction, as its gates are: each type checks
+its own numbers by the value rules of `pauli`.  The rules tying it to the
+rest of a run, `check_instance`, `check_noise_rate` and `check_assignment`,
+live here once, and every entry point calls them before any work.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .pauli import PauliWord, gf2_rank
+from .pauli import PauliWord, finite_real, gf2_rank, is_finite_real, qubit_count, qubit_index
 
 if TYPE_CHECKING:
     from .observables import Hamiltonian, SparseDensity
 
-CLIFFORD_KINDS = ("H", "S", "CNOT")
+# each Clifford kind and the names of its qubits, control first for CNOT
+CLIFFORD_KINDS = {"H": ("qubit",), "S": ("qubit",), "CNOT": ("control", "target")}
 
 
 @dataclass(frozen=True, slots=True)
 class RotationGate:
-    """exp(-i theta/2 * generator); angle comes from `param` or `angle`."""
+    """exp(-i theta/2 * generator); angle comes from the symbol `param` or
+    the finite real `angle`, stored as a float."""
 
     generator: PauliWord
     param: str | None = None
@@ -45,6 +45,10 @@ class RotationGate:
     def __post_init__(self) -> None:
         if (self.param is None) == (self.angle is None):
             raise ValueError("rotation needs exactly one of param or angle")
+        if self.angle is not None:
+            object.__setattr__(self, "angle", finite_real(self.angle, "angle"))
+        elif not isinstance(self.param, str):
+            raise ValueError(f"param must be a str, got {self.param!r}")
         if self.generator.is_identity:
             raise ValueError("rotation generator must be non-identity")
 
@@ -61,9 +65,11 @@ class CliffordGate:
     def __post_init__(self) -> None:
         if self.kind not in CLIFFORD_KINDS:
             raise ValueError(f"unknown Clifford kind {self.kind!r}")
-        want = 2 if self.kind == "CNOT" else 1
-        if len(self.qubits) != want:
-            raise ValueError(f"{self.kind} takes {want} qubit(s)")
+        fields = CLIFFORD_KINDS[self.kind]
+        if len(self.qubits) != len(fields):
+            raise ValueError(f"{self.kind} takes {len(fields)} qubit(s)")
+        for field, qubit in zip(fields, self.qubits):
+            qubit_index(qubit, field)
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} qubits must be distinct")
 
@@ -103,8 +109,7 @@ class Circuit:
     layers: tuple[Layer, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"qubit count must be positive, got {self.n}")
+        qubit_count(self.n)
         errors: list[str] = []
         for li, layer in enumerate(self.layers, start=1):
             used: dict[int, int] = {}
@@ -157,9 +162,9 @@ def check_instance(circuit: Circuit, h: Hamiltonian | None, rho: SparseDensity) 
 
 
 def check_noise_rate(lam: float) -> None:
-    """Refuse a depolarizing rate outside [0, 1], NaN included."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"noise rate must lie in [0, 1], got {lam}")
+    """Refuse a depolarizing rate that is not a finite real number in [0, 1]."""
+    if not is_finite_real(lam) or not 0.0 <= lam <= 1.0:
+        raise ValueError(f"noise rate must lie in [0, 1], got {lam!r}")
 
 
 def check_assignment(circuit: Circuit, assignment: Mapping[str, float]) -> None:
@@ -169,11 +174,7 @@ def check_assignment(circuit: Circuit, assignment: Mapping[str, float]) -> None:
         if param not in assignment:
             raise ValueError(f"parameter {param!r} needs a finite real angle and has none")
         value = assignment[param]
-        if (
-            not isinstance(value, numbers.Real)
-            or isinstance(value, bool)
-            or not math.isfinite(value)
-        ):
+        if not is_finite_real(value):
             raise ValueError(
                 f"parameter {param!r} needs a finite real angle, got {value!r}"
             )
@@ -270,56 +271,29 @@ class CircuitFormatError(ValueError):
     pass
 
 
-def _gate_from_dict(n: int, obj: dict, where: str) -> Gate:
+def _gate_from_dict(obj: dict, where: str) -> Gate:
+    """One gate object; the gate types check its numbers and strings."""
+    if not isinstance(obj, dict):
+        raise CircuitFormatError(f"{where}: must be an object")
     kind = obj.get("kind")
-    if kind == "rot":
-        pauli = obj.get("pauli")
-        if not isinstance(pauli, str):
-            raise CircuitFormatError(f"{where}: rot gate needs a 'pauli' string")
-        if len(pauli) != n:
-            raise CircuitFormatError(
-                f"{where}: pauli string has length {len(pauli)}, expected {n}"
-            )
-        has_param = "param" in obj
-        has_angle = "angle" in obj
-        if has_param == has_angle:
-            raise CircuitFormatError(
-                f"{where}: rot gate needs exactly one of 'param' or 'angle'"
-            )
-        try:
+    try:
+        if kind == "rot":
+            pauli = obj.get("pauli")
+            if not isinstance(pauli, str):
+                raise ValueError("rot gate needs a 'pauli' string")
             generator = PauliWord.from_string(pauli)
-            if has_param:
-                return RotationGate(generator, param=str(obj["param"]))
-            angle = float(obj["angle"])
-            if not math.isfinite(angle):
-                raise ValueError(f"angle must be finite, got {angle}")
-            return RotationGate(generator, angle=angle)
-        except (ValueError, TypeError) as exc:
-            raise CircuitFormatError(f"{where}: {exc}") from None
-    if kind in ("H", "S"):
-        qubit = obj.get("qubit")
-        if not isinstance(qubit, int):
-            raise CircuitFormatError(f"{where}: {kind} gate needs integer 'qubit'")
-        return CliffordGate(kind, (qubit,))
-    if kind == "CNOT":
-        control, target = obj.get("control"), obj.get("target")
-        if not isinstance(control, int) or not isinstance(target, int):
-            raise CircuitFormatError(
-                f"{where}: CNOT needs integer 'control' and 'target'"
-            )
-        try:
-            return CliffordGate("CNOT", (control, target))
-        except ValueError as exc:
-            raise CircuitFormatError(f"{where}: {exc}") from None
+            return RotationGate(generator, param=obj.get("param"), angle=obj.get("angle"))
+        if kind in CLIFFORD_KINDS:
+            qubits = tuple(obj.get(field) for field in CLIFFORD_KINDS[kind])
+            return CliffordGate(kind, qubits)
+    except ValueError as exc:
+        raise CircuitFormatError(f"{where}: {exc}") from None
     raise CircuitFormatError(f"{where}: unknown gate kind {kind!r}")
 
 
 def circuit_from_dict(obj: dict) -> Circuit:
     if not isinstance(obj, dict):
         raise CircuitFormatError("circuit document must be a JSON object")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise CircuitFormatError("circuit needs a positive integer 'n'")
     raw_layers = obj.get("layers")
     if not isinstance(raw_layers, list):
         raise CircuitFormatError("circuit needs a 'layers' array")
@@ -329,12 +303,11 @@ def circuit_from_dict(obj: dict) -> Circuit:
         if not isinstance(gates, list):
             raise CircuitFormatError(f"layer {li}: needs a 'gates' array")
         parsed = tuple(
-            _gate_from_dict(n, g, f"layer {li}, gate {gi}")
+            _gate_from_dict(g, f"layer {li}, gate {gi}")
             for gi, g in enumerate(gates, start=1)
         )
         layers.append(Layer(parsed))
     try:
-        return Circuit(n, tuple(layers))
+        return Circuit(obj.get("n"), tuple(layers))
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from None
-

@@ -28,9 +28,9 @@ import numpy as np
 from .benchmarks import scaling_sweep
 from .circuit import (
     Circuit,
-    CircuitFormatError,
     check_assignment,
     check_instance,
+    check_noise_rate,
     circuit_from_dict,
 )
 from .engine import PathEnumeration, ResourceLimitError
@@ -46,24 +46,15 @@ from .estimator import (
 from .observables import (
     Hamiltonian,
     NormBound,
-    ObservableFormatError,
     SparseDensity,
     hamiltonian_from_dict,
     norm_bound,
     state_from_dict,
 )
 from .oracle import OracleCapError, noisy_mean_value
+from .pauli import finite_real
 
 ORACLE_CHECK_TOL = 1e-9
-
-MODES = (
-    "estimate",
-    "choose-m",
-    "mse-benchmark",
-    "oracle-check",
-    "path-dump",
-    "scaling-sweep",
-)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -120,13 +111,7 @@ def _resolve_theta(circuit: Circuit, args) -> tuple[dict[str, float], bool]:
         raw = _load_json(args.params, "params")
         if not isinstance(raw, dict):
             raise ValueError("params file must map symbols to radians")
-        theta = {}
-        for key, value in raw.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"params entry {key!r} is not a number")
-            if not math.isfinite(value):
-                raise ValueError(f"params entry {key!r} must be finite, got {value}")
-            theta[str(key)] = float(value)
+        theta = {key: finite_real(value, f"params entry {key!r}") for key, value in raw.items()}
         check_assignment(circuit, theta)
         return theta, False
     if not params:
@@ -283,6 +268,7 @@ def _mode_oracle_check(args) -> int:
 
 def _mode_path_dump(args) -> int:
     circuit, h, rho = _load_instance(args)
+    check_noise_rate(args.lam)
     theta, _ = _resolve_theta(circuit, args)
     m, _ = _resolve_m(args, circuit, h)
     run = PathEnumeration(circuit, h, rho, m)
@@ -313,12 +299,22 @@ def _mode_scaling_sweep(args) -> int:
     return 0
 
 
+_MODE_RUNNERS = {
+    "estimate": _mode_estimate,
+    "choose-m": _mode_choose_m,
+    "mse-benchmark": _mode_mse_benchmark,
+    "oracle-check": _mode_oracle_check,
+    "path-dump": _mode_path_dump,
+    "scaling-sweep": _mode_scaling_sweep,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paulipath",
         description="Truncated Pauli-path estimation of noisy circuit mean values",
     )
-    parser.add_argument("--mode", required=True, choices=MODES)
+    parser.add_argument("--mode", required=True, choices=list(_MODE_RUNNERS))
     parser.add_argument("--circuit", help="circuit JSON file")
     parser.add_argument("--hamiltonian", help="observable JSON file")
     parser.add_argument("--state", help="sparse density JSON file; default |0...0>")
@@ -346,21 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MODE_RUNNERS = {
-    "estimate": _mode_estimate,
-    "choose-m": _mode_choose_m,
-    "mse-benchmark": _mode_mse_benchmark,
-    "oracle-check": _mode_oracle_check,
-    "path-dump": _mode_path_dump,
-    "scaling-sweep": _mode_scaling_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _MODE_RUNNERS[args.mode](args)
-    except (CircuitFormatError, ObservableFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

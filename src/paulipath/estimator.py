@@ -49,6 +49,7 @@ from .observables import (
     SparseDensity,
     norm_bound,
 )
+from .pauli import finite_real
 
 # float angles, or one ndarray of per-sample angles per parameter
 ParameterAssignment = Mapping[str, float | np.ndarray]
@@ -294,13 +295,9 @@ def choose_m(
     smallest weight any path can have.
     """
     check_noise_rate(lam)
-    for name, value in (
-        ("target_mse", target_mse),
-        ("epsilon", epsilon),
-        ("delta", delta),
-    ):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in (("target_mse", target_mse), ("epsilon", epsilon), ("delta", delta)):
+        if value is not None:
+            finite_real(value, name)
     have_mse = target_mse is not None
     have_eps = epsilon is not None or delta is not None
     if have_mse == have_eps:

@@ -14,13 +14,14 @@ as Pauli strings, leftmost character = qubit 1.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .pauli import _PHASE_VALUES, PauliWord, symmetry_word
+from .pauli import _PHASE_VALUES, PauliWord, finite_real, qubit_count, symmetry_word
 
 HERMITIZE_WARN = 1e-9
 TRACE_TOL = 1e-9
@@ -35,21 +36,22 @@ class Hamiltonian:
     Duplicate words are merged by coefficient addition at build time and
     exact-zero sums are dropped.  `terms()` iterates non-identity terms in
     order of their letter strings (I < X < Y < Z, qubit 1 first), which
-    fixes a canonical term order for enumeration and reporting.  The square
-    of the coefficient 1-norm must be finite: the 1-norm bounds every matrix
-    entry and eigenvalue, and the MSE bounds square the norm bound.
+    fixes a canonical term order for enumeration and reporting.  A
+    coefficient that is not a finite real number is named by its position.
+    The square of the coefficient 1-norm must be finite: the 1-norm bounds
+    every matrix entry and eigenvalue, and the MSE bounds square the norm
+    bound.
     """
 
     def __init__(self, n: int, terms: Iterable[tuple[PauliWord, float]]) -> None:
-        if n < 1:
-            raise ValueError(f"qubit count must be positive, got {n}")
+        qubit_count(n)
         self.n = n
         self.identity_coeff = 0.0
         merged: dict[tuple[int, int], float] = {}
-        for word, coeff in terms:
+        for ti, (word, coeff) in enumerate(terms, start=1):
             if word.n != n:
                 raise ValueError(f"term on {word.n} qubits, Hamiltonian has {n}")
-            coeff = float(coeff)
+            coeff = finite_real(coeff, f"term {ti}: coeff")
             if word.is_identity:
                 self.identity_coeff += coeff
                 continue
@@ -279,14 +281,20 @@ def _roundoff_margin(h: Hamiltonian, symmetry: PauliWord | None) -> float:
     return s + d * eps * (frobenius + s)
 
 
+def _entry_value(re, im, where: str) -> complex:
+    """re + i im, each part a finite real number named at `where`."""
+    return complex(finite_real(re, f"{where}: 're'"), finite_real(im, f"{where}: 'im'"))
+
+
 class SparseDensity:
     """Sparse density matrix sum_k v_k |a_k><b_k| over basis bit strings.
 
-    Entries are Hermitized on construction, rho <- (rho + rho^dag)/2; a
-    warning fires when that moves any entry by more than 1e-9, and when
-    the trace strays from 1 by more than 1e-9.  Entries are indexed by the
-    flip mask a XOR b so that Pauli-word overlaps only touch the entries
-    that can contribute.
+    Each value v_k is a number whose parts 're' and 'im' are finite real
+    numbers; a defective one is named by its position.  Entries are
+    Hermitized on construction, rho <- (rho + rho^dag)/2; a warning fires
+    when that moves any entry by more than 1e-9, and when the trace strays
+    from 1 by more than 1e-9.  Entries are indexed by the flip mask a XOR b
+    so that Pauli-word overlaps only touch the entries that can contribute.
     """
 
     def __init__(
@@ -295,15 +303,18 @@ class SparseDensity:
         entries: Iterable[tuple[int, int, complex]],
         entry_cap: int = DEFAULT_ENTRY_CAP,
     ) -> None:
-        if n < 1:
-            raise ValueError(f"qubit count must be positive, got {n}")
+        qubit_count(n)
         self.n = n
         limit = 1 << n
         raw: dict[tuple[int, int], complex] = {}
-        for ket, bra, value in entries:
+        for ei, (ket, bra, value) in enumerate(entries, start=1):
             if not 0 <= ket < limit or not 0 <= bra < limit:
                 raise ValueError(f"basis index outside 0..{limit - 1}")
-            raw[(ket, bra)] = raw.get((ket, bra), 0j) + complex(value)
+            if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+                value = _entry_value(value.real, value.imag, f"entry {ei}")
+            else:
+                value = _entry_value(value, 0.0, f"entry {ei}")
+            raw[(ket, bra)] = raw.get((ket, bra), 0j) + value
         if len(raw) > entry_cap:
             raise ValueError(f"{len(raw)} entries exceed the cap of {entry_cap}")
         adjustment = 0.0
@@ -396,12 +407,18 @@ class ObservableFormatError(ValueError):
     pass
 
 
+def _document_qubits(obj: dict, what: str) -> int:
+    """The document's 'n', which the readers need to check string lengths."""
+    try:
+        return qubit_count(obj.get("n"))
+    except ValueError as exc:
+        raise ObservableFormatError(f"{what} needs a positive integer 'n': {exc}") from None
+
+
 def hamiltonian_from_dict(obj: dict) -> Hamiltonian:
     if not isinstance(obj, dict):
         raise ObservableFormatError("Hamiltonian document must be a JSON object")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ObservableFormatError("Hamiltonian needs a positive integer 'n'")
+    n = _document_qubits(obj, "Hamiltonian")
     raw = obj.get("terms")
     if not isinstance(raw, list):
         raise ObservableFormatError("Hamiltonian needs a 'terms' array")
@@ -415,17 +432,14 @@ def hamiltonian_from_dict(obj: dict) -> Hamiltonian:
             raise ObservableFormatError(
                 f"{where}: needs a 'pauli' string of length {n}"
             )
-        if "coeff" not in entry:
-            raise ObservableFormatError(f"{where}: needs a 'coeff' number")
         try:
-            word = PauliWord.from_string(pauli)
-            coeff = float(entry["coeff"])
-            if not np.isfinite(coeff):
-                raise ValueError(f"coeff must be finite, got {coeff}")
-        except (ValueError, TypeError) as exc:
+            terms.append((PauliWord.from_string(pauli), entry.get("coeff")))
+        except ValueError as exc:
             raise ObservableFormatError(f"{where}: {exc}") from None
-        terms.append((word, coeff))
-    return Hamiltonian(n, terms)
+    try:
+        return Hamiltonian(n, terms)
+    except ValueError as exc:
+        raise ObservableFormatError(str(exc)) from None
 
 
 def _bits_from_string(text: str, n: int, where: str) -> int:
@@ -438,11 +452,11 @@ def _bits_from_string(text: str, n: int, where: str) -> int:
 
 
 def state_from_dict(obj: dict, entry_cap: int = DEFAULT_ENTRY_CAP) -> SparseDensity:
+    """A state document; 're' and 'im' are checked here, as `SparseDensity`
+    sees them only combined."""
     if not isinstance(obj, dict):
         raise ObservableFormatError("state document must be a JSON object")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ObservableFormatError("state needs a positive integer 'n'")
+    n = _document_qubits(obj, "state")
     raw = obj.get("entries")
     if not isinstance(raw, list):
         raise ObservableFormatError("state needs an 'entries' array")
@@ -453,13 +467,9 @@ def state_from_dict(obj: dict, entry_cap: int = DEFAULT_ENTRY_CAP) -> SparseDens
             raise ObservableFormatError(f"{where}: must be an object")
         ket = _bits_from_string(entry.get("ket"), n, where)
         bra = _bits_from_string(entry.get("bra"), n, where)
-        if "re" not in entry:
-            raise ObservableFormatError(f"{where}: needs a numeric 're'")
         try:
-            value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
-            if not np.isfinite(value):
-                raise ValueError(f"'re' and 'im' must be finite, got {value}")
-        except (ValueError, TypeError) as exc:
-            raise ObservableFormatError(f"{where}: {exc}") from None
+            value = _entry_value(entry.get("re"), entry.get("im", 0.0), where)
+        except ValueError as exc:
+            raise ObservableFormatError(str(exc)) from None
         entries.append((ket, bra, value))
     return SparseDensity(n, entries, entry_cap=entry_cap)

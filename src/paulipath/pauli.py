@@ -15,10 +15,15 @@ Words are unnormalized: Tr(w * w) = 2^n.
 
 GF(2) elimination on packed rows (`gf2_echelon`) serves the generation
 certificate (`gf2_rank`) and the symmetry search (`symmetry_word`).
+
+The value rules of every input number live here once: `finite_real` (with
+its test `is_finite_real`), `qubit_count` and `qubit_index`.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -36,6 +41,35 @@ _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 _PHASE_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _object_bit_count = np.frompyfunc(int.bit_count, 1, 1)
+
+
+def is_finite_real(value) -> bool:
+    """The finite-real rule: an int or a float (numpy scalars included)
+    that is finite.  A bool or a str is not a number here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def finite_real(value, field: str) -> float:
+    """`value` as a float; ValueError naming `field` when it breaks the
+    finite-real rule."""
+    if not is_finite_real(value):
+        raise ValueError(f"{field} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def qubit_count(n) -> int:
+    """`n`, or ValueError when it breaks the qubit-count rule: an int of at
+    least 1, not a bool."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"qubit count must be positive (an int >= 1, not a bool), got {n!r}")
+    return n
+
+
+def qubit_index(qubit, field: str) -> None:
+    """The qubit-index rule: an int, not a bool; ValueError naming `field`.
+    The range 1..n is the circuit's to check."""
+    if not isinstance(qubit, numbers.Integral) or isinstance(qubit, bool):
+        raise ValueError(f"{field} must be a qubit index (an int, not a bool), got {qubit!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,13 +1,23 @@
 """Circuit structure, the Clifford conjugation rule, and the generation check."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paulipath import CliffordGate, Circuit, Layer, PauliWord, RotationGate
+from paulipath import (
+    CliffordGate,
+    Circuit,
+    Hamiltonian,
+    Layer,
+    PauliWord,
+    RotationGate,
+    SparseDensity,
+)
 from paulipath.circuit import (
     CircuitFormatError,
     circuit_from_dict,
@@ -35,6 +45,48 @@ def test_gate_constructor_guards():
         CliffordGate("H", (1, 2))
     with pytest.raises(ValueError, match="unknown Clifford"):
         CliffordGate("Q", (1,))
+
+
+_X = PauliWord.from_string("X")
+_COUNT = "qubit count must be positive (an int >= 1, not a bool)"
+_REAL = "must be a finite real number"
+_INDEX = "must be a qubit index (an int, not a bool)"
+
+
+@pytest.mark.parametrize(
+    "build, value, message",
+    [
+        *(
+            (lambda v: RotationGate(_X, angle=v), v, f"angle {_REAL}")
+            for v in (math.nan, math.inf, True, "0.3")
+        ),
+        *(
+            (lambda v: CliffordGate("H", (v,)), v, f"qubit {_INDEX}")
+            for v in (1.0, True)
+        ),
+        *(
+            (lambda v: Hamiltonian(1, [(_X, 1.0), (_X, v)]), v, f"term 2: coeff {_REAL}")
+            for v in (math.nan, True, "0.5")
+        ),
+        *(
+            (lambda v: SparseDensity(1, [(0, 0, v)]), v, f"entry 1: 're' {_REAL}")
+            for v in (math.nan, "1")
+        ),
+        (
+            lambda v: SparseDensity(1, [(0, 0, complex(1.0, v))]),
+            math.inf,
+            f"entry 1: 'im' {_REAL}",
+        ),
+        (lambda v: Circuit(v, ()), True, _COUNT),
+        (lambda v: Hamiltonian(v, []), True, _COUNT),
+        (lambda v: SparseDensity(v, [(0, 0, 1.0)]), True, _COUNT),
+    ],
+)
+def test_each_type_checks_its_own_numbers(build, value, message):
+    # the type that holds a number refuses one that is not finite, real and
+    # of the right kind, a bool or a numeric string included, and names it
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{message}, got {value!r}')}$"):
+        build(value)
 
 
 def test_layer_splits_gate_kinds():
@@ -205,6 +257,7 @@ def test_json_round_trip():
         ({"n": 2, "layers": [{"gates": [{"kind": "rot", "pauli": "XX"}]}]}, "param"),
         ({"n": 2, "layers": [{"gates": [{"kind": "H"}]}]}, "qubit"),
         ({"n": 2, "layers": [{"gates": [{"kind": "CNOT", "control": 1}]}]}, "target"),
+        ({"n": 2, "layers": [{"gates": [5]}]}, "layer 1, gate 1: must be an object"),
     ],
 )
 def test_format_errors(obj, match):

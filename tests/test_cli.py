@@ -380,6 +380,75 @@ _OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e308}, {"pauli": "IZ", "coeff": 
 # a finite 1-norm whose square, used by the MSE bounds, overflows
 _SQUARE_OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e200}, {"pauli": "IZ", "coeff": 1e200}]
 
+_QUBIT_COUNT = "qubit count must be positive (an int >= 1, not a bool), got {!r}"
+_QUBIT_INDEX = "must be a qubit index (an int, not a bool), got {!r}"
+_FINITE_REAL = "must be a finite real number, got {!r}"
+# A JSON boolean or a numeric string is not a number: every number field
+# refuses one, naming its place, the field and the value.  Each entry is
+# (document, keys to the field, message, a numeric string for the field).
+_NOT_A_NUMBER_FIELDS = {
+    "circuit-n": ("circuit", ["n"], _QUBIT_COUNT, "2"),
+    "hamiltonian-n": (
+        "hamiltonian", ["n"], "Hamiltonian needs a positive integer 'n': " + _QUBIT_COUNT, "2"
+    ),
+    "state-n": ("state", ["n"], "state needs a positive integer 'n': " + _QUBIT_COUNT, "2"),
+    "qubit": (
+        "circuit",
+        ["layers", 3, "gates", 0, "qubit"],
+        "layer 4, gate 1: qubit " + _QUBIT_INDEX,
+        "1",
+    ),
+    "control": (
+        "circuit",
+        ["layers", 1, "gates", 0, "control"],
+        "layer 2, gate 1: control " + _QUBIT_INDEX,
+        "1",
+    ),
+    "target": (
+        "circuit",
+        ["layers", 1, "gates", 0, "target"],
+        "layer 2, gate 1: target " + _QUBIT_INDEX,
+        "2",
+    ),
+    "coeff": ("hamiltonian", ["terms", 1, "coeff"], "term 2: coeff " + _FINITE_REAL, "0.5"),
+    "re": ("state", ["entries", 0, "re"], "entry 1: 're' " + _FINITE_REAL, "1"),
+    "im": ("state", ["entries", 0, "im"], "entry 1: 'im' " + _FINITE_REAL, "0"),
+    "params": ("params", ["a"], "params entry 'a' " + _FINITE_REAL, "0.3"),
+}
+_NOT_A_NUMBER = {
+    f"{field}-{value!r}": ("estimate", doc, keys, value, [], message.format(value))
+    for field, (doc, keys, message, text) in _NOT_A_NUMBER_FIELDS.items()
+    for value in (True, False, text)
+}
+# an angle is one of two exclusive keys, so its rows replace the whole gate
+_NOT_A_NUMBER.update(
+    {
+        f"angle-{value!r}": (
+            "estimate",
+            "circuit",
+            ["layers", 0, "gates", 0],
+            {"kind": "rot", "pauli": "XI", "angle": value},
+            [],
+            "layer 1, gate 1: angle " + _FINITE_REAL.format(value),
+        )
+        for value in (True, False, "0.5")
+    }
+)
+# path-dump walks no estimate, so it checks the noise rate itself
+_NOT_A_NUMBER.update(
+    {
+        f"path-dump-lambda-{lam}": (
+            "path-dump",
+            None,
+            [],
+            None,
+            ["--lambda", lam, "--trunc-m", "8"],
+            f"noise rate must lie in [0, 1], got {float(lam)}",
+        )
+        for lam in ("2", "-0.5", "nan")
+    }
+)
+
 
 @pytest.mark.parametrize(
     "mode, doc, keys, value, flags, named",
@@ -420,6 +489,7 @@ _SQUARE_OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e200}, {"pauli": "IZ", "c
             ["--target-mse", "0.01"],
             "coeff",
         ),
+        *_NOT_A_NUMBER.values(),
     ],
     ids=[
         "coeff", "angle", "state", "params", "params-path-dump",
@@ -427,6 +497,7 @@ _SQUARE_OVERFLOWING_TERMS = [{"pauli": "ZI", "coeff": 1e200}, {"pauli": "IZ", "c
         "coeff-overflow-trunc-m", "coeff-overflow-target-mse",
         "norm-square-overflow-trunc-m", "norm-square-overflow-target-mse",
         "norm-square-overflow-choose-m",
+        *_NOT_A_NUMBER,
     ],
 )
 def test_non_finite_input_exits_2_naming_the_field(

@@ -313,7 +313,7 @@ def test_mismatched_instance_refused_before_any_work(entry, operand, monkeypatch
         calls[entry]()
 
 
-@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan, True])
 def test_noise_rate_has_one_rule(lam):
     # one message from every entry point, NaN included, and the oracle names
     # it before its qubit cap

@@ -29,6 +29,9 @@ def test_each_input_rule_is_written_once():
         ("qubits, circuit has", "circuit.py"),
         ("coefficients overflow", "observables.py"),
         ("needs a finite real angle", "circuit.py"),
+        ("qubit count must be positive", "pauli.py"),
+        ("must be a qubit index", "pauli.py"),
+        ("must be a finite real number", "pauli.py"),
     ):
         homes = [name for name, text in sources.items() if literal in text]
         assert homes == [home], (literal, homes)
