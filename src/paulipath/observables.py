@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import _PHASE_VALUES, PauliWord, finite_real, qubit_count, symmetry_word
+from .pauli import _PHASE_VALUES, PauliWord, basis_index, finite_real, qubit_count, symmetry_word
 
 HERMITIZE_WARN = 1e-9
 TRACE_TOL = 1e-9
@@ -308,8 +308,10 @@ class SparseDensity:
         limit = 1 << n
         raw: dict[tuple[int, int], complex] = {}
         for ei, (ket, bra, value) in enumerate(entries, start=1):
+            ket = basis_index(ket, f"entry {ei}: ket")
+            bra = basis_index(bra, f"entry {ei}: bra")
             if not 0 <= ket < limit or not 0 <= bra < limit:
-                raise ValueError(f"basis index outside 0..{limit - 1}")
+                raise ValueError(f"entry {ei}: basis index outside 0..{limit - 1}")
             if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
                 value = _entry_value(value.real, value.imag, f"entry {ei}")
             else:

@@ -1,20 +1,21 @@
 """Dense-matrix reference simulator for small systems.
 
-A state is a 2^n x 2^n density matrix held as a (2,)*2n tensor, and every
-gate and noise step is one call to `_apply`, which contracts a 2^k x 2^k
-operator with k axes of it: a gate U is U on its row axes, then conj(U) on
-its column axes; one qubit's depolarizing step is a 4 x 4 operator on its
-(row, column) axis pair.  Every dense Pauli matrix (H, the factor checks'
-words, rotation generators) comes from `observables.pauli_sum_matrix`,
-which the path engine never calls; mean values, conjugation and damping
-are all recomputed from matrices, so the two routes stay independent
-checks of each other.  The tests check that builder against their own
-kron construction.
+A state is a 2^n x 2^n density matrix held as a (4,)*n pair tensor: qubit
+q's row bit r and column bit c form the base-4 digit 2r + c on axis n - q.
+A Clifford or one-qubit rotation U on k pair axes is one `_apply` of
+(U (x) conj U) D^(x)k, D being one qubit's depolarizing step, so the noise
+round before a layer is folded into its gates; an idle qubit gets D alone,
+as does every qubit in the last round.  A wider rotation gets D, then U
+and conj U on its row and column bits in the (2,)*2n view.  Every dense
+Pauli matrix (H, the factor checks' words, rotation generators) comes
+from `observables.pauli_sum_matrix`, which the path engine never calls;
+mean values, conjugation and damping are all recomputed from matrices, so
+the two routes stay independent checks of each other.  The tests check
+that builder against their own kron construction.
 
 One bit order, that of `pauli.PauliWord`: basis index b has bit q-1 equal
 to qubit q, and a gate matrix on support qubits (q_0, q_1, ...) has q_j on
-index bit j, so a CNOT's control is bit 0.  In tensor form qubit q is row
-axis n-q and column axis 2n-q.
+index bit j, so a CNOT's control is bit 0.
 
 The noisy run interleaves one round of per-qubit depolarizing noise before
 every layer and one more before measurement:
@@ -36,10 +37,12 @@ from .pauli import PauliWord
 
 DEFAULT_ORACLE_CAP = 10
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_S_GATE = np.array([[1, 0], [0, 1j]], dtype=complex)
-# control on bit 0: index 1 (control set, target clear) swaps with 3
-_CNOT = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
+_CLIFFORDS = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    # control on bit 0: index 1 (control set, target clear) swaps with 3
+    "CNOT": np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
+}
 
 
 class OracleCapError(RuntimeError):
@@ -101,7 +104,7 @@ def gate_matrix(gate: RotationGate | CliffordGate, theta: float | None = None) -
     """Dense matrix on the gate's support qubits in the `PauliWord` bit
     order: support qubit j (a CNOT's control first) is on index bit j."""
     if isinstance(gate, CliffordGate):
-        return {"H": _HADAMARD, "S": _S_GATE, "CNOT": _CNOT}[gate.kind]
+        return _CLIFFORDS[gate.kind]
     if theta is None:
         raise ValueError("rotation gate needs an angle")
     pauli = _generator_matrix(gate.generator)
@@ -118,52 +121,102 @@ def _generator_matrix(generator: PauliWord) -> np.ndarray:
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
-    """op applied to k axes of a (2,)*2n matrix tensor, where axes[j]
-    carries bit j of op's 2^k x 2^k index; every gate and noise step is
+    """op on k axes of size d (4 for pair axes, 2 for bit axes), axes[j]
+    carrying digit j of op's base-d index; every gate and noise step is
     this one contraction."""
     k = len(axes)
-    high_first = axes[::-1]  # a reshaped op's axis 0 is its top index bit
+    high_first = axes[::-1]  # a reshaped op's axis 0 is its top digit
     out = np.tensordot(
-        op.reshape((2,) * (2 * k)), tensor, axes=(list(range(k, 2 * k)), high_first)
+        op.reshape((tensor.shape[axes[0]],) * (2 * k)),
+        tensor,
+        axes=(list(range(k, 2 * k)), high_first),
     )
     return np.moveaxis(out, list(range(k)), high_first)
 
 
+def _pairs(mat: np.ndarray, n: int) -> np.ndarray:
+    """A 2^n x 2^n matrix (any shape of 4^n entries) as a pair tensor."""
+    order = [axis for q in range(n) for axis in (q, n + q)]
+    return mat.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+
+
+def _matrix(tensor: np.ndarray, n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of a pair tensor."""
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return tensor.reshape((2,) * (2 * n)).transpose(order).reshape(1 << n, 1 << n)
+
+
 @lru_cache(maxsize=16)
 def _depolarizer(lam: float) -> np.ndarray:
-    """(1-lam) M + lam Tr(M) I/2 on one qubit's (row, column) index pair:
-    (1-lam) 1 plus lam/2 on the |00>/|11> block; read-only."""
+    """(1-lam) M + lam Tr(M) I/2 on a pair digit: (1-lam) 1 plus lam/2 on
+    the |00>/|11> block; read-only."""
     op = (1.0 - lam) * np.eye(4)
     op[np.ix_((0, 3), (0, 3))] += lam / 2.0
     op.flags.writeable = False
     return op
 
 
+def _site_operator(u: np.ndarray, lam: float) -> np.ndarray:
+    """(U (x) conj U) D^(x)k on the k = 1 or 2 pair digits of U, digit
+    j = 2 r_j + c_j."""
+    dim, d = len(u) ** 2, _depolarizer(lam)
+    op = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(dim, dim)
+    if dim == 16:  # index bits (r1 r0 c1 c0) to digits (r1 c1)(r0 c0)
+        op = op.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+        d = np.kron(d, d)
+    return op if lam == 0.0 else op @ d
+
+
+@lru_cache(maxsize=16)
+def _clifford_site(kind: str, lam: float) -> np.ndarray:
+    """A Clifford gate's site operator, read-only."""
+    op = _site_operator(_CLIFFORDS[kind], lam)
+    op.flags.writeable = False
+    return op
+
+
+def _noise_round(tensor: np.ndarray, axes: list[int] | range, lam: float) -> np.ndarray:
+    """D on each of the given pair axes."""
+    if lam != 0.0:
+        for axis in axes:
+            tensor = _apply(tensor, _depolarizer(lam), [axis])
+    return tensor
+
+
+def _noisy_layer(
+    tensor: np.ndarray, layer: Layer, assignment: dict[str, float], n: int, lam: float
+) -> np.ndarray:
+    """One noise round, then the layer; gate order is irrelevant on
+    disjoint supports."""
+    idle = set(range(1, n + 1))
+    for gate in layer.gates:
+        axes = [n - q for q in gate.support]
+        idle.difference_update(gate.support)
+        if isinstance(gate, CliffordGate):
+            tensor = _apply(tensor, _clifford_site(gate.kind, lam), axes)
+            continue
+        u = gate_matrix(gate, gate.angle if gate.param is None else assignment[gate.param])
+        if len(axes) == 1:
+            tensor = _apply(tensor, _site_operator(u, lam), axes)
+            continue
+        bits = _noise_round(tensor, axes, lam).reshape((2,) * (2 * n))
+        bits = _apply(bits, u, [2 * axis for axis in axes])
+        tensor = _apply(bits, u.conj(), [2 * axis + 1 for axis in axes]).reshape((4,) * n)
+    return _noise_round(tensor, [n - q for q in idle], lam)
+
+
 def depolarize_all(mat: np.ndarray, n: int, lam: float) -> np.ndarray:
     """One round of the per-qubit depolarizing channel on a dense matrix."""
-    if lam == 0.0:
-        return mat
-    op = _depolarizer(lam)
-    tensor = mat.reshape((2,) * (2 * n))
-    for q in range(1, n + 1):
-        tensor = _apply(tensor, op, [n - q, 2 * n - q])
-    return tensor.reshape(mat.shape)
+    tensor = _noise_round(_pairs(mat, n), range(n), lam)
+    return _matrix(tensor, n).reshape(mat.shape)
 
 
 def apply_layer(
     mat: np.ndarray, layer: Layer, assignment: dict[str, float], n: int
 ) -> np.ndarray:
-    """U rho Udag for one layer: U on the row axes, conj(U) on the column
-    axes; gate order is irrelevant on disjoint supports."""
-    tensor = mat.reshape((2,) * (2 * n))
-    for gate in layer.gates:
-        theta = None
-        if isinstance(gate, RotationGate):
-            theta = gate.angle if gate.param is None else assignment[gate.param]
-        u = gate_matrix(gate, theta)
-        tensor = _apply(tensor, u, [n - q for q in gate.support])
-        tensor = _apply(tensor, u.conj(), [2 * n - q for q in gate.support])
-    return tensor.reshape(mat.shape)
+    """U rho Udag for one layer."""
+    tensor = _noisy_layer(_pairs(mat, n), layer, assignment, n, 0.0)
+    return _matrix(tensor, n).reshape(mat.shape)
 
 
 def evolve_noisy(
@@ -180,11 +233,11 @@ def evolve_noisy(
     check_noise_rate(lam)
     check_assignment(circuit, assignment)
     _check_cap(circuit.n, cap)
-    mat = state_matrix(rho)
+    n = circuit.n
+    tensor = _pairs(state_matrix(rho), n)
     for layer in circuit.layers:
-        mat = depolarize_all(mat, circuit.n, lam)
-        mat = apply_layer(mat, layer, assignment, circuit.n)
-    return depolarize_all(mat, circuit.n, lam)
+        tensor = _noisy_layer(tensor, layer, assignment, n, lam)
+    return _matrix(_noise_round(tensor, range(n), lam), n)
 
 
 def noisy_mean_value(
@@ -219,8 +272,8 @@ def transition_factor(
 ) -> float:
     """Tr(next U N(prev) Udag) / 2^n, checked real."""
     _check_cap(n)
-    mat = depolarize_all(word_matrix(prev_word), n, lam)
-    mat = apply_layer(mat, layer, assignment, n)
+    tensor = _noisy_layer(_pairs(word_matrix(prev_word), n), layer, assignment, n, lam)
+    mat = _matrix(tensor, n)
     return _real_trace(word_matrix(next_word), mat, "transition factor", 1 << n)
 
 

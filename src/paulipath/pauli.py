@@ -17,7 +17,7 @@ GF(2) elimination on packed rows (`gf2_echelon`) serves the generation
 certificate (`gf2_rank`) and the symmetry search (`symmetry_word`).
 
 The value rules of every input number live here once: `finite_real` (with
-its test `is_finite_real`), `qubit_count` and `qubit_index`.
+its test `is_finite_real`), `qubit_count`, `qubit_index` and `basis_index`.
 """
 
 from __future__ import annotations
@@ -70,6 +70,15 @@ def qubit_index(qubit, field: str) -> None:
     The range 1..n is the circuit's to check."""
     if not isinstance(qubit, numbers.Integral) or isinstance(qubit, bool):
         raise ValueError(f"{field} must be a qubit index (an int, not a bool), got {qubit!r}")
+
+
+def basis_index(index, field: str) -> int:
+    """`index` as a Python int, or ValueError naming `field` when it breaks
+    the basis-index rule: an int, not a bool.  The range 0..2^n-1 is the
+    state's to check."""
+    if not isinstance(index, numbers.Integral) or isinstance(index, bool):
+        raise ValueError(f"{field} must be a basis index (an int, not a bool), got {index!r}")
+    return int(index)
 
 
 @dataclass(frozen=True, slots=True)

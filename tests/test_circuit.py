@@ -51,6 +51,7 @@ _X = PauliWord.from_string("X")
 _COUNT = "qubit count must be positive (an int >= 1, not a bool)"
 _REAL = "must be a finite real number"
 _INDEX = "must be a qubit index (an int, not a bool)"
+_BASIS = "must be a basis index (an int, not a bool)"
 
 
 @pytest.mark.parametrize(
@@ -77,6 +78,11 @@ _INDEX = "must be a qubit index (an int, not a bool)"
             math.inf,
             f"entry 1: 'im' {_REAL}",
         ),
+        *(
+            (lambda v: SparseDensity(1, [(v, v, 1.0)]), v, f"entry 1: ket {_BASIS}")
+            for v in (True, 1.0, "1")
+        ),
+        (lambda v: SparseDensity(1, [(0, 0, 0.5), (1, v, 0.5)]), False, f"entry 2: bra {_BASIS}"),
         (lambda v: Circuit(v, ()), True, _COUNT),
         (lambda v: Hamiltonian(v, []), True, _COUNT),
         (lambda v: SparseDensity(v, [(0, 0, 1.0)]), True, _COUNT),

@@ -202,6 +202,18 @@ def test_density_constructor_warnings():
         SparseDensity(1, [(0, 0, 0.7)])
 
 
+def test_density_basis_indices():
+    # numpy ints are ints; the range is the state's own check, by entry
+    rho = SparseDensity(1, [(np.int64(1), np.uint8(1), 1.0)])
+    assert rho.entries() == [(1, 1, 1.0)]
+    # stored as Python ints, so masks wider than the numpy type still work
+    rho = SparseDensity(9, [(np.uint8(1), np.uint8(1), 1.0)])
+    assert [type(i) for i in rho.entries()[0][:2]] == [int, int]
+    assert rho.overlap_masks(0, 0b100000001) == -1.0
+    with pytest.raises(ValueError, match=r"^entry 2: basis index outside 0\.\.1$"):
+        SparseDensity(1, [(0, 0, 0.5), (2, 2, 0.5)])
+
+
 def test_density_entry_cap():
     with pytest.raises(ValueError, match="exceed the cap"):
         SparseDensity(1, [(0, 0, 0.5), (1, 1, 0.5), (0, 1, 0.1)], entry_cap=2)
