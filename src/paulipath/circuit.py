@@ -150,9 +150,6 @@ class Circuit:
                     seen[gate.param] = None
         return tuple(seen)
 
-    def rotation_count(self) -> int:
-        return sum(len(layer.rotations) for layer in self.layers)
-
 
 def check_instance(circuit: Circuit, h: Hamiltonian | None, rho: SparseDensity) -> None:
     """Refuse an observable (None skips it) or a state off the circuit's qubits."""

@@ -58,15 +58,18 @@ ORACLE_CHECK_TOL = 1e-9
 
 
 def _write_text(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+
+
+def _write_document(document: dict, out: str | None) -> None:
+    """A report document as JSON; a non-finite value is an error."""
+    _write_text(json.dumps(document, indent=2, allow_nan=False), out)
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -201,7 +204,7 @@ def _mode_estimate(args) -> int:
         "m_selection": m_detail,
         "report": report.to_dict(),
     }
-    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
+    _write_document(document, args.out)
     return 0
 
 
@@ -216,7 +219,7 @@ def _mode_choose_m(args) -> int:
         "norm_bound": norm.to_dict(),
         "selection": selection.to_dict(),
     }
-    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
+    _write_document(document, args.out)
     return 0
 
 
@@ -238,7 +241,7 @@ def _mode_mse_benchmark(args) -> int:
         "m_selection": m_detail,
         "report": report.to_dict(),
     }
-    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
+    _write_document(document, args.out)
     return 0
 
 
@@ -262,7 +265,7 @@ def _mode_oracle_check(args) -> int:
         "tolerance": ORACLE_CHECK_TOL,
         "agrees": agrees,
     }
-    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
+    _write_document(document, args.out)
     return 0 if agrees else 1
 
 
@@ -295,7 +298,7 @@ def _mode_scaling_sweep(args) -> int:
         raise ValueError("scaling-sweep needs --target-mse")
     result = scaling_sweep(args.sweep_qubits, depths, args.target_mse)
     document = {"config": _config_echo(args), **result}
-    _write_text(json.dumps(document, indent=2, allow_nan=False), args.out)
+    _write_document(document, args.out)
     return 0
 
 

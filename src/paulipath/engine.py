@@ -61,9 +61,6 @@ both limits may report either).
 from __future__ import annotations
 
 import numbers
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple
@@ -71,7 +68,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Layer, check_instance, conjugate_masks
-from .observables import Hamiltonian, SparseDensity
+from .observables import Hamiltonian, SparseDensity, warn_caller
 from .pauli import PauliWord, popcount, product_phase_masks
 
 DEFAULT_PATH_LIMIT = 10_000_000
@@ -266,22 +263,6 @@ def _concat(parts: list[_Batch]) -> _Batch:
     return _Batch(*(np.concatenate(fields) for fields in zip(*parts)))
 
 
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def _outside_stacklevel() -> int:
-    """The stacklevel that makes a `warnings.warn` in the calling function
-    name the first frame outside this package: the user's line, however
-    deep in the package the warning starts (Python 3.10 has no
-    `skip_file_prefixes`)."""
-    frame = sys._getframe(1)
-    level = 1
-    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        frame = frame.f_back
-        level += 1
-    return level
-
-
 class PathEnumeration:
     """Iterable stream of surviving paths for (circuit, H, rho, M).
 
@@ -305,10 +286,9 @@ class PathEnumeration:
         m = truncation_order(circuit, m)
         depth = circuit.depth
         if m < depth + 1:
-            warnings.warn(
+            warn_caller(
                 f"truncation order {m} is below depth + 1 = {depth + 1};"
-                " every path is truncated away",
-                stacklevel=_outside_stacklevel(),
+                " every path is truncated away"
             )
         self.circuit = circuit
         self.h = h

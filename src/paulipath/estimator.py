@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,10 +43,12 @@ from .engine import (
 )
 from .observables import (
     DEFAULT_EXACT_NORM_QUBITS,
+    Document,
     Hamiltonian,
     NormBound,
     SparseDensity,
     norm_bound,
+    warn_caller,
 )
 from .pauli import finite_real
 
@@ -138,8 +139,15 @@ def _term_sums(
     return total, run.stats
 
 
+class EpsDelta(NamedTuple):
+    """An additive error epsilon reached with probability at least 1 - delta."""
+
+    epsilon: float
+    delta: float
+
+
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Document):
     """Result of one truncated estimation run."""
 
     value: float
@@ -150,32 +158,11 @@ class EstimateReport:
     norm: NormBound
     mse_bound: float
     mse_bound_exp: float
-    eps_delta: tuple[float, float] | None
+    eps_delta: EpsDelta | None
     generation_certified: bool
     paths_used: int
     stats: dict[str, int]
     elapsed_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "identity_offset": self.identity_offset,
-            "m": self.m,
-            "untruncated": self.untruncated,
-            "lambda": self.lam,
-            "norm_bound": self.norm.to_dict(),
-            "mse_bound": self.mse_bound,
-            "mse_bound_exp": self.mse_bound_exp,
-            "eps_delta": (
-                None
-                if self.eps_delta is None
-                else {"epsilon": self.eps_delta[0], "delta": self.eps_delta[1]}
-            ),
-            "generation_certified": self.generation_certified,
-            "paths_used": self.paths_used,
-            "stats": dict(self.stats),
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 def _certificate(
@@ -189,17 +176,15 @@ def _certificate(
     """Check the instance and the noise rate, warn about a failed generation
     check, and return the norm bound, the generation certificate, and the
     truncation MSE bound at order m in its (1 - lam)^2m and exp(-2 lam m)
-    forms.  The warning points at the caller of the public function that
-    calls this."""
+    forms."""
     check_instance(circuit, h, rho)
     check_noise_rate(lam)
     norm = norm_bound(h, exact_norm_threshold)
     certified = circuit_generation_certified(circuit)
     if not certified:
-        warnings.warn(
+        warn_caller(
             "effected rotation generators do not generate the full Pauli"
-            " group; MSE bounds are reported but not certified",
-            stacklevel=3,
+            " group; MSE bounds are reported but not certified"
         )
     return (
         norm,
@@ -254,7 +239,7 @@ def estimate(
         norm=norm,
         mse_bound=bound,
         mse_bound_exp=bound_exp,
-        eps_delta=eps_delta if certified else None,
+        eps_delta=EpsDelta(*eps_delta) if certified and eps_delta is not None else None,
         generation_certified=certified,
         paths_used=stats.paths_emitted,
         stats=asdict(stats),
@@ -263,15 +248,12 @@ def estimate(
 
 
 @dataclass(frozen=True)
-class MSelection:
+class MSelection(Document):
     """A truncation order choice; m is None when lam = 0 (untruncated)."""
 
     m: int | None
     path_ceiling: int | None
     note: str
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "path_ceiling": self.path_ceiling, "note": self.note}
 
 
 def choose_m(
@@ -372,7 +354,7 @@ def _sample_thetas(
 
 
 @dataclass(frozen=True)
-class MseBenchmarkReport:
+class MseBenchmarkReport(Document):
     """Empirical truncation MSE against the dense oracle, with its bound."""
 
     samples: int
@@ -387,22 +369,6 @@ class MseBenchmarkReport:
     norm: NormBound
     seed: int
     sample_seeds: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "m": self.m,
-            "lambda": self.lam,
-            "empirical_mse": self.empirical_mse,
-            "std_error": self.std_error,
-            "bound": self.bound,
-            "bound_exp": self.bound_exp,
-            "passed": self.passed,
-            "generation_certified": self.generation_certified,
-            "norm_bound": self.norm.to_dict(),
-            "seed": self.seed,
-            "sample_seeds": self.sample_seeds,
-        }
 
 
 def mse_benchmark(
@@ -463,21 +429,13 @@ def mse_benchmark(
 
 
 @dataclass(frozen=True)
-class CrossTermResult:
+class CrossTermResult(Document):
     """Monte-Carlo mean of f * f' for two paths over uniform angles."""
 
     mean: float
     std_error: float
     samples: int
     generation_certified: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "generation_certified": self.generation_certified,
-        }
 
 
 def cross_term_check(

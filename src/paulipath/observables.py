@@ -9,14 +9,20 @@ Tr(H w) = coeff(w) * 2^n.
 Initial states are sparse density matrices: lists of |ket><bra| entries
 over computational basis states.  Bit strings follow the same convention
 as Pauli strings, leftmost character = qubit 1.
+
+The package's two output rules live here, in its lowest module that
+needs them: every report is a `Document`, and every warning comes from
+`warn_caller`, which names the first line outside the package.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -28,6 +34,38 @@ TRACE_TOL = 1e-9
 IMAG_TOL = 1e-12
 DEFAULT_ENTRY_CAP = 1_000_000
 DEFAULT_EXACT_NORM_QUBITS = 12
+# JSON keys that differ from their field names
+_DOCUMENT_KEYS = {"lam": "lambda", "norm": "norm_bound"}
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+class Document:
+    """A report dataclass that serializes as a JSON document: its field
+    names in field order, `lam` as "lambda" and `norm` as "norm_bound".  A
+    nested report becomes its own document, a named tuple an object."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        document = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, Document):
+                value = value.to_dict()
+            elif isinstance(value, tuple) and hasattr(value, "_asdict"):
+                value = value._asdict()
+            document[_DOCUMENT_KEYS.get(field.name, field.name)] = value
+        return document
+
+
+def warn_caller(message: str) -> None:
+    """Warn naming the first line outside this package on the stack: the
+    caller's line, however deep in the package the warning starts (Python
+    3.10 and 3.11 have no `skip_file_prefixes`)."""
+    frame, level = sys._getframe(), 1
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class Hamiltonian:
@@ -173,14 +211,11 @@ def symmetry_block(
 
 
 @dataclass(frozen=True, slots=True)
-class NormBound:
+class NormBound(Document):
     """An upper bound on the spectral norm of the traceless part."""
 
     value: float
     kind: str  # "exact-dense" | "coefficient-1-norm"
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "kind": self.kind}
 
 
 def norm_bound(
@@ -329,10 +364,7 @@ class SparseDensity:
             if (bra, ket) not in raw:
                 symmetrized[(bra, ket)] = fixed.conjugate()
         if adjustment > HERMITIZE_WARN:
-            warnings.warn(
-                f"state was not Hermitian: largest adjustment {adjustment:.3e}",
-                stacklevel=2,
-            )
+            warn_caller(f"state was not Hermitian: largest adjustment {adjustment:.3e}")
         self._entries = [
             (ket, bra, value)
             for (ket, bra), value in symmetrized.items()
@@ -348,7 +380,7 @@ class SparseDensity:
         }
         tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
-            warnings.warn(f"state trace is {tr!r}, expected 1", stacklevel=2)
+            warn_caller(f"state trace is {tr!r}, expected 1")
 
     @classmethod
     def computational_basis(cls, n: int, bits: int = 0) -> SparseDensity:
@@ -453,7 +485,7 @@ def _bits_from_string(text: str, n: int, where: str) -> int:
     return int(text[::-1], 2)
 
 
-def state_from_dict(obj: dict, entry_cap: int = DEFAULT_ENTRY_CAP) -> SparseDensity:
+def state_from_dict(obj: dict) -> SparseDensity:
     """A state document; 're' and 'im' are checked here, as `SparseDensity`
     sees them only combined."""
     if not isinstance(obj, dict):
@@ -474,4 +506,4 @@ def state_from_dict(obj: dict, entry_cap: int = DEFAULT_ENTRY_CAP) -> SparseDens
         except ValueError as exc:
             raise ObservableFormatError(str(exc)) from None
         entries.append((ket, bra, value))
-    return SparseDensity(n, entries, entry_cap=entry_cap)
+    return SparseDensity(n, entries)

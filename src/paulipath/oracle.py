@@ -100,13 +100,10 @@ def state_matrix(rho: SparseDensity) -> np.ndarray:
     return mat
 
 
-def gate_matrix(gate: RotationGate | CliffordGate, theta: float | None = None) -> np.ndarray:
-    """Dense matrix on the gate's support qubits in the `PauliWord` bit
-    order: support qubit j (a CNOT's control first) is on index bit j."""
-    if isinstance(gate, CliffordGate):
-        return _CLIFFORDS[gate.kind]
-    if theta is None:
-        raise ValueError("rotation gate needs an angle")
+def _rotation_matrix(gate: RotationGate, assignment: dict[str, float]) -> np.ndarray:
+    """exp(-i theta/2 G) on the gate's support qubits in the `PauliWord`
+    bit order: support qubit j is on index bit j."""
+    theta = gate.angle if gate.param is None else assignment[gate.param]
     pauli = _generator_matrix(gate.generator)
     return math.cos(theta / 2) * np.eye(len(pauli)) - 1j * math.sin(theta / 2) * pauli
 
@@ -190,12 +187,13 @@ def _noisy_layer(
     disjoint supports."""
     idle = set(range(1, n + 1))
     for gate in layer.gates:
-        axes = [n - q for q in gate.support]
-        idle.difference_update(gate.support)
+        support = gate.support
+        axes = [n - q for q in support]
+        idle.difference_update(support)
         if isinstance(gate, CliffordGate):
             tensor = _apply(tensor, _clifford_site(gate.kind, lam), axes)
             continue
-        u = gate_matrix(gate, gate.angle if gate.param is None else assignment[gate.param])
+        u = _rotation_matrix(gate, assignment)
         if len(axes) == 1:
             tensor = _apply(tensor, _site_operator(u, lam), axes)
             continue
@@ -208,14 +206,6 @@ def _noisy_layer(
 def depolarize_all(mat: np.ndarray, n: int, lam: float) -> np.ndarray:
     """One round of the per-qubit depolarizing channel on a dense matrix."""
     tensor = _noise_round(_pairs(mat, n), range(n), lam)
-    return _matrix(tensor, n).reshape(mat.shape)
-
-
-def apply_layer(
-    mat: np.ndarray, layer: Layer, assignment: dict[str, float], n: int
-) -> np.ndarray:
-    """U rho Udag for one layer."""
-    tensor = _noisy_layer(_pairs(mat, n), layer, assignment, n, 0.0)
     return _matrix(tensor, n).reshape(mat.shape)
 
 

@@ -122,7 +122,6 @@ def test_parameters_first_use_order():
     rx = lambda p: RotationGate(PauliWord.from_string("X"), param=p)
     c = Circuit(1, (Layer((rx("b"),)), Layer((rx("a"),)), Layer((rx("b"),))))
     assert c.parameters() == ("b", "a")
-    assert c.rotation_count() == 3
     assert c.depth == 3
 
 
@@ -264,6 +263,12 @@ def test_json_round_trip():
         ({"n": 2, "layers": [{"gates": [{"kind": "H"}]}]}, "qubit"),
         ({"n": 2, "layers": [{"gates": [{"kind": "CNOT", "control": 1}]}]}, "target"),
         ({"n": 2, "layers": [{"gates": [5]}]}, "layer 1, gate 1: must be an object"),
+        ([], "^circuit document must be a JSON object$"),
+        ({"n": 2}, "^circuit needs a 'layers' array$"),
+        (
+            {"n": 2, "layers": [{"gates": [{"kind": "rot", "pauli": 5, "param": "a"}]}]},
+            "^layer 1, gate 1: rot gate needs a 'pauli' string$",
+        ),
     ],
 )
 def test_format_errors(obj, match):

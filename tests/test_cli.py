@@ -649,3 +649,71 @@ def test_float_formatting_round_trips(files, capsys):
     doc = json.loads(out)
     reparsed = json.loads(json.dumps(doc))
     assert reparsed["report"]["value"] == doc["report"]["value"]
+
+
+def test_estimate_epsilon_delta_document(files, capsys):
+    code, out, _ = _run(
+        capsys,
+        [
+            "--mode", "estimate",
+            "--circuit", files["circuit"],
+            "--hamiltonian", files["hamiltonian"],
+            "--params", files["params"],
+            "--lambda", "0.1",
+            "--epsilon", "0.1",
+            "--delta", "0.04",
+        ],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["m_selection"]["kind"] == "epsilon-delta"
+    assert doc["report"]["m"] == doc["m_selection"]["selection"]["m"]
+    assert list(doc["report"]["eps_delta"].items()) == [("epsilon", 0.1), ("delta", 0.04)]
+
+
+# (argv with C and H standing for the fixture's circuit and Hamiltonian
+# files and D for its directory; the message)
+_REFUSALS = {
+    "missing-file": (
+        ["--mode", "estimate", "--circuit", "D/absent.json", "--hamiltonian", "H"],
+        "circuit file not found: D/absent.json",
+    ),
+    "invalid-json": (
+        ["--mode", "estimate", "--circuit", "C", "--hamiltonian", "D/broken.json"],
+        "Hamiltonian file D/broken.json is not valid JSON: ",
+    ),
+    "no-circuit": (["--mode", "estimate", "--hamiltonian", "H"], "this mode needs --circuit"),
+    "no-hamiltonian": (["--mode", "path-dump", "--circuit", "C"], "this mode needs --hamiltonian"),
+    "params-not-object": (
+        ["--mode", "estimate", "--circuit", "C", "--hamiltonian", "H", "--params", "D/list.json",
+         "--trunc-m", "8"],
+        "params file must map symbols to radians",
+    ),
+    "mse-benchmark-lambda-0": (
+        ["--mode", "mse-benchmark", "--circuit", "C", "--hamiltonian", "H", "--lambda", "0",
+         "--target-mse", "0.01", "--seed", "1"],
+        "mse-benchmark needs a finite truncation order; with --lambda 0 none is certified",
+    ),
+    "sweep-no-depths": (
+        ["--mode", "scaling-sweep", "--target-mse", "0.25"], "scaling-sweep needs --depths"
+    ),
+    "sweep-bad-depths": (
+        ["--mode", "scaling-sweep", "--depths", "3,x", "--target-mse", "0.25"],
+        "cannot parse --depths '3,x'",
+    ),
+    "sweep-no-target-mse": (
+        ["--mode", "scaling-sweep", "--depths", "3,4"], "scaling-sweep needs --target-mse"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_refused_invocation_exits_2_naming_the_field(files, capsys, argv, message):
+    directory = files["dir"]
+    (directory / "broken.json").write_text('{"n": 2,')
+    (directory / "list.json").write_text("[0.3, 1.1]")
+    known = {"C": files["circuit"], "H": files["hamiltonian"]}
+    argv = [known.get(a, a.replace("D/", f"{directory}/")) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message.replace("D/", f"{directory}/"))

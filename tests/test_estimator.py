@@ -2,6 +2,7 @@
 and the sampled error benchmarks."""
 
 import importlib
+import json
 import math
 import re
 import sys
@@ -23,8 +24,9 @@ from paulipath import (
     estimate,
     mse_benchmark,
     rx_chain_instance,
+    state_from_dict,
 )
-from paulipath import estimator, oracle
+from paulipath import cli, estimator, oracle
 from paulipath.engine import FactorAtom, PathEnumeration
 from paulipath.estimator import (
     _term_sums,
@@ -83,6 +85,21 @@ def test_choose_m_requires_one_criterion():
         choose_m(0.1, 1.0)
     with pytest.raises(ValueError):
         choose_m(0.1, 1.0, target_mse=0.01, epsilon=0.1, delta=0.1)
+
+
+@pytest.mark.parametrize(
+    "norm, criterion, message",
+    [
+        (1.0, {"epsilon": 0.1}, "epsilon and delta must be given together"),
+        (-1.0, {"target_mse": 0.01}, "norm bound must be non-negative, got -1.0"),
+        (1.0, {"target_mse": 0.0}, "target MSE must be positive, got 0.0"),
+        (1.0, {"epsilon": 0.1, "delta": 1.0}, "need epsilon > 0 and 0 < delta < 1"),
+        (1.0, {"epsilon": 0.0, "delta": 0.5}, "need epsilon > 0 and 0 < delta < 1"),
+    ],
+)
+def test_choose_m_refusals_name_the_field(norm, criterion, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        choose_m(0.1, norm, **criterion)
 
 
 @given(st.integers(0, 10**6), st.sampled_from([0.0, 0.05, 0.2]))
@@ -387,6 +404,25 @@ def test_mse_benchmark_survives_package_reimport(monkeypatch):
     assert report.passed
 
 
+def test_sampled_runs_refuse_what_they_cannot_sample():
+    circuit, h, rho = rx_chain_instance(2, 4)
+    paths = list(PathEnumeration(circuit, h, rho, None))
+    for call in (
+        lambda: mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=1, seed=0),
+        lambda: cross_term_check(circuit, h, rho, paths[0], paths[1], samples=1, seed=0),
+    ):
+        with pytest.raises(ValueError, match="^need at least 2 samples, got 1$"):
+            call()
+    rx = RotationGate(PauliWord.from_string("X"), param="a")
+    shared = Circuit(1, (Layer((rx,)), Layer((rx,))))
+    h1 = Hamiltonian(1, [(PauliWord.from_string("Z"), 1.0)])
+    rho1 = SparseDensity.computational_basis(1)
+    with pytest.raises(ValueError, match="^layer 2: parameter 'a' is shared;"):
+        mse_benchmark(shared, h1, rho1, lam=0.2, m=4, samples=10, seed=0)
+    with pytest.raises(ValueError, match="^no angle bound for parameter 'a'$"):
+        atom_value(FactorAtom("cos", "a"), {"b": 0.3})
+
+
 def test_mse_benchmark_rejects_bound_angles():
     circuit = Circuit(
         1,
@@ -442,17 +478,58 @@ def test_report_serializes():
     assert doc["stats"]["paths_emitted"] == report.paths_used
 
 
-def test_truncation_warning_names_the_callers_line():
-    # the warning starts in the engine, but names the line that called
-    # into the package, however deep the call went
+# a key of each warning the package raises
+_WARNINGS = ("below depth", "not certified", "not Hermitian", "trace is")
+
+
+def test_truncation_warning_names_the_callers_line(tmp_path):
+    # every warning starts inside the package, but names the line that
+    # called into it, however deep the call went: through the library and
+    # through the CLI
     circuit, h, rho = rx_chain_instance(2, 5)
     angles = {p: 0.3 for p in circuit.parameters()}
-    calls = [
-        lambda: estimate(circuit, h, rho, angles, 0.1, m=4),
-        lambda: mse_benchmark(circuit, h, rho, 0.1, 4, samples=4, seed=1),
-        lambda: list(PathEnumeration(circuit, h, rho, 4)),
+    # one rotation cannot generate the Pauli group; depth 1 needs m >= 2
+    uncertified = Circuit(1, (Layer((RotationGate(PauliWord.from_string("Z"), param="a"),)),))
+    h1 = Hamiltonian(1, [(PauliWord.from_string("X"), 1.0)])
+    rho1 = SparseDensity.computational_basis(1)
+    # not Hermitian, and of trace 0.5
+    entries = [(0, 0, 0.5), (0, 1, 0.2)]
+    state = {
+        "n": 1,
+        "entries": [{"ket": "0", "bra": "0", "re": 0.5}, {"ket": "0", "bra": "1", "re": 0.2}],
+    }
+    paths = {}
+    for name, doc in (
+        ("circuit", {"n": 1, "layers": [{"gates": [{"kind": "rot", "pauli": "Z", "param": "a"}]}]}),
+        ("hamiltonian", {"n": 1, "terms": [{"pauli": "X", "coeff": 1.0}]}),
+        ("state", state),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = [
+        "--mode", "estimate",
+        "--circuit", str(paths["circuit"]),
+        "--hamiltonian", str(paths["hamiltonian"]),
+        "--state", str(paths["state"]),
+        "--seed", "1",
+        "--lambda", "0.1",
+        "--trunc-m", "1",
+        "--out", str(tmp_path / "report.json"),
     ]
-    for call in calls:
-        with pytest.warns(UserWarning, match="below depth") as record:
+    calls = [
+        (lambda: estimate(circuit, h, rho, angles, 0.1, m=4), ["below depth"]),
+        (lambda: mse_benchmark(circuit, h, rho, 0.1, 4, samples=4, seed=1), ["below depth"]),
+        (lambda: list(PathEnumeration(circuit, h, rho, 4)), ["below depth"]),
+        (lambda: estimate(uncertified, h1, rho1, {"a": 0.3}, 0.1), ["not certified"]),
+        (lambda: SparseDensity(1, entries), ["not Hermitian", "trace is"]),
+        (lambda: state_from_dict(state), ["not Hermitian", "trace is"]),
+        (lambda: cli.main(argv), list(_WARNINGS)),
+    ]
+    for call, expected in calls:
+        with pytest.warns(UserWarning) as record:
             call()
-        assert [w.filename for w in record if "below depth" in str(w.message)] == [__file__]
+        named = [
+            (key, w.filename) for w in record for key in _WARNINGS if key in str(w.message)
+        ]
+        assert len(named) == len(record)
+        assert sorted(named) == sorted((key, __file__) for key in expected)

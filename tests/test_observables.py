@@ -327,6 +327,11 @@ def test_state_bit_string_orientation():
         (state_from_dict, {"n": 1, "entries": [{"ket": "0", "bra": "0"}]}, "'re'"),
         (state_from_dict, {"n": 1, "entries": [{"ket": "2", "bra": "0", "re": 1}]}, "bit string"),
         (state_from_dict, {"n": 1}, "entries"),
+        (hamiltonian_from_dict, [], "^Hamiltonian document must be a JSON object$"),
+        (state_from_dict, "0", "^state document must be a JSON object$"),
+        (hamiltonian_from_dict, {"n": 1}, "^Hamiltonian needs a 'terms' array$"),
+        (hamiltonian_from_dict, {"n": 1, "terms": [5]}, "^term 1: must be an object$"),
+        (state_from_dict, {"n": 1, "entries": [[0, 0, 1]]}, "^entry 1: must be an object$"),
     ],
 )
 def test_format_errors(loader, obj, match):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 
 from paulipath import (
-    CliffordGate,
     Circuit,
     Hamiltonian,
     Layer,
@@ -19,7 +18,6 @@ from paulipath import (
 )
 from paulipath.oracle import (
     OracleCapError,
-    apply_layer,
     depolarize_all,
     evolve_noisy,
     hamiltonian_matrix,
@@ -68,24 +66,6 @@ def test_depolarize_matches_kraus_form(lam):
     expected = dense_depolarize(mat, 3, lam)
     got = depolarize_all(mat.reshape((2,) * 6), 3, lam).reshape(8, 8)
     assert np.allclose(got, expected)
-
-
-def test_layer_unitary_matches_projector_build():
-    # the second layer pins the gate bit order: a generator on qubits that
-    # are not adjacent, and a CNOT whose control is the higher qubit
-    rotation = lambda letters: RotationGate(PauliWord.from_string(letters), param="a")
-    layers = [
-        Layer((rotation("XZI"), CliffordGate("H", (3,)))),
-        Layer((rotation("YIXZI"), CliffordGate("CNOT", (5, 2)))),
-    ]
-    theta = {"a": 1.234}
-    rng = np.random.default_rng(5)
-    for layer, n in zip(layers, (3, 5)):
-        u = dense_layer_unitary(layer, n, theta)
-        mat = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        assert np.allclose(apply_layer(mat, layer, theta, n), u @ mat @ u.conj().T)
-        eye = np.eye(2**n, dtype=complex)
-        assert np.allclose(apply_layer(eye, layer, theta, n), eye)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 10, 17, 23, 31])

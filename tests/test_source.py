@@ -17,13 +17,17 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_each_input_rule_is_written_once():
-    # each input rule lives in one module, which every entry point calls,
-    # so copies cannot drift apart
-    sources = {
+def _sources() -> dict[str, str]:
+    return {
         path.name: path.read_text()
         for path in Path(paulipath.__file__).parent.glob("*.py")
     }
+
+
+def test_each_input_rule_is_written_once():
+    # each input rule lives in one module, which every entry point calls,
+    # so copies cannot drift apart
+    sources = _sources()
     for literal, home in (
         ("noise rate must lie in [0, 1]", "circuit.py"),
         ("qubits, circuit has", "circuit.py"),
@@ -36,6 +40,21 @@ def test_each_input_rule_is_written_once():
     ):
         homes = [name for name, text in sources.items() if literal in text]
         assert homes == [home], (literal, homes)
+
+
+def test_each_output_rule_is_written_once():
+    # every report document, JSON write and warning location has one
+    # definition, so the documents stay alike and every warning names the
+    # same line: the first one outside the package
+    sources = _sources()
+    for literal, home in (
+        ("def to_dict", "observables.py"),
+        ("allow_nan=False", "cli.py"),
+        ("warnings.warn(", "observables.py"),
+        ("stacklevel", "observables.py"),
+    ):
+        counts = {name: text.count(literal) for name, text in sources.items() if literal in text}
+        assert counts == {home: 1}, (literal, counts)
 
 
 def test_oracle_imports_no_path_code():
