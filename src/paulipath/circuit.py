@@ -24,10 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+import numpy as np
+
 from .pauli import PauliWord, finite_real, gf2_rank, is_finite_real, qubit_count, qubit_index
 
 if TYPE_CHECKING:
     from .observables import Hamiltonian, SparseDensity
+
+# float angles, or one 1-d array of per-sample angles per symbol
+ParameterAssignment = Mapping[str, float | np.ndarray]
 
 # each Clifford kind and the names of its qubits, control first for CNOT
 CLIFFORD_KINDS = {"H": ("qubit",), "S": ("qubit",), "CNOT": ("control", "target")}
@@ -164,17 +169,39 @@ def check_noise_rate(lam: float) -> None:
         raise ValueError(f"noise rate must lie in [0, 1], got {lam!r}")
 
 
-def check_assignment(circuit: Circuit, assignment: Mapping[str, float]) -> None:
+def check_assignment(
+    circuit: Circuit, assignment: ParameterAssignment, *, batch: bool = False
+) -> int | None:
     """Refuse an assignment that does not bind every symbol of the circuit
-    to a finite real number, naming the first symbol that breaks the rule."""
-    for param in circuit.parameters():
+    to a finite real number, naming the first symbol that breaks the rule.
+
+    With `batch`, the symbols may instead all be bound to 1-d arrays of one
+    length S >= 1, one finite real angle per sample; the first symbol picks
+    floats or arrays.  Return S, or None for floats."""
+    size = None
+    for i, param in enumerate(circuit.parameters()):
         if param not in assignment:
             raise ValueError(f"parameter {param!r} needs a finite real angle and has none")
         value = assignment[param]
-        if not is_finite_real(value):
-            raise ValueError(
-                f"parameter {param!r} needs a finite real angle, got {value!r}"
+        if batch and i == 0 and isinstance(value, np.ndarray) and value.ndim > 0:
+            size = len(value)
+        if size is None:
+            ok, rule = is_finite_real(value), ""
+        else:
+            ok = (
+                isinstance(value, np.ndarray)
+                and value.shape == (size,)
+                and size > 0
+                and value.dtype.kind in "iuf"
+                and bool(np.isfinite(value).all())
             )
+            array = f"1-d array of length {size}" if size else "non-empty 1-d array"
+            rule = f" per sample, in a {array}"
+        if not ok:
+            raise ValueError(
+                f"parameter {param!r} needs a finite real angle{rule}, got {value!r}"
+            )
+    return size
 
 
 def conjugate_masks(kind: str, b0: int, b1: int, x, z):

@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import oracle
-from .circuit import Circuit, check_assignment, check_instance, check_noise_rate
-from .circuit import circuit_generation_certified
+from .circuit import Circuit, ParameterAssignment, check_assignment, check_instance
+from .circuit import check_noise_rate, circuit_generation_certified
 from .engine import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_PATH_LIMIT,
@@ -51,9 +51,6 @@ from .observables import (
     warn_caller,
 )
 from .pauli import finite_real
-
-# float angles, or one ndarray of per-sample angles per parameter
-ParameterAssignment = Mapping[str, float | np.ndarray]
 
 
 def atom_value(atom: FactorAtom, assignment: ParameterAssignment) -> float | np.ndarray:
@@ -401,15 +398,12 @@ def mse_benchmark(
         circuit, h, rho, lam, m, exact_norm_threshold
     )
     sample_seeds, thetas = _sample_thetas(seed, samples, params)
-    total, _ = _term_sums(
-        circuit, h, rho, m, dict(zip(params, thetas.T)), lam, path_limit, node_limit
-    )
+    angles = dict(zip(params, thetas.T))
+    total, _ = _term_sums(circuit, h, rho, m, angles, lam, path_limit, node_limit)
     estimates = h.identity_coeff * rho.overlap_masks(0, 0) + total
-    exact = np.empty(samples, dtype=float)
-    for i in range(samples):
-        assignment = {p: float(thetas[i, j]) for j, p in enumerate(params)}
-        exact[i] = oracle.noisy_mean_value(circuit, h, rho, assignment, lam)
-    squared = (estimates - exact) ** 2
+    # one batched dense run; a circuit without symbols has one exact value
+    exact = oracle.noisy_mean_value(circuit, h, rho, angles, lam)
+    squared = np.broadcast_to((estimates - exact) ** 2, samples)
     empirical = float(np.mean(squared))
     std_error = float(np.std(squared, ddof=1) / math.sqrt(samples))
     return MseBenchmarkReport(

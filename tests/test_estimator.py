@@ -2,6 +2,7 @@
 and the sampled error benchmarks."""
 
 import importlib
+import itertools
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulipath import (
+    CliffordGate,
     Circuit,
     Hamiltonian,
     Layer,
@@ -371,11 +373,83 @@ def test_every_symbol_needs_a_finite_angle(angle, monkeypatch):
             call()
 
 
+def test_every_symbol_needs_finite_angles_in_arrays(monkeypatch):
+    # an array assignment follows the same rule entry by entry: every symbol
+    # gets a non-empty 1-d array of the first symbol's length, and a NaN or
+    # infinite entry is refused before the oracle's cap; `estimate` takes
+    # floats only, so its report's value stays a float
+    def tripwire(*args, **kwargs):
+        pytest.fail("norm bound computed before the assignment check")
+
+    monkeypatch.setattr(estimator, "norm_bound", tripwire)
+    circuit, h, rho = rx_chain_instance(2, 4)
+    first, name = circuit.parameters()[:2]
+    rule = (
+        f"parameter {name!r} needs a finite real angle per sample,"
+        " in a 1-d array of length 3"
+    )
+    for angles in (
+        np.array([0.4, math.nan, 0.4]),
+        np.array([0.4, 0.4, -math.inf]),
+        np.full((3, 1), 0.4),
+        np.full(2, 0.4),
+        np.full(3, True),
+        0.4,
+    ):
+        theta = {p: np.full(3, 0.4) for p in circuit.parameters()}
+        theta[name] = angles
+        for call in (
+            lambda: noisy_mean_value(circuit, h, rho, theta, 0.1),
+            lambda: noisy_mean_value(circuit, h, rho, theta, 0.1, cap=1),
+            lambda: oracle.evolve_noisy(circuit, rho, theta, 0.1, cap=1),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{rule}, got {angles!r}')}$"):
+                call()
+    theta = {p: np.full(3, 0.4) for p in circuit.parameters()}
+    theta[first] = np.array([], dtype=float)
+    rule = f"parameter {first!r} needs a finite real angle per sample, in a non-empty 1-d array"
+    with pytest.raises(ValueError, match=f"^{re.escape(rule)}, got "):
+        noisy_mean_value(circuit, h, rho, theta, 0.1, cap=1)
+    theta[first] = np.full(3, 0.4)
+    rule = f"parameter {first!r} needs a finite real angle, got {theta[first]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+        estimate(circuit, h, rho, theta, 0.1)
+
+
+def test_mse_benchmark_runs_the_oracle_once_per_chunk(monkeypatch):
+    # the benchmark's traced runs time the oracle through these two module
+    # names, so mse_benchmark reaches it through them: one batched mean-value
+    # call, and one dense run per chunk of CHUNK_ENTRIES complex entries
+    calls = {"noisy_mean_value": 0, "evolve_noisy": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counting)
+    circuit, h, rho = rx_chain_instance(6, 4)
+    per_chunk = oracle.CHUNK_ENTRIES >> (2 * circuit.n)
+    report = mse_benchmark(circuit, h, rho, lam=0.2, m=None, samples=64, seed=3)
+    assert report.passed and 1 < per_chunk < 64
+    assert calls == {"noisy_mean_value": 1, "evolve_noisy": math.ceil(64 / per_chunk)}
+
+
+def test_mse_benchmark_without_symbols(recwarn):
+    # no symbol means no sample axis: one exact value stands for every sample
+    circuit = Circuit(1, (Layer((CliffordGate("H", (1,)),)),))
+    h = Hamiltonian(1, [(PauliWord.from_string("Z"), 1.0)])
+    report = mse_benchmark(
+        circuit, h, SparseDensity.computational_basis(1), lam=0.2, m=None, samples=5, seed=1
+    )
+    assert (report.empirical_mse, report.std_error, report.passed) == (0.0, 0.0, True)
+
+
 def test_mse_benchmark_builds_dense_hamiltonian_once(monkeypatch):
-    # the oracle runs once per sample; the dense H it needs is built once per
-    # Hamiltonian, and a later call on the same H reuses it.  Rotation
-    # matrices come from the same builder, on their 1-qubit supports here,
-    # so only the 2-qubit (H-sized) builds count.
+    # the oracle runs once per call, on all samples; the dense H it needs is
+    # built once per Hamiltonian, and a later call on the same H reuses it.
+    # Rotation matrices come from the same builder, on their 1-qubit
+    # supports here, so only the 2-qubit (H-sized) builds count.
     built = []
     original = oracle.pauli_sum_matrix
 
@@ -468,6 +542,53 @@ def test_cross_term_counterexample_without_certification():
     result = cross_term_check(circuit, h, rho, paths[0], paths[1], samples=500, seed=3)
     assert not result.generation_certified
     assert abs(result.mean) > 4 * result.std_error
+
+
+def _path_mass_and_mean_square(circuit, h, rho) -> tuple[float, float]:
+    """At lam = 0: the untruncated path mass sum c^2 2^-a Tr(s_0 rho)^2 (a
+    cos/sin atoms, each of mean square 1/2), and E[f'^2] over uniform
+    angles, f' the mean value without the identity part.  f'^2 has degree
+    <= 2 in each angle, so the grid {0, 2pi/3, 4pi/3} per angle averages it
+    exactly, from one batched oracle call."""
+    mass = math.fsum(
+        (h.coeff(path.words[-1]) * rho.overlap(path.words[0])) ** 2 / 2 ** len(path.atoms)
+        for path in PathEnumeration(circuit, h, rho, None)
+    )
+    params = circuit.parameters()
+    thirds = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+    grid = np.array(list(itertools.product(thirds, repeat=len(params))))
+    values = noisy_mean_value(circuit, h, rho, dict(zip(params, grid.T)), 0.0)
+    traceless = values - h.identity_coeff * rho.overlap_masks(0, 0)
+    return mass, float(np.mean(np.square(traceless)))
+
+
+def test_path_mass_equals_mean_square_when_certified():
+    # distinct paths are orthogonal over the angles once the generation check
+    # passes, so the path mass is E[f'^2] exactly; criterion 6's uncertified
+    # counterexample keeps its two paths correlated and breaks the identity
+    for seed in range(20):
+        circuit, h, rho, _ = random_certified_instance(seed, max_rotations=6)
+        mass, mean_square = _path_mass_and_mean_square(circuit, h, rho)
+        assert abs(mass - mean_square) <= 1e-12, seed
+    circuit = Circuit(
+        2,
+        (
+            Layer(
+                (
+                    RotationGate(PauliWord.from_string("ZI"), param="a"),
+                    RotationGate(PauliWord.from_string("IZ"), param="b"),
+                )
+            ),
+        ),
+    )
+    h = Hamiltonian(
+        2, [(PauliWord.from_string("ZI"), 1.0), (PauliWord.from_string("ZZ"), 1.0)]
+    )
+    mass, mean_square = _path_mass_and_mean_square(
+        circuit, h, SparseDensity.computational_basis(2)
+    )
+    assert mass == pytest.approx(2.0, abs=1e-12)
+    assert mean_square == pytest.approx(4.0, abs=1e-12)
 
 
 def test_report_serializes():

@@ -4,12 +4,13 @@
 one-qubit rotations; here the same run is rebuilt as the textbook channel
 from conftest's independent helpers (Kraus-form noise, full-size gate
 unitaries), one noise round and one layer at a time, at the three noise
-rates the acceptance suite uses.
+rates the acceptance suite uses.  A run over arrays of angles, one batched
+run per chunk of samples, is checked against the float call per sample.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paulipath import (
@@ -21,7 +22,7 @@ from paulipath import (
     RotationGate,
     SparseDensity,
 )
-from paulipath.oracle import evolve_noisy, noisy_mean_value
+from paulipath.oracle import CHUNK_ENTRIES, evolve_noisy, noisy_mean_value
 
 from conftest import (
     dense_depolarize,
@@ -150,3 +151,73 @@ def test_fused_run_matches_dense_channel(instance):
         assert np.max(np.abs(got - expected)) <= 1e-12, lam
         mean = np.trace(dense_hamiltonian(h) @ expected).real
         assert noisy_mean_value(circuit, h, rho, theta, lam) == pytest.approx(mean, abs=1e-12)
+
+
+@st.composite
+def batches(draw):
+    """An instance whose every symbol has a 1-d array of 1 to 4 angles."""
+    circuit, h, rho, _ = draw(instances())
+    size = draw(st.integers(1, 4))
+    angles = st.lists(st.floats(-7.0, 7.0, allow_nan=False), min_size=size, max_size=size)
+    return circuit, h, rho, {p: np.array(draw(angles)) for p in circuit.parameters()}
+
+
+def _batch(instance, size: int, seed: int):
+    circuit, h, rho, _ = instance
+    rng = np.random.default_rng(seed)
+    return circuit, h, rho, {p: rng.uniform(-7.0, 7.0, size) for p in circuit.parameters()}
+
+
+def _bound(n: int, letters: dict[int, str], angle: float) -> RotationGate:
+    return RotationGate(PauliWord.from_map(n, letters), angle=angle)
+
+
+# bound angles, one- and two-qubit, shared by every sample of the batch
+BOUND = (
+    Circuit(
+        3,
+        (
+            Layer((_rot(3, {1: "Y"}, "a"), _bound(3, {2: "X"}, 0.7))),
+            Layer((_bound(3, {1: "Z", 3: "Y"}, -1.2), _rot(3, {2: "Z"}, "b"))),
+            Layer((CliffordGate("CNOT", (2, 1)),)),
+        ),
+    ),
+    _h(3),
+    _state(3, 5),
+    None,
+)
+# at n = 2 a chunk holds CHUNK_ENTRIES / 16 samples; one more starts a second
+CHAIN = (
+    Circuit(
+        2,
+        (
+            Layer((_rot(2, {1: "Y"}, "a"), _rot(2, {2: "X"}, "b"))),
+            Layer((CliffordGate("CNOT", (1, 2)),)),
+            Layer((_rot(2, {1: "Z", 2: "Y"}, "c"),)),
+        ),
+    ),
+    _h(2),
+    _state(2, 6),
+    None,
+)
+
+
+@given(batches())
+@example(_batch(SPREAD, 3, 1))
+@example(_batch(BOUND, 3, 2))
+@example(_batch(IDLE, 1, 3))
+@example(_batch(CHAIN, (CHUNK_ENTRIES >> 4) + 1, 4))
+@settings(max_examples=30, deadline=None)
+def test_batch_run_matches_float_calls(instance):
+    circuit, h, rho, theta = instance
+    assume(theta)
+    size = len(next(iter(theta.values())))
+    dim = 1 << circuit.n
+    for lam in RATES:
+        stack = evolve_noisy(circuit, rho, theta, lam)
+        values = noisy_mean_value(circuit, h, rho, theta, lam)
+        assert stack.shape == (size, dim, dim) and values.shape == (size,)
+        for k in range(size):
+            one = {p: float(angles[k]) for p, angles in theta.items()}
+            assert np.max(np.abs(stack[k] - evolve_noisy(circuit, rho, one, lam))) <= 1e-12
+            assert abs(values[k] - noisy_mean_value(circuit, h, rho, one, lam)) <= 1e-12
