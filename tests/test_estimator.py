@@ -519,9 +519,9 @@ def test_cross_term_vanishes_when_certified():
     assert abs(result.mean) <= 4 * result.std_error
 
 
-def test_cross_term_counterexample_without_certification():
-    # a single layer of Z rotations on |00> keeps two distinct paths
-    # perfectly correlated: both factors are constant 1
+def _uncertified_instance():
+    """A single layer of Z rotations on |00>, which keeps two distinct
+    paths perfectly correlated: both factors are constant 1."""
     circuit = Circuit(
         2,
         (
@@ -536,7 +536,11 @@ def test_cross_term_counterexample_without_certification():
     h = Hamiltonian(
         2, [(PauliWord.from_string("ZI"), 1.0), (PauliWord.from_string("ZZ"), 1.0)]
     )
-    rho = SparseDensity.computational_basis(2)
+    return circuit, h, SparseDensity.computational_basis(2)
+
+
+def test_cross_term_counterexample_without_certification():
+    circuit, h, rho = _uncertified_instance()
     paths = list(PathEnumeration(circuit, h, rho, None))
     assert len(paths) == 2
     result = cross_term_check(circuit, h, rho, paths[0], paths[1], samples=500, seed=3)
@@ -570,23 +574,7 @@ def test_path_mass_equals_mean_square_when_certified():
         circuit, h, rho, _ = random_certified_instance(seed, max_rotations=6)
         mass, mean_square = _path_mass_and_mean_square(circuit, h, rho)
         assert abs(mass - mean_square) <= 1e-12, seed
-    circuit = Circuit(
-        2,
-        (
-            Layer(
-                (
-                    RotationGate(PauliWord.from_string("ZI"), param="a"),
-                    RotationGate(PauliWord.from_string("IZ"), param="b"),
-                )
-            ),
-        ),
-    )
-    h = Hamiltonian(
-        2, [(PauliWord.from_string("ZI"), 1.0), (PauliWord.from_string("ZZ"), 1.0)]
-    )
-    mass, mean_square = _path_mass_and_mean_square(
-        circuit, h, SparseDensity.computational_basis(2)
-    )
+    mass, mean_square = _path_mass_and_mean_square(*_uncertified_instance())
     assert mass == pytest.approx(2.0, abs=1e-12)
     assert mean_square == pytest.approx(4.0, abs=1e-12)
 
