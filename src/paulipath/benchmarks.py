@@ -27,7 +27,7 @@ from .circuit import Circuit, Layer, RotationGate
 from .engine import PathEnumeration
 from .estimator import choose_m
 from .observables import Hamiltonian, SparseDensity, norm_bound
-from .pauli import PauliWord
+from .pauli import PauliWord, qubit_count
 
 # noise rates of the scaling sweep: lam = 1/ln(L) and lam = 1/L, capped
 SWEEP_LAM_CAP = 0.95
@@ -40,6 +40,7 @@ def rx_chain_instance(
 
     Parameters are named t{layer}_{qubit}, one per rotation.
     """
+    qubit_count(n)
     if depth < 2:
         raise ValueError(f"need depth >= 2, got {depth}")
     layers = [

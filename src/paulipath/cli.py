@@ -52,7 +52,7 @@ from .observables import (
     state_from_dict,
 )
 from .oracle import OracleCapError, noisy_mean_value
-from .pauli import finite_real
+from .pauli import finite_real, non_negative_int
 
 ORACLE_CHECK_TOL = 1e-9
 
@@ -109,6 +109,8 @@ def _load_instance(args) -> tuple[Circuit, Hamiltonian, SparseDensity]:
 
 def _resolve_theta(circuit: Circuit, args) -> tuple[dict[str, float], bool]:
     """Angles from --params, or drawn uniformly when --seed is given."""
+    if args.seed is not None:
+        non_negative_int(args.seed, "--seed")
     params = circuit.parameters()
     if args.params is not None:
         raw = _load_json(args.params, "params")

@@ -55,12 +55,12 @@ for zero overlap without an overlap call.  The limits are checked against
 the exact child count of a batch before it is built and the path count of
 a leaf batch before it is yielded, so a run raises the same error as a
 frame-by-frame walk, possibly after yielding fewer paths (and a run over
-both limits may report either).
+both limits may report either).  The error names the count reached and
+the word index of the nodes or paths that reached it.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple
@@ -69,21 +69,20 @@ import numpy as np
 
 from .circuit import Circuit, Layer, check_instance, conjugate_masks
 from .observables import Hamiltonian, SparseDensity, warn_caller
-from .pauli import PauliWord, popcount, product_phase_masks
+from .pauli import PauliWord, non_negative_int, popcount, product_phase_masks
 
-DEFAULT_PATH_LIMIT = 10_000_000
-DEFAULT_NODE_LIMIT = 100_000_000
+PATH_LIMIT = 10_000_000
+# must stay below 2^62: a batch's child ordinals are int64, and a batch is
+# refused before it is built once its children take the run past this limit
+NODE_LIMIT = 100_000_000
 # Rows of one batch.  Larger batches make fewer numpy calls and hold more
 # memory, O(depth * BATCH_ROWS) per walk; at 1024 one pass over the
 # ansatz(8,12) benchmark instance peaks near 1 MB of traced memory.
 BATCH_ROWS = 1024
-# Child ordinals are int64 within a batch; a batch beyond this many
-# children is refused even when the node limit would allow it.
-_MAX_BATCH_CHILDREN = 1 << 62
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when enumeration exceeds a configured path or node limit."""
+    """Raised when enumeration exceeds PATH_LIMIT or NODE_LIMIT."""
 
 
 def truncation_order(circuit: Circuit, m: int | None) -> int:
@@ -91,9 +90,7 @@ def truncation_order(circuit: Circuit, m: int | None) -> int:
     None (untruncated) the largest total weight of a path, n(L+1)."""
     if m is None:
         return circuit.n * (circuit.depth + 1)
-    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"truncation order must be a non-negative integer, got {m!r}")
-    return int(m)
+    return non_negative_int(m, "truncation order")
 
 
 class FactorAtom(NamedTuple):
@@ -269,7 +266,8 @@ class PathEnumeration:
     Iterating yields PauliPath objects in the canonical order; `stats` is
     reset at the start of each iteration and holds the counters of the
     most recent (possibly still running) pass.  Every node counts against
-    `node_limit`, the root of each term included.
+    NODE_LIMIT, the root of each term included, and every path against
+    PATH_LIMIT.
     """
 
     def __init__(
@@ -278,9 +276,6 @@ class PathEnumeration:
         h: Hamiltonian,
         rho: SparseDensity,
         m: int | None,
-        *,
-        path_limit: int = DEFAULT_PATH_LIMIT,
-        node_limit: int = DEFAULT_NODE_LIMIT,
     ) -> None:
         check_instance(circuit, h, rho)
         m = truncation_order(circuit, m)
@@ -294,8 +289,6 @@ class PathEnumeration:
         self.h = h
         self.rho = rho
         self.m = m
-        self.path_limit = path_limit
-        self.node_limit = node_limit
         self.stats = EnumerationStats()
         self._dtype = _mask_dtype(circuit.n)
         self._programs = [_LayerProgram(layer, self._dtype) for layer in circuit.layers]
@@ -308,7 +301,7 @@ class PathEnumeration:
         terms = [word for word, _ in self.h.terms()]
         for start in range(0, len(terms), BATCH_ROWS):
             chunk = terms[start : start + BATCH_ROWS]
-            self._visit(stats, len(chunk))
+            self._visit(stats, len(chunk), depth)
             weight = np.array([word.weight for word in chunk], dtype=np.int32)
             keep = weight <= self.m - depth
             stats.pruned_budget += int(np.count_nonzero(~keep))
@@ -326,12 +319,15 @@ class PathEnumeration:
                 roots = self._admit_leaves(roots, stats)
             yield from self._walk(roots, stats)
 
-    def _visit(self, stats: EnumerationStats, count: int) -> None:
-        if stats.nodes_visited + count > self.node_limit:
+    def _visit(self, stats: EnumerationStats, count: int, idx: int) -> None:
+        """Count `count` nodes at word index idx against NODE_LIMIT."""
+        reached = stats.nodes_visited + count
+        if reached > NODE_LIMIT:
             raise ResourceLimitError(
-                f"more than {self.node_limit} enumeration nodes visited"
+                f"more than {NODE_LIMIT} enumeration nodes visited:"
+                f" {reached} at word index {idx}"
             )
-        stats.nodes_visited += count
+        stats.nodes_visited = reached
 
     def _walk(self, roots: _Batch, stats: EnumerationStats) -> Iterator[PauliPath]:
         """Every path below a batch of roots, depth first a batch at a time.
@@ -351,7 +347,7 @@ class PathEnumeration:
             levels.append((batch, {}))
             idx = self.circuit.depth + 1 - len(generators)  # word index of batch
             if idx == 0:
-                yield from self._paths(levels, stats)
+                yield from self._paths(levels, stats, idx)
             else:
                 generators.append(self._children(batch, idx, stats))
 
@@ -373,14 +369,9 @@ class PathEnumeration:
         pruned_per_a = np.bincount(count[over], minlength=len(per_a))
         total = sum(int(c) << a for a, c in enumerate(per_a))
         pruned = sum(int(c) << a for a, c in enumerate(pruned_per_a))
-        self._visit(stats, total)
+        self._visit(stats, total, idx - 1)
         stats.pruned_budget += pruned
         built = total - pruned
-        if built > _MAX_BATCH_CHILDREN:
-            raise ResourceLimitError(
-                f"a batch of {len(parent.x)} words has {built}"
-                f" predecessors to build, more than {_MAX_BATCH_CHILDREN}"
-            )
         rows = np.flatnonzero(~over)
         counts = np.left_shift(1, count[rows].astype(np.int64))
         offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -442,15 +433,17 @@ class PathEnumeration:
         return leaves.take(np.array(keep, dtype=np.intp))
 
     def _paths(
-        self, levels: list[tuple[_Batch, dict]], stats: EnumerationStats
+        self, levels: list[tuple[_Batch, dict]], stats: EnumerationStats, idx: int
     ) -> Iterator[PauliPath]:
-        """The paths ending in the leaf batch, the last of `levels`.  Each
-        level's cache maps a row on an emitted path to its word and the
-        atoms of the step into it."""
+        """The paths ending in the leaf batch at word index idx, the last of
+        `levels`.  Each level's cache maps a row on an emitted path to its
+        word and the atoms of the step into it."""
         leaves = levels[-1][0]
-        if stats.paths_emitted + len(leaves.x) > self.path_limit:
+        reached = stats.paths_emitted + len(leaves.x)
+        if reached > PATH_LIMIT:
             raise ResourceLimitError(
-                f"more than {self.path_limit} paths survive truncation"
+                f"more than {PATH_LIMIT} paths survive truncation:"
+                f" {reached} at word index {idx}"
             )
         n, depth = self.circuit.n, self.circuit.depth
         rows = np.arange(len(leaves.x))

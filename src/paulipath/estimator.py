@@ -33,8 +33,6 @@ from . import oracle
 from .circuit import Circuit, ParameterAssignment, check_assignment, check_instance
 from .circuit import check_noise_rate, circuit_generation_certified
 from .engine import (
-    DEFAULT_NODE_LIMIT,
-    DEFAULT_PATH_LIMIT,
     EnumerationStats,
     FactorAtom,
     PathEnumeration,
@@ -50,7 +48,7 @@ from .observables import (
     norm_bound,
     warn_caller,
 )
-from .pauli import finite_real
+from .pauli import finite_real, non_negative_int
 
 
 def atom_value(atom: FactorAtom, assignment: ParameterAssignment) -> float | np.ndarray:
@@ -102,8 +100,6 @@ def _term_sums(
     m: int,
     assignment: ParameterAssignment,
     lam: float,
-    path_limit: int,
-    node_limit: int,
 ) -> tuple[float | np.ndarray, EnumerationStats]:
     """Sum over all terms of coeff * damped path sum, folded in canonical
     term order, from one walk over their paths; per-sample arrays when the
@@ -117,9 +113,7 @@ def _term_sums(
         (word.x, word.z): 0.0 for word, _ in terms
     }
     atom_cache: dict[FactorAtom, float | np.ndarray] = {}
-    run = PathEnumeration(
-        circuit, h, rho, m, path_limit=path_limit, node_limit=node_limit
-    )
+    run = PathEnumeration(circuit, h, rho, m)
     for path in run:
         factor = path.sign * damp[path.total_weight]
         for atom in path.atoms:
@@ -199,8 +193,6 @@ def estimate(
     lam: float,
     m: int | None = None,
     *,
-    path_limit: int = DEFAULT_PATH_LIMIT,
-    node_limit: int = DEFAULT_NODE_LIMIT,
     exact_norm_threshold: int = DEFAULT_EXACT_NORM_QUBITS,
     eps_delta: tuple[float, float] | None = None,
 ) -> EstimateReport:
@@ -223,9 +215,7 @@ def estimate(
     # with lam == 1 every non-identity word is fully damped; without a walk
     # there is no truncation warning either
     if lam < 1.0 and h.term_count > 0:
-        total, stats = _term_sums(
-            circuit, h, rho, m_eff, assignment, lam, path_limit, node_limit
-        )
+        total, stats = _term_sums(circuit, h, rho, m_eff, assignment, lam)
         value = identity_offset + total
     return EstimateReport(
         value=value,
@@ -338,6 +328,15 @@ def _require_distinct_params(circuit: Circuit) -> list[str]:
     return params
 
 
+def _sampling(samples: int, seed: int) -> tuple[int, int]:
+    """A sampled run's sample count, an int >= 2, and seed, a non-negative
+    int, neither a bool; as Python ints, which the reports hold."""
+    samples = non_negative_int(samples, "samples")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    return samples, non_negative_int(seed, "seed")
+
+
 def _sample_thetas(
     seed: int, samples: int, params: Sequence[str]
 ) -> tuple[list[int], np.ndarray]:
@@ -376,10 +375,6 @@ def mse_benchmark(
     m: int | None,
     samples: int,
     seed: int,
-    *,
-    exact_norm_threshold: int = DEFAULT_EXACT_NORM_QUBITS,
-    path_limit: int = DEFAULT_PATH_LIMIT,
-    node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> MseBenchmarkReport:
     """Empirical E|estimate - oracle|^2 over uniformly sampled angles.
 
@@ -390,16 +385,15 @@ def mse_benchmark(
     certified bound (pass means empirical <= bound + 3 standard errors).
     `m` is the truncation order; None runs untruncated, as in `estimate`.
     """
+    samples, seed = _sampling(samples, seed)
     m = truncation_order(circuit, m)
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
     params = _require_distinct_params(circuit)
     norm, certified, bound, bound_exp = _certificate(
-        circuit, h, rho, lam, m, exact_norm_threshold
+        circuit, h, rho, lam, m, DEFAULT_EXACT_NORM_QUBITS
     )
     sample_seeds, thetas = _sample_thetas(seed, samples, params)
     angles = dict(zip(params, thetas.T))
-    total, _ = _term_sums(circuit, h, rho, m, angles, lam, path_limit, node_limit)
+    total, _ = _term_sums(circuit, h, rho, m, angles, lam)
     estimates = h.identity_coeff * rho.overlap_masks(0, 0) + total
     # one batched dense run; a circuit without symbols has one exact value
     exact = oracle.noisy_mean_value(circuit, h, rho, angles, lam)
@@ -446,10 +440,9 @@ def cross_term_check(
     For certified circuits the expectation vanishes for distinct paths;
     an uncertified circuit is still measured, just flagged.
     """
+    samples, seed = _sampling(samples, seed)
     if path_a == path_b:
         raise ValueError("cross-term check needs two distinct paths")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
     params = _require_distinct_params(circuit)
     certified = circuit_generation_certified(circuit)
     _, thetas = _sample_thetas(seed, samples, params)

@@ -32,7 +32,7 @@ from .pauli import _PHASE_VALUES, PauliWord, basis_index, finite_real, qubit_cou
 HERMITIZE_WARN = 1e-9
 TRACE_TOL = 1e-9
 IMAG_TOL = 1e-12
-DEFAULT_ENTRY_CAP = 1_000_000
+ENTRY_CAP = 1_000_000
 DEFAULT_EXACT_NORM_QUBITS = 12
 # JSON keys that differ from their field names
 _DOCUMENT_KEYS = {"lam": "lambda", "norm": "norm_bound"}
@@ -336,7 +336,6 @@ class SparseDensity:
         self,
         n: int,
         entries: Iterable[tuple[int, int, complex]],
-        entry_cap: int = DEFAULT_ENTRY_CAP,
     ) -> None:
         qubit_count(n)
         self.n = n
@@ -352,8 +351,8 @@ class SparseDensity:
             else:
                 value = _entry_value(value, 0.0, f"entry {ei}")
             raw[(ket, bra)] = raw.get((ket, bra), 0j) + value
-        if len(raw) > entry_cap:
-            raise ValueError(f"{len(raw)} entries exceed the cap of {entry_cap}")
+        if len(raw) > ENTRY_CAP:
+            raise ValueError(f"{len(raw)} entries exceed the cap of {ENTRY_CAP}")
         adjustment = 0.0
         symmetrized: dict[tuple[int, int], complex] = {}
         for (ket, bra), value in raw.items():

@@ -46,7 +46,7 @@ from .circuit import check_assignment, check_instance, check_noise_rate
 from .observables import Hamiltonian, SparseDensity, pauli_sum_matrix
 from .pauli import PauliWord
 
-DEFAULT_ORACLE_CAP = 10
+ORACLE_CAP = 10
 # the most complex entries (256 KB) one batched `evolve_noisy` call holds
 CHUNK_ENTRIES = 1 << 14
 
@@ -59,7 +59,7 @@ _CLIFFORDS = {
 
 
 class OracleCapError(RuntimeError):
-    """Raised when a dense run would exceed the qubit cap."""
+    """Raised when a dense run would exceed ORACLE_CAP qubits."""
 
     def __init__(self, n: int, cap: int) -> None:
         super().__init__(f"dense oracle asked for {n} qubits, cap is {cap}")
@@ -67,9 +67,9 @@ class OracleCapError(RuntimeError):
         self.cap = cap
 
 
-def _check_cap(n: int, cap: int = DEFAULT_ORACLE_CAP) -> None:
-    if n > cap:
-        raise OracleCapError(n, cap)
+def _check_cap(n: int) -> None:
+    if n > ORACLE_CAP:
+        raise OracleCapError(n, ORACLE_CAP)
 
 
 def _real_trace(a: np.ndarray, b: np.ndarray, what: str, scale: int = 1):
@@ -252,7 +252,6 @@ def _check_run(
     rho: SparseDensity,
     assignment: ParameterAssignment,
     lam: float,
-    cap: int,
 ) -> int | None:
     """A dense run's input checks, the cap check last, so a malformed
     instance is reported as such; return the sample count S of array
@@ -260,7 +259,7 @@ def _check_run(
     check_instance(circuit, h, rho)
     check_noise_rate(lam)
     size = check_assignment(circuit, assignment, batch=True)
-    _check_cap(circuit.n, cap)
+    _check_cap(circuit.n)
     return size
 
 
@@ -269,12 +268,11 @@ def evolve_noisy(
     rho: SparseDensity,
     assignment: ParameterAssignment,
     lam: float,
-    cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Final dense density matrix after the noisy circuit (noise applied
     before each layer and once more at the end); with array angles, the
     (S, 2^n, 2^n) stack of one matrix per sample."""
-    size = _check_run(circuit, None, rho, assignment, lam, cap)
+    size = _check_run(circuit, None, rho, assignment, lam)
     n = circuit.n
     tensor = _pairs(state_matrix(rho), n)
     for layer in circuit.layers:
@@ -289,21 +287,20 @@ def noisy_mean_value(
     rho: SparseDensity,
     assignment: ParameterAssignment,
     lam: float,
-    cap: int = DEFAULT_ORACLE_CAP,
 ) -> float | np.ndarray:
     """Tr(H rho_final), checked real; with array angles, an (S,) array of
     one value per sample, from one `evolve_noisy` per chunk of at most
     CHUNK_ENTRIES complex entries."""
-    size = _check_run(circuit, h, rho, assignment, lam, cap)
+    size = _check_run(circuit, h, rho, assignment, lam)
     h_matrix = hamiltonian_matrix(h)
     if size is None:
-        final = evolve_noisy(circuit, rho, assignment, lam, cap)
+        final = evolve_noisy(circuit, rho, assignment, lam)
         return _real_trace(h_matrix, final, "mean value")
     step = max(1, CHUNK_ENTRIES >> (2 * circuit.n))
     values = []
     for start in range(0, size, step):
         chunk = {p: assignment[p][start : start + step] for p in circuit.parameters()}
-        final = evolve_noisy(circuit, rho, chunk, lam, cap)
+        final = evolve_noisy(circuit, rho, chunk, lam)
         values.append(_real_trace(h_matrix, final, "mean value"))
     return np.concatenate(values)
 

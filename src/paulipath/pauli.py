@@ -17,7 +17,8 @@ GF(2) elimination on packed rows (`gf2_echelon`) serves the generation
 certificate (`gf2_rank`) and the symmetry search (`symmetry_word`).
 
 The value rules of every input number live here once: `finite_real` (with
-its test `is_finite_real`), `qubit_count`, `qubit_index` and `basis_index`.
+its test `is_finite_real`), `qubit_count`, `qubit_index`, `basis_index`
+and `non_negative_int`.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def basis_index(index, field: str) -> int:
     if not isinstance(index, numbers.Integral) or isinstance(index, bool):
         raise ValueError(f"{field} must be a basis index (an int, not a bool), got {index!r}")
     return int(index)
+
+
+def non_negative_int(value, field: str) -> int:
+    """`value` as a Python int, or ValueError naming `field` when it breaks
+    the non-negative-integer rule: an int of at least 0, not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{field} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, slots=True)

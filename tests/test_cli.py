@@ -623,7 +623,7 @@ def test_scaling_sweep_mode(capsys):
         [
             "--mode", "scaling-sweep",
             "--sweep-qubits", "2",
-            "--depths", "3,4,5",
+            "--depths", "4,6",
             "--target-mse", "0.25",
         ],
     )
@@ -632,6 +632,9 @@ def test_scaling_sweep_mode(capsys):
     arms = {row["arm"] for row in doc["rows"]}
     assert arms == {"inv-log", "inv-linear"}
     assert "inv_linear_log2_rate" in doc["fits"]
+    # the inv-linear arm keeps the full census of 2^(depth - 1) paths
+    census = {r["depth"]: r["paths_emitted"] for r in doc["rows"] if r["arm"] == "inv-linear"}
+    assert census == {4: 8, 6: 32}
 
 
 def test_float_formatting_round_trips(files, capsys):
@@ -703,6 +706,26 @@ _REFUSALS = {
     ),
     "sweep-no-target-mse": (
         ["--mode", "scaling-sweep", "--depths", "3,4"], "scaling-sweep needs --target-mse"
+    ),
+    "sweep-zero-qubits": (
+        ["--mode", "scaling-sweep", "--depths", "3,4", "--target-mse", "0.25",
+         "--sweep-qubits", "0"],
+        "qubit count must be positive (an int >= 1, not a bool), got 0",
+    ),
+    "negative-seed": (
+        ["--mode", "estimate", "--circuit", "C", "--hamiltonian", "H", "--trunc-m", "8",
+         "--seed", "-1"],
+        "--seed must be a non-negative integer, got -1",
+    ),
+    "negative-seed-with-params": (
+        ["--mode", "oracle-check", "--circuit", "C", "--hamiltonian", "H", "--params",
+         "D/params.json", "--seed", "-1"],
+        "--seed must be a non-negative integer, got -1",
+    ),
+    "mse-benchmark-negative-seed": (
+        ["--mode", "mse-benchmark", "--circuit", "C", "--hamiltonian", "H", "--lambda", "0.2",
+         "--trunc-m", "6", "--seed", "-1"],
+        "seed must be a non-negative integer, got -1",
     ),
 }
 

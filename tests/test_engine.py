@@ -4,6 +4,7 @@ census counts, and resource guards."""
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -18,6 +19,7 @@ from paulipath import (
     PauliWord,
     RotationGate,
     SparseDensity,
+    engine,
     estimate,
     rx_chain_instance,
 )
@@ -258,54 +260,66 @@ def test_stats_shape():
     }
 
 
-def test_path_limit_guard():
+def test_path_limit_guard(monkeypatch):
     circuit, h, rho = rx_chain_instance(2, 8)
+    monkeypatch.setattr(engine, "PATH_LIMIT", 3)
     with pytest.raises(ResourceLimitError, match="paths"):
-        list(PathEnumeration(circuit, h, rho, None, path_limit=3))
+        list(PathEnumeration(circuit, h, rho, None))
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "NODE_LIMIT", 3)
     with pytest.raises(ResourceLimitError, match="nodes"):
-        list(PathEnumeration(circuit, h, rho, None, node_limit=3))
-    # 2^63 predecessors of one word: refused before anything is built, even
-    # under a node limit that would allow them
-    n = 63
-    wide = Circuit(
-        n,
-        (Layer(tuple(RotationGate(PauliWord.from_map(n, {q: "X"}), param=f"a{q}")
-                     for q in range(1, n + 1))),),
-    )
-    h_wide = Hamiltonian(n, [(PauliWord(n, 0, 2**n - 1), 1.0)])
-    run = PathEnumeration(
-        wide, h_wide, SparseDensity.computational_basis(n), None, node_limit=2**70
-    )
-    with pytest.raises(ResourceLimitError, match="predecessors to build"):
-        next(iter(run))
+        list(PathEnumeration(circuit, h, rho, None))
 
 
-def test_estimate_limits_are_global():
+def test_estimate_limits_are_global(monkeypatch):
     # 128 paths over two terms: each term alone stays under the limit
     circuit, h, rho = rx_chain_instance(2, 8)
     theta = {p: 0.3 for p in circuit.parameters()}
-    with pytest.raises(ResourceLimitError, match="more than 100 paths"):
-        estimate(circuit, h, rho, theta, 0.1, path_limit=100)
     nodes = estimate(circuit, h, rho, theta, 0.1).stats["nodes_visited"]
+    monkeypatch.setattr(engine, "PATH_LIMIT", 100)
+    with pytest.raises(ResourceLimitError, match="more than 100 paths"):
+        estimate(circuit, h, rho, theta, 0.1)
+    monkeypatch.undo()
     limit = nodes - 1
+    monkeypatch.setattr(engine, "NODE_LIMIT", limit)
     with pytest.raises(ResourceLimitError, match=f"more than {limit} enumeration nodes"):
-        estimate(circuit, h, rho, theta, 0.1, node_limit=limit)
+        estimate(circuit, h, rho, theta, 0.1)
 
 
-def test_node_limit_counts_term_roots():
+def test_node_limit_counts_term_roots(monkeypatch):
     # at m=2 both terms are pruned at their roots, the only nodes visited
     circuit, h, rho = rx_chain_instance(2, 8)
     theta = {p: 0.3 for p in circuit.parameters()}
+    monkeypatch.setattr(engine, "NODE_LIMIT", 2)
     with pytest.warns(UserWarning, match="below depth"):
-        run = PathEnumeration(circuit, h, rho, 2, node_limit=2)
+        run = PathEnumeration(circuit, h, rho, 2)
     assert list(run) == [] and run.stats.nodes_visited == 2
+    monkeypatch.setattr(engine, "NODE_LIMIT", 1)
     with pytest.warns(UserWarning, match="below depth"):
-        run = PathEnumeration(circuit, h, rho, 2, node_limit=1)
+        run = PathEnumeration(circuit, h, rho, 2)
     with pytest.raises(ResourceLimitError, match="more than 1 enumeration nodes"):
         list(run)
     with pytest.warns(UserWarning, match="below depth"):
         with pytest.raises(ResourceLimitError, match="more than 1 enumeration nodes"):
-            estimate(circuit, h, rho, theta, 0.1, 2, node_limit=1)
+            estimate(circuit, h, rho, theta, 0.1, 2)
+
+
+def test_limit_errors_name_the_count_and_word_index(monkeypatch):
+    # the two term roots sit at word index depth = 8; untruncated, both
+    # terms' 128 paths and 894 nodes come in one batch per word index
+    circuit, h, rho = rx_chain_instance(2, 8)
+    for limit, value, m, message in (
+        ("NODE_LIMIT", 1, 2, "more than 1 enumeration nodes visited: 2 at word index 8"),
+        ("NODE_LIMIT", 893, None, "more than 893 enumeration nodes visited: 894 at word index 0"),
+        ("PATH_LIMIT", 100, None, "more than 100 paths survive truncation: 128 at word index 0"),
+    ):
+        monkeypatch.setattr(engine, limit, value)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "truncation order", UserWarning)
+            run = PathEnumeration(circuit, h, rho, m)
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            list(run)
+        monkeypatch.undo()
 
 
 def test_zero_overlap_roots_pruned():

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -195,15 +196,10 @@ def test_term_sums_array_angles_match_scalar_calls(seed):
     circuit, h, rho, _ = random_certified_instance(seed)
     params = circuit.parameters()
     samples = np.random.default_rng(seed).uniform(0, 2 * math.pi, (5, len(params)))
-    limits = (10**6, 10**7)
-    array_sum, run = _term_sums(
-        circuit, h, rho, None, dict(zip(params, samples.T)), 0.1, *limits
-    )
+    array_sum, run = _term_sums(circuit, h, rho, None, dict(zip(params, samples.T)), 0.1)
     assert run.paths_emitted >= 20
     for k, row in enumerate(samples):
-        scalar_sum, _ = _term_sums(
-            circuit, h, rho, None, dict(zip(params, row)), 0.1, *limits
-        )
+        scalar_sum, _ = _term_sums(circuit, h, rho, None, dict(zip(params, row)), 0.1)
         got = np.broadcast_to(array_sum, len(samples))[k]
         assert got == pytest.approx(scalar_sum, rel=1e-12, abs=1e-12)
 
@@ -254,6 +250,9 @@ def test_mse_benchmark_reproducible_and_bounded():
     assert a.bound <= a.bound_exp
     c = mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=60, seed=12)
     assert c.empirical_mse != a.empirical_mse
+    # numpy ints are taken and reported as Python ints, so the report serializes
+    d = mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=np.int64(60), seed=np.int64(11))
+    assert json.dumps(d.to_dict()) == json.dumps(a.to_dict())
 
 
 def test_mse_benchmark_none_runs_untruncated():
@@ -325,15 +324,24 @@ def test_mismatched_instance_refused_before_any_work(entry, operand, monkeypatch
         "estimate-identity-only": lambda: estimate(circuit, h, rho, theta, 0.3),
         "mse-benchmark": lambda: mse_benchmark(circuit, h, rho, 0.2, 6, 8, 3),
         "enumeration": lambda: PathEnumeration(circuit, h, rho, 6),
-        "oracle-over-cap": lambda: noisy_mean_value(circuit, h, rho, theta, 0.2, cap=1),
+        "oracle-over-cap": lambda: _over_cap(
+            monkeypatch, lambda: noisy_mean_value(circuit, h, rho, theta, 0.2)
+        ),
     }
     qubits = 3 if operand == "observable" else 1
     with pytest.raises(ValueError, match=f"^{operand} on {qubits} qubits, circuit has 2$"):
         calls[entry]()
 
 
+def _over_cap(monkeypatch, call):
+    """`call` with the oracle's qubit cap at 1, below every circuit here."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "ORACLE_CAP", 1)
+        return call()
+
+
 @pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan, True])
-def test_noise_rate_has_one_rule(lam):
+def test_noise_rate_has_one_rule(lam, monkeypatch):
     # one message from every entry point, NaN included, and the oracle names
     # it before its qubit cap
     circuit, h, rho = rx_chain_instance(2, 4)
@@ -343,7 +351,7 @@ def test_noise_rate_has_one_rule(lam):
         lambda: estimate(circuit, h, rho, theta, lam),
         lambda: choose_m(lam, 1.0, target_mse=0.1),
         lambda: noisy_mean_value(circuit, h, rho, theta, lam),
-        lambda: noisy_mean_value(circuit, h, rho, theta, lam, cap=1),
+        lambda: _over_cap(monkeypatch, lambda: noisy_mean_value(circuit, h, rho, theta, lam)),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -367,7 +375,7 @@ def test_every_symbol_needs_a_finite_angle(angle, monkeypatch):
     for call in (
         lambda: estimate(circuit, h, rho, theta, 0.1),
         lambda: noisy_mean_value(circuit, h, rho, theta, 0.1),
-        lambda: noisy_mean_value(circuit, h, rho, theta, 0.1, cap=1),
+        lambda: _over_cap(monkeypatch, lambda: noisy_mean_value(circuit, h, rho, theta, 0.1)),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -400,8 +408,8 @@ def test_every_symbol_needs_finite_angles_in_arrays(monkeypatch):
         theta[name] = angles
         for call in (
             lambda: noisy_mean_value(circuit, h, rho, theta, 0.1),
-            lambda: noisy_mean_value(circuit, h, rho, theta, 0.1, cap=1),
-            lambda: oracle.evolve_noisy(circuit, rho, theta, 0.1, cap=1),
+            lambda: _over_cap(monkeypatch, lambda: noisy_mean_value(circuit, h, rho, theta, 0.1)),
+            lambda: _over_cap(monkeypatch, lambda: oracle.evolve_noisy(circuit, rho, theta, 0.1)),
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(f'{rule}, got {angles!r}')}$"):
                 call()
@@ -409,7 +417,7 @@ def test_every_symbol_needs_finite_angles_in_arrays(monkeypatch):
     theta[first] = np.array([], dtype=float)
     rule = f"parameter {first!r} needs a finite real angle per sample, in a non-empty 1-d array"
     with pytest.raises(ValueError, match=f"^{re.escape(rule)}, got "):
-        noisy_mean_value(circuit, h, rho, theta, 0.1, cap=1)
+        _over_cap(monkeypatch, lambda: noisy_mean_value(circuit, h, rho, theta, 0.1))
     theta[first] = np.full(3, 0.4)
     rule = f"parameter {first!r} needs a finite real angle, got {theta[first]!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
@@ -478,7 +486,7 @@ def test_mse_benchmark_survives_package_reimport(monkeypatch):
     assert report.passed
 
 
-def test_sampled_runs_refuse_what_they_cannot_sample():
+def test_sampled_runs_refuse_what_they_cannot_sample(monkeypatch):
     circuit, h, rho = rx_chain_instance(2, 4)
     paths = list(PathEnumeration(circuit, h, rho, None))
     for call in (
@@ -487,6 +495,34 @@ def test_sampled_runs_refuse_what_they_cannot_sample():
     ):
         with pytest.raises(ValueError, match="^need at least 2 samples, got 1$"):
             call()
+    # a sample count or a seed that is not a non-negative int is named before
+    # any work: before the norm bound and before the generation warning
+    def tripwire(*args, **kwargs):
+        pytest.fail("norm bound computed before the sampling check")
+
+    monkeypatch.setattr(estimator, "norm_bound", tripwire)
+    uncertified = Circuit(1, (Layer((RotationGate(PauliWord.from_string("X"), param="a"),)),))
+    h1 = Hamiltonian(1, [(PauliWord.from_string("Z"), 1.0)])
+    rho1 = SparseDensity.computational_basis(1)
+    for samples, seed, field in (
+        (8, -1, "seed"),
+        (8, True, "seed"),
+        (8, 1.5, "seed"),
+        (2.5, 0, "samples"),
+        (True, 0, "samples"),
+    ):
+        value = seed if field == "seed" else samples
+        message = re.escape(f"{field} must be a non-negative integer, got {value!r}")
+        for call in (
+            lambda: mse_benchmark(uncertified, h1, rho1, lam=0.2, m=4, samples=samples, seed=seed),
+            lambda: cross_term_check(
+                circuit, h, rho, paths[0], paths[1], samples=samples, seed=seed
+            ),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    call()
     rx = RotationGate(PauliWord.from_string("X"), param="a")
     shared = Circuit(1, (Layer((rx,)), Layer((rx,))))
     h1 = Hamiltonian(1, [(PauliWord.from_string("Z"), 1.0)])

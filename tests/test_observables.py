@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulipath import Hamiltonian, PauliWord, SparseDensity
+from paulipath import Hamiltonian, PauliWord, SparseDensity, observables
 from paulipath.observables import (
     ObservableFormatError,
     _norm_symmetry,
@@ -214,9 +214,10 @@ def test_density_basis_indices():
         SparseDensity(1, [(0, 0, 0.5), (2, 2, 0.5)])
 
 
-def test_density_entry_cap():
+def test_density_entry_cap(monkeypatch):
+    monkeypatch.setattr(observables, "ENTRY_CAP", 2)
     with pytest.raises(ValueError, match="exceed the cap"):
-        SparseDensity(1, [(0, 0, 0.5), (1, 1, 0.5), (0, 1, 0.1)], entry_cap=2)
+        SparseDensity(1, [(0, 0, 0.5), (1, 1, 0.5), (0, 1, 0.1)])
 
 
 def test_known_overlaps():

@@ -15,6 +15,7 @@ from paulipath import (
     PauliWord,
     RotationGate,
     SparseDensity,
+    oracle,
 )
 from paulipath.oracle import (
     OracleCapError,
@@ -106,7 +107,7 @@ def test_non_finite_mean_value_raises():
         noisy_mean_value(circuit, h, rho, {}, 0.1)
 
 
-def test_cap_guard():
+def test_cap_guard(monkeypatch):
     n = 11
     circuit = Circuit(
         n, (Layer((RotationGate(PauliWord.from_map(n, {1: "X"}), param="a"),)),)
@@ -116,7 +117,8 @@ def test_cap_guard():
     with pytest.raises(OracleCapError):
         noisy_mean_value(circuit, h, rho, {"a": 0.5}, 0.0)
     # a raised cap admits the same instance
-    assert noisy_mean_value(circuit, h, rho, {"a": 0.0}, 0.0, cap=11) == pytest.approx(1.0)
+    monkeypatch.setattr(oracle, "ORACLE_CAP", 11)
+    assert noisy_mean_value(circuit, h, rho, {"a": 0.0}, 0.0) == pytest.approx(1.0)
 
 
 def test_state_factor_is_overlap():

@@ -33,13 +33,6 @@ def test_path_census_counts_every_path():
     assert all(r[1] == r[2] for r in rows[1:])
 
 
-def test_scaling_sweep_keeps_the_full_census_on_the_inv_linear_arm():
-    rows = _run_script("scaling_sweep_experiment.py", "--depths", "4", "6")
-    # arm, depth, lam, m, nodes, paths
-    census = {int(r[1]): int(r[5]) for r in rows if len(r) == 6 and r[0] == "inv-linear"}
-    assert census == {4: 8, 6: 32}
-
-
 def test_truncation_mse_rows_pass_their_bound():
     rows = _run_script(
         "truncation_mse_experiment.py", "--depth", "3", "--samples", "8", "--noise", "0.3"

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import paulipath
+from paulipath import engine, estimator, observables, oracle
 
 
 def test_no_assert_statements():
@@ -37,6 +39,8 @@ def test_each_input_rule_is_written_once():
         ("must be a qubit index", "pauli.py"),
         ("must be a basis index", "pauli.py"),
         ("must be a finite real number", "pauli.py"),
+        ("must be a non-negative integer", "pauli.py"),
+        ("need at least 2 samples", "estimator.py"),
     ):
         homes = [name for name, text in sources.items() if literal in text]
         assert homes == [home], (literal, homes)
@@ -69,3 +73,33 @@ def test_oracle_imports_no_path_code():
             names += [alias.name for alias in node.names]
     parts = {part for name in names for part in name.split(".")}
     assert parts & {"engine", "estimator", "benchmarks"} == set()
+
+
+def test_resource_limits_are_constants():
+    # no entry point takes a limit or a cap: each is one module constant,
+    # read where it is checked
+    for fn in (
+        estimator.estimate,
+        estimator.mse_benchmark,
+        engine.PathEnumeration,
+        oracle.noisy_mean_value,
+        oracle.evolve_noisy,
+        observables.SparseDensity,
+    ):
+        params = set(inspect.signature(fn).parameters)
+        assert params & {"path_limit", "node_limit", "cap", "entry_cap"} == set(), fn
+    assigned = {}
+    for path in sorted(Path(paulipath.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(path.name)
+    for name, home in (
+        ("PATH_LIMIT", "engine.py"),
+        ("NODE_LIMIT", "engine.py"),
+        ("ORACLE_CAP", "oracle.py"),
+        ("ENTRY_CAP", "observables.py"),
+    ):
+        assert assigned.get(name) == [home], (name, assigned.get(name))
