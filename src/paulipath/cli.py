@@ -109,8 +109,6 @@ def _load_instance(args) -> tuple[Circuit, Hamiltonian, SparseDensity]:
 
 def _resolve_theta(circuit: Circuit, args) -> tuple[dict[str, float], bool]:
     """Angles from --params, or drawn uniformly when --seed is given."""
-    if args.seed is not None:
-        non_negative_int(args.seed, "--seed")
     params = circuit.parameters()
     if args.params is not None:
         raw = _load_json(args.params, "params")
@@ -350,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            non_negative_int(args.seed, "--seed")
         return _MODE_RUNNERS[args.mode](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

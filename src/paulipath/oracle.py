@@ -10,10 +10,10 @@ last round.  A wider rotation gets D, then U and conj U on its row and
 column bits in the (S,) + (2,)*2n view.
 
 Angles are all floats, or all 1-d arrays of S angles, one per sample.
-Cliffords, bound angles and noise are shared by the samples, one
-`tensordot` each; a symbol's rotation has one operator per sample, an
-(S, 4, 4) site operator or an (S, 2^k, 2^k) U, applied by one `matmul`.
-A float run is a batch of one.  `noisy_mean_value` splits the samples
+Every gate site and noise step is one `matmul`: Cliffords, bound angles
+and noise give one operator that the samples share, and a symbol's
+rotation one per sample, an (S, 4, 4) site operator or an (S, 2^k, 2^k)
+U.  A float run is a batch of one.  `noisy_mean_value` splits the samples
 into chunks of at most CHUNK_ENTRIES complex entries, one `evolve_noisy`
 each, so from n = 7 on a chunk is one sample.
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .circuit import Circuit, CliffordGate, Layer, ParameterAssignment, RotationGate
 from .circuit import check_assignment, check_instance, check_noise_rate
-from .observables import Hamiltonian, SparseDensity, pauli_sum_matrix
+from .observables import IMAG_TOL, Hamiltonian, SparseDensity, pauli_sum_matrix
 from .pauli import PauliWord
 
 ORACLE_CAP = 10
@@ -74,20 +74,14 @@ def _check_cap(n: int) -> None:
 
 def _real_trace(a: np.ndarray, b: np.ndarray, what: str, scale: int = 1):
     """Tr(a b) / scale for a Hermitian a (H or a Pauli word), which must be
-    real and finite; a stack of b's gives one trace each, in an array.  The
-    trace is the sum of a_ij b_ji, O(4^n), where forming a @ b would be
-    O(8^n).  A real Hermitian a is symmetric, so with a complex b the sum is
-    one real product of a's entries with b's (real, imaginary) pairs, faster
-    than einsum's mixed-dtype sum and than its complex one, and with no
-    copy."""
-    if a.dtype == np.float64 and b.dtype == np.complex128:
-        pairs = np.ascontiguousarray(b).view(np.float64).reshape(*b.shape[:-2], -1, 2)
-        real, imag = np.moveaxis(a.reshape(-1) @ pairs, -1, 0)
-    else:
-        value = np.einsum("ij,...ji->...", a, b)
-        real, imag = value.real, value.imag
-    real, imag = real / scale, imag / scale
-    bad = ~(np.isfinite(real) & (np.abs(imag) < 1e-10))
+    finite and real within IMAG_TOL * max(1, sum |a_ij b_ji| / scale), the
+    size of its roundoff, as in `SparseDensity.overlap_masks`; a stack of
+    b's gives one trace each, in an array.  The trace is the sum of
+    a_ij b_ji, O(4^n), where forming a @ b would be O(8^n)."""
+    value = np.einsum("ij,...ji->...", a, b)
+    size = np.einsum("ij,...ji->...", np.abs(a), np.abs(b)) / scale
+    real, imag = value.real / scale, value.imag / scale
+    bad = ~(np.isfinite(real) & (np.abs(imag) <= IMAG_TOL * np.maximum(1.0, size)))
     if bad.any():
         first = np.flatnonzero(bad)[0]
         value = complex(real.flat[first], imag.flat[first])
@@ -124,10 +118,8 @@ def _rotation_matrix(gate: RotationGate, assignment: ParameterAssignment) -> np.
     (S, 2^k, 2^k) stack, one matrix per sample."""
     theta = gate.angle if gate.param is None else assignment[gate.param]
     pauli = _generator_matrix(gate.generator)
-    if isinstance(theta, np.ndarray):
-        half = theta[:, None, None] / 2
-        return np.cos(half) * np.eye(len(pauli)) - 1j * np.sin(half) * pauli
-    return math.cos(theta / 2) * np.eye(len(pauli)) - 1j * math.sin(theta / 2) * pauli
+    half = np.asarray(theta)[..., None, None] / 2
+    return np.cos(half) * np.eye(len(pauli)) - 1j * np.sin(half) * pauli
 
 
 @lru_cache(maxsize=64)
@@ -142,17 +134,12 @@ def _generator_matrix(generator: PauliWord) -> np.ndarray:
 def _apply(tensor: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
     """op on k axes of size d (4 for pair axes, 2 for bit axes), axes[j]
     carrying digit j of op's base-d index; every gate and noise step is
-    this one contraction.  Axis 0 of the tensor indexes samples.  A shared
-    op (d^k x d^k) is one tensordot; an (S, d^k, d^k) stack, one op per
-    sample, is one matmul, which spreads a batch of one to S."""
+    this one `matmul`.  Axis 0 of the tensor indexes samples.  A d^k x d^k
+    op is shared by the samples; an (S, d^k, d^k) stack gives one op per
+    sample and spreads a batch of one to S."""
     k = len(axes)
     d = tensor.shape[axes[0]]
     high_first = axes[::-1]  # a reshaped op's axis 0 is its top digit
-    if op.ndim == 2:
-        out = np.tensordot(
-            op.reshape((d,) * (2 * k)), tensor, axes=(list(range(k, 2 * k)), high_first)
-        )
-        return np.moveaxis(out, list(range(k)), high_first)
     front = list(range(1, k + 1))
     moved = np.moveaxis(tensor, high_first, front)
     out = op @ moved.reshape(len(moved), d**k, -1)

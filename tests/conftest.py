@@ -253,3 +253,24 @@ def random_certified_instance(
         }
         return circuit, h, rho, theta
     raise RuntimeError(f"no certified instance found for seed {seed}")
+
+
+def ansatz_instance(n: int, depth: int) -> tuple[Circuit, Hamiltonian, SparseDensity]:
+    """Hardware-efficient ansatz: even layers rotate every qubit, all-Y and
+    all-Z in turn; odd layers are a CNOT brickwork whose offset alternates
+    between 1 and 2.  H = sum Z_q Z_q+1 + 0.5 sum X_q, rho = |0...0>."""
+    layers = []
+    for li in range(depth):
+        if li % 2 == 0:
+            letter = "YZ"[(li // 2) % 2]
+            gates = tuple(
+                RotationGate(PauliWord.from_map(n, {q: letter}), param=f"t{li}_{q}")
+                for q in range(1, n + 1)
+            )
+        else:
+            offset = 1 + (li // 2) % 2
+            gates = tuple(CliffordGate("CNOT", (q, q + 1)) for q in range(offset, n, 2))
+        layers.append(Layer(gates))
+    terms = [(PauliWord.from_map(n, {q: "Z", q + 1: "Z"}), 1.0) for q in range(1, n)]
+    terms += [(PauliWord.from_map(n, {q: "X"}), 0.5) for q in range(1, n + 1)]
+    return Circuit(n, tuple(layers)), Hamiltonian(n, terms), SparseDensity.computational_basis(n)

@@ -269,6 +269,18 @@ def test_json_round_trip():
             {"n": 2, "layers": [{"gates": [{"kind": "rot", "pauli": 5, "param": "a"}]}]},
             "^layer 1, gate 1: rot gate needs a 'pauli' string$",
         ),
+        (
+            {"n": 2, "layers": [{"gates": [{"kind": "rot", "pauli": "XX", "param": 3}]}]},
+            "^layer 1, gate 1: param must be a str, got 3$",
+        ),
+        (
+            {"n": 2, "layers": [{"gates": [{"kind": "rot", "pauli": "XYZ", "param": "a"}]}]},
+            "^layer 1, gate 1: generator is on 3 qubits, circuit has 2$",
+        ),
+        (
+            {"n": 2, "layers": [{"gates": [{"kind": "rot", "pauli": "", "param": "a"}]}]},
+            "^layer 1, gate 1: empty Pauli string$",
+        ),
     ],
 )
 def test_format_errors(obj, match):

@@ -725,7 +725,20 @@ _REFUSALS = {
     "mse-benchmark-negative-seed": (
         ["--mode", "mse-benchmark", "--circuit", "C", "--hamiltonian", "H", "--lambda", "0.2",
          "--trunc-m", "6", "--seed", "-1"],
-        "seed must be a non-negative integer, got -1",
+        "--seed must be a non-negative integer, got -1",
+    ),
+    "choose-m-negative-seed": (
+        ["--mode", "choose-m", "--hamiltonian", "H", "--lambda", "0.2", "--target-mse", "0.01",
+         "--seed", "-1"],
+        "--seed must be a non-negative integer, got -1",
+    ),
+    "sweep-depth-below-2": (
+        ["--mode", "scaling-sweep", "--depths", "1,4", "--target-mse", "0.25"],
+        "need at least two depths, all >= 2",
+    ),
+    "sweep-one-depth": (
+        ["--mode", "scaling-sweep", "--depths", "4", "--target-mse", "0.25"],
+        "need at least two depths, all >= 2",
     ),
 }
 

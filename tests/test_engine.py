@@ -35,7 +35,7 @@ from paulipath.engine import (
 from paulipath.estimator import atom_value, path_value, damping
 from paulipath.oracle import observable_factor, state_factor, transition_factor
 
-from conftest import random_certified_instance
+from conftest import ansatz_instance, random_certified_instance
 
 
 def test_rotation_predecessors_commuting():
@@ -223,6 +223,8 @@ def test_rx_chain_census():
         paths = list(PathEnumeration(circuit, h, rho, None))
         assert len(paths) == 2 ** (depth - 1)
         assert all(p.total_weight == depth + 1 for p in paths)
+    with pytest.raises(ValueError, match="^need depth >= 2, got 1$"):
+        rx_chain_instance(2, 1)
 
 
 def test_minimum_weight_cutoff():
@@ -417,6 +419,13 @@ _SHALLOW_INSTANCES = [
 ]
 
 
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", UserWarning)  # its trace is 0
+    # a state with no entries: the flip set is empty, so every leaf is
+    # pruned by zero overlap
+    _EMPTY_STATE_INSTANCE = (*rx_chain_instance(2, 3)[:2], SparseDensity(2, []))
+
+
 @given(
     st.integers(0, 10**6).map(
         lambda seed: random_certified_instance(seed, max_n=4, max_depth=5)[:3]
@@ -425,6 +434,7 @@ _SHALLOW_INSTANCES = [
 @example(_SHALLOW_INSTANCES[0])
 @example(_SHALLOW_INSTANCES[1])
 @example(_SHALLOW_INSTANCES[2])
+@example(_EMPTY_STATE_INSTANCE)
 @settings(max_examples=60, deadline=None)
 def test_batched_walk_equals_reference_walk_at_every_m(instance):
     # same paths in the same order, and the same five counters, at every
@@ -437,31 +447,10 @@ def test_batched_walk_equals_reference_walk_at_every_m(instance):
         assert run.stats == want_stats
 
 
-def _ansatz_instance(n, depth):
-    """Hardware-efficient ansatz: even layers rotate every qubit, all-Y and
-    all-Z in turn; odd layers are a CNOT brickwork whose offset alternates
-    between 1 and 2.  H = sum Z_q Z_q+1 + 0.5 sum X_q, rho = |0...0>."""
-    layers = []
-    for li in range(depth):
-        if li % 2 == 0:
-            letter = "YZ"[(li // 2) % 2]
-            gates = tuple(
-                RotationGate(PauliWord.from_map(n, {q: letter}), param=f"t{li}_{q}")
-                for q in range(1, n + 1)
-            )
-        else:
-            offset = 1 + (li // 2) % 2
-            gates = tuple(CliffordGate("CNOT", (q, q + 1)) for q in range(offset, n, 2))
-        layers.append(Layer(gates))
-    terms = [(PauliWord.from_map(n, {q: "Z", q + 1: "Z"}), 1.0) for q in range(1, n)]
-    terms += [(PauliWord.from_map(n, {q: "X"}), 0.5) for q in range(1, n + 1)]
-    return Circuit(n, tuple(layers)), Hamiltonian(n, terms), SparseDensity.computational_basis(n)
-
-
 def test_pinned_ansatz_counters_and_memory():
     # ansatz(8,12) at m=44 emits more paths than one batch holds; one full
     # pass keeps the pinned counters and at most 2 MB of traced memory
-    circuit, h, rho = _ansatz_instance(8, 12)
+    circuit, h, rho = ansatz_instance(8, 12)
     run = PathEnumeration(circuit, h, rho, 44)
     tracemalloc.start()
     try:

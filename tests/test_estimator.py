@@ -495,6 +495,8 @@ def test_sampled_runs_refuse_what_they_cannot_sample(monkeypatch):
     ):
         with pytest.raises(ValueError, match="^need at least 2 samples, got 1$"):
             call()
+    with pytest.raises(ValueError, match="^cross-term check needs two distinct paths$"):
+        cross_term_check(circuit, h, rho, paths[0], paths[0], samples=4, seed=0)
     # a sample count or a seed that is not a non-negative int is named before
     # any work: before the norm bound and before the generation warning
     def tripwire(*args, **kwargs):

@@ -59,6 +59,11 @@ def test_coeff_rejects_size_mismatch():
     h = _h(("XI", 1.0))
     with pytest.raises(ValueError):
         h.coeff(PauliWord.from_string("X"))
+    with pytest.raises(ValueError, match="^term on 1 qubits, Hamiltonian has 2$"):
+        Hamiltonian(2, [(PauliWord.from_string("X"), 1.0)])
+    rho = SparseDensity.computational_basis(1)
+    with pytest.raises(ValueError, match="^word on 2 qubits, state has 1$"):
+        rho.overlap(PauliWord.from_string("XI"))
 
 
 @given(pauli_sums())

@@ -31,6 +31,7 @@ from paulipath.oracle import (
 )
 
 from conftest import (
+    ansatz_instance,
     dense_depolarize,
     dense_hamiltonian,
     dense_layer_unitary,
@@ -105,6 +106,24 @@ def test_non_finite_mean_value_raises():
     rho = SparseDensity(1, [(0, 0, 1.0), (0, 1, 1e307), (1, 0, 1e307)])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="mean value"):
         noisy_mean_value(circuit, h, rho, {}, 0.1)
+
+
+def test_large_coefficients_keep_a_real_mean_value():
+    # the realness check scales with the sum of |H_ij rho_ji|, as the state
+    # overlap's does with its entries, so a large H's roundoff is not refused
+    circuit, h, rho = ansatz_instance(6, 8)
+    extra = [(PauliWord.from_string("XYIIII"), 0.3), (PauliWord.from_string("YYIIZI"), 0.2)]
+    h = Hamiltonian(6, [*h.terms(), *extra])
+    big = Hamiltonian(6, [(word, 1e8 * coeff) for word, coeff in h.terms()])
+    rng = np.random.default_rng(1)
+    theta = {p: rng.uniform(0, 2 * np.pi, 8) for p in circuit.parameters()}
+    want = 1e8 * noisy_mean_value(circuit, h, rho, theta, 0.2)
+    got = noisy_mean_value(circuit, big, rho, theta, 0.2)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    first = {p: float(angles[0]) for p, angles in theta.items()}
+    assert noisy_mean_value(circuit, big, rho, first, 0.2) == pytest.approx(
+        want[0], rel=1e-12, abs=0
+    )
 
 
 def test_cap_guard(monkeypatch):

@@ -1,5 +1,7 @@
 """Pauli word algebra against an independent dense implementation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +50,25 @@ def test_restrict_keeps_sorted_support_order():
     w = PauliWord.from_string("XIZY")
     assert str(w.restrict({1, 3})) == "XZ"
     assert str(w.restrict({4, 1})) == "XY"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PauliWord(0, 0, 0), "word needs at least one qubit, got n=0"),
+        (lambda: PauliWord(1, 2, 0), "bit masks exceed 1 qubits"),
+        (lambda: PauliWord.from_string("XY").restrict([]), "cannot restrict to an empty index set"),
+        (lambda: PauliWord.from_string("XY").restrict([1, 3]), "qubit 3 outside 1..2"),
+        (lambda: PauliWord.from_string("XY").letter(0), "qubit 0 outside 1..2"),
+        (
+            lambda: commutes(PauliWord.from_string("X"), PauliWord.from_string("XY")),
+            "word lengths differ: 1 vs 2",
+        ),
+    ],
+)
+def test_word_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # single-letter products, checked against dense 2x2 algebra

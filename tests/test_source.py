@@ -75,6 +75,17 @@ def test_oracle_imports_no_path_code():
     assert parts & {"engine", "estimator", "benchmarks"} == set()
 
 
+def _names(ctx: type) -> dict[str, list[str]]:
+    """The modules that store (ast.Store) or read (ast.Load) each name,
+    one entry per occurrence."""
+    found: dict[str, list[str]] = {}
+    for path in sorted(Path(paulipath.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ctx):
+                found.setdefault(node.id, []).append(path.name)
+    return found
+
+
 def test_resource_limits_are_constants():
     # no entry point takes a limit or a cap: each is one module constant,
     # read where it is checked
@@ -88,14 +99,7 @@ def test_resource_limits_are_constants():
     ):
         params = set(inspect.signature(fn).parameters)
         assert params & {"path_limit", "node_limit", "cap", "entry_cap"} == set(), fn
-    assigned = {}
-    for path in sorted(Path(paulipath.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        assigned.setdefault(target.id, []).append(path.name)
+    assigned = _names(ast.Store)
     for name, home in (
         ("PATH_LIMIT", "engine.py"),
         ("NODE_LIMIT", "engine.py"),
@@ -103,3 +107,12 @@ def test_resource_limits_are_constants():
         ("ENTRY_CAP", "observables.py"),
     ):
         assert assigned.get(name) == [home], (name, assigned.get(name))
+
+
+def test_oracle_has_one_contraction_and_one_realness_rule():
+    # every gate and noise step of the oracle is one matmul, and a dense
+    # trace is checked real by the rule of the state overlaps, whose one
+    # tolerance both modules read
+    assert "tensordot" not in _sources()["oracle.py"]
+    assert _names(ast.Store).get("IMAG_TOL") == ["observables.py"]
+    assert set(_names(ast.Load).get("IMAG_TOL", [])) == {"observables.py", "oracle.py"}
