@@ -347,7 +347,7 @@ class PathEnumeration:
             levels.append((batch, {}))
             idx = self.circuit.depth + 1 - len(generators)  # word index of batch
             if idx == 0:
-                yield from self._paths(levels, stats, idx)
+                yield from self._paths(levels, stats)
             else:
                 generators.append(self._children(batch, idx, stats))
 
@@ -433,9 +433,9 @@ class PathEnumeration:
         return leaves.take(np.array(keep, dtype=np.intp))
 
     def _paths(
-        self, levels: list[tuple[_Batch, dict]], stats: EnumerationStats, idx: int
+        self, levels: list[tuple[_Batch, dict]], stats: EnumerationStats
     ) -> Iterator[PauliPath]:
-        """The paths ending in the leaf batch at word index idx, the last of
+        """The paths ending in the leaf batch at word index 0, the last of
         `levels`.  Each level's cache maps a row on an emitted path to its
         word and the atoms of the step into it."""
         leaves = levels[-1][0]
@@ -443,7 +443,7 @@ class PathEnumeration:
         if reached > PATH_LIMIT:
             raise ResourceLimitError(
                 f"more than {PATH_LIMIT} paths survive truncation:"
-                f" {reached} at word index {idx}"
+                f" {reached} at word index 0"
             )
         n, depth = self.circuit.n, self.circuit.depth
         rows = np.arange(len(leaves.x))

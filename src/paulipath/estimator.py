@@ -13,11 +13,12 @@ over uniform angles is bounded by (1 - lam)^(2M) * |H|^2 where |H| bounds
 the spectral norm of the traceless part.  When the generation check fails
 the same numbers are still reported but flagged as not certified.
 
-One evaluator, `_term_sums`, computes the damped path sums of every
-observable term in one walk over their paths, in one process, and folds
-them in canonical term order.  Angles are either floats (`estimate`) or one
-ndarray per parameter with one entry per sample (`mse_benchmark`), so the
-same path expansion is evaluated at every sampled angle vector at once.
+One evaluator, `_term_sums`, walks the paths of every observable term once
+and adds up damping(path) * path_value(path) in path order, so an estimate
+is the identity offset plus the in-order sum of its own paths'
+contributions.  Angles are either floats (`estimate`) or one ndarray per
+parameter with one entry per sample (`mse_benchmark`), so the same path
+expansion is evaluated at every sampled angle vector at once.
 """
 
 from __future__ import annotations
@@ -101,32 +102,23 @@ def _term_sums(
     assignment: ParameterAssignment,
     lam: float,
 ) -> tuple[float | np.ndarray, EnumerationStats]:
-    """Sum over all terms of coeff * damped path sum, folded in canonical
-    term order, from one walk over their paths; per-sample arrays when the
-    angles are arrays."""
-    damp = [1.0]
-    for _ in range(truncation_order(circuit, None)):  # the largest path weight
-        damp.append(damp[-1] * (1.0 - lam))
-    terms = h.terms()
-    # every term gets a sum, so terms without paths still fold in
-    sums: dict[tuple[int, int], float | np.ndarray] = {
-        (word.x, word.z): 0.0 for word, _ in terms
-    }
+    """The in-order sum, from 0.0, of every path's damping * path_value,
+    from one walk over the paths; per-sample arrays when the angles are
+    arrays.  Each contribution is computed with the arithmetic of those
+    two functions, each atom's value once per run."""
+    damp = [(1.0 - lam) ** w for w in range(truncation_order(circuit, None) + 1)]
     atom_cache: dict[FactorAtom, float | np.ndarray] = {}
+    total = 0.0
     run = PathEnumeration(circuit, h, rho, m)
     for path in run:
-        factor = path.sign * damp[path.total_weight]
-        for atom in path.atoms:
-            value = atom_cache.get(atom)
-            if value is None:
-                value = atom_value(atom, assignment)
-                atom_cache[atom] = value
-            factor *= value
         first, last = path.words[0], path.words[-1]
-        sums[(last.x, last.z)] += factor * rho.overlap_masks(first.x, first.z)
-    total = 0.0
-    for (_, coeff), term_sum in zip(terms, sums.values()):
-        total += coeff * term_sum
+        value = h.coeff(last) * path.sign
+        for atom in path.atoms:
+            factor = atom_cache.get(atom)
+            if factor is None:
+                factor = atom_cache[atom] = atom_value(atom, assignment)
+            value *= factor
+        total += damp[path.total_weight] * (value * rho.overlap_masks(first.x, first.z))
     return total, run.stats
 
 
@@ -339,14 +331,14 @@ def _sampling(samples: int, seed: int) -> tuple[int, int]:
 
 def _sample_thetas(
     seed: int, samples: int, params: Sequence[str]
-) -> tuple[list[int], np.ndarray]:
-    """Per-sample child seeds and a (samples, params) matrix of angles."""
+) -> tuple[list[int], dict[str, np.ndarray]]:
+    """Per-sample child seeds, and per parameter its angles, one per sample."""
     rng = np.random.default_rng(seed)
     sample_seeds = [int(s) for s in rng.integers(0, 2**63, size=samples)]
     thetas = np.empty((samples, len(params)), dtype=float)
     for i, child in enumerate(sample_seeds):
         thetas[i] = np.random.default_rng(child).uniform(0.0, 2.0 * math.pi, len(params))
-    return sample_seeds, thetas
+    return sample_seeds, dict(zip(params, thetas.T))
 
 
 @dataclass(frozen=True)
@@ -391,8 +383,7 @@ def mse_benchmark(
     norm, certified, bound, bound_exp = _certificate(
         circuit, h, rho, lam, m, DEFAULT_EXACT_NORM_QUBITS
     )
-    sample_seeds, thetas = _sample_thetas(seed, samples, params)
-    angles = dict(zip(params, thetas.T))
+    sample_seeds, angles = _sample_thetas(seed, samples, params)
     total, _ = _term_sums(circuit, h, rho, m, angles, lam)
     estimates = h.identity_coeff * rho.overlap_masks(0, 0) + total
     # one batched dense run; a circuit without symbols has one exact value
@@ -445,8 +436,7 @@ def cross_term_check(
         raise ValueError("cross-term check needs two distinct paths")
     params = _require_distinct_params(circuit)
     certified = circuit_generation_certified(circuit)
-    _, thetas = _sample_thetas(seed, samples, params)
-    angles = dict(zip(params, thetas.T))
+    _, angles = _sample_thetas(seed, samples, params)
     # paths without free atoms have a constant value; keep one per sample
     products = np.full(
         samples,

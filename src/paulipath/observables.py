@@ -108,7 +108,6 @@ class Hamiltonian:
                 " is not finite"
             )
         self._norm_bounds: dict[bool, NormBound] = {}
-        self._matrix: np.ndarray | None = None  # dense H, built by the oracle
 
     def coeff(self, word: PauliWord) -> float:
         """Coefficient of a word; 0.0 when absent."""

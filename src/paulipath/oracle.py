@@ -95,13 +95,8 @@ def word_matrix(word: PauliWord) -> np.ndarray:
 
 
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    """Dense matrix of H, identity part included.  Built once per
-    Hamiltonian and cached on the immutable `h`, read-only."""
-    if h._matrix is None:
-        matrix = pauli_sum_matrix(h.n, h.terms(), h.identity_coeff)
-        matrix.flags.writeable = False
-        h._matrix = matrix
-    return h._matrix
+    """Dense matrix of H, identity part included."""
+    return pauli_sum_matrix(h.n, h.terms(), h.identity_coeff)
 
 
 def state_matrix(rho: SparseDensity) -> np.ndarray:

@@ -211,6 +211,8 @@ def test_generation_check_full_and_partial():
     assert generation_check(full)
     assert not generation_check(full[:3])
     assert not generation_check([PauliWord.from_string("ZI"), PauliWord.from_string("ZZ")])
+    with pytest.raises(ValueError, match="^word lengths differ: 2 vs 1$"):
+        generation_check([PauliWord.from_string("Z"), PauliWord.from_string("ZZ")])
 
 
 def test_circuit_certification():

@@ -121,6 +121,36 @@ def test_estimate_without_params_or_seed_fails(files, capsys):
     assert "params" in err or "seed" in err
 
 
+def test_estimate_without_parameters_needs_neither_params_nor_seed(files, capsys):
+    # bound angles only; the four generators certify the circuit
+    circuit = {"n": 2, "layers": [
+        {"gates": [
+            {"kind": "rot", "pauli": "XI", "angle": 0.4},
+            {"kind": "rot", "pauli": "IZ", "angle": 1.1},
+        ]},
+        {"gates": [
+            {"kind": "rot", "pauli": "ZI", "angle": 2.0},
+            {"kind": "rot", "pauli": "IX", "angle": 0.7},
+        ]},
+    ]}
+    path = files["dir"] / "bound.json"
+    path.write_text(json.dumps(circuit))
+    code, out, _ = _run(
+        capsys,
+        [
+            "--mode", "estimate",
+            "--circuit", str(path),
+            "--hamiltonian", files["hamiltonian"],
+            "--lambda", "0.1",
+            "--trunc-m", "4",
+        ],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["theta"] == {}
+    assert doc["theta_drawn"] is False
+
+
 def test_estimate_target_mse_selects_m(files, capsys, monkeypatch):
     # m selection and the report's certificate share one dense norm bound
     builds = []
@@ -615,6 +645,30 @@ def test_path_dump_contributions(files, capsys):
     report = json.loads(out2)["report"]
     assert total == pytest.approx(report["value"] - report["identity_offset"], abs=1e-12)
     assert all(int(r["weight"]) >= 5 for r in rows)  # depth + 1 minimum
+
+
+def test_path_dump_rows_add_up_to_the_estimate(files, capsys):
+    # bit for bit: the estimate is its identity offset plus the in-order
+    # sum of the dumped contributions.  On this instance (the fixture's,
+    # lambda 0.1, m 8, seed 0) a damping table built by repeated products
+    # instead of (1 - lambda)^w misses the identity in the last bit.
+    common = [
+        "--circuit", files["circuit"],
+        "--hamiltonian", files["hamiltonian"],
+        "--lambda", "0.1",
+        "--trunc-m", "8",
+        "--seed", "0",
+    ]
+    code, out, _ = _run(capsys, ["--mode", "path-dump", *common])
+    assert code == 0
+    total = 0.0
+    for row in csv.DictReader(io.StringIO(out)):
+        total += float(row["contribution"])
+    code, out, _ = _run(capsys, ["--mode", "estimate", *common])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["identity_offset"] == 0.25
+    assert report["value"] == report["identity_offset"] + total
 
 
 def test_scaling_sweep_mode(capsys):

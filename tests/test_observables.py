@@ -53,6 +53,7 @@ def test_terms_merge_and_identity_split():
     assert h.coeff(PauliWord.from_string("XI")) == 1.5
     assert h.coeff(PauliWord.from_string("YY")) == 0.0
     assert h.coeff(PauliWord.from_string("XY")) == 0.0
+    assert h.coeff(PauliWord.identity(2)) == h.identity_coeff
 
 
 def test_coeff_rejects_size_mismatch():

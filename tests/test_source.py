@@ -116,3 +116,34 @@ def test_oracle_has_one_contraction_and_one_realness_rule():
     assert "tensordot" not in _sources()["oracle.py"]
     assert _names(ast.Store).get("IMAG_TOL") == ["observables.py"]
     assert set(_names(ast.Load).get("IMAG_TOL", [])) == {"observables.py", "oracle.py"}
+
+
+def test_only_observables_stores_on_a_hamiltonian():
+    # a Hamiltonian's state is defined in observables.py; no other module
+    # hangs a cache or anything else on one.  A Hamiltonian is a parameter
+    # annotated as one, or `h`, the package's name for one.
+    found = []
+    for path in sorted(Path(paulipath.__file__).parent.glob("*.py")):
+        if path.name == "observables.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        held = {"h"} | {
+            node.arg
+            for node in ast.walk(tree)
+            if isinstance(node, ast.arg)
+            and isinstance(node.annotation, ast.Name)
+            and node.annotation.id == "Hamiltonian"
+        }
+        for node in ast.walk(tree):
+            # h.name = ... and h.name[key] = ...
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                node = node.value
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                continue
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in held
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
