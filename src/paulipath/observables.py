@@ -138,14 +138,12 @@ class Hamiltonian:
         return total
 
 
-def _phased(terms: Iterable[tuple[PauliWord, float]], *extra: PauliWord):
+def _phased(terms: Iterable[tuple[PauliWord, float]], extra: PauliWord):
     """Terms as (word, coeff * i^{|x & z|}), and whether these words and
     `extra` all have an even Y count, which makes them real (and the
     values floats)."""
     phased = [(word, coeff, (word.x & word.z).bit_count() % 4) for word, coeff in terms]
-    real = all(k % 2 == 0 for _, _, k in phased) and all(
-        (word.x & word.z).bit_count() % 2 == 0 for word in extra
-    )
+    real = all(k % 2 == 0 for _, _, k in phased) and (extra.x & extra.z).bit_count() % 2 == 0
     return [
         (word, coeff * (_PHASE_VALUES[k].real if real else _PHASE_VALUES[k]))
         for word, coeff, k in phased
@@ -158,45 +156,39 @@ def _signs(states: np.ndarray, z: int) -> np.ndarray:
 
 
 def pauli_sum_matrix(
-    n: int, terms: Iterable[tuple[PauliWord, float]], identity: float = 0.0
+    n: int,
+    terms: Iterable[tuple[PauliWord, float]],
+    identity: float = 0.0,
+    block: tuple[PauliWord, int] | None = None,
 ) -> np.ndarray:
-    """Dense matrix of identity * 1 + sum of coeff * word, O(2^n) per term:
-    a word sends basis state b (bit q-1 = qubit q, as in `PauliWord`) to
-    b XOR x with the factor i^{|x & z|} (-1)^{|b & z|}.
+    """Dense matrix of H = identity * 1 + sum of coeff * word, whole or on
+    one eigenspace of a symmetry, O(2^n) per term.
 
-    When every word has an even number of Y letters the sum is built as
-    float64; otherwise as complex128.  Entries where several words land
-    are summed in term order."""
-    terms, real = _phased(terms)
-    basis = np.arange(1 << n)
-    matrix = np.diag(np.full(basis.size, identity, dtype=float if real else complex))
-    for word, value in terms:
-        matrix[basis ^ word.x, basis] += np.where(_signs(basis, word.z), -value, value)
-    return matrix
-
-
-def symmetry_block(
-    n: int, terms: Iterable[tuple[PauliWord, float]], symmetry: PauliWord, sign: int
-) -> np.ndarray:
-    """H = sum of coeff * word on the `sign` (+1 or -1) eigenspace of
-    `symmetry`, a word S with x_S != 0 that commutes with every word.
-
-    S sends r to r XOR x_S with a factor s(r), so with p the lowest set bit
-    of x_S, the block over the states r with bit p clear (numbered with bit
-    p removed) is B[r, r'] = H[r, r'] + sign s(r') H[r, r' XOR x_S].  Each
-    word adds one entry per column, and the words of one x-mask pair
-    {x, x XOR x_S} share theirs, summed in term order.  Real when every
-    word and S have an even number of Y letters.  The two blocks together
-    have the eigenvalues of H."""
+    A word sends basis state b (bit q-1 = qubit q, as in `PauliWord`) to
+    b XOR x with the factor i^{|x & z|} (-1)^{|b & z|}.  `block` is
+    (S, sign): a word S with x_S != 0 that commutes with every word, and
+    the eigenvalue (+1 or -1) of the eigenspace.  S sends r to r XOR x_S
+    with a factor s(r), so with p the lowest set bit of x_S, the block over
+    the states r with bit p clear (numbered with bit p removed) is
+    B[r, r'] = H[r, r'] + sign s(r') H[r, r' XOR x_S].  The whole matrix is
+    the case x_S = 0 with p = n: every state has bit p clear and the second
+    term is absent.  Each word adds one entry per column, and the words of
+    one x-mask pair {x, x XOR x_S} share theirs, summed in term order.
+    Real (float64) when every word and S have an even number of Y letters,
+    complex128 otherwise.  The two blocks together have the eigenvalues of H."""
+    if block is None:
+        symmetry, sign, p = PauliWord.identity(n), 1, n
+    else:
+        symmetry, sign = block
+        p = (symmetry.x & -symmetry.x).bit_length() - 1
     terms, real = _phased(terms, symmetry)
-    p = (symmetry.x & -symmetry.x).bit_length() - 1
     low = (1 << p) - 1
-    index = np.arange(1 << (n - 1))
+    index = np.arange(1 << n if block is None else 1 << (n - 1))
     cols = ((index & ~low) << 1) | (index & low)  # bit p clear
     flipped = sign * _PHASE_VALUES[(symmetry.x & symmetry.z).bit_count() % 4]
     flipped = flipped.real if real else flipped
     flipped_odd = _signs(cols, symmetry.z)
-    block = np.zeros((index.size, index.size), dtype=float if real else complex)
+    matrix = np.diag(np.full(index.size, identity, dtype=float if real else complex))
     for word, value in terms:
         if (word.x >> p) & 1:
             src = cols ^ symmetry.x
@@ -205,8 +197,8 @@ def symmetry_block(
         else:
             src, odd = cols, _signs(cols, word.z)
         rows = src ^ word.x
-        block[((rows >> 1) & ~low) | (rows & low), index] += np.where(odd, -value, value)
-    return block
+        matrix[((rows >> 1) & ~low) | (rows & low), index] += np.where(odd, -value, value)
+    return matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,10 +224,10 @@ def norm_bound(
     The exact branch returns min(1-norm, max|eigenvalue| + `_roundoff_margin`),
     the roundoff margin making it an upper bound despite floating point.
     When a word S with x != 0 commutes with every term (`_norm_symmetry`),
-    the eigenvalues come from H's two half-size blocks (`symmetry_block`),
-    one at a time, and H is never built whole; otherwise from H.  A real H
-    (every word with an even Y count) keeps real blocks, and `eigvalsh`
-    runs the real symmetric solver.
+    the eigenvalues come from H's two half-size blocks, built one at a
+    time by `pauli_sum_matrix`, and H is never built whole; otherwise from
+    H.  A real H (every word with an even Y count) keeps real blocks, and
+    `eigvalsh` runs the real symmetric solver.
     """
     exact = h.n <= exact_threshold
     if exact in h._norm_bounds:
@@ -243,25 +235,18 @@ def norm_bound(
     if h.term_count == 0:
         bound = NormBound(0.0, "exact-dense")
     elif exact:
-        terms = h.terms()
-        symmetry = _norm_symmetry(h)
-        if symmetry is None:
-            top = _max_abs_eigenvalue(pauli_sum_matrix(h.n, terms))
-        else:
-            top = max(
-                _max_abs_eigenvalue(symmetry_block(h.n, terms, symmetry, sign))
-                for sign in (1, -1)
-            )
+        terms, symmetry = h.terms(), _norm_symmetry(h)
+        blocks = [None] if symmetry is None else [(symmetry, 1), (symmetry, -1)]
+        top = max(
+            float(np.max(np.abs(np.linalg.eigvalsh(pauli_sum_matrix(h.n, terms, block=b)))))
+            for b in blocks
+        )
         top = math.nextafter(top + _roundoff_margin(h, symmetry), math.inf)
         bound = NormBound(min(h.coefficient_l1(), top), "exact-dense")
     else:
         bound = NormBound(h.coefficient_l1(), "coefficient-1-norm")
     h._norm_bounds[exact] = bound
     return bound
-
-
-def _max_abs_eigenvalue(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
 
 
 def _norm_symmetry(h: Hamiltonian) -> PauliWord | None:
@@ -281,15 +266,14 @@ def _roundoff_margin(h: Hamiltonian, symmetry: PauliWord | None) -> float:
     the word `norm_bound` splits H along (x_S = 0 for None, when it builds
     H whole).  Two errors separate the computed eigenvalues from those of H:
 
-    - Building the matrices.  `symmetry_block` (or `pauli_sum_matrix`)
-      returns B + E for each block B.  The words whose x masks form one
-      pair {x, x XOR x_S} share their entries, one per row and column, and
-      each entry is a recursive sum of exactly that pair group's signed
-      coefficients (the phases ±1, ±i multiply exactly), off by at most
-      (k - 1) eps times the sum of their |c| for k words.  A matrix with
-      one entry per row and column has spectral norm equal to its largest
-      entry, so ||E||_2 <= s, the sum of those entry bounds over the pair
-      groups.
+    - Building the matrices.  `pauli_sum_matrix` returns B + E for each
+      block B.  The words whose x masks form one pair {x, x XOR x_S}
+      share their entries, one per row and column, and each entry is a
+      recursive sum of exactly that pair group's signed coefficients (the
+      phases ±1, ±i multiply exactly), off by at most (k - 1) eps times
+      the sum of their |c| for k words.  A matrix with one entry per row
+      and column has spectral norm equal to its largest entry, so
+      ||E||_2 <= s, the sum of those entry bounds over the pair groups.
     - The eigensolver.  LAPACK returns the exact eigenvalues of B + E + F
       with ||F||_2 <= p(m) eps ||B + E||_2 for a block of size m, p(m) a
       modestly growing function of m; here p(m) = m <= d.  Distinct words

@@ -120,7 +120,8 @@ def _rotation_matrix(gate: RotationGate, assignment: ParameterAssignment) -> np.
 @lru_cache(maxsize=64)
 def _generator_matrix(generator: PauliWord) -> np.ndarray:
     """A rotation generator restricted to its support, as a read-only dense
-    matrix; cached, since every sample of a circuit rebuilds its gates."""
+    matrix; cached, since every `evolve_noisy` chunk of samples rebuilds
+    its gates."""
     matrix = word_matrix(generator.restrict(generator.support()))
     matrix.flags.writeable = False
     return matrix

@@ -22,6 +22,7 @@ from paulipath import (
     engine,
     estimate,
     rx_chain_instance,
+    scaling_sweep,
 )
 from paulipath.engine import (
     BATCH_ROWS,
@@ -225,6 +226,11 @@ def test_rx_chain_census():
         assert all(p.total_weight == depth + 1 for p in paths)
     with pytest.raises(ValueError, match="^need depth >= 2, got 1$"):
         rx_chain_instance(2, 1)
+    for depth in (3.0, 2.5):
+        with pytest.raises(ValueError, match="^depth must be a non-negative integer"):
+            rx_chain_instance(2, depth)
+    with pytest.raises(ValueError, match="^depth must be a non-negative integer, got 4.0$"):
+        scaling_sweep(2, [4.0, 6], 0.25)
 
 
 def test_minimum_weight_cutoff():

@@ -18,7 +18,6 @@ from paulipath.observables import (
     norm_bound,
     pauli_sum_matrix,
     state_from_dict,
-    symmetry_block,
 )
 from paulipath.pauli import commutes
 
@@ -168,10 +167,22 @@ def test_norm_bound_on_symmetry_blocks_is_an_upper_bound_within_its_margin(case)
     real = all(str(word).count("Y") % 2 == 0 for word, _ in h.terms())
     if not real or str(s).count("Y") % 2 == 0:
         assert _norm_symmetry(h) is not None
-    # the planted S and the one found both split H's spectrum in two
+    # the planted S and the one found both split H's spectrum in two, and
+    # each block is H folded by S: B[i, j] = H[r_i, r_j] + sign s(r_j)
+    # H[r_i, r_j ^ x_S] over the states r with S's lowest x bit p clear,
+    # s(r) = i^{|x_S & z_S|} (-1)^{|r & z_S|}
     for sym in {s, _norm_symmetry(h)} - {None}:
-        halves = [np.linalg.eigvalsh(symmetry_block(h.n, h.terms(), sym, sign)) for sign in (1, -1)]
+        blocks = [pauli_sum_matrix(h.n, h.terms(), block=(sym, sign)) for sign in (1, -1)]
+        halves = [np.linalg.eigvalsh(b) for b in blocks]
         np.testing.assert_allclose(np.sort(np.concatenate(halves)), spectrum, rtol=0, atol=1e-12)
+        p = (sym.x & -sym.x).bit_length() - 1
+        i = np.arange(1 << (h.n - 1))
+        r = ((i >> p) << (p + 1)) | (i & ((1 << p) - 1))
+        phase = [1, 1j, -1, -1j][(sym.x & sym.z).bit_count() % 4]
+        s_r = phase * np.where(np.bitwise_count(r & sym.z) & 1, -1, 1)
+        for sign, b in zip((1, -1), blocks):
+            folded = dense[np.ix_(r, r)] + sign * s_r * dense[np.ix_(r, r ^ sym.x)]
+            np.testing.assert_allclose(b, folded, rtol=0, atol=1e-12 * max(1.0, l1))
 
 
 @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=15))
