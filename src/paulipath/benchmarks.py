@@ -33,6 +33,13 @@ from .pauli import PauliWord, non_negative_int, qubit_count
 SWEEP_LAM_CAP = 0.95
 
 
+def _chain_depth(depth) -> int:
+    """The chain family's depth rule: an integer of at least 2."""
+    if non_negative_int(depth, "depth") < 2:
+        raise ValueError(f"need depth >= 2, got {depth}")
+    return int(depth)
+
+
 def rx_chain_instance(
     n: int, depth: int
 ) -> tuple[Circuit, Hamiltonian, SparseDensity]:
@@ -41,8 +48,7 @@ def rx_chain_instance(
     Parameters are named t{layer}_{qubit}, one per rotation.
     """
     qubit_count(n)
-    if non_negative_int(depth, "depth") < 2:
-        raise ValueError(f"need depth >= 2, got {depth}")
+    depth = _chain_depth(depth)
     layers = [
         Layer(
             tuple(
@@ -75,6 +81,7 @@ def rx_chain_instance(
 
 def rx_chain_exact_value(assignment: dict[str, float], depth: int) -> float:
     """Noiseless mean value of the chain family in closed form."""
+    depth = _chain_depth(depth)
     alpha = sum(assignment[f"t{li}_1"] for li in range(2, depth + 1)) / 2.0
     return math.cos(2.0 * alpha) - math.sin(2.0 * alpha)
 
@@ -91,6 +98,7 @@ def scaling_sweep(n: int, depths: list[int], target_mse: float) -> dict:
     polynomial exponent d from log nodes ~ d log L for the inv-log arm,
     exponential rate r from log2 nodes ~ r L for the inv-linear arm.
     """
+    depths = [non_negative_int(d, "depth") for d in depths]
     if any(d < 2 for d in depths) or len(depths) < 2:
         raise ValueError("need at least two depths, all >= 2")
     rows = []

@@ -1,21 +1,30 @@
 """Dense-matrix reference simulator for small systems.
 
-A state is a 2^n x 2^n density matrix held as a (4,)*n pair tensor behind
-a leading sample axis: qubit q's row bit r and column bit c form the
-base-4 digit 2r + c on axis n + 1 - q.  A Clifford or one-qubit rotation U
-on k pair axes is one `_apply` of (U (x) conj U) D^(x)k, D being one
-qubit's depolarizing step, so the noise round before a layer is folded
-into its gates; an idle qubit gets D alone, as does every qubit in the
-last round.  A wider rotation gets D, then U and conj U on its row and
-column bits in the (S,) + (2,)*2n view.
+A state is a 2^n x 2^n density matrix M held as a real (4,)*n tensor of
+Pauli coordinates behind a leading sample axis: axis n + 1 - q carries
+qubit q, and the entry at digits (a_n, ..., a_1) is
+Tr((sigma_a_n (x) ... (x) sigma_a_1) M), with sigma_0..3 = I, X, Y, Z.
+That is the Pauli-transfer-matrix picture, in which every channel is a
+real matrix.  The state enters these coordinates once and leaves once,
+with the last noise round folded into the way back.
+
+A Clifford or one-qubit rotation U on k qubits is one `_apply` of the real
+4^k x 4^k basis change of (U (x) conj U) D^(x)k, D being one qubit's
+depolarizing step, so the noise round before a layer is folded into its
+gates; an idle qubit gets D alone.  Each operator is one contraction of
+dense U with D's channel formula.  A wider rotation takes only its own
+axes to pair digits 2r + c (row bit r, column bit c), with the noise
+round on the way, applies U and conj U on its row and column bits in the
+(S,) + (2,)*2n view, and takes its axes back.  Operators, coordinates and
+traces pass one realness rule, `_real`.
 
 Angles are all floats, or all 1-d arrays of S angles, one per sample.
 Every gate site and noise step is one `matmul`: Cliffords, bound angles
 and noise give one operator that the samples share, and a symbol's
 rotation one per sample, an (S, 4, 4) site operator or an (S, 2^k, 2^k)
 U.  A float run is a batch of one.  `noisy_mean_value` splits the samples
-into chunks of at most CHUNK_ENTRIES complex entries, one `evolve_noisy`
-each, so from n = 7 on a chunk is one sample.
+into chunks of at most CHUNK_ENTRIES real entries, one `evolve_noisy`
+each, so from n = 8 on a chunk is one sample.
 
 Every dense Pauli matrix (H, the factor checks' words, rotation
 generators) comes from `observables.pauli_sum_matrix`, which the path
@@ -47,8 +56,8 @@ from .observables import IMAG_TOL, Hamiltonian, SparseDensity, pauli_sum_matrix
 from .pauli import PauliWord
 
 ORACLE_CAP = 10
-# the most complex entries (256 KB) one batched `evolve_noisy` call holds
-CHUNK_ENTRIES = 1 << 14
+# the most real entries (256 KB) one batched `evolve_noisy` call holds
+CHUNK_ENTRIES = 1 << 15
 
 _CLIFFORDS = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
@@ -56,6 +65,12 @@ _CLIFFORDS = {
     # control on bit 0: index 1 (control set, target clear) swaps with 3
     "CNOT": np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
 }
+# sigma_a for a = I, X, Y, Z
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# a pair digit 2r + c to Pauli coordinates: [a, 2r + c] = sigma_a[c, r], so
+# that the coordinates of a 2x2 matrix M are v_a = Tr(sigma_a M)
+_TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
+_TO_PAULI.flags.writeable = False
 
 
 class OracleCapError(RuntimeError):
@@ -72,20 +87,28 @@ def _check_cap(n: int) -> None:
         raise OracleCapError(n, ORACLE_CAP)
 
 
-def _real_trace(a: np.ndarray, b: np.ndarray, what: str, scale: int = 1):
-    """Tr(a b) / scale for a Hermitian a (H or a Pauli word), which must be
-    finite and real within IMAG_TOL * max(1, sum |a_ij b_ji| / scale), the
-    size of its roundoff, as in `SparseDensity.overlap_masks`; a stack of
-    b's gives one trace each, in an array.  The trace is the sum of
-    a_ij b_ji, O(4^n), where forming a @ b would be O(8^n)."""
-    value = np.einsum("ij,...ji->...", a, b)
-    size = np.einsum("ij,...ji->...", np.abs(a), np.abs(b)) / scale
+def _real(value: np.ndarray, size, what: str, scale: int = 1) -> np.ndarray:
+    """The real part of value / scale, which must be finite and real within
+    IMAG_TOL * max(1, size), size being that of its roundoff (the sum of
+    the absolute terms summed, over scale), as in
+    `SparseDensity.overlap_masks`; size broadcasts against value."""
     real, imag = value.real / scale, value.imag / scale
     bad = ~(np.isfinite(real) & (np.abs(imag) <= IMAG_TOL * np.maximum(1.0, size)))
     if bad.any():
         first = np.flatnonzero(bad)[0]
         value = complex(real.flat[first], imag.flat[first])
         raise ValueError(f"{what} is not a finite real number: {value!r}")
+    return real
+
+
+def _real_trace(a: np.ndarray, b: np.ndarray, what: str, scale: int = 1):
+    """Tr(a b) / scale for a Hermitian a (H or a Pauli word), checked by
+    `_real` at the size sum |a_ij b_ji| / scale; a stack of b's gives one
+    trace each, in an array.  The trace is the sum of a_ij b_ji, O(4^n),
+    where forming a @ b would be O(8^n)."""
+    value = np.einsum("ij,...ji->...", a, b)
+    size = np.einsum("ij,...ji->...", np.abs(a), np.abs(b)) / scale
+    real = _real(value, size, what, scale)
     return float(real) if real.ndim == 0 else real
 
 
@@ -122,24 +145,32 @@ def _generator_matrix(generator: PauliWord) -> np.ndarray:
     """A rotation generator restricted to its support, as a read-only dense
     matrix; cached, since every `evolve_noisy` chunk of samples rebuilds
     its gates."""
-    matrix = word_matrix(generator.restrict(generator.support()))
-    matrix.flags.writeable = False
-    return matrix
+    return _read_only(word_matrix(generator.restrict(generator.support())))
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
-    """op on k axes of size d (4 for pair axes, 2 for bit axes), axes[j]
-    carrying digit j of op's base-d index; every gate and noise step is
-    this one `matmul`.  Axis 0 of the tensor indexes samples.  A d^k x d^k
-    op is shared by the samples; an (S, d^k, d^k) stack gives one op per
-    sample and spreads a batch of one to S."""
-    k = len(axes)
+    """op on k axes of size d (4 for Pauli or pair axes, 2 for bit axes),
+    axes[j] carrying digit j of op's base-d index; every gate and noise
+    step is this one `matmul`, between one `transpose` each way.  Axis 0
+    of the tensor indexes samples.  A d^k x d^k op is shared by the
+    samples; an (S, d^k, d^k) stack gives one op per sample and spreads a
+    batch of one to S."""
     d = tensor.shape[axes[0]]
-    high_first = axes[::-1]  # a reshaped op's axis 0 is its top digit
-    front = list(range(1, k + 1))
-    moved = np.moveaxis(tensor, high_first, front)
-    out = op @ moved.reshape(len(moved), d**k, -1)
-    return np.moveaxis(out.reshape(len(out), *moved.shape[1:]), front, high_first)
+    # a reshaped op's axis 0 is its top digit
+    perm = [0, *axes[::-1], *(a for a in range(1, tensor.ndim) if a not in axes)]
+    moved = tensor.transpose(perm)
+    out = op @ moved.reshape(len(moved), d ** len(axes), -1)
+    back = [0] * len(perm)
+    for position, axis in enumerate(perm):
+        back[axis] = position
+    return out.reshape(len(out), *moved.shape[1:]).transpose(back)
+
+
+def _on_each(tensor: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
+    """A one-axis op on each of the given axes."""
+    for axis in axes:
+        tensor = _apply(tensor, op, [axis])
+    return tensor
 
 
 def _pairs(mat: np.ndarray, n: int) -> np.ndarray:
@@ -149,58 +180,110 @@ def _pairs(mat: np.ndarray, n: int) -> np.ndarray:
     return mat.reshape((2,) * (2 * n)).transpose(order).reshape((1,) + (4,) * n)
 
 
-def _matrix(tensor: np.ndarray, n: int) -> np.ndarray:
-    """The (S, 2^n, 2^n) matrices of a batch of S pair tensors."""
+def _coordinates(mat: np.ndarray, n: int) -> np.ndarray:
+    """The Pauli coordinates of a 2^n x 2^n matrix, as a complex batch of
+    one (4,)*n tensor, real up to roundoff when the matrix is Hermitian."""
+    return _on_each(_pairs(mat, n), _TO_PAULI, range(1, n + 1))
+
+
+def _matrix(tensor: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """The (S, 2^n, 2^n) matrices of a batch of S coordinate tensors, after
+    one noise round on every qubit."""
+    pairs = _on_each(tensor, _from_pauli(lam), range(1, n + 1))
     order = [0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)]
-    size = len(tensor)
-    return tensor.reshape(size, *(2,) * (2 * n)).transpose(order).reshape(size, 1 << n, 1 << n)
+    size = len(pairs)
+    return pairs.reshape(size, *(2,) * (2 * n)).transpose(order).reshape(size, 1 << n, 1 << n)
 
 
-@lru_cache(maxsize=16)
-def _depolarizer(lam: float) -> np.ndarray:
-    """(1-lam) M + lam Tr(M) I/2 on a pair digit: (1-lam) 1 plus lam/2 on
-    the |00>/|11> block; read-only."""
-    op = (1.0 - lam) * np.eye(4)
-    op[np.ix_((0, 3), (0, 3))] += lam / 2.0
+def _read_only(op: np.ndarray) -> np.ndarray:
     op.flags.writeable = False
     return op
 
 
+@lru_cache(maxsize=16)
+def _bases(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """One qubit's basis changes (T, E), read-only: T[a, i, j] =
+    sigma_a[j, i], so sum_ij T[a, i, j] M[i, j] = Tr(sigma_a M), and
+    E[i, j, b] = D(sigma_b)[i, j] / 2, D being one qubit's depolarizing
+    step, (1-lam) M + lam Tr(M) I/2, so D(M) = sum_b v_b E[:, :, b]."""
+    traces = np.einsum("bii->b", _PAULIS)[:, None, None]
+    e = ((1.0 - lam) * _PAULIS + lam * traces * np.eye(2) / 2).transpose(1, 2, 0) / 2
+    return _read_only(_PAULIS.transpose(0, 2, 1)), _read_only(e)
+
+
+@lru_cache(maxsize=16)
+def _from_pauli(lam: float) -> np.ndarray:
+    """Pauli coordinates to a pair digit 2r + c, after one qubit's
+    depolarizing step; read-only."""
+    return _read_only(_bases(lam)[1].reshape(4, 4))
+
+
+def _basis_change(k: int, lam: float) -> np.ndarray:
+    """The 16^k x 16^k matrix that takes U[i, p] conj U[j, q], flattened
+    over (i, p, j, q), to the site operator of U D^(x)k flattened over
+    (a, b), whose [a, b] is Tr(sigma_a U D(sigma_b) U^dag) / 2^k.  On two
+    qubits a = 4 a_1 + a_0 stands for sigma_a_1 (x) sigma_a_0, support
+    qubit j on digit j."""
+    t, e = _bases(lam)
+    if k == 2:
+        t = np.einsum("aij,bkl->abikjl", t, t).reshape(16, 4, 4)
+        e = np.einsum("ijb,kld->ikjlbd", e, e).reshape(4, 4, 16)
+    return np.einsum("aij,pqb->ipjqab", t, e).reshape(16**k, 16**k)
+
+
+@lru_cache(maxsize=16)
+def _one_qubit_change(lam: float) -> np.ndarray:
+    """`_basis_change` on one qubit, read-only.  Two-qubit sites are
+    Cliffords, whose operators are cached instead."""
+    return _read_only(_basis_change(1, lam))
+
+
 def _site_operator(u: np.ndarray, lam: float) -> np.ndarray:
-    """(U (x) conj U) D^(x)k on the k = 1 or 2 pair digits of U, digit
-    j = 2 r_j + c_j; a one-qubit (S, 2, 2) stack of U gives an (S, 4, 4)
-    stack."""
-    dim, d = u.shape[-1] ** 2, _depolarizer(lam)
-    op = (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
-        *u.shape[:-2], dim, dim
-    )
-    if dim == 16:  # index bits (r1 r0 c1 c0) to digits (r1 c1)(r0 c0)
-        op = op.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
-        d = np.kron(d, d)
-    return op if lam == 0.0 else op @ d
+    """The real Pauli-coordinate operator of M -> U D(M) U^dag on the k = 1
+    or 2 qubits of U, by one contraction of U (x) conj U with the basis
+    change; a one-qubit (S, 2, 2) stack of U gives an (S, 4, 4) stack.  A
+    channel's coordinates lie in [-1, 1], so its realness is checked at
+    size 1."""
+    k = u.shape[-1] // 2
+    change = _one_qubit_change(lam) if k == 1 else _basis_change(k, lam)
+    stack = u.shape[:-2]
+    pair = (u[..., :, :, None, None] * u.conj()[..., None, None, :, :]).reshape(*stack, -1)
+    return _real((pair @ change).reshape(*stack, 4**k, 4**k), 1.0, "gate operator")
 
 
 @lru_cache(maxsize=16)
 def _clifford_site(kind: str, lam: float) -> np.ndarray:
     """A Clifford gate's site operator, read-only."""
-    op = _site_operator(_CLIFFORDS[kind], lam)
-    op.flags.writeable = False
-    return op
+    return _read_only(_site_operator(_CLIFFORDS[kind], lam))
 
 
-def _noise_round(tensor: np.ndarray, axes: list[int] | range, lam: float) -> np.ndarray:
-    """D on each of the given pair axes."""
-    if lam != 0.0:
-        for axis in axes:
-            tensor = _apply(tensor, _depolarizer(lam), [axis])
-    return tensor
+@lru_cache(maxsize=16)
+def _noise(lam: float) -> np.ndarray:
+    """One qubit's depolarizing step on its Pauli coordinates, read-only."""
+    return _read_only(_site_operator(np.eye(2), lam))
+
+
+def _wide_rotation(
+    tensor: np.ndarray, u: np.ndarray, axes: list[int], n: int, lam: float
+) -> np.ndarray:
+    """A noise round on k >= 2 Pauli axes, then U on their row bits and
+    conj U on their column bits: the axes go to pair digits with the noise
+    step, to the (S,) + (2,)*2n bit view and back, and then back to Pauli
+    coordinates, checked real."""
+    bits = _on_each(tensor, _from_pauli(lam), axes)
+    bits = bits.reshape(len(bits), *(2,) * (2 * n))
+    bits = _apply(bits, u, [2 * axis - 1 for axis in axes])
+    bits = _apply(bits, u.conj(), [2 * axis for axis in axes])
+    pairs = bits.reshape(len(bits), *(4,) * n)
+    size = np.abs(pairs).reshape(len(pairs), -1).sum(axis=1).reshape(-1, *(1,) * n)
+    return _real(_on_each(pairs, _TO_PAULI, axes), size, "rotated coordinates")
 
 
 def _noisy_layer(
     tensor: np.ndarray, layer: Layer, assignment: ParameterAssignment, n: int, lam: float
 ) -> np.ndarray:
     """One noise round, then the layer; gate order is irrelevant on
-    disjoint supports.  Qubit q is on pair axis n + 1 - q, after the
+    disjoint supports.  Qubit q is on Pauli axis n + 1 - q, after the
     sample axis, and its row and column bits on axes 2(n + 1 - q) - 1 and
     2(n + 1 - q) of the (2,)*2n bit view."""
     idle = set(range(1, n + 1))
@@ -214,19 +297,22 @@ def _noisy_layer(
         u = _rotation_matrix(gate, assignment)
         if len(axes) == 1:
             tensor = _apply(tensor, _site_operator(u, lam), axes)
-            continue
-        bits = _noise_round(tensor, axes, lam)
-        bits = bits.reshape(len(bits), *(2,) * (2 * n))
-        bits = _apply(bits, u, [2 * axis - 1 for axis in axes])
-        bits = _apply(bits, u.conj(), [2 * axis for axis in axes])
-        tensor = bits.reshape(len(bits), *(4,) * n)
-    return _noise_round(tensor, [n + 1 - q for q in idle], lam)
+        else:
+            tensor = _wide_rotation(tensor, u, axes, n, lam)
+    if lam == 0.0:
+        return tensor
+    return _on_each(tensor, _noise(lam), [n + 1 - q for q in idle])
+
+
+def _hermitian_coordinates(mat: np.ndarray, n: int, what: str) -> np.ndarray:
+    """The real Pauli coordinates of a Hermitian matrix, checked by `_real`
+    at the size sum |M_ij|, which bounds every coordinate's terms."""
+    return _real(_coordinates(mat, n), np.abs(mat).sum(), what)
 
 
 def depolarize_all(mat: np.ndarray, n: int, lam: float) -> np.ndarray:
     """One round of the per-qubit depolarizing channel on a dense matrix."""
-    tensor = _noise_round(_pairs(mat, n), range(1, n + 1), lam)
-    return _matrix(tensor, n).reshape(mat.shape)
+    return _matrix(_coordinates(mat, n), n, lam).reshape(mat.shape)
 
 
 def _check_run(
@@ -257,10 +343,10 @@ def evolve_noisy(
     (S, 2^n, 2^n) stack of one matrix per sample."""
     size = _check_run(circuit, None, rho, assignment, lam)
     n = circuit.n
-    tensor = _pairs(state_matrix(rho), n)
+    tensor = _hermitian_coordinates(state_matrix(rho), n, "state coordinates")
     for layer in circuit.layers:
         tensor = _noisy_layer(tensor, layer, assignment, n, lam)
-    final = _matrix(_noise_round(tensor, range(1, n + 1), lam), n)
+    final = _matrix(tensor, n, lam)
     return final[0] if size is None else final
 
 
@@ -273,7 +359,7 @@ def noisy_mean_value(
 ) -> float | np.ndarray:
     """Tr(H rho_final), checked real; with array angles, an (S,) array of
     one value per sample, from one `evolve_noisy` per chunk of at most
-    CHUNK_ENTRIES complex entries."""
+    CHUNK_ENTRIES real entries."""
     size = _check_run(circuit, h, rho, assignment, lam)
     h_matrix = hamiltonian_matrix(h)
     if size is None:
@@ -306,8 +392,8 @@ def transition_factor(
 ) -> float:
     """Tr(next U N(prev) Udag) / 2^n, checked real."""
     _check_cap(n)
-    tensor = _noisy_layer(_pairs(word_matrix(prev_word), n), layer, assignment, n, lam)
-    mat = _matrix(tensor, n)[0]
+    tensor = _hermitian_coordinates(word_matrix(prev_word), n, "word coordinates")
+    mat = _matrix(_noisy_layer(tensor, layer, assignment, n, lam), n, 0.0)[0]
     return _real_trace(word_matrix(next_word), mat, "transition factor", 1 << n)
 
 

@@ -24,7 +24,8 @@ from paulipath import (
     SparseDensity,
 )
 from paulipath.engine import PathEnumeration
-from paulipath.estimator import damping, path_value
+from paulipath.estimator import _certificate, _term_sums, damping, path_value
+from paulipath.observables import DEFAULT_EXACT_NORM_QUBITS
 from paulipath.oracle import (
     noisy_mean_value,
     observable_factor,
@@ -36,7 +37,7 @@ import conftest
 from conftest import random_certified_instance
 
 
-def _report(number: int, ok: bool, detail: str) -> None:
+def _report(number: int | str, ok: bool, detail: str) -> None:
     line = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}"
     conftest.ACCEPTANCE_LINES.append(line)
     print(line, flush=True)
@@ -79,6 +80,44 @@ def test_criterion_2_chain_truncation_mse_matches_theory():
         ok,
         f"empirical {bench.empirical_mse:.6f} vs theory {theory:.6f} "
         f"(rel {rel:.4f} <= 0.05, |diff| <= 3 SE: {within_se})",
+    )
+
+
+def _grid_mse(circuit, h, rho, lam, ms) -> list[tuple[float, float]]:
+    """(exact MSE, certified bound) of the truncated estimate at each m, over
+    uniform angles.  The estimate and the noisy mean value each have degree
+    <= 1 in every angle, each rotation having its own symbol, so their
+    squared difference has degree <= 2 and its mean over the grid
+    {0, 2pi/3, 4pi/3}^R is exact.  The pieces are `mse_benchmark`'s: one
+    batched `noisy_mean_value` call over the grid, shared by every m, and
+    one `_term_sums` call and one certificate per m."""
+    params = circuit.parameters()
+    thirds = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+    grid = np.array(list(itertools.product(thirds, repeat=len(params))))
+    angles = dict(zip(params, grid.T))
+    exact = noisy_mean_value(circuit, h, rho, angles, lam)
+    found = []
+    for m in ms:
+        total, _ = _term_sums(circuit, h, rho, m, angles, lam)
+        estimates = h.identity_coeff * rho.overlap_masks(0, 0) + total
+        bound = _certificate(circuit, h, rho, lam, m, DEFAULT_EXACT_NORM_QUBITS)[2]
+        found.append((float(np.mean((estimates - exact) ** 2)), bound))
+    return found
+
+
+def test_criterion_2_exact_mse_over_the_angle_grid():
+    """Criterion 2's instance, with the MSE computed exactly on the 3^R
+    angle grid instead of sampled: (1 - lam)^14 within roundoff."""
+    circuit, h, rho = pp.rx_chain_instance(2, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the all-truncated warning is the point
+        [(mse, _)] = _grid_mse(circuit, h, rho, 0.1, [6])
+    theory = 0.9**14
+    rel = abs(mse / theory - 1)
+    _report(
+        "2, exact",
+        rel <= 1e-12,
+        f"exact {mse!r} vs theory {theory!r} (rel {rel:.1e} <= 1e-12)",
     )
 
 
@@ -152,6 +191,34 @@ def test_criterion_5_certified_bound_tracks_truncation_ladder():
         not failures,
         f"{benches} benchmarks, worst (empirical - bound) = {worst_margin:.2e},"
         f" failures: {failures or 'none'}",
+    )
+
+
+def test_criterion_5_exact_mse_within_the_bound():
+    """Criterion 5's runs, with the MSE computed exactly on the 3^R angle
+    grid, within the certified bound with no standard-error term, on every
+    instance with R <= 8 rotations."""
+    failures = []
+    skipped = []
+    runs = 0
+    worst_ratio = 0.0
+    for seed in range(50):
+        circuit, h, rho, _ = random_certified_instance(seed)
+        if len(circuit.parameters()) > 8:
+            skipped.append(seed)
+            continue
+        floor = circuit.depth + 1
+        ms = (floor, floor + 2, floor + 4)
+        for m, (mse, bound) in zip(ms, _grid_mse(circuit, h, rho, 0.2, ms)):
+            runs += 1
+            worst_ratio = max(worst_ratio, mse / bound)
+            if not mse <= bound:
+                failures.append((seed, m))
+    _report(
+        "5, exact",
+        not failures and runs > 0,
+        f"{runs} exact runs, worst MSE / bound = {worst_ratio:.3f},"
+        f" failures: {failures or 'none'}, skipped seeds with R > 8: {skipped}",
     )
 
 

@@ -21,6 +21,7 @@ from paulipath import (
     SparseDensity,
     engine,
     estimate,
+    rx_chain_exact_value,
     rx_chain_instance,
     scaling_sweep,
 )
@@ -231,6 +232,22 @@ def test_rx_chain_census():
             rx_chain_instance(2, depth)
     with pytest.raises(ValueError, match="^depth must be a non-negative integer, got 4.0$"):
         scaling_sweep(2, [4.0, 6], 0.25)
+
+
+# the chain family has one depth rule, which every chain function runs
+def test_rx_chain_exact_value_refuses_a_float_depth():
+    with pytest.raises(ValueError, match="^depth must be a non-negative integer, got 3.0$"):
+        rx_chain_exact_value({"t2_1": 0.1, "t3_1": 0.2}, 3.0)
+
+
+def test_rx_chain_exact_value_refuses_depth_1():
+    with pytest.raises(ValueError, match="^need depth >= 2, got 1$"):
+        rx_chain_exact_value({"t2_1": 0.1}, 1)
+
+
+def test_scaling_sweep_checks_each_depth_before_comparing_it():
+    with pytest.raises(ValueError, match="^depth must be a non-negative integer, got '4'$"):
+        scaling_sweep(2, ["4", 6], 0.25)
 
 
 def test_minimum_weight_cutoff():

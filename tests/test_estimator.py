@@ -428,7 +428,7 @@ def test_every_symbol_needs_finite_angles_in_arrays(monkeypatch):
 def test_mse_benchmark_runs_the_oracle_once_per_chunk(monkeypatch):
     # the benchmark's traced runs time the oracle through these two module
     # names, so mse_benchmark reaches it through them: one batched mean-value
-    # call, and one dense run per chunk of CHUNK_ENTRIES complex entries
+    # call, and one dense run per chunk of CHUNK_ENTRIES real entries
     calls = {"noisy_mean_value": 0, "evolve_noisy": 0}
     for name in calls:
 

@@ -61,13 +61,16 @@ def test_state_matrix_round_trip():
 
 @pytest.mark.parametrize("lam", [0.0, 0.15, 1.0])
 def test_depolarize_matches_kraus_form(lam):
+    # a density matrix, and a matrix that is not Hermitian: the channel
+    # takes any dense matrix, whatever coordinates the oracle runs it in
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     mat = raw @ raw.conj().T
     mat /= np.trace(mat)
-    expected = dense_depolarize(mat, 3, lam)
-    got = depolarize_all(mat.reshape((2,) * 6), 3, lam).reshape(8, 8)
-    assert np.allclose(got, expected)
+    for given in (mat, raw):
+        expected = dense_depolarize(given, 3, lam)
+        got = depolarize_all(given.reshape((2,) * 6), 3, lam).reshape(8, 8)
+        assert np.allclose(got, expected)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 10, 17, 23, 31])
