@@ -18,7 +18,9 @@ def main() -> None:
     for depth in args.depths:
         circuit, h, rho = pp.rx_chain_instance(args.qubits, depth)
         run = PathEnumeration(circuit, h, rho, None)
-        weights = Counter(p.total_weight for p in run)
+        weights = Counter()
+        for block in run:
+            weights.update(block.spent.tolist())
         stats = run.stats
         histogram = " ".join(f"{w}:{c}" for w, c in sorted(weights.items()))
         print(

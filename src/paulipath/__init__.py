@@ -22,6 +22,7 @@ from .observables import (
 from .engine import (
     EnumerationStats,
     FactorAtom,
+    PathBlock,
     PathEnumeration,
     PauliPath,
     ResourceLimitError,

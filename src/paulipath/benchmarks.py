@@ -114,7 +114,7 @@ def scaling_sweep(n: int, depths: list[int], target_mse: float) -> dict:
                 # the inv-log arm truncates every path by design
                 warnings.filterwarnings("ignore", "truncation order", UserWarning)
                 run = PathEnumeration(circuit, h, rho, selection.m)
-            for _ in run:
+            for _ in run:  # one pass over the path blocks fills the counters
                 pass
             rows.append(
                 {

@@ -278,7 +278,7 @@ def _mode_path_dump(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["weight", "factor_description", "contribution"])
-    for path in run:
+    for path in run.paths():
         contribution = damping(path, args.lam) * path_value(path, theta, h, rho)
         writer.writerow(
             [path.total_weight, describe_factors(path), repr(contribution)]

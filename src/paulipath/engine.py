@@ -43,9 +43,13 @@ is one loop over a stack of these generators, one per word index, and
 walks each child batch to the leaves before it asks its parent's
 generator for the next.  Children come out in ordinal order, which is the
 canonical order, so the paths, their order and every counter equal a
-frame-by-frame depth-first walk.  Each word index also keeps, next to its
-current batch, a cache of the words and atoms of the rows on emitted
-paths; memory stays O(depth * BATCH_ROWS).
+frame-by-frame depth-first walk.  Memory stays O(depth * BATCH_ROWS).
+
+Each leaf batch, with the state overlaps its admission computed, is traced
+back through the current batch of every word index into one `PathBlock`:
+per path its root coefficient, sign, per-layer anti and sin masks, words,
+weight and overlap, as arrays.  Iterating a `PathEnumeration` yields these
+blocks; `PathEnumeration.paths()` turns them into `PauliPath` records.
 
 Every child counts in `nodes_visited`, pruned or not.  A parent whose least
 possible child weight already exceeds the budget has all 2^a children
@@ -61,7 +65,7 @@ the word index of the nodes or paths that reached it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -76,9 +80,13 @@ PATH_LIMIT = 10_000_000
 # refused before it is built once its children take the run past this limit
 NODE_LIMIT = 100_000_000
 # Rows of one batch.  Larger batches make fewer numpy calls and hold more
-# memory, O(depth * BATCH_ROWS) per walk; at 1024 one pass over the
-# ansatz(8,12) benchmark instance peaks near 1 MB of traced memory.
-BATCH_ROWS = 1024
+# memory, O(depth * BATCH_ROWS) per walk.  On ansatz(8,12) at m = 44, the
+# array sum of one estimate takes 44, 40 and 38 ms at 1024, 1280 and 1488
+# rows (minimum of 30 interleaved runs, one thread of a 2-core x86 VM), and
+# peaks at 1.07, 1.24 and 1.40 MB of traced memory (a PauliPath pass at
+# 0.94, 1.10 and 1.21 MB).  That instance's 1,491 paths must still span
+# more than one batch for the tests that pin it.
+BATCH_ROWS = 1488
 
 
 class ResourceLimitError(RuntimeError):
@@ -240,7 +248,8 @@ class _Batch(NamedTuple):
     """Rows at one word index in canonical order: the masks, the weight
     spent so far, and the step into each row: its sign, its sin choices
     and the parent's anti-commuting rotations as bit masks over the
-    layer's rotations, and the parent's row."""
+    layer's rotations, and the parent's row (a root's term index).  Leaf
+    rows also hold their state overlap."""
 
     x: np.ndarray
     z: np.ndarray
@@ -249,25 +258,50 @@ class _Batch(NamedTuple):
     sin: np.ndarray
     parent: np.ndarray
     anti: np.ndarray
+    overlap: np.ndarray | None = None
 
     def take(self, keep: np.ndarray) -> _Batch:
-        return _Batch(*(field[keep] for field in self))
+        return _Batch(*(None if field is None else field[keep] for field in self))
 
 
 def _concat(parts: list[_Batch]) -> _Batch:
     if len(parts) == 1:
         return parts[0]
-    return _Batch(*(np.concatenate(fields) for fields in zip(*parts)))
+    return _Batch(
+        *(None if column[0] is None else np.concatenate(column) for column in zip(*parts))
+    )
+
+
+@dataclass(frozen=True)
+class PathBlock:
+    """The paths ending in one leaf batch, in canonical order, as read-only
+    arrays with one column per path.  Layer l's masks are bits over its
+    rotations in `PathEnumeration.layer_atoms[l - 1]` order."""
+
+    coeff: np.ndarray  # (P,) coefficient of the root term s_L
+    sign: np.ndarray  # (P,) int8, the overall sign
+    anti: np.ndarray  # (L, P) row l - 1: layer l's anti-commuting rotations
+    sin: np.ndarray  # (L, P) row l - 1: those of them taking the sin branch
+    x: np.ndarray  # (L + 1, P) row i: the x mask of s_i
+    z: np.ndarray  # (L + 1, P) row i: the z mask of s_i
+    spent: np.ndarray  # (P,) int32, the total weight
+    overlap: np.ndarray  # (P,) Tr(s_0 rho), never 0
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            getattr(self, field.name).flags.writeable = False
 
 
 class PathEnumeration:
     """Iterable stream of surviving paths for (circuit, H, rho, M).
 
-    Iterating yields PauliPath objects in the canonical order; `stats` is
-    reset at the start of each iteration and holds the counters of the
-    most recent (possibly still running) pass.  Every node counts against
-    NODE_LIMIT, the root of each term included, and every path against
-    PATH_LIMIT.
+    Iterating yields one `PathBlock` per leaf batch, holding the paths in
+    canonical order; `paths()` yields the same paths as PauliPath records.
+    `stats` is reset at the start of each iteration and holds the counters
+    of the most recent (possibly still running) pass.  Every node counts
+    against NODE_LIMIT, the root of each term included, and every path
+    against PATH_LIMIT.  `layer_atoms` holds per layer the (cos, sin) atom
+    pair of each rotation, in the bit order of the blocks' masks.
     """
 
     def __init__(
@@ -292,9 +326,11 @@ class PathEnumeration:
         self.stats = EnumerationStats()
         self._dtype = _mask_dtype(circuit.n)
         self._programs = [_LayerProgram(layer, self._dtype) for layer in circuit.layers]
+        self.layer_atoms = tuple(tuple(program.atom_pairs) for program in self._programs)
+        self._coeffs = np.array([c for _, c in h.terms()], dtype=float)
         self._flips = np.array(sorted(rho.flip_masks()), dtype=self._dtype)
 
-    def __iter__(self) -> Iterator[PauliPath]:
+    def __iter__(self) -> Iterator[PathBlock]:
         stats = EnumerationStats()
         self.stats = stats
         depth = self.circuit.depth
@@ -312,12 +348,49 @@ class PathEnumeration:
                 weight,
                 np.ones(len(chunk), dtype=np.int8),
                 zeros,
-                zeros,
+                np.arange(start, start + len(chunk)),
                 zeros,
             ).take(keep)
             if depth == 0:
                 roots = self._admit_leaves(roots, stats)
             yield from self._walk(roots, stats)
+
+    def paths(self) -> Iterator[PauliPath]:
+        """One pass over the blocks, as iterating is, yielding each path as
+        a PauliPath record."""
+        for block in self:
+            yield from self._block_paths(block)
+
+    def _block_paths(self, block: PathBlock) -> Iterator[PauliPath]:
+        """The PauliPath records of one block.  Its paths share most of
+        their words and steps, so each distinct one is built once; a
+        function of its own, so that none of it stays alive while the walk
+        builds the next block."""
+        layers = range(self.circuit.depth)
+        x, z, anti, sin = (a.T.tolist() for a in (block.x, block.z, block.anti, block.sin))
+        words = {
+            key: PauliWord(self.circuit.n, *key)
+            for key in dict.fromkeys(chain.from_iterable(map(zip, x, z)))
+        }
+        steps = {
+            (i, a, s): self._programs[i].atoms(a, s)
+            for i, a, s in dict.fromkeys(
+                chain.from_iterable(zip(layers, a, s) for a, s in zip(anti, sin))
+            )
+        }
+        for path_x, path_z, path_anti, path_sin, sign, spent in zip(
+            x, z, anti, sin, block.sign.tolist(), block.spent.tolist()
+        ):
+            # a tuple built from an iterator is resized, and the freed
+            # tuples pile up in the interpreter's free lists; from a list
+            # it gets its exact size
+            path_steps = [steps[key] for key in zip(layers, path_anti, path_sin)]
+            yield PauliPath(
+                tuple([words[key] for key in zip(path_x, path_z)]),
+                sign,
+                tuple(list(chain.from_iterable(path_steps))),
+                spent,
+            )
 
     def _visit(self, stats: EnumerationStats, count: int, idx: int) -> None:
         """Count `count` nodes at word index idx against NODE_LIMIT."""
@@ -329,14 +402,14 @@ class PathEnumeration:
             )
         stats.nodes_visited = reached
 
-    def _walk(self, roots: _Batch, stats: EnumerationStats) -> Iterator[PauliPath]:
-        """Every path below a batch of roots, depth first a batch at a time.
-        Per word index from the roots down, `generators` holds the source
-        of that index's batches and `levels` the current batch with its
-        row cache; the deepest batch is walked to the leaves before its
-        parent builds its next children."""
+    def _walk(self, roots: _Batch, stats: EnumerationStats) -> Iterator[PathBlock]:
+        """The block of every leaf batch below a batch of roots, depth first
+        a batch at a time.  Per word index from the roots down,
+        `generators` holds the source of that index's batches and `levels`
+        the current batch; the deepest batch is walked to the leaves before
+        its parent builds its next children."""
         generators: list[Iterator[_Batch]] = [iter([roots])]
-        levels: list[tuple[_Batch, dict]] = []
+        levels: list[_Batch] = []
         while generators:
             # the top generator's previous batch is done with, with all below it
             del levels[len(generators) - 1 :]
@@ -344,12 +417,12 @@ class PathEnumeration:
             if batch is None:
                 generators.pop()
                 continue
-            levels.append((batch, {}))
+            levels.append(batch)
             idx = self.circuit.depth + 1 - len(generators)  # word index of batch
-            if idx == 0:
-                yield from self._paths(levels, stats)
-            else:
+            if idx > 0:
                 generators.append(self._children(batch, idx, stats))
+            elif len(batch.x):
+                yield self._block(levels, stats)
 
     def _children(
         self, parent: _Batch, idx: int, stats: EnumerationStats
@@ -414,9 +487,9 @@ class PathEnumeration:
                 yield batch
 
     def _admit_leaves(self, leaves: _Batch, stats: EnumerationStats) -> _Batch:
-        """The leaf candidates whose state overlap is non-zero.  A candidate
-        whose x is not a flip mask of the state has none, and is dropped
-        without an overlap call."""
+        """The leaf candidates whose state overlap is non-zero, with their
+        overlaps.  A candidate whose x is not a flip mask of the state has
+        none, and is dropped without an overlap call."""
         flips = self._flips
         if len(flips):
             hit = flips[np.minimum(np.searchsorted(flips, leaves.x), len(flips) - 1)] == leaves.x
@@ -424,52 +497,44 @@ class PathEnumeration:
             hit = np.zeros(len(leaves.x), dtype=bool)
         rows = np.flatnonzero(hit)
         overlap = self.rho.overlap_masks
-        keep = [
-            row
-            for row, x, z in zip(rows.tolist(), leaves.x[rows].tolist(), leaves.z[rows].tolist())
-            if overlap(x, z) != 0.0
-        ]
-        stats.pruned_zero_overlap += len(leaves.x) - len(keep)
-        return leaves.take(np.array(keep, dtype=np.intp))
+        values = np.array(
+            [overlap(x, z) for x, z in zip(leaves.x[rows].tolist(), leaves.z[rows].tolist())],
+            dtype=float,
+        )
+        keep = values != 0.0
+        stats.pruned_zero_overlap += len(leaves.x) - int(np.count_nonzero(keep))
+        return leaves.take(rows[keep])._replace(overlap=values[keep])
 
-    def _paths(
-        self, levels: list[tuple[_Batch, dict]], stats: EnumerationStats
-    ) -> Iterator[PauliPath]:
+    def _block(self, levels: list[_Batch], stats: EnumerationStats) -> PathBlock:
         """The paths ending in the leaf batch at word index 0, the last of
-        `levels`.  Each level's cache maps a row on an emitted path to its
-        word and the atoms of the step into it."""
-        leaves = levels[-1][0]
+        `levels`, traced back through the levels to their root terms."""
+        leaves = levels[-1]
         reached = stats.paths_emitted + len(leaves.x)
         if reached > PATH_LIMIT:
             raise ResourceLimitError(
                 f"more than {PATH_LIMIT} paths survive truncation:"
                 f" {reached} at word index 0"
             )
-        n, depth = self.circuit.n, self.circuit.depth
+        stats.paths_emitted = reached
         rows = np.arange(len(leaves.x))
-        sign = np.ones(len(leaves.x), dtype=np.int8)
-        words, atoms = [], []  # per level, leaf (s_0) to root (s_L): one entry per leaf
-        for idx, (batch, cache) in enumerate(reversed(levels)):
-            level_rows = rows.tolist()
-            new = [row for row in dict.fromkeys(level_rows) if row not in cache]
-            picked = np.array(new, dtype=np.intp)
-            # a root has no step, and its anti mask is 0
-            step_atoms = self._programs[idx].atoms if idx < depth else None
-            fields = (batch.x, batch.z, batch.anti, batch.sin)
-            for row, x, z, a, s in zip(new, *(f[picked].tolist() for f in fields)):
-                cache[row] = (PauliWord(n, x, z), step_atoms(a, s) if a else ())
-            steps = [cache[row] for row in level_rows]
-            words.append([word for word, _ in steps])
-            atoms.append([step for _, step in steps])
+        sign = np.ones(len(rows), dtype=np.int8)
+        x, z, anti, sin = [], [], [], []  # per level, leaf (s_0) to root (s_L)
+        for batch in reversed(levels):
+            x.append(batch.x[rows])
+            z.append(batch.z[rows])
+            anti.append(batch.anti[rows])
+            sin.append(batch.sin[rows])
             sign *= batch.sign[rows]
             rows = batch.parent[rows]
-        for path_words, path_sign, path_atoms, spent in zip(
-            zip(*words), sign.tolist(), zip(*atoms), leaves.spent.tolist()
-        ):
-            stats.paths_emitted += 1
-            # a tuple built from an iterator is resized, and the freed
-            # tuples pile up in the interpreter's free lists; from a list it
-            # gets its exact size
-            yield PauliPath(
-                path_words, path_sign, tuple(list(chain.from_iterable(path_atoms))), spent
-            )
+        # the roots' steps are empty; a root's parent is its term index
+        steps = (self.circuit.depth, len(sign))
+        return PathBlock(
+            coeff=self._coeffs[rows],
+            sign=sign,
+            anti=np.array(anti[:-1], dtype=self._dtype).reshape(steps),
+            sin=np.array(sin[:-1], dtype=self._dtype).reshape(steps),
+            x=np.array(x, dtype=self._dtype),
+            z=np.array(z, dtype=self._dtype),
+            spent=leaves.spent,
+            overlap=leaves.overlap,
+        )

@@ -13,12 +13,15 @@ over uniform angles is bounded by (1 - lam)^(2M) * |H|^2 where |H| bounds
 the spectral norm of the traceless part.  When the generation check fails
 the same numbers are still reported but flagged as not certified.
 
-One evaluator, `_term_sums`, walks the paths of every observable term once
-and adds up damping(path) * path_value(path) in path order, so an estimate
-is the identity offset plus the in-order sum of its own paths'
-contributions.  Angles are either floats (`estimate`) or one ndarray per
-parameter with one entry per sample (`mse_benchmark`), so the same path
-expansion is evaluated at every sampled angle vector at once.
+One evaluator, `_term_sums`, walks the paths of every observable term once,
+as the engine's blocks of array columns, and values each block with the
+arithmetic of damping(path) * path_value(path), one numpy operation per
+rotation for all paths of the block.  It adds the contributions in path
+order, so an estimate is the identity offset plus the in-order sum of its
+own paths' contributions, bit for bit.  Angles are either floats
+(`estimate`) or one ndarray per parameter with one entry per sample
+(`mse_benchmark`), so the same path expansion is evaluated at every
+sampled angle vector at once.
 """
 
 from __future__ import annotations
@@ -103,22 +106,42 @@ def _term_sums(
     lam: float,
 ) -> tuple[float | np.ndarray, EnumerationStats]:
     """The in-order sum, from 0.0, of every path's damping * path_value,
-    from one walk over the paths; per-sample arrays when the angles are
-    arrays.  Each contribution is computed with the arithmetic of those
-    two functions, each atom's value once per run."""
-    damp = [(1.0 - lam) ** w for w in range(truncation_order(circuit, None) + 1)]
-    atom_cache: dict[FactorAtom, float | np.ndarray] = {}
-    total = 0.0
+    from one walk over the path blocks; per-sample arrays when the angles
+    are arrays.  Each block is valued from its arrays with the arithmetic
+    of those two functions: coeff * sign, times for every rotation of
+    layers 1..L in program order its cos or sin value, or 1.0 where the
+    rotation commutes (x * 1.0 == x exactly), and then damp[spent] *
+    (value * overlap).  The contributions are added to the total one path
+    at a time, in path order."""
+    damp = np.array([(1.0 - lam) ** w for w in range(truncation_order(circuit, None) + 1)])
     run = PathEnumeration(circuit, h, rho, m)
-    for path in run:
-        first, last = path.words[0], path.words[-1]
-        value = h.coeff(last) * path.sign
-        for atom in path.atoms:
-            factor = atom_cache.get(atom)
-            if factor is None:
-                factor = atom_cache[atom] = atom_value(atom, assignment)
-            value *= factor
-        total += damp[path.total_weight] * (value * rho.overlap_masks(first.x, first.z))
+    # per rotation of layers 1..L in program order: its layer and its bit in
+    # that layer's masks; rotation r's cos and sin are factors 1 + 2r and
+    # 2 + 2r, and factor 0 is the 1.0 of a commuting rotation
+    layer_of = np.array(
+        [layer for layer, pairs in enumerate(run.layer_atoms) for _ in pairs], dtype=np.intp
+    )
+    bit_of = np.array(
+        [bit for pairs in run.layer_atoms for bit in range(len(pairs))], dtype=np.intp
+    ).reshape(-1, 1)
+    atoms = [atom for pairs in run.layer_atoms for pair in pairs for atom in pair]
+    factors = np.array(np.broadcast_arrays(1.0, *(atom_value(a, assignment) for a in atoms)))
+    samples = factors.shape[1:]  # () for float angles, (S,) for arrays
+    column = (-1,) + (1,) * len(samples)  # one path per row, samples across
+    cos_at = 1 + 2 * np.arange(len(layer_of)).reshape(-1, 1)
+    total = 0.0
+    for block in run:
+        anti = (block.anti[layer_of] >> bit_of) & 1  # (rotations, paths)
+        pick = (anti * (cos_at + ((block.sin[layer_of] >> bit_of) & 1))).astype(np.intp)
+        value = (block.coeff * block.sign).reshape(column)
+        # every path's value has the samples' shape, atoms or not
+        value = np.broadcast_to(value, block.coeff.shape + samples)
+        for r in np.flatnonzero(anti.any(axis=1)):
+            value = value * factors[pick[r]]
+        contributions = damp[block.spent].reshape(column) * (value * block.overlap.reshape(column))
+        # one path at a time, in path order
+        for contribution in contributions if samples else contributions.tolist():
+            total += contribution
     return total, run.stats
 
 

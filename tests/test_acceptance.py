@@ -142,7 +142,7 @@ def test_criterion_4_per_path_factors_match_dense_traces():
     paths_checked = 0
     for seed in range(50):
         circuit, h, rho, theta = random_certified_instance(seed)
-        paths = list(PathEnumeration(circuit, h, rho, None))
+        paths = list(PathEnumeration(circuit, h, rho, None).paths())
         for lam in (0.0, 0.05, 0.2):
             cache: dict = {}
             for path in paths:
@@ -232,7 +232,7 @@ def test_criterion_6_cross_terms_vanish_iff_certified():
         if pairs_checked == 20:
             break
         circuit, h, rho, _ = random_certified_instance(seed)
-        paths = list(PathEnumeration(circuit, h, rho, None))
+        paths = list(PathEnumeration(circuit, h, rho, None).paths())
         if len(paths) < 2:
             continue
         i, j = rng.choice(len(paths), size=2, replace=False)
@@ -260,7 +260,7 @@ def test_criterion_6_cross_terms_vanish_iff_certified():
         2, [(PauliWord.from_string("ZI"), 1.0), (PauliWord.from_string("ZZ"), 1.0)]
     )
     rho_bad = SparseDensity.computational_basis(2)
-    bad_paths = list(PathEnumeration(bad, h_bad, rho_bad, None))
+    bad_paths = list(PathEnumeration(bad, h_bad, rho_bad, None).paths())
     counter = pp.cross_term_check(bad, h_bad, rho_bad, bad_paths[0], bad_paths[1], samples=500, seed=3)
     violated = (not counter.generation_certified) and abs(counter.mean) > 4 * counter.std_error
     ok = violations == 0 and violated
@@ -279,7 +279,7 @@ def test_criterion_7_path_census_and_cost_scaling():
     for depth in range(4, 11):
         circuit, h, rho = pp.rx_chain_instance(2, depth)
         run = PathEnumeration(circuit, h, rho, None)
-        emitted = sum(1 for _ in run)
+        emitted = sum(1 for _ in run.paths())
         census_ok = census_ok and emitted == 2 ** (depth - 1)
         full_m = circuit.n * (circuit.depth + 1)
         census_ok = census_ok and emitted <= h.term_count * 2**full_m
@@ -289,7 +289,7 @@ def test_criterion_7_path_census_and_cost_scaling():
         circuit, h, rho, _ = random_certified_instance(seed)
         for m in (circuit.depth + 1, circuit.n * (circuit.depth + 1)):
             run = PathEnumeration(circuit, h, rho, m)
-            emitted = sum(1 for _ in run)
+            emitted = sum(1 for _ in run.paths())
             ceiling_ok = ceiling_ok and emitted <= h.term_count * 2**m
     sweep = pp.scaling_sweep(2, [4, 6, 8, 10], 0.25)
     fits = sweep["fits"]

@@ -188,7 +188,7 @@ def test_enumeration_complete_against_exhaustive_sum(seed, lam):
     run = PathEnumeration(circuit, h, rho, None)
     got_total = h.identity_coeff
     got_seqs = set()
-    for path in run:
+    for path in run.paths():
         value = damping(path, lam) * path_value(path, theta, h, rho)
         if abs(value) > 1e-13:
             got_total += value
@@ -200,8 +200,8 @@ def test_enumeration_complete_against_exhaustive_sum(seed, lam):
 def test_untruncated_sentinel_equals_max_weight():
     circuit, h, rho, _ = random_certified_instance(7, max_n=2, max_depth=3)
     full_m = circuit.n * (circuit.depth + 1)
-    a = [p.words for p in PathEnumeration(circuit, h, rho, None)]
-    b = [p.words for p in PathEnumeration(circuit, h, rho, full_m)]
+    a = [p.words for p in PathEnumeration(circuit, h, rho, None).paths()]
+    b = [p.words for p in PathEnumeration(circuit, h, rho, full_m).paths()]
     assert a == b
 
 
@@ -211,10 +211,10 @@ def test_truncation_monotone_in_m():
     for m in range(circuit.depth + 1, circuit.n * (circuit.depth + 1) + 1):
         current = {
             tuple((w.x, w.z) for w in p.words)
-            for p in PathEnumeration(circuit, h, rho, m)
+            for p in PathEnumeration(circuit, h, rho, m).paths()
         }
         assert seen_prev <= current
-        for p in PathEnumeration(circuit, h, rho, m):
+        for p in PathEnumeration(circuit, h, rho, m).paths():
             assert p.total_weight <= m
         seen_prev = current
 
@@ -222,7 +222,7 @@ def test_truncation_monotone_in_m():
 def test_rx_chain_census():
     for depth in (3, 5, 7):
         circuit, h, rho = rx_chain_instance(2, depth)
-        paths = list(PathEnumeration(circuit, h, rho, None))
+        paths = list(PathEnumeration(circuit, h, rho, None).paths())
         assert len(paths) == 2 ** (depth - 1)
         assert all(p.total_weight == depth + 1 for p in paths)
     with pytest.raises(ValueError, match="^need depth >= 2, got 1$"):
@@ -253,17 +253,17 @@ def test_scaling_sweep_checks_each_depth_before_comparing_it():
 def test_minimum_weight_cutoff():
     # every surviving path costs at least depth + 1, so m = depth kills all
     circuit, h, rho = rx_chain_instance(2, 5)
-    assert len(list(PathEnumeration(circuit, h, rho, 6))) == 16
+    assert len(list(PathEnumeration(circuit, h, rho, 6).paths())) == 16
     with pytest.warns(UserWarning, match="below depth"):
         run = PathEnumeration(circuit, h, rho, 5)
-    assert list(run) == []
+    assert list(run.paths()) == []
 
 
 def test_enumeration_deterministic():
     circuit, h, rho, _ = random_certified_instance(19)
     run = PathEnumeration(circuit, h, rho, None)
-    first = [(p.words, p.sign, p.atoms) for p in run]
-    second = [(p.words, p.sign, p.atoms) for p in run]
+    first = [(p.words, p.sign, p.atoms) for p in run.paths()]
+    second = [(p.words, p.sign, p.atoms) for p in run.paths()]
     assert first == second
 
 
@@ -351,7 +351,7 @@ def test_zero_overlap_roots_pruned():
     # |00> has zero overlap with any X or Y letter at the far end
     circuit, h, rho = rx_chain_instance(1, 3)
     run = PathEnumeration(circuit, h, rho, None)
-    for path in run:
+    for path in run.paths():
         overlap = rho.overlap(path.words[0])
         assert abs(overlap) > 0
     assert run.stats.pruned_zero_overlap > 0
@@ -359,7 +359,7 @@ def test_zero_overlap_roots_pruned():
 
 def test_total_weight_matches_words():
     circuit, h, rho, _ = random_certified_instance(23)
-    for path in PathEnumeration(circuit, h, rho, None):
+    for path in PathEnumeration(circuit, h, rho, None).paths():
         assert path.total_weight == sum(w.weight for w in path.words)
         assert len(path.words) == circuit.depth + 1
         assert not any(w.is_identity for w in path.words)
@@ -466,7 +466,7 @@ def test_batched_walk_equals_reference_walk_at_every_m(instance):
     for m in range(circuit.depth + 1, circuit.n * (circuit.depth + 1) + 1):
         run = PathEnumeration(circuit, h, rho, m)
         want_paths, want_stats = _reference_walk(circuit, h, rho, m)
-        assert list(run) == want_paths
+        assert list(run.paths()) == want_paths
         assert run.stats == want_stats
 
 
@@ -477,7 +477,7 @@ def test_pinned_ansatz_counters_and_memory():
     run = PathEnumeration(circuit, h, rho, 44)
     tracemalloc.start()
     try:
-        for _ in run:
+        for _ in run.paths():
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -490,6 +490,21 @@ def test_pinned_ansatz_counters_and_memory():
         pruned_zero_overlap=74_240,
     )
     assert run.stats.paths_emitted > BATCH_ROWS
+    assert peak <= 2 * 2**20
+
+
+def test_pinned_ansatz_estimate_memory():
+    # one estimate on the same instance, its norm bound, walk and array sum
+    # of the path blocks included, stays within the same 2 MB of traced memory
+    circuit, h, rho = ansatz_instance(8, 12)
+    theta = {p: 0.1 * k for k, p in enumerate(circuit.parameters())}
+    tracemalloc.start()
+    try:
+        report = estimate(circuit, h, rho, theta, 0.1, 44)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.paths_used == 1_491
     assert peak <= 2 * 2**20
 
 
@@ -537,7 +552,7 @@ def test_words_beyond_63_qubits_walk_like_narrow_ones(seed):
         run = PathEnumeration(wide, h_wide, rho_wide, m)
         want = [
             (tuple(moved(w) for w in p.words), p.sign, p.atoms, p.total_weight)
-            for p in narrow
+            for p in narrow.paths()
         ]
-        assert [(p.words, p.sign, p.atoms, p.total_weight) for p in run] == want
+        assert [(p.words, p.sign, p.atoms, p.total_weight) for p in run.paths()] == want
         assert run.stats == narrow.stats

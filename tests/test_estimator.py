@@ -1,6 +1,7 @@
 """Estimator:  truncation-order selection, certified bounds, determinism,
 and the sampled error benchmarks."""
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -29,7 +30,7 @@ from paulipath import (
     rx_chain_instance,
     state_from_dict,
 )
-from paulipath import cli, estimator, oracle
+from paulipath import cli, engine, estimator, oracle
 from paulipath.engine import FactorAtom, PathEnumeration
 from paulipath.estimator import (
     _term_sums,
@@ -114,7 +115,7 @@ def test_estimate_equals_path_sum_at_every_m(seed, lam):
     max_weight = circuit.n * (circuit.depth + 1)
     for m in range(circuit.depth + 1, max_weight + 1):
         report = estimate(circuit, h, rho, theta, lam, m)
-        paths = list(PathEnumeration(circuit, h, rho, m))
+        paths = list(PathEnumeration(circuit, h, rho, m).paths())
         # bit for bit: the estimate is the in-order sum of its own paths
         path_sum = 0.0
         for path in paths:
@@ -192,17 +193,86 @@ def test_truncated_value_converges_to_oracle():
     assert errors[-1] <= errors[0]
 
 
+def _in_order_path_sum(circuit, h, rho, m, angles, lam):
+    """The sum from 0.0, in path order, of damping * path_value."""
+    total = 0.0
+    for path in PathEnumeration(circuit, h, rho, m).paths():
+        total += damping(path, lam) * path_value(path, angles, h, rho)
+    return total
+
+
 @pytest.mark.parametrize("seed", [0, 8, 10, 17])
 def test_term_sums_array_angles_match_scalar_calls(seed):
     circuit, h, rho, _ = random_certified_instance(seed)
     params = circuit.parameters()
     samples = np.random.default_rng(seed).uniform(0, 2 * math.pi, (5, len(params)))
-    array_sum, run = _term_sums(circuit, h, rho, None, dict(zip(params, samples.T)), 0.1)
+    angles = dict(zip(params, samples.T))
+    array_sum, run = _term_sums(circuit, h, rho, None, angles, 0.1)
     assert run.paths_emitted >= 20
     for k, row in enumerate(samples):
         scalar_sum, _ = _term_sums(circuit, h, rho, None, dict(zip(params, row)), 0.1)
         got = np.broadcast_to(array_sum, len(samples))[k]
         assert got == pytest.approx(scalar_sum, rel=1e-12, abs=1e-12)
+    # bit for bit, sample by sample: the in-order sum of the explicit paths
+    path_sum = _in_order_path_sum(circuit, h, rho, None, angles, 0.1)
+    assert np.array_equal(array_sum, path_sum)
+
+
+def test_term_sums_keep_the_sample_axis_in_blocks_without_atoms(monkeypatch):
+    # at two rows a batch the first block's paths pass the rotation without
+    # an atom and the second block's with one; per-sample angles still give
+    # every block one value per sample, bit for bit the in-order path sum
+    monkeypatch.setattr(engine, "BATCH_ROWS", 2)
+    circuit = Circuit(3, (Layer((RotationGate(PauliWord.from_string("YII"), param="a"),)),))
+    h = Hamiltonian(
+        3,
+        [
+            (PauliWord.from_string(letters), coeff)
+            for letters, coeff in (("IIZ", 1.0), ("IZI", 0.5), ("IZZ", 0.25), ("ZII", 0.125))
+        ],
+    )
+    rho = SparseDensity.computational_basis(3)
+    assert [block.anti.any() for block in PathEnumeration(circuit, h, rho, None)] == [False, True]
+    angles = {"a": np.array([0.1, 0.2, 0.3])}
+    total, _ = _term_sums(circuit, h, rho, None, angles, 0.1)
+    assert np.array_equal(total, _in_order_path_sum(circuit, h, rho, None, angles, 0.1))
+
+
+def test_term_sums_mix_bound_angles_with_sample_arrays():
+    # a bound angle's cos and sin are floats and a symbol's are per-sample
+    # arrays; every path's value still has one entry per sample, bit for bit
+    # the in-order sum of the explicit paths
+    circuit = Circuit(
+        2,
+        (
+            Layer(
+                (
+                    RotationGate(PauliWord.from_string("YI"), param="a"),
+                    RotationGate(PauliWord.from_string("IY"), angle=0.3),
+                )
+            ),
+            Layer((CliffordGate("CNOT", (1, 2)),)),
+            Layer(
+                (
+                    RotationGate(PauliWord.from_string("XI"), angle=0.7),
+                    RotationGate(PauliWord.from_string("IX"), param="b"),
+                )
+            ),
+        ),
+    )
+    h = Hamiltonian(
+        2,
+        [
+            (PauliWord.from_string("ZZ"), 1.0),
+            (PauliWord.from_string("ZI"), 0.5),
+            (PauliWord.from_string("IZ"), -0.25),
+        ],
+    )
+    rho = SparseDensity.computational_basis(2)
+    angles = {"a": np.array([0.1, 0.5, 2.0]), "b": np.array([1.0, 2.0, 3.0])}
+    total, run = _term_sums(circuit, h, rho, None, angles, 0.1)
+    assert total.shape == (3,) and run.paths_emitted > 1
+    assert np.array_equal(total, _in_order_path_sum(circuit, h, rho, None, angles, 0.1))
 
 
 def test_eps_delta_requires_certification():
@@ -223,7 +293,7 @@ def test_eps_delta_requires_certification():
 def test_describe_factors_format():
     circuit, h, rho = rx_chain_instance(2, 4)
     run = PathEnumeration(circuit, h, rho, None)
-    descriptions = [describe_factors(p) for p in run]
+    descriptions = [describe_factors(p) for p in run.paths()]
     assert "-sin(t2_1)*cos(t3_1)*cos(t4_1)" in descriptions
     for text in descriptions:
         assert set(text) <= set("0123456789_tausincos()*-")
@@ -233,7 +303,7 @@ def test_path_value_factorization():
     circuit, h, rho = rx_chain_instance(1, 3)
     theta = {p: 0.6 for p in circuit.parameters()}
     run = PathEnumeration(circuit, h, rho, None)
-    for path in run:
+    for path in run.paths():
         expected = h.coeff(path.words[-1]) * path.sign * rho.overlap(path.words[0])
         for atom in path.atoms:
             expected *= atom_value(atom, theta)
@@ -444,6 +514,38 @@ def test_mse_benchmark_runs_the_oracle_once_per_chunk(monkeypatch):
     assert calls == {"noisy_mean_value": 1, "evolve_noisy": math.ceil(64 / per_chunk)}
 
 
+def test_entry_points_walk_one_enumeration_to_the_end(monkeypatch):
+    # the benchmark's traced runs read the engine counters through this
+    # module name: a subclass of estimator.PathEnumeration reads `stats` when
+    # its iterator ends.  So estimate and mse_benchmark each build one
+    # enumeration there and run its iterator to the end once, and estimate
+    # reports the stats of that pass.
+    built, started, finished = [], [], []
+
+    class Counting(PathEnumeration):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def __iter__(self):
+            started.append(self)
+            yield from super().__iter__()
+            finished.append(dataclasses.replace(self.stats))
+
+    monkeypatch.setattr(estimator, "PathEnumeration", Counting)
+    circuit, h, rho = rx_chain_instance(2, 6)
+    theta = {p: 0.4 for p in circuit.parameters()}
+    report = estimate(circuit, h, rho, theta, 0.1)
+    assert len(built) == len(started) == len(finished) == 1
+    assert started == built and report.paths_used == 32
+    assert dataclasses.asdict(finished[0]) == report.stats
+    for calls in (built, started, finished):
+        calls.clear()
+    mse_benchmark(circuit, h, rho, lam=0.2, m=8, samples=8, seed=3)
+    assert len(built) == len(started) == len(finished) == 1
+    assert started == built and finished[0].paths_emitted > 0
+
+
 def test_mse_benchmark_without_symbols(recwarn):
     # no symbol means no sample axis: one exact value stands for every sample
     circuit = Circuit(1, (Layer((CliffordGate("H", (1,)),)),))
@@ -488,7 +590,7 @@ def test_mse_benchmark_survives_package_reimport(monkeypatch):
 
 def test_sampled_runs_refuse_what_they_cannot_sample(monkeypatch):
     circuit, h, rho = rx_chain_instance(2, 4)
-    paths = list(PathEnumeration(circuit, h, rho, None))
+    paths = list(PathEnumeration(circuit, h, rho, None).paths())
     for call in (
         lambda: mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=1, seed=0),
         lambda: cross_term_check(circuit, h, rho, paths[0], paths[1], samples=1, seed=0),
@@ -551,7 +653,7 @@ def test_mse_benchmark_rejects_bound_angles():
 
 def test_cross_term_vanishes_when_certified():
     circuit, h, rho = rx_chain_instance(2, 4)
-    paths = list(PathEnumeration(circuit, h, rho, None))
+    paths = list(PathEnumeration(circuit, h, rho, None).paths())
     result = cross_term_check(circuit, h, rho, paths[0], paths[1], samples=4000, seed=5)
     assert result.generation_certified
     assert abs(result.mean) <= 4 * result.std_error
@@ -579,7 +681,7 @@ def _uncertified_instance():
 
 def test_cross_term_counterexample_without_certification():
     circuit, h, rho = _uncertified_instance()
-    paths = list(PathEnumeration(circuit, h, rho, None))
+    paths = list(PathEnumeration(circuit, h, rho, None).paths())
     assert len(paths) == 2
     result = cross_term_check(circuit, h, rho, paths[0], paths[1], samples=500, seed=3)
     assert not result.generation_certified
@@ -594,7 +696,7 @@ def _path_mass_and_mean_square(circuit, h, rho) -> tuple[float, float]:
     exactly, from one batched oracle call."""
     mass = math.fsum(
         (h.coeff(path.words[-1]) * rho.overlap(path.words[0])) ** 2 / 2 ** len(path.atoms)
-        for path in PathEnumeration(circuit, h, rho, None)
+        for path in PathEnumeration(circuit, h, rho, None).paths()
     )
     params = circuit.parameters()
     thirds = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
