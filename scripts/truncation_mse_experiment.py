@@ -10,6 +10,7 @@ import json
 import warnings
 
 import paulipath as pp
+from paulipath.engine import truncation_order
 
 
 def main() -> None:
@@ -23,7 +24,7 @@ def main() -> None:
     args = ap.parse_args()
 
     circuit, h, rho = pp.rx_chain_instance(args.qubits, args.depth)
-    max_m = args.qubits * (args.depth + 1)
+    max_m = truncation_order(circuit, None)
     rows = []
     print(f"chain n={args.qubits} depth={args.depth}, {args.samples} samples per row")
     print(f"{'lam':>5} {'m':>4} {'empirical':>12} {'bound':>12} {'passed':>7}")

@@ -112,7 +112,9 @@ def _term_sums(
     layers 1..L in program order its cos or sin value, or 1.0 where the
     rotation commutes (x * 1.0 == x exactly), and then damp[spent] *
     (value * overlap).  The contributions are added to the total one path
-    at a time, in path order."""
+    at a time, in path order.  A block is valued in row slices of at most
+    max(1, CHUNK_ENTRIES // S) paths for S samples, the oracle's chunk
+    size, so each temporary of paths x samples stays that small."""
     damp = np.array([(1.0 - lam) ** w for w in range(truncation_order(circuit, None) + 1)])
     run = PathEnumeration(circuit, h, rho, m)
     # per rotation of layers 1..L in program order: its layer and its bit in
@@ -129,19 +131,23 @@ def _term_sums(
     samples = factors.shape[1:]  # () for float angles, (S,) for arrays
     column = (-1,) + (1,) * len(samples)  # one path per row, samples across
     cos_at = 1 + 2 * np.arange(len(layer_of)).reshape(-1, 1)
+    rows = max(1, oracle.CHUNK_ENTRIES // math.prod(samples))
     total = 0.0
     for block in run:
-        anti = (block.anti[layer_of] >> bit_of) & 1  # (rotations, paths)
-        pick = (anti * (cos_at + ((block.sin[layer_of] >> bit_of) & 1))).astype(np.intp)
-        value = (block.coeff * block.sign).reshape(column)
-        # every path's value has the samples' shape, atoms or not
-        value = np.broadcast_to(value, block.coeff.shape + samples)
-        for r in np.flatnonzero(anti.any(axis=1)):
-            value = value * factors[pick[r]]
-        contributions = damp[block.spent].reshape(column) * (value * block.overlap.reshape(column))
-        # one path at a time, in path order
-        for contribution in contributions if samples else contributions.tolist():
-            total += contribution
+        for start in range(0, len(block.coeff), rows):
+            part = slice(start, start + rows)
+            anti = (block.anti[layer_of, part] >> bit_of) & 1  # (rotations, paths)
+            pick = (anti * (cos_at + ((block.sin[layer_of, part] >> bit_of) & 1))).astype(np.intp)
+            value = (block.coeff[part] * block.sign[part]).reshape(column)
+            # every path's value has the samples' shape, atoms or not
+            value = np.broadcast_to(value, anti.shape[1:] + samples)
+            for r in np.flatnonzero(anti.any(axis=1)):
+                value = value * factors[pick[r]]
+            overlap = block.overlap[part].reshape(column)
+            contributions = damp[block.spent[part]].reshape(column) * (value * overlap)
+            # one path at a time, in path order
+            for contribution in contributions if samples else contributions.tolist():
+                total += contribution
     return total, run.stats
 
 

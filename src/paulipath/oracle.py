@@ -5,26 +5,25 @@ Pauli coordinates behind a leading sample axis: axis n + 1 - q carries
 qubit q, and the entry at digits (a_n, ..., a_1) is
 Tr((sigma_a_n (x) ... (x) sigma_a_1) M), with sigma_0..3 = I, X, Y, Z.
 That is the Pauli-transfer-matrix picture, in which every channel is a
-real matrix.  The state enters these coordinates once and leaves once,
-with the last noise round folded into the way back.
+real matrix.  The state enters these coordinates once and leaves once.
 
-A Clifford or one-qubit rotation U on k qubits is one `_apply` of the real
-4^k x 4^k basis change of (U (x) conj U) D^(x)k, D being one qubit's
-depolarizing step, so the noise round before a layer is folded into its
-gates; an idle qubit gets D alone.  Each operator is one contraction of
-dense U with D's channel formula.  A wider rotation takes only its own
-axes to pair digits 2r + c (row bit r, column bit c), with the noise
-round on the way, applies U and conj U on its row and column bits in the
+Per-qubit depolarizing noise is diagonal there, so a noise round is one
+elementwise product of the tensor with a (4,)*n factor, built once per
+run by `_noise_round` from the channel formula.  A Clifford or one-qubit
+rotation U on k qubits is one `_apply` of its real 4^k x 4^k transfer
+matrix, one contraction of dense U with a fixed basis change.  A wider
+rotation takes only its own axes to pair digits 2r + c (row bit r,
+column bit c), applies U and conj U on its row and column bits in the
 (S,) + (2,)*2n view, and takes its axes back.  Operators, coordinates and
 traces pass one realness rule, `_real`.
 
 Angles are all floats, or all 1-d arrays of S angles, one per sample.
-Every gate site and noise step is one `matmul`: Cliffords, bound angles
-and noise give one operator that the samples share, and a symbol's
-rotation one per sample, an (S, 4, 4) site operator or an (S, 2^k, 2^k)
-U.  A float run is a batch of one.  `noisy_mean_value` splits the samples
-into chunks of at most CHUNK_ENTRIES real entries, one `evolve_noisy`
-each, so from n = 8 on a chunk is one sample.
+Every gate site is one `matmul`: Cliffords and bound angles give one
+operator that the samples share, and a symbol's rotation one per sample,
+an (S, 4, 4) site operator or an (S, 2^k, 2^k) U.  A float run is a
+batch of one.  `noisy_mean_value` splits the samples into chunks of at
+most CHUNK_ENTRIES real entries, one `evolve_noisy` each, so from n = 8
+on a chunk is one sample.
 
 Every dense Pauli matrix (H, the factor checks' words, rotation
 generators) comes from `observables.pauli_sum_matrix`, which the path
@@ -46,7 +45,7 @@ every layer and one more before measurement:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -70,7 +69,11 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1
 # a pair digit 2r + c to Pauli coordinates: [a, 2r + c] = sigma_a[c, r], so
 # that the coordinates of a 2x2 matrix M are v_a = Tr(sigma_a M)
 _TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
+# Pauli coordinates back to a pair digit: [2r + c, b] = sigma_b[r, c] / 2,
+# so that M = sum_b v_b sigma_b / 2^n
+_FROM_PAULI = _PAULIS.transpose(1, 2, 0).reshape(4, 4) / 2
 _TO_PAULI.flags.writeable = False
+_FROM_PAULI.flags.writeable = False
 
 
 class OracleCapError(RuntimeError):
@@ -150,8 +153,8 @@ def _generator_matrix(generator: PauliWord) -> np.ndarray:
 
 def _apply(tensor: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
     """op on k axes of size d (4 for Pauli or pair axes, 2 for bit axes),
-    axes[j] carrying digit j of op's base-d index; every gate and noise
-    step is this one `matmul`, between one `transpose` each way.  Axis 0
+    axes[j] carrying digit j of op's base-d index; every gate site is
+    this one `matmul`, between one `transpose` each way.  Axis 0
     of the tensor indexes samples.  A d^k x d^k op is shared by the
     samples; an (S, d^k, d^k) stack gives one op per sample and spreads a
     batch of one to S."""
@@ -186,10 +189,9 @@ def _coordinates(mat: np.ndarray, n: int) -> np.ndarray:
     return _on_each(_pairs(mat, n), _TO_PAULI, range(1, n + 1))
 
 
-def _matrix(tensor: np.ndarray, n: int, lam: float) -> np.ndarray:
-    """The (S, 2^n, 2^n) matrices of a batch of S coordinate tensors, after
-    one noise round on every qubit."""
-    pairs = _on_each(tensor, _from_pauli(lam), range(1, n + 1))
+def _matrix(tensor: np.ndarray, n: int) -> np.ndarray:
+    """The (S, 2^n, 2^n) matrices of a batch of S coordinate tensors."""
+    pairs = _on_each(tensor, _FROM_PAULI, range(1, n + 1))
     order = [0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)]
     size = len(pairs)
     return pairs.reshape(size, *(2,) * (2 * n)).transpose(order).reshape(size, 1 << n, 1 << n)
@@ -200,77 +202,55 @@ def _read_only(op: np.ndarray) -> np.ndarray:
     return op
 
 
-@lru_cache(maxsize=16)
-def _bases(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """One qubit's basis changes (T, E), read-only: T[a, i, j] =
-    sigma_a[j, i], so sum_ij T[a, i, j] M[i, j] = Tr(sigma_a M), and
-    E[i, j, b] = D(sigma_b)[i, j] / 2, D being one qubit's depolarizing
-    step, (1-lam) M + lam Tr(M) I/2, so D(M) = sum_b v_b E[:, :, b]."""
-    traces = np.einsum("bii->b", _PAULIS)[:, None, None]
-    e = ((1.0 - lam) * _PAULIS + lam * traces * np.eye(2) / 2).transpose(1, 2, 0) / 2
-    return _read_only(_PAULIS.transpose(0, 2, 1)), _read_only(e)
+def _noise_round(n: int, lam: float) -> np.ndarray:
+    """One round of per-qubit depolarizing noise as a (4,)*n factor of the
+    Pauli coordinates.  One qubit's step D(M) = (1-lam) M + lam Tr(M) I/2
+    is diagonal on the Pauli basis, so the factor is the tensor product
+    over qubits of Tr(sigma_a D(sigma_a)) / 2."""
+    traces = np.einsum("aii->a", _PAULIS)[:, None, None]
+    damped = (1.0 - lam) * _PAULIS + lam * traces * np.eye(2) / 2
+    one = _real(np.einsum("aij,aji->a", _PAULIS, damped) / 2, 1.0, "noise factor")
+    return reduce(np.multiply.outer, [one] * n)
 
 
-@lru_cache(maxsize=16)
-def _from_pauli(lam: float) -> np.ndarray:
-    """Pauli coordinates to a pair digit 2r + c, after one qubit's
-    depolarizing step; read-only."""
-    return _read_only(_bases(lam)[1].reshape(4, 4))
-
-
-def _basis_change(k: int, lam: float) -> np.ndarray:
-    """The 16^k x 16^k matrix that takes U[i, p] conj U[j, q], flattened
-    over (i, p, j, q), to the site operator of U D^(x)k flattened over
-    (a, b), whose [a, b] is Tr(sigma_a U D(sigma_b) U^dag) / 2^k.  On two
-    qubits a = 4 a_1 + a_0 stands for sigma_a_1 (x) sigma_a_0, support
-    qubit j on digit j."""
-    t, e = _bases(lam)
+@lru_cache(maxsize=1)
+def _basis_change(k: int) -> np.ndarray:
+    """The 16^k x 16^k matrix, read-only, that takes U[i, p] conj U[j, q],
+    flattened over (i, p, j, q), to the transfer matrix of U flattened
+    over (a, b), whose [a, b] is Tr(sigma_a U sigma_b U^dag) / 2^k.  On
+    two qubits a = 4 a_1 + a_0 stands for sigma_a_1 (x) sigma_a_0, support
+    qubit j on digit j.  The cache keeps the one-qubit change that every
+    rotation site uses; the 1 MB two-qubit one serves only Cliffords,
+    whose site operators are cached instead."""
+    t, e = _TO_PAULI.reshape(4, 2, 2), _FROM_PAULI.reshape(2, 2, 4)
     if k == 2:
         t = np.einsum("aij,bkl->abikjl", t, t).reshape(16, 4, 4)
         e = np.einsum("ijb,kld->ikjlbd", e, e).reshape(4, 4, 16)
-    return np.einsum("aij,pqb->ipjqab", t, e).reshape(16**k, 16**k)
+    return _read_only(np.einsum("aij,pqb->ipjqab", t, e).reshape(16**k, 16**k))
 
 
-@lru_cache(maxsize=16)
-def _one_qubit_change(lam: float) -> np.ndarray:
-    """`_basis_change` on one qubit, read-only.  Two-qubit sites are
-    Cliffords, whose operators are cached instead."""
-    return _read_only(_basis_change(1, lam))
-
-
-def _site_operator(u: np.ndarray, lam: float) -> np.ndarray:
-    """The real Pauli-coordinate operator of M -> U D(M) U^dag on the k = 1
-    or 2 qubits of U, by one contraction of U (x) conj U with the basis
-    change; a one-qubit (S, 2, 2) stack of U gives an (S, 4, 4) stack.  A
-    channel's coordinates lie in [-1, 1], so its realness is checked at
-    size 1."""
+def _site_operator(u: np.ndarray) -> np.ndarray:
+    """The real transfer matrix of M -> U M U^dag on the k = 1 or 2 qubits
+    of U, by one contraction of U (x) conj U with the basis change; a
+    one-qubit (S, 2, 2) stack of U gives an (S, 4, 4) stack.  A channel's
+    coordinates lie in [-1, 1], so its realness is checked at size 1."""
     k = u.shape[-1] // 2
-    change = _one_qubit_change(lam) if k == 1 else _basis_change(k, lam)
     stack = u.shape[:-2]
     pair = (u[..., :, :, None, None] * u.conj()[..., None, None, :, :]).reshape(*stack, -1)
-    return _real((pair @ change).reshape(*stack, 4**k, 4**k), 1.0, "gate operator")
+    return _real((pair @ _basis_change(k)).reshape(*stack, 4**k, 4**k), 1.0, "gate operator")
 
 
 @lru_cache(maxsize=16)
-def _clifford_site(kind: str, lam: float) -> np.ndarray:
+def _clifford_site(kind: str) -> np.ndarray:
     """A Clifford gate's site operator, read-only."""
-    return _read_only(_site_operator(_CLIFFORDS[kind], lam))
+    return _read_only(_site_operator(_CLIFFORDS[kind]))
 
 
-@lru_cache(maxsize=16)
-def _noise(lam: float) -> np.ndarray:
-    """One qubit's depolarizing step on its Pauli coordinates, read-only."""
-    return _read_only(_site_operator(np.eye(2), lam))
-
-
-def _wide_rotation(
-    tensor: np.ndarray, u: np.ndarray, axes: list[int], n: int, lam: float
-) -> np.ndarray:
-    """A noise round on k >= 2 Pauli axes, then U on their row bits and
-    conj U on their column bits: the axes go to pair digits with the noise
-    step, to the (S,) + (2,)*2n bit view and back, and then back to Pauli
-    coordinates, checked real."""
-    bits = _on_each(tensor, _from_pauli(lam), axes)
+def _wide_rotation(tensor: np.ndarray, u: np.ndarray, axes: list[int], n: int) -> np.ndarray:
+    """U on the row bits and conj U on the column bits of k >= 2 Pauli
+    axes: the axes go to pair digits, to the (S,) + (2,)*2n bit view and
+    back, and then back to Pauli coordinates, checked real."""
+    bits = _on_each(tensor, _FROM_PAULI, axes)
     bits = bits.reshape(len(bits), *(2,) * (2 * n))
     bits = _apply(bits, u, [2 * axis - 1 for axis in axes])
     bits = _apply(bits, u.conj(), [2 * axis for axis in axes])
@@ -280,28 +260,27 @@ def _wide_rotation(
 
 
 def _noisy_layer(
-    tensor: np.ndarray, layer: Layer, assignment: ParameterAssignment, n: int, lam: float
+    tensor: np.ndarray,
+    noise: np.ndarray,
+    layer: Layer,
+    assignment: ParameterAssignment,
+    n: int,
 ) -> np.ndarray:
-    """One noise round, then the layer; gate order is irrelevant on
-    disjoint supports.  Qubit q is on Pauli axis n + 1 - q, after the
-    sample axis, and its row and column bits on axes 2(n + 1 - q) - 1 and
-    2(n + 1 - q) of the (2,)*2n bit view."""
-    idle = set(range(1, n + 1))
+    """One noise round, the elementwise product with its factor, then the
+    layer; gate order is irrelevant on disjoint supports.  Qubit q is on
+    Pauli axis n + 1 - q, after the sample axis, and its row and column
+    bits on axes 2(n + 1 - q) - 1 and 2(n + 1 - q) of the (2,)*2n bit
+    view."""
+    tensor = tensor * noise
     for gate in layer.gates:
-        support = gate.support
-        axes = [n + 1 - q for q in support]
-        idle.difference_update(support)
+        axes = [n + 1 - q for q in gate.support]
         if isinstance(gate, CliffordGate):
-            tensor = _apply(tensor, _clifford_site(gate.kind, lam), axes)
-            continue
-        u = _rotation_matrix(gate, assignment)
-        if len(axes) == 1:
-            tensor = _apply(tensor, _site_operator(u, lam), axes)
+            tensor = _apply(tensor, _clifford_site(gate.kind), axes)
+        elif len(axes) == 1:
+            tensor = _apply(tensor, _site_operator(_rotation_matrix(gate, assignment)), axes)
         else:
-            tensor = _wide_rotation(tensor, u, axes, n, lam)
-    if lam == 0.0:
-        return tensor
-    return _on_each(tensor, _noise(lam), [n + 1 - q for q in idle])
+            tensor = _wide_rotation(tensor, _rotation_matrix(gate, assignment), axes, n)
+    return tensor
 
 
 def _hermitian_coordinates(mat: np.ndarray, n: int, what: str) -> np.ndarray:
@@ -312,7 +291,7 @@ def _hermitian_coordinates(mat: np.ndarray, n: int, what: str) -> np.ndarray:
 
 def depolarize_all(mat: np.ndarray, n: int, lam: float) -> np.ndarray:
     """One round of the per-qubit depolarizing channel on a dense matrix."""
-    return _matrix(_coordinates(mat, n), n, lam).reshape(mat.shape)
+    return _matrix(_coordinates(mat, n) * _noise_round(n, lam), n).reshape(mat.shape)
 
 
 def _check_run(
@@ -343,10 +322,11 @@ def evolve_noisy(
     (S, 2^n, 2^n) stack of one matrix per sample."""
     size = _check_run(circuit, None, rho, assignment, lam)
     n = circuit.n
+    noise = _noise_round(n, lam)
     tensor = _hermitian_coordinates(state_matrix(rho), n, "state coordinates")
     for layer in circuit.layers:
-        tensor = _noisy_layer(tensor, layer, assignment, n, lam)
-    final = _matrix(tensor, n, lam)
+        tensor = _noisy_layer(tensor, noise, layer, assignment, n)
+    final = _matrix(tensor * noise, n)
     return final[0] if size is None else final
 
 
@@ -393,7 +373,7 @@ def transition_factor(
     """Tr(next U N(prev) Udag) / 2^n, checked real."""
     _check_cap(n)
     tensor = _hermitian_coordinates(word_matrix(prev_word), n, "word coordinates")
-    mat = _matrix(_noisy_layer(tensor, layer, assignment, n, lam), n, 0.0)[0]
+    mat = _matrix(_noisy_layer(tensor, _noise_round(n, lam), layer, assignment, n), n)[0]
     return _real_trace(word_matrix(next_word), mat, "transition factor", 1 << n)
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,7 +42,7 @@ from paulipath.estimator import (
 )
 from paulipath.oracle import noisy_mean_value
 
-from conftest import random_certified_instance
+from conftest import ansatz_instance, random_certified_instance
 
 
 def test_atom_values():
@@ -273,6 +274,25 @@ def test_term_sums_mix_bound_angles_with_sample_arrays():
     total, run = _term_sums(circuit, h, rho, None, angles, 0.1)
     assert total.shape == (3,) and run.paths_emitted > 1
     assert np.array_equal(total, _in_order_path_sum(circuit, h, rho, None, angles, 0.1))
+
+
+def test_term_sums_bound_their_per_sample_temporaries():
+    # a block is valued in slices of paths, so at 4,000 samples its
+    # temporaries stay near the oracle's chunk size, and the total is
+    # still bit for bit the in-order sum of the explicit paths
+    circuit, h, rho = ansatz_instance(8, 12)
+    params = circuit.parameters()
+    samples = np.random.default_rng(5).uniform(0, 2 * math.pi, (4000, len(params)))
+    angles = dict(zip(params, samples.T))
+    tracemalloc.start()
+    try:
+        total, run = _term_sums(circuit, h, rho, 44, angles, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.paths_emitted == 1_491
+    assert peak <= 8 * 2**20
+    assert np.array_equal(total, _in_order_path_sum(circuit, h, rho, 44, angles, 0.1))
 
 
 def test_eps_delta_requires_certification():

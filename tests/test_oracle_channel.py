@@ -1,11 +1,11 @@
-"""The oracle's fused Pauli-coordinate run against the plain dense channel.
+"""The oracle's Pauli-coordinate run against the plain dense channel.
 
-`evolve_noisy` folds each noise round into the next layer's Cliffords and
-one-qubit rotations, and the last one into the way back to a matrix; here
-the same run is rebuilt as the textbook channel from conftest's
-independent helpers (Kraus-form noise, full-size gate unitaries), one
-noise round and one layer at a time, at the three noise rates the
-acceptance suite uses.  A run over arrays of angles, one batched
+`evolve_noisy` applies each noise round as one diagonal factor of the
+Pauli coordinates and each gate as its transfer matrix on those
+coordinates; here the same run is rebuilt as the textbook channel from
+conftest's independent helpers (Kraus-form noise, full-size gate
+unitaries), one noise round and one layer at a time, at the three noise
+rates the acceptance suite uses.  A run over arrays of angles, one batched
 run per chunk of samples, is checked against the float call per sample.
 """
 

@@ -110,12 +110,37 @@ def test_resource_limits_are_constants():
 
 
 def test_oracle_has_one_contraction_and_one_realness_rule():
-    # every gate and noise step of the oracle is one matmul, and a dense
-    # trace is checked real by the rule of the state overlaps, whose one
-    # tolerance both modules read
+    # every gate site of the oracle is one matmul, and a dense trace is
+    # checked real by the rule of the state overlaps, whose one tolerance
+    # both modules read
     assert "tensordot" not in _sources()["oracle.py"]
     assert _names(ast.Store).get("IMAG_TOL") == ["observables.py"]
     assert set(_names(ast.Load).get("IMAG_TOL", [])) == {"observables.py", "oracle.py"}
+
+
+def test_oracle_applies_the_noise_rate_in_one_function():
+    # a noise round is one diagonal factor of the Pauli coordinates, so no
+    # cached gate operator depends on the noise rate, and `lam` enters
+    # arithmetic in one function, the depolarizing formula; everywhere else
+    # it is only passed on to a call
+    tree = ast.parse(_sources()["oracle.py"])
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    cached = [
+        fn.name
+        for fn in functions
+        if any("lru_cache" in ast.unparse(d) for d in fn.decorator_list)
+        and "lam" in [arg.arg for arg in fn.args.args]
+    ]
+    assert cached == []
+    used = {
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if not isinstance(node, (ast.Call, ast.keyword))
+        for child in ast.iter_child_nodes(node)
+        if isinstance(child, ast.Name) and child.id == "lam"
+    }
+    assert len(used) == 1, used
 
 
 def test_only_observables_stores_on_a_hamiltonian():
