@@ -47,9 +47,11 @@ frame-by-frame depth-first walk.  Memory stays O(depth * BATCH_ROWS).
 
 Each leaf batch, with the state overlaps its admission computed, is traced
 back through the current batch of every word index into one `PathBlock`:
-per path its root coefficient, sign, per-layer anti and sin masks, words,
-weight and overlap, as arrays.  Iterating a `PathEnumeration` yields these
-blocks; `PathEnumeration.paths()` turns them into `PauliPath` records.
+per path its root coefficient, sign, words, weight and overlap, and per
+rotation of layers 1..L its choice, 0 where the path commutes with it, 1
+where it takes cos and 2 where it takes sin, as arrays; only this module
+reads the step masks.  Iterating a `PathEnumeration` yields these blocks;
+`PathEnumeration.paths()` turns them into `PauliPath` records.
 
 Every child counts in `nodes_visited`, pruned or not.  A parent whose least
 possible child weight already exceeds the budget has all 2^a children
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,7 +153,7 @@ class _Branching:
 class _LayerProgram:
     """One layer compiled to bit operations on arrays of (x, z) masks."""
 
-    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "table")
+    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "table", "shifts")
 
     def __init__(self, layer: Layer, dtype: type) -> None:
         self.cliffords = [
@@ -165,6 +167,7 @@ class _LayerProgram:
         )
         keys = [g.param if g.param is not None else g.angle for g in rotations]
         self.atom_pairs = [(FactorAtom("cos", k), FactorAtom("sin", k)) for k in keys]
+        self.shifts = np.arange(len(rotations)).reshape(-1, 1)
         self.gx = np.array([g.generator.x for g in rotations], dtype=dtype).reshape(-1, 1)
         self.gz = np.array([g.generator.z for g in rotations], dtype=dtype).reshape(-1, 1)
         bits = [1 << j for j in range(len(rotations))]
@@ -211,13 +214,20 @@ class _LayerProgram:
         flips = (popcount(b.neg_bits[parent] & sin_bits) & 1).astype(np.int8)
         return x, z, weight, b.sign[parent] * (1 - 2 * flips), sin_bits
 
-    def atoms(self, anti: int, sin: int) -> tuple[FactorAtom, ...]:
-        """Atoms of one step in rotation order, from its bit masks."""
-        # tuples from a list get their exact size; from an iterator they are
-        # resized, and the freed ones pile up in the interpreter's free lists
-        return tuple(
-            [pair[sin >> j & 1] for j, pair in enumerate(self.atom_pairs) if anti >> j & 1]
-        )
+    def choices(self, anti: np.ndarray, sin: np.ndarray) -> np.ndarray:
+        """Steps through the layer decoded from their bit masks, as (R, rows)
+        int8 at any width: per rotation 0 where the step commutes with it, 1
+        for cos and 2 for sin (a sin bit is only ever set with its anti bit)."""
+        shifts = self.shifts
+        return (((anti >> shifts) & 1) + ((sin >> shifts) & 1)).astype(np.int8)
+
+
+def _atoms(pairs: Sequence[tuple], column: list[int]) -> tuple[FactorAtom, ...]:
+    """The atoms of one path, from the (cos, sin) atom pair of each rotation
+    and the path's choice there."""
+    # tuples from a list get their exact size; from an iterator they are
+    # resized, and the freed ones pile up in the interpreter's free lists
+    return tuple([pair[c - 1] for pair, c in zip(pairs, column) if c])
 
 
 def layer_predecessors(
@@ -230,14 +240,12 @@ def layer_predecessors(
     b, count, _ = program.branch(
         np.array([succ.x], dtype=dtype), np.array([succ.z], dtype=dtype)
     )
-    children = 1 << int(count[0])
-    x, z, _, sign, sin = program.children(
-        b, np.zeros(children, dtype=np.intp), np.arange(children, dtype=np.int64)
-    )
-    anti = int(b.anti_bits[0])
+    parent = np.zeros(1 << int(count[0]), dtype=np.intp)
+    x, z, _, sign, sin = program.children(b, parent, np.arange(len(parent), dtype=np.int64))
+    choice = program.choices(b.anti_bits[parent], sin)
     return [
-        (PauliWord(succ.n, int(cx), int(cz)), int(s), program.atoms(anti, int(c)))
-        for cx, cz, s, c in zip(x, z, sign, sin)
+        (PauliWord(succ.n, int(cx), int(cz)), int(s), _atoms(program.atom_pairs, column))
+        for cx, cz, s, column in zip(x, z, sign, choice.T.tolist())
     ]
 
 
@@ -275,13 +283,13 @@ def _concat(parts: list[_Batch]) -> _Batch:
 @dataclass(frozen=True)
 class PathBlock:
     """The paths ending in one leaf batch, in canonical order, as read-only
-    arrays with one column per path.  Layer l's masks are bits over its
-    rotations in `PathEnumeration.layer_atoms[l - 1]` order."""
+    arrays with one column per path.  Row r of `choice` is rotation r of
+    layers 1..L in program order, whose atoms are
+    `PathEnumeration.atoms[r]`."""
 
     coeff: np.ndarray  # (P,) coefficient of the root term s_L
     sign: np.ndarray  # (P,) int8, the overall sign
-    anti: np.ndarray  # (L, P) row l - 1: layer l's anti-commuting rotations
-    sin: np.ndarray  # (L, P) row l - 1: those of them taking the sin branch
+    choice: np.ndarray  # (R, P) int8: 0 commutes, 1 takes cos, 2 takes sin
     x: np.ndarray  # (L + 1, P) row i: the x mask of s_i
     z: np.ndarray  # (L + 1, P) row i: the z mask of s_i
     spent: np.ndarray  # (P,) int32, the total weight
@@ -300,8 +308,9 @@ class PathEnumeration:
     `stats` is reset at the start of each iteration and holds the counters
     of the most recent (possibly still running) pass.  Every node counts
     against NODE_LIMIT, the root of each term included, and every path
-    against PATH_LIMIT.  `layer_atoms` holds per layer the (cos, sin) atom
-    pair of each rotation, in the bit order of the blocks' masks.
+    against PATH_LIMIT.  `atoms` holds the (cos, sin) atom pair of each
+    rotation of layers 1..L in program order, the rows of the blocks'
+    `choice`.
     """
 
     def __init__(
@@ -326,7 +335,7 @@ class PathEnumeration:
         self.stats = EnumerationStats()
         self._dtype = _mask_dtype(circuit.n)
         self._programs = [_LayerProgram(layer, self._dtype) for layer in circuit.layers]
-        self.layer_atoms = tuple(tuple(program.atom_pairs) for program in self._programs)
+        self.atoms = tuple(chain.from_iterable(program.atom_pairs for program in self._programs))
         self._coeffs = np.array([c for _, c in h.terms()], dtype=float)
         self._flips = np.array(sorted(rho.flip_masks()), dtype=self._dtype)
 
@@ -363,32 +372,21 @@ class PathEnumeration:
 
     def _block_paths(self, block: PathBlock) -> Iterator[PauliPath]:
         """The PauliPath records of one block.  Its paths share most of
-        their words and steps, so each distinct one is built once; a
-        function of its own, so that none of it stays alive while the walk
-        builds the next block."""
-        layers = range(self.circuit.depth)
-        x, z, anti, sin = (a.T.tolist() for a in (block.x, block.z, block.anti, block.sin))
+        their words, so each distinct one is built once; a function of its
+        own, so that none of it stays alive while the walk builds the next
+        block."""
+        x, z, choice = (a.T.tolist() for a in (block.x, block.z, block.choice))
         words = {
             key: PauliWord(self.circuit.n, *key)
             for key in dict.fromkeys(chain.from_iterable(map(zip, x, z)))
         }
-        steps = {
-            (i, a, s): self._programs[i].atoms(a, s)
-            for i, a, s in dict.fromkeys(
-                chain.from_iterable(zip(layers, a, s) for a, s in zip(anti, sin))
-            )
-        }
-        for path_x, path_z, path_anti, path_sin, sign, spent in zip(
-            x, z, anti, sin, block.sign.tolist(), block.spent.tolist()
+        for path_x, path_z, path_choice, sign, spent in zip(
+            x, z, choice, block.sign.tolist(), block.spent.tolist()
         ):
-            # a tuple built from an iterator is resized, and the freed
-            # tuples pile up in the interpreter's free lists; from a list
-            # it gets its exact size
-            path_steps = [steps[key] for key in zip(layers, path_anti, path_sin)]
             yield PauliPath(
                 tuple([words[key] for key in zip(path_x, path_z)]),
                 sign,
-                tuple(list(chain.from_iterable(path_steps))),
+                _atoms(self.atoms, path_choice),
                 spent,
             )
 
@@ -518,21 +516,21 @@ class PathEnumeration:
         stats.paths_emitted = reached
         rows = np.arange(len(leaves.x))
         sign = np.ones(len(rows), dtype=np.int8)
-        x, z, anti, sin = [], [], [], []  # per level, leaf (s_0) to root (s_L)
-        for batch in reversed(levels):
+        # per level, leaf (s_0) to root (s_L): the step into word index i is
+        # through layer i + 1, and a rotation-free layer adds no choices
+        x, z, choice = [], [], [np.empty((0, len(rows)), dtype=np.int8)]
+        for batch, program in zip(reversed(levels), [*self._programs, None]):
             x.append(batch.x[rows])
             z.append(batch.z[rows])
-            anti.append(batch.anti[rows])
-            sin.append(batch.sin[rows])
+            if program is not None and program.atom_pairs:
+                choice.append(program.choices(batch.anti[rows], batch.sin[rows]))
             sign *= batch.sign[rows]
             rows = batch.parent[rows]
         # the roots' steps are empty; a root's parent is its term index
-        steps = (self.circuit.depth, len(sign))
         return PathBlock(
             coeff=self._coeffs[rows],
             sign=sign,
-            anti=np.array(anti[:-1], dtype=self._dtype).reshape(steps),
-            sin=np.array(sin[:-1], dtype=self._dtype).reshape(steps),
+            choice=np.concatenate(choice),
             x=np.array(x, dtype=self._dtype),
             z=np.array(z, dtype=self._dtype),
             spent=leaves.spent,

@@ -16,7 +16,8 @@ the same numbers are still reported but flagged as not certified.
 One evaluator, `_term_sums`, walks the paths of every observable term once,
 as the engine's blocks of array columns, and values each block with the
 arithmetic of damping(path) * path_value(path), one numpy operation per
-rotation for all paths of the block.  It adds the contributions in path
+rotation for all paths of the block: a path's choice at a rotation picks
+that rotation's 1.0, cos or sin.  It adds the contributions in path
 order, so an estimate is the identity offset plus the in-order sum of its
 own paths' contributions, bit for bit.  Angles are either floats
 (`estimate`) or one ndarray per parameter with one entry per sample
@@ -109,39 +110,37 @@ def _term_sums(
     from one walk over the path blocks; per-sample arrays when the angles
     are arrays.  Each block is valued from its arrays with the arithmetic
     of those two functions: coeff * sign, times for every rotation of
-    layers 1..L in program order its cos or sin value, or 1.0 where the
-    rotation commutes (x * 1.0 == x exactly), and then damp[spent] *
-    (value * overlap).  The contributions are added to the total one path
-    at a time, in path order.  A block is valued in row slices of at most
-    max(1, CHUNK_ENTRIES // S) paths for S samples, the oracle's chunk
-    size, so each temporary of paths x samples stays that small."""
+    layers 1..L in program order the factor its choice picks, 1.0 where
+    the rotation commutes (x * 1.0 == x exactly), its cos or its sin, and
+    then damp[spent] * (value * overlap).  The contributions are added to
+    the total one path at a time, in path order.  A block is valued in row
+    slices of at most max(1, CHUNK_ENTRIES // S) paths for S samples, the
+    oracle's chunk size, so each temporary of paths x samples stays that
+    small."""
     damp = np.array([(1.0 - lam) ** w for w in range(truncation_order(circuit, None) + 1)])
     run = PathEnumeration(circuit, h, rho, m)
-    # per rotation of layers 1..L in program order: its layer and its bit in
-    # that layer's masks; rotation r's cos and sin are factors 1 + 2r and
-    # 2 + 2r, and factor 0 is the 1.0 of a commuting rotation
-    layer_of = np.array(
-        [layer for layer, pairs in enumerate(run.layer_atoms) for _ in pairs], dtype=np.intp
-    )
-    bit_of = np.array(
-        [bit for pairs in run.layer_atoms for bit in range(len(pairs))], dtype=np.intp
-    ).reshape(-1, 1)
-    atoms = [atom for pairs in run.layer_atoms for pair in pairs for atom in pair]
-    factors = np.array(np.broadcast_arrays(1.0, *(atom_value(a, assignment) for a in atoms)))
-    samples = factors.shape[1:]  # () for float angles, (S,) for arrays
+    # () for float angles, (S,) for arrays; a missing angle is refused below
+    shapes = (np.shape(assignment.get(p, 0.0)) for p in circuit.parameters())
+    samples = np.broadcast_shapes(*shapes)
+    # rotation r's choice c picks factor 3r + c: 1.0 where it commutes, its
+    # cos or its sin
+    factors = np.ones((3 * len(run.atoms),) + samples)
+    for r, (cos, sin) in enumerate(run.atoms):
+        factors[3 * r + 1] = atom_value(cos, assignment)
+        factors[3 * r + 2] = atom_value(sin, assignment)
+    first = 3 * np.arange(len(run.atoms)).reshape(-1, 1)
     column = (-1,) + (1,) * len(samples)  # one path per row, samples across
-    cos_at = 1 + 2 * np.arange(len(layer_of)).reshape(-1, 1)
     rows = max(1, oracle.CHUNK_ENTRIES // math.prod(samples))
     total = 0.0
     for block in run:
         for start in range(0, len(block.coeff), rows):
             part = slice(start, start + rows)
-            anti = (block.anti[layer_of, part] >> bit_of) & 1  # (rotations, paths)
-            pick = (anti * (cos_at + ((block.sin[layer_of, part] >> bit_of) & 1))).astype(np.intp)
+            choice = block.choice[:, part]  # (rotations, paths)
             value = (block.coeff[part] * block.sign[part]).reshape(column)
             # every path's value has the samples' shape, atoms or not
-            value = np.broadcast_to(value, anti.shape[1:] + samples)
-            for r in np.flatnonzero(anti.any(axis=1)):
+            value = np.broadcast_to(value, choice.shape[1:] + samples)
+            pick = first + choice
+            for r in np.flatnonzero(choice.any(axis=1)):
                 value = value * factors[pick[r]]
             overlap = block.overlap[part].reshape(column)
             contributions = damp[block.spent[part]].reshape(column) * (value * overlap)

@@ -26,11 +26,11 @@ most CHUNK_ENTRIES real entries, one `evolve_noisy` each, so from n = 8
 on a chunk is one sample.
 
 Every dense Pauli matrix (H, the factor checks' words, rotation
-generators) comes from `observables.pauli_sum_matrix`, which the path
-engine never calls; mean values, conjugation and damping are all
-recomputed from matrices, so the two routes stay independent checks of
-each other.  The tests check that builder against their own kron
-construction.
+generators and the one-qubit basis of the coordinates) comes from
+`observables.pauli_sum_matrix`, which the path engine never calls; mean
+values, conjugation and damping are all recomputed from matrices, so the
+two routes stay independent checks of each other.  The tests check that
+builder against their own kron construction.
 
 One bit order, that of `pauli.PauliWord`: basis index b has bit q-1 equal
 to qubit q, and a gate matrix on support qubits (q_0, q_1, ...) has q_j on
@@ -64,16 +64,6 @@ _CLIFFORDS = {
     # control on bit 0: index 1 (control set, target clear) swaps with 3
     "CNOT": np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
 }
-# sigma_a for a = I, X, Y, Z
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-# a pair digit 2r + c to Pauli coordinates: [a, 2r + c] = sigma_a[c, r], so
-# that the coordinates of a 2x2 matrix M are v_a = Tr(sigma_a M)
-_TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
-# Pauli coordinates back to a pair digit: [2r + c, b] = sigma_b[r, c] / 2,
-# so that M = sum_b v_b sigma_b / 2^n
-_FROM_PAULI = _PAULIS.transpose(1, 2, 0).reshape(4, 4) / 2
-_TO_PAULI.flags.writeable = False
-_FROM_PAULI.flags.writeable = False
 
 
 class OracleCapError(RuntimeError):
@@ -123,6 +113,18 @@ def word_matrix(word: PauliWord) -> np.ndarray:
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     """Dense matrix of H, identity part included."""
     return pauli_sum_matrix(h.n, h.terms(), h.identity_coeff)
+
+
+# sigma_a for a = I, X, Y, Z
+_PAULIS = np.array([word_matrix(PauliWord.from_string(letter)) for letter in "IXYZ"])
+# a pair digit 2r + c to Pauli coordinates: [a, 2r + c] = sigma_a[c, r], so
+# that the coordinates of a 2x2 matrix M are v_a = Tr(sigma_a M)
+_TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
+# Pauli coordinates back to a pair digit: [2r + c, b] = sigma_b[r, c] / 2,
+# so that M = sum_b v_b sigma_b / 2^n
+_FROM_PAULI = _PAULIS.transpose(1, 2, 0).reshape(4, 4) / 2
+_TO_PAULI.flags.writeable = False
+_FROM_PAULI.flags.writeable = False
 
 
 def state_matrix(rho: SparseDensity) -> np.ndarray:

@@ -83,11 +83,20 @@ def test_criterion_2_chain_truncation_mse_matches_theory():
     )
 
 
-def _grid_mse(circuit, h, rho, lam, ms) -> list[tuple[float, float]]:
-    """(exact MSE, certified bound) of the truncated estimate at each m, over
-    uniform angles.  The estimate and the noisy mean value each have degree
-    <= 1 in every angle, each rotation having its own symbol, so their
-    squared difference has degree <= 2 and its mean over the grid
+def _pauli_bound(h, lam, m) -> float:
+    """The Pauli 2-norm truncation bound (1 - lam)^(2(m + 1)) * sum c^2 over
+    the traceless terms.  Distinct paths are orthogonal over uniform angles
+    once the generation check passes; the paths of one term carry mean
+    square c^2 in total, as |Tr(s_0 rho)| <= 1; and every truncated path
+    weighs at least m + 1."""
+    return (1.0 - lam) ** (2 * (m + 1)) * math.fsum(c * c for _, c in h.terms())
+
+
+def _grid_mse(circuit, h, rho, lam, ms) -> list[tuple[float, float, float]]:
+    """(exact MSE, certified bound, Pauli bound) of the truncated estimate at
+    each m, over uniform angles.  The estimate and the noisy mean value each
+    have degree <= 1 in every angle, each rotation having its own symbol, so
+    their squared difference has degree <= 2 and its mean over the grid
     {0, 2pi/3, 4pi/3}^R is exact.  The pieces are `mse_benchmark`'s: one
     batched `noisy_mean_value` call over the grid, shared by every m, and
     one `_term_sums` call and one certificate per m."""
@@ -101,23 +110,26 @@ def _grid_mse(circuit, h, rho, lam, ms) -> list[tuple[float, float]]:
         total, _ = _term_sums(circuit, h, rho, m, angles, lam)
         estimates = h.identity_coeff * rho.overlap_masks(0, 0) + total
         bound = _certificate(circuit, h, rho, lam, m, DEFAULT_EXACT_NORM_QUBITS)[2]
-        found.append((float(np.mean((estimates - exact) ** 2)), bound))
+        mse = float(np.mean((estimates - exact) ** 2))
+        found.append((mse, bound, _pauli_bound(h, lam, m)))
     return found
 
 
 def test_criterion_2_exact_mse_over_the_angle_grid():
     """Criterion 2's instance, with the MSE computed exactly on the 3^R
-    angle grid instead of sampled: (1 - lam)^14 within roundoff."""
+    angle grid instead of sampled: (1 - lam)^14 within roundoff, and within
+    the Pauli 2-norm bound."""
     circuit, h, rho = pp.rx_chain_instance(2, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the all-truncated warning is the point
-        [(mse, _)] = _grid_mse(circuit, h, rho, 0.1, [6])
+        [(mse, _, pauli)] = _grid_mse(circuit, h, rho, 0.1, [6])
     theory = 0.9**14
     rel = abs(mse / theory - 1)
     _report(
         "2, exact",
-        rel <= 1e-12,
-        f"exact {mse!r} vs theory {theory!r} (rel {rel:.1e} <= 1e-12)",
+        rel <= 1e-12 and mse <= pauli,
+        f"exact {mse!r} vs theory {theory!r} (rel {rel:.1e} <= 1e-12),"
+        f" MSE / Pauli bound = {mse / pauli:.3f} (<= 1)",
     )
 
 
@@ -167,11 +179,14 @@ def test_criterion_4_per_path_factors_match_dense_traces():
 
 
 def test_criterion_5_certified_bound_tracks_truncation_ladder():
-    """Empirical truncation MSE stays below the certified bound for every
-    circuit used in criterion 3, at m = depth+1, +3, +5."""
+    """Empirical truncation MSE stays below the certified bound, and below
+    the Pauli 2-norm bound, each plus 3 standard errors, for every circuit
+    used in criterion 3, at m = depth+1, +3, +5."""
     failures = []
+    pauli_failures = []
     benches = 0
     worst_margin = -math.inf
+    worst_pauli = -math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for seed in range(50):
@@ -186,22 +201,29 @@ def test_criterion_5_certified_bound_tracks_truncation_ladder():
                 worst_margin = max(worst_margin, margin)
                 if not bench.passed:
                     failures.append((seed, m))
+                pauli = _pauli_bound(h, 0.2, m)
+                se3 = 3.0 * bench.std_error
+                worst_pauli = max(worst_pauli, (bench.empirical_mse - se3) / pauli)
+                if not bench.empirical_mse <= pauli + se3:
+                    pauli_failures.append((seed, m))
     _report(
         5,
-        not failures,
+        not failures and not pauli_failures,
         f"{benches} benchmarks, worst (empirical - bound) = {worst_margin:.2e},"
-        f" failures: {failures or 'none'}",
+        f" failures: {failures or 'none'}; worst (empirical - 3 SE) / Pauli bound"
+        f" = {worst_pauli:.3f}, failures: {pauli_failures or 'none'}",
     )
 
 
 def test_criterion_5_exact_mse_within_the_bound():
     """Criterion 5's runs, with the MSE computed exactly on the 3^R angle
-    grid, within the certified bound with no standard-error term, on every
-    instance with R <= 8 rotations."""
+    grid, within the certified bound and the Pauli 2-norm bound with no
+    standard-error term, on every instance with R <= 8 rotations."""
     failures = []
     skipped = []
     runs = 0
     worst_ratio = 0.0
+    worst_pauli = 0.0
     for seed in range(50):
         circuit, h, rho, _ = random_certified_instance(seed)
         if len(circuit.parameters()) > 8:
@@ -209,15 +231,17 @@ def test_criterion_5_exact_mse_within_the_bound():
             continue
         floor = circuit.depth + 1
         ms = (floor, floor + 2, floor + 4)
-        for m, (mse, bound) in zip(ms, _grid_mse(circuit, h, rho, 0.2, ms)):
+        for m, (mse, bound, pauli) in zip(ms, _grid_mse(circuit, h, rho, 0.2, ms)):
             runs += 1
             worst_ratio = max(worst_ratio, mse / bound)
-            if not mse <= bound:
+            worst_pauli = max(worst_pauli, mse / pauli)
+            if not (mse <= bound and mse <= pauli):
                 failures.append((seed, m))
     _report(
         "5, exact",
         not failures and runs > 0,
         f"{runs} exact runs, worst MSE / bound = {worst_ratio:.3f},"
+        f" worst MSE / Pauli bound = {worst_pauli:.3f},"
         f" failures: {failures or 'none'}, skipped seeds with R > 8: {skipped}",
     )
 

@@ -233,7 +233,7 @@ def test_term_sums_keep_the_sample_axis_in_blocks_without_atoms(monkeypatch):
         ],
     )
     rho = SparseDensity.computational_basis(3)
-    assert [block.anti.any() for block in PathEnumeration(circuit, h, rho, None)] == [False, True]
+    assert [block.choice.any() for block in PathEnumeration(circuit, h, rho, None)] == [False, True]
     angles = {"a": np.array([0.1, 0.2, 0.3])}
     total, _ = _term_sums(circuit, h, rho, None, angles, 0.1)
     assert np.array_equal(total, _in_order_path_sum(circuit, h, rho, None, angles, 0.1))

@@ -138,7 +138,7 @@ ONE_QUBIT = (
 @example(HIGH_CONTROL)
 @example(ONE_QUBIT)
 @settings(max_examples=60, deadline=None)
-def test_fused_run_matches_dense_channel(instance):
+def test_pauli_coordinate_run_matches_dense_channel(instance):
     circuit, h, rho, theta = instance
     n = circuit.n
     for lam in RATES:

@@ -118,6 +118,36 @@ def test_oracle_has_one_contraction_and_one_realness_rule():
     assert set(_names(ast.Load).get("IMAG_TOL", [])) == {"observables.py", "oracle.py"}
 
 
+def test_oracle_builds_its_pauli_basis_with_the_dense_builder():
+    # the one-qubit basis of the Pauli coordinates comes from `word_matrix`,
+    # like every other dense Pauli matrix of the oracle, so it is the matrix
+    # that the tests check against their own kron construction
+    tree = ast.parse(_sources()["oracle.py"])
+    built = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(target) for target in node.targets] == ["_PAULIS"]
+    ]
+    assert len(built) == 1
+    calls = [
+        ast.unparse(node.func) for node in ast.walk(built[0]) if isinstance(node, ast.Call)
+    ]
+    assert "word_matrix" in calls, calls
+
+
+def test_only_the_engine_decodes_step_masks():
+    # a path's steps leave the engine as one choice per rotation, so the
+    # estimator shifts no bit mask: the masks' layout has one home
+    tree = ast.parse(_sources()["estimator.py"])
+    shifts = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift)
+    ]
+    assert shifts == []
+
+
 def test_oracle_applies_the_noise_rate_in_one_function():
     # a noise round is one diagonal factor of the Pauli coordinates, so no
     # cached gate operator depends on the noise rate, and `lam` enters
