@@ -8,8 +8,11 @@ Modes:
   path-dump      CSV of surviving paths (weight, factors, contribution)
   scaling-sweep  enumeration cost of the chain family vs depth
 
-Reports are JSON with every float printed as the shortest repr that parses
-back to the same double; a non-finite value is a validation error.  Exit codes:
+The modes compute: each returns its output, a report document or the path
+dump's CSV text, with its exit code.  `main` alone writes, to --out or
+stdout: a report as JSON with the config echo first and every float printed
+as the shortest repr that parses back to the same double, where a
+non-finite value is a validation error.  Exit codes:
 0 success, 1 failed oracle-check comparison, 2 validation error,
 3 enumeration resource limit, 4 dense-oracle qubit cap.
 """
@@ -65,11 +68,6 @@ def _write_text(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as handle:
             handle.write(text)
-
-
-def _write_document(document: dict, out: str | None) -> None:
-    """A report document as JSON; a non-finite value is an error."""
-    _write_text(json.dumps(document, indent=2, allow_nan=False), out)
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -187,7 +185,7 @@ def _config_echo(args) -> dict:
     }
 
 
-def _mode_estimate(args) -> int:
+def _mode_estimate(args) -> tuple[dict, int]:
     circuit, h, rho = _load_instance(args)
     theta, drawn = _resolve_theta(circuit, args)
     m, m_detail = _resolve_m(args, circuit, h)
@@ -197,33 +195,24 @@ def _mode_estimate(args) -> int:
         else None
     )
     report = estimate(circuit, h, rho, theta, args.lam, m, eps_delta=eps_delta)
-    document = {
-        "config": _config_echo(args),
+    return {
         "theta": theta,
         "theta_drawn": drawn,
         "m_selection": m_detail,
         "report": report.to_dict(),
-    }
-    _write_document(document, args.out)
-    return 0
+    }, 0
 
 
-def _mode_choose_m(args) -> int:
+def _mode_choose_m(args) -> tuple[dict, int]:
     h = _load_hamiltonian(args)
     floor = None
     if args.circuit is not None:
         floor = _load_circuit(args).depth + 1
     norm, selection = _select_m(args, h, floor)
-    document = {
-        "config": _config_echo(args),
-        "norm_bound": norm.to_dict(),
-        "selection": selection.to_dict(),
-    }
-    _write_document(document, args.out)
-    return 0
+    return {"norm_bound": norm.to_dict(), "selection": selection.to_dict()}, 0
 
 
-def _mode_mse_benchmark(args) -> int:
+def _mode_mse_benchmark(args) -> tuple[dict, int]:
     circuit, h, rho = _load_instance(args)
     if args.seed is None:
         raise ValueError("mse-benchmark needs --seed")
@@ -236,16 +225,10 @@ def _mode_mse_benchmark(args) -> int:
     report = mse_benchmark(
         circuit, h, rho, args.lam, m, args.samples, args.seed
     )
-    document = {
-        "config": _config_echo(args),
-        "m_selection": m_detail,
-        "report": report.to_dict(),
-    }
-    _write_document(document, args.out)
-    return 0
+    return {"m_selection": m_detail, "report": report.to_dict()}, 0
 
 
-def _mode_oracle_check(args) -> int:
+def _mode_oracle_check(args) -> tuple[dict, int]:
     """Untruncated estimate against the dense oracle; exit 1 on mismatch.
     The oracle runs first: it refuses a system over its qubit cap before
     the estimate's norm bound, itself dense up to 12 qubits, is computed."""
@@ -255,8 +238,7 @@ def _mode_oracle_check(args) -> int:
     report = estimate(circuit, h, rho, theta, args.lam, None)
     difference = abs(report.value - reference)
     agrees = bool(difference <= ORACLE_CHECK_TOL)
-    document = {
-        "config": _config_echo(args),
+    return {
         "theta": theta,
         "theta_drawn": drawn,
         "estimate": report.to_dict(),
@@ -264,12 +246,10 @@ def _mode_oracle_check(args) -> int:
         "abs_difference": difference,
         "tolerance": ORACLE_CHECK_TOL,
         "agrees": agrees,
-    }
-    _write_document(document, args.out)
-    return 0 if agrees else 1
+    }, 0 if agrees else 1
 
 
-def _mode_path_dump(args) -> int:
+def _mode_path_dump(args) -> tuple[str, int]:
     circuit, h, rho = _load_instance(args)
     check_noise_rate(args.lam)
     theta, _ = _resolve_theta(circuit, args)
@@ -283,11 +263,10 @@ def _mode_path_dump(args) -> int:
         writer.writerow(
             [path.total_weight, describe_factors(path), repr(contribution)]
         )
-    _write_text(buffer.getvalue(), args.out)
-    return 0
+    return buffer.getvalue(), 0
 
 
-def _mode_scaling_sweep(args) -> int:
+def _mode_scaling_sweep(args) -> tuple[dict, int]:
     if args.depths is None:
         raise ValueError("scaling-sweep needs --depths, e.g. --depths 4,6,8,10")
     try:
@@ -296,10 +275,7 @@ def _mode_scaling_sweep(args) -> int:
         raise ValueError(f"cannot parse --depths {args.depths!r}") from None
     if args.target_mse is None:
         raise ValueError("scaling-sweep needs --target-mse")
-    result = scaling_sweep(args.sweep_qubits, depths, args.target_mse)
-    document = {"config": _config_echo(args), **result}
-    _write_document(document, args.out)
-    return 0
+    return scaling_sweep(args.sweep_qubits, depths, args.target_mse), 0
 
 
 _MODE_RUNNERS = {
@@ -350,7 +326,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is not None:
             non_negative_int(args.seed, "--seed")
-        return _MODE_RUNNERS[args.mode](args)
+        output, code = _MODE_RUNNERS[args.mode](args)
+        if isinstance(output, dict):
+            document = {"config": _config_echo(args), **output}
+            output = json.dumps(document, indent=2, allow_nan=False)
+        _write_text(output, args.out)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -62,7 +62,9 @@ the exact child count of a batch before it is built and the path count of
 a leaf batch before it is yielded, so a run raises the same error as a
 frame-by-frame walk, possibly after yielding fewer paths (and a run over
 both limits may report either).  The error names the count reached and
-the word index of the nodes or paths that reached it.
+the word index of the nodes or paths that reached it.  `layer_predecessors`
+refuses too, before it builds anything, when a word has more than
+NODE_LIMIT predecessors through its layer.
 """
 
 from __future__ import annotations
@@ -234,13 +236,19 @@ def layer_predecessors(
     layer: Layer, succ: PauliWord
 ) -> list[tuple[PauliWord, int, tuple[FactorAtom, ...]]]:
     """Predecessors (word, sign, atoms) of a full word through one layer,
-    in the order the enumeration walks them."""
+    in the order the enumeration walks them; refused before any is built
+    when there are more than NODE_LIMIT."""
     dtype = _mask_dtype(succ.n)
     program = _LayerProgram(layer, dtype)
     b, count, _ = program.branch(
         np.array([succ.x], dtype=dtype), np.array([succ.z], dtype=dtype)
     )
-    parent = np.zeros(1 << int(count[0]), dtype=np.intp)
+    total = 1 << int(count[0])
+    if total > NODE_LIMIT:
+        raise ResourceLimitError(
+            f"more than {NODE_LIMIT} predecessors: {total} through one layer"
+        )
+    parent = np.zeros(total, dtype=np.intp)
     x, z, _, sign, sin = program.children(b, parent, np.arange(len(parent), dtype=np.int64))
     choice = program.choices(b.anti_bits[parent], sin)
     return [

@@ -347,15 +347,12 @@ class SparseDensity:
                 symmetrized[(bra, ket)] = fixed.conjugate()
         if adjustment > HERMITIZE_WARN:
             warn_caller(f"state was not Hermitian: largest adjustment {adjustment:.3e}")
-        self._entries = [
-            (ket, bra, value)
-            for (ket, bra), value in symmetrized.items()
-            if value != 0
-        ]
-        # group by flip mask for O(matching entries) word overlaps
+        # the non-zero entries grouped by flip mask, for O(matching entries)
+        # word overlaps
         self._by_flip: dict[int, list[tuple[int, complex]]] = {}
-        for ket, bra, value in self._entries:
-            self._by_flip.setdefault(ket ^ bra, []).append((ket, value))
+        for (ket, bra), value in symmetrized.items():
+            if value != 0:
+                self._by_flip.setdefault(ket ^ bra, []).append((ket, value))
         # the imaginary-part tolerance of each group's overlaps
         self._imag_tol = {
             x: IMAG_TOL * max(1.0, sum(abs(v) for _, v in g)) for x, g in self._by_flip.items()
@@ -370,10 +367,11 @@ class SparseDensity:
         return cls(n, [(bits, bits, 1.0 + 0j)])
 
     def entries(self) -> list[tuple[int, int, complex]]:
-        return list(self._entries)
+        """The non-zero entries (ket, bra, value), grouped by flip mask."""
+        return [(ket, ket ^ x, v) for x, group in self._by_flip.items() for ket, v in group]
 
     def trace(self) -> float:
-        return sum(v.real for k, b, v in self._entries if k == b)
+        return sum(v.real for _, v in self._by_flip.get(0, ()))
 
     def flip_masks(self) -> frozenset[int]:
         return frozenset(self._by_flip)

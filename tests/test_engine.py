@@ -144,6 +144,25 @@ def test_layer_predecessors_clifford_matches_dense(gate):
             assert dense == pytest.approx(want, abs=1e-12)
 
 
+def test_layer_predecessors_refuse_more_than_the_node_limit():
+    # all-X anti-commutes with each of the 66 Y rotations of the first
+    # ansatz layer: 2^66 predecessors, refused before any array is built
+    circuit, _, _ = ansatz_instance(66, 4)
+    word = PauliWord.from_string("X" * 66)
+    message = f"^more than {engine.NODE_LIMIT} predecessors: {2**66} "
+    with pytest.raises(ResourceLimitError, match=message):
+        layer_predecessors(circuit.layers[0], word)
+
+
+def test_layer_predecessors_limit_is_strict(monkeypatch):
+    # the same `>` as the walk's node count: exactly NODE_LIMIT passes
+    circuit, _, _ = ansatz_instance(3, 1)
+    monkeypatch.setattr(engine, "NODE_LIMIT", 4)
+    assert len(layer_predecessors(circuit.layers[0], PauliWord.from_string("XXI"))) == 4
+    with pytest.raises(ResourceLimitError, match="^more than 4 predecessors: 8 "):
+        layer_predecessors(circuit.layers[0], PauliWord.from_string("XXX"))
+
+
 def _brute_force_reference(circuit, h, rho, theta, lam):
     """Exhaustive sum over every word sequence, via dense per-hop factors.
 

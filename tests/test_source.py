@@ -202,3 +202,21 @@ def test_only_observables_stores_on_a_hamiltonian():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_modes_compute_and_main_writes():
+    # every mode returns its output, so the config echo, the JSON rule and
+    # the write have one caller, `main`, and no mode can skip them
+    tree = ast.parse(_sources()["cli.py"])
+
+    def calls(node: ast.AST) -> list[str]:
+        return [ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)]
+
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    modes = [name for name in functions if name.startswith("_mode_")]
+    assert len(modes) == 6, modes
+    for name in modes:
+        written = {"_write_text", "json.dumps", "_config_echo"} & set(calls(functions[name]))
+        assert written == set(), name
+    assert calls(tree).count("_config_echo") == 1
+    assert calls(functions["main"]).count("_config_echo") == 1
