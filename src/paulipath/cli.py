@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             output = json.dumps(document, indent=2, allow_nan=False)
         _write_text(output, args.out)
         return code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -445,15 +445,14 @@ class PathEnumeration:
         over = parent.spent + least > room
         # sums of 2^a as exact ints, grouped by a
         per_a = np.bincount(count, minlength=len(program.atom_pairs) + 1)
-        pruned_per_a = np.bincount(count[over], minlength=len(per_a))
         total = sum(int(c) << a for a, c in enumerate(per_a))
-        pruned = sum(int(c) << a for a, c in enumerate(pruned_per_a))
+        # at most NODE_LIMIT children, so the int64 offsets below are exact
         self._visit(stats, total, idx - 1)
-        stats.pruned_budget += pruned
-        built = total - pruned
         rows = np.flatnonzero(~over)
         counts = np.left_shift(1, count[rows].astype(np.int64))
         offsets = np.concatenate(([0], np.cumsum(counts)))
+        built = int(offsets[-1])
+        stats.pruned_budget += total - built
         # only b, rows and offsets stay alive while the children are walked
         del count, least, over, counts
 

@@ -17,12 +17,13 @@ One evaluator, `_term_sums`, walks the paths of every observable term once,
 as the engine's blocks of array columns, and values each block with the
 arithmetic of damping(path) * path_value(path), one numpy operation per
 rotation for all paths of the block: a path's choice at a rotation picks
-that rotation's 1.0, cos or sin.  It adds the contributions in path
-order, so an estimate is the identity offset plus the in-order sum of its
-own paths' contributions, bit for bit.  Angles are either floats
-(`estimate`) or one ndarray per parameter with one entry per sample
-(`mse_benchmark`), so the same path expansion is evaluated at every
-sampled angle vector at once.
+that rotation's 1.0, cos or sin.  Angles are either floats (`estimate`)
+or one ndarray per parameter with one entry per sample (`mse_benchmark`),
+so the same path expansion is evaluated at every sampled angle vector at
+once; a float run is a batch of one sample.  The contributions are added
+in path order, one accumulate down each row slice of paths, so an
+estimate is the identity offset plus the in-order sum of its own paths'
+contributions, bit for bit.
 """
 
 from __future__ import annotations
@@ -105,48 +106,43 @@ def _term_sums(
     m: int,
     assignment: ParameterAssignment,
     lam: float,
-) -> tuple[float | np.ndarray, EnumerationStats]:
+) -> tuple[np.ndarray, EnumerationStats]:
     """The in-order sum, from 0.0, of every path's damping * path_value,
-    from one walk over the path blocks; per-sample arrays when the angles
-    are arrays.  Each block is valued from its arrays with the arithmetic
-    of those two functions: coeff * sign, times for every rotation of
-    layers 1..L in program order the factor its choice picks, 1.0 where
-    the rotation commutes (x * 1.0 == x exactly), its cos or its sin, and
-    then damp[spent] * (value * overlap).  The contributions are added to
-    the total one path at a time, in path order.  A block is valued in row
-    slices of at most max(1, CHUNK_ENTRIES // S) paths for S samples, the
-    oracle's chunk size, so each temporary of paths x samples stays that
-    small."""
+    from one walk over the path blocks, as an (S,) array for S samples;
+    float angles are a batch of one, S = 1.  Each block is valued from its
+    arrays with the arithmetic of those two functions: coeff * sign, times
+    for every rotation of layers 1..L in program order the factor its
+    choice picks, 1.0 where the rotation commutes (x * 1.0 == x exactly),
+    its cos or its sin, and then damp[spent] * (value * overlap).  A block
+    is valued in row slices of at most max(1, CHUNK_ENTRIES // S) paths,
+    the oracle's chunk size, so each temporary of paths x samples stays
+    that small.  The running total is added into a slice's first row and
+    one accumulate down its paths adds the rest, the same additions in
+    path order as adding the contributions one path at a time."""
+    samples = check_assignment(circuit, assignment, batch=True) or 1
     damp = np.array([(1.0 - lam) ** w for w in range(truncation_order(circuit, None) + 1)])
     run = PathEnumeration(circuit, h, rho, m)
-    # () for float angles, (S,) for arrays; a missing angle is refused below
-    shapes = (np.shape(assignment.get(p, 0.0)) for p in circuit.parameters())
-    samples = np.broadcast_shapes(*shapes)
-    # rotation r's choice c picks factor 3r + c: 1.0 where it commutes, its
-    # cos or its sin
-    factors = np.ones((3 * len(run.atoms),) + samples)
+    # rotation r's choice c picks factor row 3r + c: 1.0 where it commutes,
+    # its cos or its sin, one entry per sample
+    factors = np.ones((3 * len(run.atoms), samples))
     for r, (cos, sin) in enumerate(run.atoms):
         factors[3 * r + 1] = atom_value(cos, assignment)
         factors[3 * r + 2] = atom_value(sin, assignment)
-    first = 3 * np.arange(len(run.atoms)).reshape(-1, 1)
-    column = (-1,) + (1,) * len(samples)  # one path per row, samples across
-    rows = max(1, oracle.CHUNK_ENTRIES // math.prod(samples))
-    total = 0.0
+    rows = max(1, oracle.CHUNK_ENTRIES // samples)
+    total = np.zeros(samples)
     for block in run:
         for start in range(0, len(block.coeff), rows):
             part = slice(start, start + rows)
             choice = block.choice[:, part]  # (rotations, paths)
-            value = (block.coeff[part] * block.sign[part]).reshape(column)
-            # every path's value has the samples' shape, atoms or not
-            value = np.broadcast_to(value, choice.shape[1:] + samples)
-            pick = first + choice
+            # one path per row, samples across, atoms or not
+            value = (block.coeff[part] * block.sign[part])[:, None]
+            value = np.broadcast_to(value, (choice.shape[1], samples))
             for r in np.flatnonzero(choice.any(axis=1)):
-                value = value * factors[pick[r]]
-            overlap = block.overlap[part].reshape(column)
-            contributions = damp[block.spent[part]].reshape(column) * (value * overlap)
-            # one path at a time, in path order
-            for contribution in contributions if samples else contributions.tolist():
-                total += contribution
+                value = value * factors[3 * r + choice[r]]
+            overlap = block.overlap[part][:, None]
+            contributions = damp[block.spent[part]][:, None] * (value * overlap)
+            contributions[0] = total + contributions[0]
+            total = np.add.accumulate(contributions)[-1]
     return total, run.stats
 
 
@@ -236,7 +232,7 @@ def estimate(
     # there is no truncation warning either
     if lam < 1.0 and h.term_count > 0:
         total, stats = _term_sums(circuit, h, rho, m_eff, assignment, lam)
-        value = identity_offset + total
+        value = identity_offset + float(total[0])
     return EstimateReport(
         value=value,
         identity_offset=identity_offset,

@@ -85,7 +85,7 @@ class Hamiltonian:
         qubit_count(n)
         self.n = n
         self.identity_coeff = 0.0
-        merged: dict[tuple[int, int], float] = {}
+        merged: dict[PauliWord, float] = {}
         for ti, (word, coeff) in enumerate(terms, start=1):
             if word.n != n:
                 raise ValueError(f"term on {word.n} qubits, Hamiltonian has {n}")
@@ -93,13 +93,10 @@ class Hamiltonian:
             if word.is_identity:
                 self.identity_coeff += coeff
                 continue
-            key = (word.x, word.z)
-            merged[key] = merged.get(key, 0.0) + coeff
-        self._coeffs = {key: c for key, c in merged.items() if c != 0.0}
+            merged[word] = merged.get(word, 0.0) + coeff
         # "IXYZ" is also ASCII order, so sorting letter strings sorts by letter
-        self._terms = sorted(
-            ((PauliWord(n, x, z), c) for (x, z), c in self._coeffs.items()),
-            key=lambda term: str(term[0]),
+        self._terms = dict(
+            sorted(((w, c) for w, c in merged.items() if c != 0.0), key=lambda t: str(t[0]))
         )
         l1 = self.coefficient_l1()
         if not np.isfinite(l1 * l1):
@@ -115,11 +112,11 @@ class Hamiltonian:
             raise ValueError(f"word on {word.n} qubits, Hamiltonian has {self.n}")
         if word.is_identity:
             return self.identity_coeff
-        return self._coeffs.get((word.x, word.z), 0.0)
+        return self._terms.get(word, 0.0)
 
     def terms(self) -> list[tuple[PauliWord, float]]:
         """Non-identity terms in letter-string order."""
-        return list(self._terms)
+        return list(self._terms.items())
 
     @property
     def term_count(self) -> int:
@@ -128,7 +125,7 @@ class Hamiltonian:
     def coefficient_l1(self) -> float:
         """Sum of |coeff| over non-identity terms, never below the exact
         sum: `fsum` rounds it to nearest, and one ulp up when it rounded down."""
-        magnitudes = [abs(c) for _, c in self._terms]
+        magnitudes = [abs(c) for c in self._terms.values()]
         try:
             total = math.fsum(magnitudes)
         except OverflowError:

@@ -800,6 +800,35 @@ _REFUSALS = {
 }
 
 
+def test_unwritable_out_exits_2_naming_the_file(files, capsys):
+    # the document is computed, but its file cannot be opened: a usage
+    # error with one `error:` line, not a traceback and not exit 1
+    out_path = f"{files['dir']}/missing/x.json"
+    code, out, err = _run(
+        capsys,
+        [
+            "--mode", "choose-m",
+            "--hamiltonian", files["hamiltonian"],
+            "--lambda", "0.2",
+            "--target-mse", "0.01",
+            "--out", out_path,
+        ],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and out_path in err
+
+
+def test_unreadable_input_exits_2_naming_the_file(files, capsys):
+    # a directory given as an input file is refused like a missing file
+    directory = str(files["dir"])
+    code, out, err = _run(
+        capsys,
+        ["--mode", "estimate", "--circuit", files["circuit"], "--hamiltonian", directory],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and directory in err
+
+
 @pytest.mark.parametrize("argv, message", list(_REFUSALS.values()), ids=list(_REFUSALS))
 def test_refused_invocation_exits_2_naming_the_field(files, capsys, argv, message):
     directory = files["dir"]

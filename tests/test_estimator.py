@@ -219,6 +219,25 @@ def test_term_sums_array_angles_match_scalar_calls(seed):
     assert np.array_equal(array_sum, path_sum)
 
 
+def test_term_sums_value_float_angles_as_a_batch_of_one():
+    # float angles give one sample: an array of shape (1,), bit for bit the
+    # in-order sum of the explicit paths, and `estimate` reports a float
+    circuit, h, rho, theta = random_certified_instance(8)
+    total, run = _term_sums(circuit, h, rho, None, theta, 0.1)
+    assert run.paths_emitted >= 20
+    assert total.shape == (1,)
+    assert np.array_equal(total, [_in_order_path_sum(circuit, h, rho, None, theta, 0.1)])
+    report = estimate(circuit, h, rho, theta, 0.1)
+    assert type(report.value) is float
+    assert report.value == report.identity_offset + total[0]
+    # floats and per-sample arrays do not mix: the package's angle rule
+    # refuses an array beside a float
+    first, *rest = circuit.parameters()
+    mixed = {first: theta[first], **{p: np.full(3, theta[p]) for p in rest}}
+    with pytest.raises(ValueError, match="needs a finite real angle"):
+        _term_sums(circuit, h, rho, None, mixed, 0.1)
+
+
 def test_term_sums_keep_the_sample_axis_in_blocks_without_atoms(monkeypatch):
     # at two rows a batch the first block's paths pass the rotation without
     # an atom and the second block's with one; per-sample angles still give

@@ -148,6 +148,22 @@ def test_only_the_engine_decodes_step_masks():
     assert shifts == []
 
 
+def test_term_sums_has_one_sample_axis():
+    # float angles are a batch of one, so `_term_sums` reads the sample
+    # count from the package's one angle rule, keeps no shape rule of its
+    # own, and adds each slice of paths by one accumulate, not path by path
+    tree = ast.parse(_sources()["estimator.py"])
+    [fn] = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_term_sums"
+    ]
+    calls = [ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    assert "check_assignment" in calls
+    assert "broadcast_shapes" not in ast.unparse(fn)
+    assert [ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.AugAssign)] == []
+
+
 def test_oracle_applies_the_noise_rate_in_one_function():
     # a noise round is one diagonal factor of the Pauli coordinates, so no
     # cached gate operator depends on the noise rate, and `lam` enters
