@@ -45,26 +45,29 @@ generator for the next.  Children come out in ordinal order, which is the
 canonical order, so the paths, their order and every counter equal a
 frame-by-frame depth-first walk.  Memory stays O(depth * BATCH_ROWS).
 
-Each leaf batch, with the state overlaps its admission computed, is traced
-back through the current batch of every word index into one `PathBlock`:
-per path its root coefficient, sign, words, weight and overlap, and per
-rotation of layers 1..L its choice, 0 where the path commutes with it, 1
-where it takes cos and 2 where it takes sin, as arrays; only this module
-reads the step masks.  Iterating a `PathEnumeration` yields these blocks;
-`PathEnumeration.paths()` turns them into `PauliPath` records.
+Each leaf batch, with the state overlaps its survivor rule computed, is
+traced back through the current batch of every word index into one
+`PathBlock`: per path its root coefficient, sign, words, weight and overlap,
+and per rotation of layers 1..L its choice, 0 where the path commutes with
+it, 1 where it takes cos and 2 where it takes sin, as arrays; only this
+module reads the step masks.  Iterating a `PathEnumeration` yields these
+blocks; `PathEnumeration.paths()` turns them into `PauliPath` records.
 
-Every child counts in `nodes_visited`, pruned or not.  A parent whose least
-possible child weight already exceeds the budget has all 2^a children
-counted as visited and pruned by budget without being built, and a leaf
-candidate whose x mask is not a flip mask of the state counts as pruned
-for zero overlap without an overlap call.  The limits are checked against
-the exact child count of a batch before it is built and the path count of
-a leaf batch before it is yielded, so a run raises the same error as a
-frame-by-frame walk, possibly after yielding fewer paths (and a run over
-both limits may report either).  The error names the count reached and
-the word index of the nodes or paths that reached it.  `layer_predecessors`
-refuses too, before it builds anything, when a word has more than
-NODE_LIMIT predecessors through its layer.
+Every child counts in `nodes_visited`, pruned or not.  Term roots, children
+and leaf candidates pass one survivor rule (`PathEnumeration._survivors`),
+which counts each dropped row by the first reason it breaks: zero weight,
+budget, and for a leaf zero overlap.  A parent whose least possible child
+weight already exceeds the budget has all 2^a children counted as visited
+and pruned by budget without being built, and a leaf candidate whose x mask
+is not a flip mask of the state counts as pruned for zero overlap without an
+overlap call.  The limits are checked against the exact child count of a
+batch before it is built and the path count of a leaf batch before it is
+yielded, so a run raises the same error as a frame-by-frame walk, possibly
+after yielding fewer paths (and a run over both limits may report either).
+The error names the count reached and the word index of the nodes or paths
+that reached it.  `layer_predecessors` refuses too, before it builds
+anything, when a word has more than NODE_LIMIT predecessors through its
+layer.
 """
 
 from __future__ import annotations
@@ -356,8 +359,6 @@ class PathEnumeration:
             chunk = terms[start : start + BATCH_ROWS]
             self._visit(stats, len(chunk), depth)
             weight = np.array([word.weight for word in chunk], dtype=np.int32)
-            keep = weight <= self.m - depth
-            stats.pruned_budget += int(np.count_nonzero(~keep))
             zeros = np.zeros(len(chunk), dtype=np.intp)
             roots = _Batch(
                 np.array([word.x for word in chunk], dtype=self._dtype),
@@ -367,10 +368,8 @@ class PathEnumeration:
                 zeros,
                 np.arange(start, start + len(chunk)),
                 zeros,
-            ).take(keep)
-            if depth == 0:
-                roots = self._admit_leaves(roots, stats)
-            yield from self._walk(roots, stats)
+            )
+            yield from self._walk(self._survivors(roots, weight, depth, stats), stats)
 
     def paths(self) -> Iterator[PauliPath]:
         """One pass over the blocks, as iterating is, yielding each path as
@@ -469,17 +468,8 @@ class PathEnumeration:
                 ordinal -= offsets[which]
                 at = rows[which]
                 x, z, weight, sign, sin = program.children(b, at, ordinal)
-                spent = parent.spent[at] + weight
-                zero = weight == 0
-                over = spent > room
-                stats.pruned_zero_weight += int(np.count_nonzero(zero))
-                stats.pruned_budget += int(np.count_nonzero(over & ~zero))
-                part = _Batch(x, z, spent, sign, sin, at, b.anti_bits[at])
-                keep = ~(zero | over)
-                if not keep.all():
-                    part = part.take(keep)
-                if idx == 1:
-                    part = self._admit_leaves(part, stats)
+                part = _Batch(x, z, parent.spent[at] + weight, sign, sin, at, b.anti_bits[at])
+                part = self._survivors(part, weight, idx - 1, stats)
                 if len(part.x):
                     parts.append(part)
                     kept += len(part.x)
@@ -491,24 +481,37 @@ class PathEnumeration:
             if batch is not None:
                 yield batch
 
-    def _admit_leaves(self, leaves: _Batch, stats: EnumerationStats) -> _Batch:
-        """The leaf candidates whose state overlap is non-zero, with their
-        overlaps.  A candidate whose x is not a flip mask of the state has
-        none, and is dropped without an overlap call."""
+    def _survivors(
+        self, part: _Batch, weight: np.ndarray, idx: int, stats: EnumerationStats
+    ) -> _Batch:
+        """The rows of a batch at word index idx that survive, with their
+        state overlaps at idx 0.  A dropped row is counted by the first rule
+        it breaks: its word has weight 0; its spent weight exceeds m - idx,
+        leaving less than 1 for each word still to come; at idx 0, its word
+        has no overlap with the state.  A leaf whose x is not a flip mask of
+        the state has none, and is dropped without an overlap call."""
+        zero = weight == 0
+        over = part.spent > self.m - idx
+        stats.pruned_zero_weight += int(np.count_nonzero(zero))
+        stats.pruned_budget += int(np.count_nonzero(over & ~zero))
+        keep = ~(zero | over)
+        if idx > 0:
+            return part if keep.all() else part.take(keep)
+        candidates = int(np.count_nonzero(keep))
         flips = self._flips
         if len(flips):
-            hit = flips[np.minimum(np.searchsorted(flips, leaves.x), len(flips) - 1)] == leaves.x
+            keep &= flips[np.minimum(np.searchsorted(flips, part.x), len(flips) - 1)] == part.x
         else:
-            hit = np.zeros(len(leaves.x), dtype=bool)
-        rows = np.flatnonzero(hit)
+            keep[:] = False
+        rows = np.flatnonzero(keep)
         overlap = self.rho.overlap_masks
         values = np.array(
-            [overlap(x, z) for x, z in zip(leaves.x[rows].tolist(), leaves.z[rows].tolist())],
+            [overlap(x, z) for x, z in zip(part.x[rows].tolist(), part.z[rows].tolist())],
             dtype=float,
         )
-        keep = values != 0.0
-        stats.pruned_zero_overlap += len(leaves.x) - int(np.count_nonzero(keep))
-        return leaves.take(rows[keep])._replace(overlap=values[keep])
+        hit = values != 0.0
+        stats.pruned_zero_overlap += candidates - int(np.count_nonzero(hit))
+        return part.take(rows[hit])._replace(overlap=values[hit])
 
     def _block(self, levels: list[_Batch], stats: EnumerationStats) -> PathBlock:
         """The paths ending in the leaf batch at word index 0, the last of

@@ -147,7 +147,10 @@ def _term_sums(
 
 
 class EpsDelta(NamedTuple):
-    """An additive error epsilon reached with probability at least 1 - delta."""
+    """An additive error epsilon reached with probability at least 1 - delta.
+    A report holds one only when it is certified and either untruncated or
+    its MSE bound is at most epsilon^2 * delta, which then meets the pair by
+    Chebyshev's inequality."""
 
     epsilon: float
     delta: float
@@ -170,6 +173,17 @@ class EstimateReport(Document):
     paths_used: int
     stats: dict[str, int]
     elapsed_seconds: float
+
+
+def _eps_delta_mse(epsilon, delta) -> float:
+    """epsilon^2 * delta, the largest MSE that meets an (epsilon, delta)
+    guarantee by Chebyshev's inequality, P(|error| >= epsilon) <= MSE /
+    epsilon^2; ValueError unless each is a finite real number, epsilon > 0
+    and 0 < delta < 1."""
+    epsilon, delta = finite_real(epsilon, "epsilon"), finite_real(delta, "delta")
+    if epsilon <= 0 or not 0 < delta < 1:
+        raise ValueError("need epsilon > 0 and 0 < delta < 1")
+    return epsilon**2 * delta
 
 
 def _certificate(
@@ -216,12 +230,24 @@ def estimate(
 
     `m` is the truncation order, a non-negative integer; None runs
     untruncated (M = n(L+1)).  The report carries both MSE bound forms,
-    the norm bound used, and enumeration statistics.
+    the norm bound used, and enumeration statistics.  `eps_delta`, a pair
+    (epsilon, delta), is reported back only when the run meets it (see
+    `EpsDelta`).
     """
     started = time.perf_counter()
     m_eff = truncation_order(circuit, m)
     untruncated = m_eff >= truncation_order(circuit, None)
     check_assignment(circuit, assignment)
+    target = math.inf  # the largest MSE bound that meets eps_delta
+    if eps_delta is not None:
+        try:
+            eps_delta = EpsDelta(*eps_delta)
+        except TypeError:
+            raise ValueError(
+                f"eps_delta must be a pair (epsilon, delta), got {eps_delta!r}"
+            ) from None
+        target = _eps_delta_mse(*eps_delta)
+    non_negative_int(exact_norm_threshold, "exact_norm_threshold")
     norm, certified, bound, bound_exp = _certificate(
         circuit, h, rho, lam, m_eff, exact_norm_threshold
     )
@@ -242,7 +268,7 @@ def estimate(
         norm=norm,
         mse_bound=bound,
         mse_bound_exp=bound_exp,
-        eps_delta=EpsDelta(*eps_delta) if certified and eps_delta is not None else None,
+        eps_delta=eps_delta if certified and (untruncated or bound <= target) else None,
         generation_certified=certified,
         paths_used=stats.paths_emitted,
         stats=asdict(stats),
@@ -283,6 +309,10 @@ def choose_m(
     for name, value in (("target_mse", target_mse), ("epsilon", epsilon), ("delta", delta)):
         if value is not None:
             finite_real(value, name)
+    if floor is not None:
+        floor = non_negative_int(floor, "floor")
+    if term_count is not None:
+        term_count = non_negative_int(term_count, "term_count")
     have_mse = target_mse is not None
     have_eps = epsilon is not None or delta is not None
     if have_mse == have_eps:
@@ -306,8 +336,7 @@ def choose_m(
             raise ValueError(f"target MSE must be positive, got {target_mse}")
         raw = math.log(norm**2 / target_mse) / (2.0 * lam)
     else:
-        if epsilon <= 0 or not 0 < delta < 1:
-            raise ValueError("need epsilon > 0 and 0 < delta < 1")
+        _eps_delta_mse(epsilon, delta)
         raw = math.log(norm / (epsilon * math.sqrt(delta))) / lam
     m = max(0, math.ceil(raw))
     note = ""

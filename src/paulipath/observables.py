@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import _PHASE_VALUES, PauliWord, basis_index, finite_real, qubit_count, symmetry_word
+from .pauli import _PHASE_VALUES, PauliWord, basis_index, finite_real, non_negative_int
+from .pauli import qubit_count, symmetry_word
 
 HERMITIZE_WARN = 1e-9
 TRACE_TOL = 1e-9
@@ -211,12 +212,12 @@ def norm_bound(
 ) -> NormBound:
     """Spectral-norm bound for the non-identity part of H.
 
-    Exact dense eigenvalue computation up to `exact_threshold` qubits, the
-    coefficient 1-norm beyond that.  The identity offset never enters: it
-    shifts every eigenvalue equally and cancels from truncation error.
-    Cached on the immutable `h`, one entry per branch.  `Hamiltonian`
-    refuses coefficients whose 1-norm squared overflows, so neither branch
-    can overflow.
+    Exact dense eigenvalue computation up to `exact_threshold` qubits, a
+    non-negative integer, the coefficient 1-norm beyond that.  The identity
+    offset never enters: it shifts every eigenvalue equally and cancels
+    from truncation error.  Cached on the immutable `h`, one entry per
+    branch.  `Hamiltonian` refuses coefficients whose 1-norm squared
+    overflows, so neither branch can overflow.
 
     The exact branch returns min(1-norm, max|eigenvalue| + `_roundoff_margin`),
     the roundoff margin making it an upper bound despite floating point.
@@ -226,7 +227,7 @@ def norm_bound(
     H.  A real H (every word with an even Y count) keeps real blocks, and
     `eigvalsh` runs the real symmetric solver.
     """
-    exact = h.n <= exact_threshold
+    exact = h.n <= non_negative_int(exact_threshold, "exact_threshold")
     if exact in h._norm_bounds:
         return h._norm_bounds[exact]
     if h.term_count == 0:

@@ -316,7 +316,7 @@ def test_term_sums_bound_their_per_sample_temporaries():
 
 def test_eps_delta_requires_certification():
     circuit, h, rho, theta = random_certified_instance(21)
-    report = estimate(circuit, h, rho, theta, 0.2, m=8, eps_delta=(0.5, 0.1))
+    report = estimate(circuit, h, rho, theta, 0.2, m=10, eps_delta=(0.5, 0.1))
     assert report.generation_certified
     assert report.eps_delta == (0.5, 0.1)
     # a circuit whose effected words do not span the full algebra
@@ -327,6 +327,57 @@ def test_eps_delta_requires_certification():
         rep2 = estimate(bad, h1, rho1, {"a": 0.3}, 0.2, m=4, eps_delta=(0.5, 0.1))
     assert not rep2.generation_certified
     assert rep2.eps_delta is None
+
+
+def test_eps_delta_is_reported_only_when_the_mse_bound_meets_it():
+    # Chebyshev: P(|error| >= eps) <= MSE / eps^2, so a truncated run meets
+    # (eps, delta) when its MSE bound is at most eps^2 delta = 0.025; m = 10
+    # is the order choose_m picks for the pair, m = 8 falls short
+    circuit, h, rho, theta = random_certified_instance(21)
+    report = estimate(circuit, h, rho, theta, 0.2, m=8, eps_delta=(0.5, 0.1))
+    assert choose_m(0.2, report.norm.value, epsilon=0.5, delta=0.1).m == 10
+    assert report.generation_certified and report.mse_bound > 0.5**2 * 0.1
+    assert report.eps_delta is None
+    assert report.to_dict()["eps_delta"] is None
+    # an untruncated run has no truncation error, whatever its bound says
+    exact = estimate(circuit, h, rho, theta, 0.0, eps_delta=(0.5, 0.1))
+    assert exact.untruncated and exact.mse_bound > 0.5**2 * 0.1
+    assert exact.eps_delta == (0.5, 0.1)
+
+
+@pytest.mark.parametrize(
+    "eps_delta, message",
+    [
+        ((math.nan, 0.1), "epsilon must be a finite real number, got nan"),
+        (("a", None), "epsilon must be a finite real number, got 'a'"),
+        ((0.1,), "eps_delta must be a pair (epsilon, delta), got (0.1,)"),
+    ],
+)
+def test_estimate_refuses_a_bad_eps_delta(eps_delta, message):
+    circuit, h, rho, theta = random_certified_instance(21)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        estimate(circuit, h, rho, theta, 0.2, m=10, eps_delta=eps_delta)
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        ({"floor": True}, "floor must be a non-negative integer, got True"),
+        ({"term_count": -2}, "term_count must be a non-negative integer, got -2"),
+        ({"floor": "3"}, "floor must be a non-negative integer, got '3'"),
+    ],
+)
+def test_choose_m_refuses_a_floor_or_term_count_that_is_not_a_count(count, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        choose_m(0.1, 1.0, target_mse=0.01, **count)
+
+
+@pytest.mark.parametrize("threshold", [True, -1, "x"])
+def test_estimate_refuses_an_exact_norm_threshold_that_is_not_a_count(threshold):
+    circuit, h, rho, theta = random_certified_instance(21)
+    message = f"exact_norm_threshold must be a non-negative integer, got {threshold!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        estimate(circuit, h, rho, theta, 0.2, m=10, exact_norm_threshold=threshold)
 
 
 def test_describe_factors_format():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,14 @@ def test_norm_bound_falls_back_to_l1():
     assert nb.kind == "coefficient-1-norm"
     assert nb.value == 3.0
     assert nb.value >= norm_bound(h).value  # fallback is always an upper bound
+
+
+@pytest.mark.parametrize("threshold", [True, -1, "x"])
+def test_norm_bound_refuses_a_threshold_that_is_not_a_count(threshold):
+    h = _h(("XI", 1.5), ("ZZ", -1.5))
+    message = f"exact_threshold must be a non-negative integer, got {threshold!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        norm_bound(h, threshold)
 
 
 def test_density_constructor_warnings():

@@ -236,3 +236,28 @@ def test_cli_modes_compute_and_main_writes():
         assert written == set(), name
     assert calls(tree).count("_config_echo") == 1
     assert calls(functions["main"]).count("_config_echo") == 1
+
+
+def test_the_walk_prunes_by_one_survivor_rule():
+    # term roots, children and leaf candidates pass one survivor rule,
+    # which counts each dropped row by the first rule it breaks; only the
+    # whole-parent settle of `_children` counts budget prunes besides it
+    counted: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.AugAssign):
+                target = ast.unparse(child.target)
+                if target.startswith("stats.pruned_"):
+                    counted.setdefault(target, set()).add(function)
+            visit(child, function)
+
+    visit(ast.parse(_sources()["engine.py"]), None)
+    assert counted == {
+        "stats.pruned_zero_weight": {"_survivors"},
+        "stats.pruned_zero_overlap": {"_survivors"},
+        "stats.pruned_budget": {"_survivors", "_children"},
+    }
