@@ -323,6 +323,10 @@ def choose_m(
         raise ValueError(f"norm and its square must be finite, got {norm}")
     if norm < 0:
         raise ValueError(f"norm bound must be non-negative, got {norm}")
+    if have_mse and target_mse <= 0:
+        raise ValueError(f"target MSE must be positive, got {target_mse}")
+    if have_eps:
+        _eps_delta_mse(epsilon, delta)
     if lam == 0.0:
         return MSelection(
             None,
@@ -332,11 +336,8 @@ def choose_m(
     if norm == 0.0:
         return MSelection(0, _ceiling(term_count, 0), "observable has no traceless part")
     if have_mse:
-        if target_mse <= 0:
-            raise ValueError(f"target MSE must be positive, got {target_mse}")
         raw = math.log(norm**2 / target_mse) / (2.0 * lam)
     else:
-        _eps_delta_mse(epsilon, delta)
         raw = math.log(norm / (epsilon * math.sqrt(delta))) / lam
     m = max(0, math.ceil(raw))
     note = ""

@@ -5,7 +5,9 @@ Pauli coordinates behind a leading sample axis: axis n + 1 - q carries
 qubit q, and the entry at digits (a_n, ..., a_1) is
 Tr((sigma_a_n (x) ... (x) sigma_a_1) M), with sigma_0..3 = I, X, Y, Z.
 That is the Pauli-transfer-matrix picture, in which every channel is a
-real matrix.  The state enters these coordinates once and leaves once.
+real matrix.  The state enters these coordinates once; `evolve_noisy`
+takes them back to matrices, and `noisy_mean_value` reads Tr(H M) =
+c_I v_0 + sum_w c_w v_w straight from them, by the letters of each word.
 
 Per-qubit depolarizing noise is diagonal there, so a noise round is one
 elementwise product of the tensor with a (4,)*n factor, built once per
@@ -21,16 +23,17 @@ Angles are all floats, or all 1-d arrays of S angles, one per sample.
 Every gate site is one `matmul`: Cliffords and bound angles give one
 operator that the samples share, and a symbol's rotation one per sample,
 an (S, 4, 4) site operator or an (S, 2^k, 2^k) U.  A float run is a
-batch of one.  `noisy_mean_value` splits the samples into chunks of at
-most CHUNK_ENTRIES real entries, one `evolve_noisy` each, so from n = 8
-on a chunk is one sample.
+batch of one.  `noisy_mean_value` checks its run, builds the noise
+factor, the entry tensor and the term indices once, and splits the
+samples into chunks of at most CHUNK_ENTRIES real entries, one
+`_final_coordinates` each, so from n = 8 on a chunk is one sample.
 
-Every dense Pauli matrix (H, the factor checks' words, rotation
+Every dense Pauli matrix (H and the words of the factor checks, rotation
 generators and the one-qubit basis of the coordinates) comes from
-`observables.pauli_sum_matrix`, which the path engine never calls; mean
-values, conjugation and damping are all recomputed from matrices, so the
-two routes stay independent checks of each other.  The tests check that
-builder against their own kron construction.
+`observables.pauli_sum_matrix`, which the path engine never calls;
+conjugation and damping are recomputed from matrices and the engine's bit
+rules never enter, so the two routes stay independent checks of each
+other.  The tests check that builder against their own kron construction.
 
 One bit order, that of `pauli.PauliWord`: basis index b has bit q-1 equal
 to qubit q, and a gate matrix on support qubits (q_0, q_1, ...) has q_j on
@@ -52,10 +55,10 @@ import numpy as np
 from .circuit import Circuit, CliffordGate, Layer, ParameterAssignment, RotationGate
 from .circuit import check_assignment, check_instance, check_noise_rate
 from .observables import IMAG_TOL, Hamiltonian, SparseDensity, pauli_sum_matrix
-from .pauli import PauliWord
+from .pauli import LETTERS, PauliWord
 
 ORACLE_CAP = 10
-# the most real entries (256 KB) one batched `evolve_noisy` call holds
+# the most real entries (256 KB) one chunk of `noisy_mean_value` holds
 CHUNK_ENTRIES = 1 << 15
 
 _CLIFFORDS = {
@@ -148,8 +151,7 @@ def _rotation_matrix(gate: RotationGate, assignment: ParameterAssignment) -> np.
 @lru_cache(maxsize=64)
 def _generator_matrix(generator: PauliWord) -> np.ndarray:
     """A rotation generator restricted to its support, as a read-only dense
-    matrix; cached, since every `evolve_noisy` chunk of samples rebuilds
-    its gates."""
+    matrix; cached, since every chunk of samples rebuilds its gates."""
     return _read_only(word_matrix(generator.restrict(generator.support())))
 
 
@@ -313,6 +315,20 @@ def _check_run(
     return size
 
 
+def _final_coordinates(
+    circuit: Circuit, tensor: np.ndarray, noise: np.ndarray, assignment: ParameterAssignment
+) -> np.ndarray:
+    """The (S,) + (4,)*n coordinates after the last noise round, from entry
+    coordinates built once per run, a batch of one."""
+    for layer in circuit.layers:
+        tensor = _noisy_layer(tensor, noise, layer, assignment, circuit.n)
+    return tensor * noise
+
+
+def _entry(rho: SparseDensity) -> np.ndarray:
+    return _hermitian_coordinates(state_matrix(rho), rho.n, "state coordinates")
+
+
 def evolve_noisy(
     circuit: Circuit,
     rho: SparseDensity,
@@ -323,13 +339,13 @@ def evolve_noisy(
     before each layer and once more at the end); with array angles, the
     (S, 2^n, 2^n) stack of one matrix per sample."""
     size = _check_run(circuit, None, rho, assignment, lam)
-    n = circuit.n
-    noise = _noise_round(n, lam)
-    tensor = _hermitian_coordinates(state_matrix(rho), n, "state coordinates")
-    for layer in circuit.layers:
-        tensor = _noisy_layer(tensor, noise, layer, assignment, n)
-    final = _matrix(tensor * noise, n)
+    final = _final_coordinates(circuit, _entry(rho), _noise_round(circuit.n, lam), assignment)
+    final = _matrix(final, circuit.n)
     return final[0] if size is None else final
+
+
+# a word's letters as the base-4 digits of its coordinate, qubit 1 lowest
+_DIGITS = str.maketrans(LETTERS, "0123")
 
 
 def noisy_mean_value(
@@ -339,21 +355,26 @@ def noisy_mean_value(
     assignment: ParameterAssignment,
     lam: float,
 ) -> float | np.ndarray:
-    """Tr(H rho_final), checked real; with array angles, an (S,) array of
-    one value per sample, from one `evolve_noisy` per chunk of at most
-    CHUNK_ENTRIES real entries."""
+    """Tr(H rho_final) = c_I v_0 + sum_w c_w v_w from the final coordinates
+    v_w = Tr(w rho_final), summed in term order and checked real; with
+    array angles, an (S,) array of one value per sample, from chunks of at
+    most CHUNK_ENTRIES real entries."""
     size = _check_run(circuit, h, rho, assignment, lam)
-    h_matrix = hamiltonian_matrix(h)
-    if size is None:
-        final = evolve_noisy(circuit, rho, assignment, lam)
-        return _real_trace(h_matrix, final, "mean value")
+    noise, entry, terms = _noise_round(circuit.n, lam), _entry(rho), h.terms()
+    index = [0] + [int(str(word)[::-1].translate(_DIGITS), 4) for word, _ in terms]
+    coeffs = np.array([h.identity_coeff] + [coeff for _, coeff in terms])
     step = max(1, CHUNK_ENTRIES >> (2 * circuit.n))
     values = []
-    for start in range(0, size, step):
-        chunk = {p: assignment[p][start : start + step] for p in circuit.parameters()}
-        final = evolve_noisy(circuit, rho, chunk, lam)
-        values.append(_real_trace(h_matrix, final, "mean value"))
-    return np.concatenate(values)
+    for start in range(0, size or 1, step):
+        chunk = assignment
+        if size is not None:
+            chunk = {p: assignment[p][start : start + step] for p in circuit.parameters()}
+        final = _final_coordinates(circuit, entry, noise, chunk)
+        products = final.reshape(len(final), -1)[:, index] * coeffs
+        total = np.add.accumulate(products, axis=1)[:, -1]
+        values.append(_real(total, np.abs(products).sum(axis=1), "mean value"))
+    values = np.concatenate(values)
+    return float(values[0]) if size is None else values
 
 
 # --- per-path factor checks -------------------------------------------------

@@ -235,6 +235,37 @@ def test_choose_m_mode(files, capsys):
     assert doc["norm_bound"]["kind"] == "exact-dense"
 
 
+@pytest.mark.parametrize(
+    "lam, terms, flags, message",
+    [
+        ("0", None, ["--target-mse=-1.0"], "target MSE must be positive, got -1.0"),
+        ("0", None, ["--epsilon=-1.0", "--delta=5.0"], "need epsilon > 0 and 0 < delta < 1"),
+        (
+            "0.3",
+            [{"pauli": "II", "coeff": 0.5}],
+            ["--epsilon=-1.0", "--delta=5.0"],
+            "need epsilon > 0 and 0 < delta < 1",
+        ),
+    ],
+    ids=["no-noise-target-mse", "no-noise-eps-delta", "zero-norm-eps-delta"],
+)
+def test_choose_m_mode_refuses_a_criterion_out_of_range(
+    files, capsys, tmp_path, lam, terms, flags, message
+):
+    # lambda = 0 and an identity-only H have answers of their own, but an
+    # out-of-range criterion is refused first
+    hamiltonian = files["hamiltonian"]
+    if terms is not None:
+        hamiltonian = tmp_path / "identity.json"
+        hamiltonian.write_text(json.dumps({"n": 2, "terms": terms}))
+    code, out, err = _run(
+        capsys,
+        ["--mode", "choose-m", "--hamiltonian", str(hamiltonian), "--lambda", lam, *flags],
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_oracle_check_agrees(files, capsys):
     code, out, _ = _run(
         capsys,

@@ -107,6 +107,21 @@ def test_choose_m_refusals_name_the_field(norm, criterion, message):
         choose_m(0.1, norm, **criterion)
 
 
+@pytest.mark.parametrize(
+    "lam, norm, criterion, message",
+    [
+        (0.0, 1.0, {"target_mse": -1.0}, "target MSE must be positive, got -1.0"),
+        (0.0, 1.0, {"epsilon": -1.0, "delta": 5.0}, "need epsilon > 0 and 0 < delta < 1"),
+        (0.3, 0.0, {"epsilon": -1.0, "delta": 5.0}, "need epsilon > 0 and 0 < delta < 1"),
+    ],
+)
+def test_choose_m_checks_its_criterion_before_any_early_return(lam, norm, criterion, message):
+    # lambda = 0 and a zero norm have answers of their own, given only for
+    # a criterion in range
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        choose_m(lam, norm, **criterion)
+
+
 @given(st.integers(0, 10**6), st.sampled_from([0.0, 0.05, 0.2]))
 @settings(max_examples=150, deadline=None)
 def test_estimate_equals_path_sum_at_every_m(seed, lam):
@@ -586,10 +601,10 @@ def test_every_symbol_needs_finite_angles_in_arrays(monkeypatch):
 
 
 def test_mse_benchmark_runs_the_oracle_once_per_chunk(monkeypatch):
-    # the benchmark's traced runs time the oracle through these two module
-    # names, so mse_benchmark reaches it through them: one batched mean-value
-    # call, and one dense run per chunk of CHUNK_ENTRIES real entries
-    calls = {"noisy_mean_value": 0, "evolve_noisy": 0}
+    # mse_benchmark reaches the oracle through these two module names: one
+    # batched mean-value call, and one dense run per chunk of CHUNK_ENTRIES
+    # real entries
+    calls = {"noisy_mean_value": 0, "_final_coordinates": 0}
     for name in calls:
 
         def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
@@ -601,7 +616,7 @@ def test_mse_benchmark_runs_the_oracle_once_per_chunk(monkeypatch):
     per_chunk = oracle.CHUNK_ENTRIES >> (2 * circuit.n)
     report = mse_benchmark(circuit, h, rho, lam=0.2, m=None, samples=64, seed=3)
     assert report.passed and 1 < per_chunk < 64
-    assert calls == {"noisy_mean_value": 1, "evolve_noisy": math.ceil(64 / per_chunk)}
+    assert calls == {"noisy_mean_value": 1, "_final_coordinates": math.ceil(64 / per_chunk)}
 
 
 def test_entry_points_walk_one_enumeration_to_the_end(monkeypatch):
@@ -646,11 +661,11 @@ def test_mse_benchmark_without_symbols(recwarn):
     assert (report.empirical_mse, report.std_error, report.passed) == (0.0, 0.0, True)
 
 
-def test_mse_benchmark_builds_dense_hamiltonian_once(monkeypatch):
-    # the oracle runs once per call, on all samples, so the dense H it
-    # needs is built once per call and kept nowhere.  Rotation matrices
-    # come from the same builder, on their 1-qubit supports here, so only
-    # the 2-qubit (H-sized) builds count.
+def test_mse_benchmark_builds_no_dense_hamiltonian(monkeypatch):
+    # the oracle reads Tr(H M) from the final Pauli coordinates, so no dense
+    # H is built.  Rotation matrices come from the same builder, on their
+    # 1-qubit supports here, so only the 2-qubit (H-sized) builds count;
+    # the dense H of the factor checks shows that they are counted.
     built = []
     original = oracle.pauli_sum_matrix
 
@@ -662,9 +677,9 @@ def test_mse_benchmark_builds_dense_hamiltonian_once(monkeypatch):
     monkeypatch.setattr(oracle, "pauli_sum_matrix", counting)
     circuit, h, rho = rx_chain_instance(2, 4)
     report = mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=8, seed=3)
-    assert report.passed and built == [2]
-    mse_benchmark(circuit, h, rho, lam=0.2, m=6, samples=8, seed=4)
-    assert built == [2, 2]
+    assert report.passed and built == []
+    oracle.hamiltonian_matrix(h)
+    assert built == [2]
 
 
 def test_mse_benchmark_survives_package_reimport(monkeypatch):

@@ -129,6 +129,29 @@ def test_large_coefficients_keep_a_real_mean_value():
     )
 
 
+@pytest.mark.parametrize("samples", [None, 385])
+def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
+    # the run's checks and the state's entry coordinates are built once per
+    # call, whatever the chunk count: at n = 4 a chunk holds 128 samples
+    calls = {"_check_run": 0, "state_matrix": 0, "_final_coordinates": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counting)
+    circuit, h, rho = ansatz_instance(4, 4)
+    rng = np.random.default_rng(2)
+    theta = {p: rng.uniform(-3.0, 3.0, samples) for p in circuit.parameters()}
+    if samples is None:
+        theta = {p: float(angle) for p, angle in theta.items()}
+    values = noisy_mean_value(circuit, h, rho, theta, 0.2)
+    chunks = 1 if samples is None else -(-samples // (oracle.CHUNK_ENTRIES >> 8))
+    assert np.shape(values) == (() if samples is None else (samples,))
+    assert calls == {"_check_run": 1, "state_matrix": 1, "_final_coordinates": chunks}
+
+
 def test_cap_guard(monkeypatch):
     n = 11
     circuit = Circuit(

@@ -222,3 +222,26 @@ def test_batch_run_matches_float_calls(instance):
             one = {p: float(angles[k]) for p, angles in theta.items()}
             assert np.max(np.abs(stack[k] - evolve_noisy(circuit, rho, one, lam))) <= 1e-12
             assert abs(values[k] - noisy_mean_value(circuit, h, rho, one, lam)) <= 1e-12
+
+
+def test_batch_mean_value_reads_the_identity_part_as_the_trace():
+    # a state of trace 1.5: the identity part of H is c_I Tr(rho_final),
+    # not c_I, on both sides of a chunk boundary
+    circuit, h, rho, _ = CHAIN
+    with pytest.warns(UserWarning, match="state trace is 1.5"):
+        heavy = SparseDensity(2, [(ket, bra, 1.5 * value) for ket, bra, value in rho.entries()])
+    h = Hamiltonian(2, [*h.terms(), (PauliWord.identity(2), 0.75)])
+    assert any("Y" in str(word) for word, _ in h.terms())
+    step = CHUNK_ENTRIES >> 4
+    _, _, _, theta = _batch(CHAIN, step + 1, 7)
+    values = noisy_mean_value(circuit, h, heavy, theta, 0.3)
+    h_dense = dense_hamiltonian(h)
+    for k in (0, step - 1, step):
+        one = {p: float(angles[k]) for p, angles in theta.items()}
+        expected = dense_state(heavy)
+        for layer in circuit.layers:
+            expected = dense_depolarize(expected, 2, 0.3)
+            u = dense_layer_unitary(layer, 2, one)
+            expected = u @ expected @ u.conj().T
+        expected = dense_depolarize(expected, 2, 0.3)
+        assert abs(values[k] - np.trace(h_dense @ expected).real) <= 1e-12, k

@@ -118,6 +118,19 @@ def test_oracle_has_one_contraction_and_one_realness_rule():
     assert set(_names(ast.Load).get("IMAG_TOL", [])) == {"observables.py", "oracle.py"}
 
 
+def test_mean_value_reads_the_coordinates_without_dense_matrices():
+    # Tr(H M) is gathered from the final Pauli coordinates, so the mean
+    # value builds no dense H and takes no state back to a matrix
+    tree = ast.parse(_sources()["oracle.py"])
+    (body,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "noisy_mean_value"
+    ]
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    assert named & {"evolve_noisy", "hamiltonian_matrix", "_matrix", "_real_trace"} == set()
+
+
 def test_oracle_builds_its_pauli_basis_with_the_dense_builder():
     # the one-qubit basis of the Pauli coordinates comes from `word_matrix`,
     # like every other dense Pauli matrix of the oracle, so it is the matrix
