@@ -38,7 +38,8 @@ into the row: its sign, its sin choices and its parent's anti-commuting
 rotations as bit masks over the layer's rotations, and the parent's row.
 One generator per parent batch yields its child batches: it pushes the
 parent through its layer as a whole (`_LayerProgram.branch`), then builds
-the children by ordinal, a slice at a time, and filters them.  The walk
+the children by ordinal, a slice at a time, and filters them; at word
+index 0 it builds only the leaves that can overlap the state.  The walk
 is one loop over a stack of these generators, one per word index, and
 walks each child batch to the leaves before it asks its parent's
 generator for the next.  Children come out in ordinal order, which is the
@@ -58,16 +59,20 @@ and leaf candidates pass one survivor rule (`PathEnumeration._survivors`),
 which counts each dropped row by the first reason it breaks: zero weight,
 budget, and for a leaf zero overlap.  A parent whose least possible child
 weight already exceeds the budget has all 2^a children counted as visited
-and pruned by budget without being built, and a leaf candidate whose x mask
-is not a flip mask of the state counts as pruned for zero overlap without an
-overlap call.  The limits are checked against the exact child count of a
-batch before it is built and the path count of a leaf batch before it is
-yielded, so a run raises the same error as a frame-by-frame walk, possibly
-after yielding fewer paths (and a run over both limits may report either).
-The error names the count reached and the word index of the nodes or paths
-that reached it.  `layer_predecessors` refuses too, before it builds
-anything, when a word has more than NODE_LIMIT predecessors through its
-layer.
+and pruned by budget without being built.  Leaf candidates are solved, not
+filtered: Tr(s_0 rho) is 0 unless the x mask of s_0 is a flip mask i XOR j
+of an entry (i, j) of rho, and as a layer's supports are disjoint, that mask
+fixes the sin choice of every anti-commuting rotation whose generator has an
+X or Y letter (`_LayerProgram.leaves`).  A parent all of whose children fit
+the budget builds only those whose x mask is a flip mask or 0, and the
+others count as pruned for zero overlap unbuilt.  The limits are checked
+against the exact child count of a batch before it is built and the path
+count of a leaf batch before it is yielded, so a run raises the same error
+as a frame-by-frame walk, possibly after yielding fewer paths (and a run
+over both limits may report either).  The error names the count reached and
+the word index of the nodes or paths that reached it.  `layer_predecessors`
+refuses too, before it builds anything, when a word has more than NODE_LIMIT
+predecessors through its layer.
 """
 
 from __future__ import annotations
@@ -158,7 +163,7 @@ class _Branching:
 class _LayerProgram:
     """One layer compiled to bit operations on arrays of (x, z) masks."""
 
-    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "table", "shifts")
+    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "table", "shifts", "z_bits", "steady")
 
     def __init__(self, layer: Layer, dtype: type) -> None:
         self.cliffords = [
@@ -176,15 +181,22 @@ class _LayerProgram:
         self.gx = np.array([g.generator.x for g in rotations], dtype=dtype).reshape(-1, 1)
         self.gz = np.array([g.generator.z for g in rotations], dtype=dtype).reshape(-1, 1)
         bits = [1 << j for j in range(len(rotations))]
+        # the rotations whose generators have no X or Y letter
+        self.z_bits = sum(bit for bit, g in zip(bits, rotations) if not g.generator.x)
+        # a one-qubit rotation's sin branch swaps one letter for another, so
+        # through a layer of them every child weighs what its parent does
+        self.steady = all(g.generator.weight == 1 for g in rotations)
         # sin choices (R, rows) -> x flips, z flips and sin bit masks in one product
         self.table = np.array(
             [self.gx[:, 0], self.gz[:, 0], bits], dtype=dtype
         ).reshape(3, len(rotations))
 
-    def branch(self, x: np.ndarray, z: np.ndarray) -> tuple[_Branching, np.ndarray, np.ndarray]:
+    def branch(
+        self, x: np.ndarray, z: np.ndarray
+    ) -> tuple[_Branching, np.ndarray, np.ndarray, np.ndarray]:
         """The layer applied to a batch of successor words: the branching,
         and per row the number a of anti-commuting rotations and the least
-        weight any of the 2^a children has."""
+        and the largest weight any of the 2^a children has."""
         b = _Branching()
         sign = np.ones(len(x), dtype=np.int8)
         for kind, b0, b1 in self.cliffords:
@@ -196,7 +208,6 @@ class _LayerProgram:
         # mod 4; pinned by exp(+i t G/2) s exp(-i t G/2) = cos(t) s + sigma sin(t) w
         neg = ((product_phase_masks(gx, gz, x, z) + 1) & 2).astype(bool)
         weight = popcount(x | z).astype(np.int32)
-        gain = popcount((x ^ gx) | (z ^ gz)).astype(np.int32) - weight
         count = np.count_nonzero(anti, axis=0)
         # the first anti-commuting rotation of a row is the most significant
         # ordinal bit: rotation j takes bit count - 1 - (anti-commuting before j)
@@ -205,8 +216,11 @@ class _LayerProgram:
         b.anti_bits = bits @ anti
         b.neg_bits = bits @ neg
         b.select = np.where(anti, count - 1 - below, 63).astype(np.int8)
-        least = weight + (np.minimum(gain, 0) * anti).sum(axis=0)
-        return b, count, least
+        if self.steady:
+            return b, count, weight, weight
+        gain = (popcount((x ^ gx) | (z ^ gz)).astype(np.int32) - weight) * anti
+        least = weight + np.minimum(gain, 0).sum(axis=0)
+        return b, count, least, weight + np.maximum(gain, 0).sum(axis=0)
 
     def children(self, b: _Branching, parent: np.ndarray, ordinal: np.ndarray):
         """Child `ordinal` of each row `parent` of a branching: masks,
@@ -218,6 +232,40 @@ class _LayerProgram:
         weight = popcount(x | z).astype(np.int32)
         flips = (popcount(b.neg_bits[parent] & sin_bits) & 1).astype(np.int8)
         return x, z, weight, b.sign[parent] * (1 - 2 * flips), sin_bits
+
+    def leaves(
+        self,
+        b: _Branching,
+        parent: np.ndarray,
+        slot: np.ndarray,
+        flips: np.ndarray,
+        whole: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The children at word index 0 worth building of rows `parent` of a
+        branching, one slot `slot` of a row each, as (pick, ordinal) in
+        canonical order, where `pick` indexes the slots.  A row built
+        `whole` has one slot per child, its ordinal.  Any other row has
+        len(flips) << a_z slots, a_z its anti-commuting rotations whose
+        generators have no X or Y letter: slot k stands for the child whose
+        x mask is flips[k >> a_z] and which takes sin at those rotations by
+        the low bits of k.  The supports are disjoint, so that x mask fixes
+        the choice of every other anti-commuting rotation: sin where the
+        mask needs its generator's x letters.  A slot no child reaches is
+        dropped."""
+        select = b.select[:, parent]
+        index, chosen = slot, False
+        if self.z_bits:
+            # the j-th free rotation of a row from its first takes bit j of k
+            free = b.anti_bits[parent] & self.z_bits
+            index = slot >> popcount(free)
+            below = popcount(free & (self.table[2:] - 1).T)
+            chosen = ((free >> self.shifts) & (slot >> below) & 1).astype(bool)
+        target = b.x[parent] ^ flips.take(index, mode="clip")
+        sin = (((target & self.gx) != 0) | chosen) & (select < 63)
+        ordinal = np.where(whole, slot, np.left_shift(sin, select, dtype=np.int64).sum(axis=0))
+        pick = np.flatnonzero(whole | (self.table[0] @ sin == target))
+        order = np.lexsort((ordinal[pick], parent[pick]))
+        return pick[order], ordinal[pick[order]]
 
     def choices(self, anti: np.ndarray, sin: np.ndarray) -> np.ndarray:
         """Steps through the layer decoded from their bit masks, as (R, rows)
@@ -243,7 +291,7 @@ def layer_predecessors(
     when there are more than NODE_LIMIT."""
     dtype = _mask_dtype(succ.n)
     program = _LayerProgram(layer, dtype)
-    b, count, _ = program.branch(
+    b, count, *_ = program.branch(
         np.array([succ.x], dtype=dtype), np.array([succ.z], dtype=dtype)
     )
     total = 1 << int(count[0])
@@ -348,7 +396,9 @@ class PathEnumeration:
         self._programs = [_LayerProgram(layer, self._dtype) for layer in circuit.layers]
         self.atoms = tuple(chain.from_iterable(program.atom_pairs for program in self._programs))
         self._coeffs = np.array([c for _, c in h.terms()], dtype=float)
-        self._flips = np.array(sorted(rho.flip_masks()), dtype=self._dtype)
+        # the x masks a leaf is solved for: 0 as well, so that every
+        # zero-weight leaf is built and counted as such
+        self._flips = np.array(sorted(rho.flip_masks() | {0}), dtype=self._dtype)
 
     def __iter__(self) -> Iterator[PathBlock]:
         stats = EnumerationStats()
@@ -435,12 +485,17 @@ class PathEnumeration:
         """The surviving children of a parent batch at word index idx in
         canonical order, at most BATCH_ROWS per batch.  All children are
         counted first, and parents none of whose children fit the budget
-        are settled unbuilt; then each batch is built from slices of
-        ordinals until half a batch survives, each slice no larger than the
-        room left."""
+        are settled unbuilt; then each batch is built from slices of the
+        other parents' slots until half a batch survives, each slice no
+        larger than the room left.  A slot is a child, except at idx 1 for
+        a parent all of whose children fit the budget: there the leaves are
+        solved for the x masks that overlap the state, and the parent's
+        slots are those of `_LayerProgram.leaves` when they are fewer than
+        its children and at most BATCH_ROWS.  Such a parent's slots share
+        one slice, whose survivor rule counts the children left unbuilt."""
         program = self._programs[idx - 1]
         room = self.m - idx + 1  # weight the children may have spent
-        b, count, least = program.branch(parent.x, parent.z)
+        b, count, least, most = program.branch(parent.x, parent.z)
         over = parent.spent + least > room
         # sums of 2^a as exact ints, grouped by a
         per_a = np.bincount(count, minlength=len(program.atom_pairs) + 1)
@@ -449,47 +504,82 @@ class PathEnumeration:
         self._visit(stats, total, idx - 1)
         rows = np.flatnonzero(~over)
         counts = np.left_shift(1, count[rows].astype(np.int64))
+        stats.pruned_budget += total - int(counts.sum())
+        whole = None
+        if idx == 1:
+            free = popcount(b.anti_bits[rows] & program.z_bits).astype(np.int64)
+            slots = len(self._flips) << free
+            whole = (parent.spent[rows] + most[rows] > room) | (
+                slots > np.minimum(counts, BATCH_ROWS)
+            )
+            slots = np.where(whole, counts, slots)
+            # skipped[r]: the children the slots of rows 0..r-1 leave unbuilt
+            skipped = np.concatenate(([0], np.cumsum(counts - slots)))
+            counts = slots
+            del free
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        built = int(offsets[-1])
-        stats.pruned_budget += total - built
-        # only b, rows and offsets stay alive while the children are walked
-        del count, least, over, counts
+        end = int(offsets[-1])
+        # only b, rows, whole, skipped and offsets stay alive while the
+        # children are walked
+        del count, least, most, over, counts
 
         def build(cursor: int) -> tuple[_Batch | None, int]:
-            """The survivors of the slices of ordinals from `cursor` on, and
+            """The survivors of the slices of slots from `cursor` on, and
             the cursor after them.  A function of its own, so that nothing
             of a slice stays alive while its batch is walked."""
             parts: list[_Batch] = []
             kept = 0
-            while cursor < built and kept < BATCH_ROWS // 2:
-                lo, cursor = cursor, min(cursor + BATCH_ROWS - kept, built)
-                ordinal = np.arange(lo, cursor, dtype=np.int64)
-                which = np.searchsorted(offsets, ordinal, side="right") - 1
-                ordinal -= offsets[which]
+            while cursor < end and kept < BATCH_ROWS // 2:
+                lo, cursor = cursor, min(cursor + BATCH_ROWS - kept, end)
+                if whole is not None and cursor < end:
+                    # a solved row's slots go in one slice, the next batch's
+                    # when they do not fit in the room left
+                    last = np.searchsorted(offsets, cursor, side="right") - 1
+                    if not whole[last]:
+                        cursor = int(offsets[last])
+                        if cursor == lo:
+                            break
+                slot = np.arange(lo, cursor, dtype=np.int64)
+                which = np.searchsorted(offsets, slot, side="right") - 1
+                slot -= offsets[which]
                 at = rows[which]
+                ordinal, unbuilt = slot, 0
+                if whole is not None:
+                    pick, ordinal = program.leaves(b, at, slot, self._flips, whole[which])
+                    at = at[pick]
+                    unbuilt = len(slot) - len(at)
+                    unbuilt += int(skipped[which[-1] + 1] - skipped[which[0]])
                 x, z, weight, sign, sin = program.children(b, at, ordinal)
                 part = _Batch(x, z, parent.spent[at] + weight, sign, sin, at, b.anti_bits[at])
-                part = self._survivors(part, weight, idx - 1, stats)
+                part = self._survivors(part, weight, idx - 1, stats, unbuilt)
                 if len(part.x):
                     parts.append(part)
                     kept += len(part.x)
             return (_concat(parts) if parts else None), cursor
 
         cursor = 0
-        while cursor < built:
+        while cursor < end:
             batch, cursor = build(cursor)
             if batch is not None:
                 yield batch
 
     def _survivors(
-        self, part: _Batch, weight: np.ndarray, idx: int, stats: EnumerationStats
+        self,
+        part: _Batch,
+        weight: np.ndarray,
+        idx: int,
+        stats: EnumerationStats,
+        unbuilt: int = 0,
     ) -> _Batch:
         """The rows of a batch at word index idx that survive, with their
         state overlaps at idx 0.  A dropped row is counted by the first rule
         it breaks: its word has weight 0; its spent weight exceeds m - idx,
         leaving less than 1 for each word still to come; at idx 0, its word
-        has no overlap with the state.  A leaf whose x is not a flip mask of
-        the state has none, and is dropped without an overlap call."""
+        has no overlap with the state.  Leaves are solved, not filtered: a
+        part at idx 0 holds only the children whose x masks are flip masks
+        of the state or 0, and the `unbuilt` other children of its parents,
+        which have weight, fit the budget and miss the state, count as
+        having no overlap."""
         zero = weight == 0
         over = part.spent > self.m - idx
         stats.pruned_zero_weight += int(np.count_nonzero(zero))
@@ -497,12 +587,6 @@ class PathEnumeration:
         keep = ~(zero | over)
         if idx > 0:
             return part if keep.all() else part.take(keep)
-        candidates = int(np.count_nonzero(keep))
-        flips = self._flips
-        if len(flips):
-            keep &= flips[np.minimum(np.searchsorted(flips, part.x), len(flips) - 1)] == part.x
-        else:
-            keep[:] = False
         rows = np.flatnonzero(keep)
         overlap = self.rho.overlap_masks
         values = np.array(
@@ -510,7 +594,7 @@ class PathEnumeration:
             dtype=float,
         )
         hit = values != 0.0
-        stats.pruned_zero_overlap += candidates - int(np.count_nonzero(hit))
+        stats.pruned_zero_overlap += unbuilt + len(rows) - int(np.count_nonzero(hit))
         return part.take(rows[hit])._replace(overlap=values[hit])
 
     def _block(self, levels: list[_Batch], stats: EnumerationStats) -> PathBlock:

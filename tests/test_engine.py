@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from paulipath.engine import (
     layer_predecessors,
 )
 from paulipath.estimator import atom_value, path_value, damping
+from paulipath.pauli import popcount
 from paulipath.oracle import observable_factor, state_factor, transition_factor
 
 from conftest import ansatz_instance, random_certified_instance
@@ -161,6 +163,57 @@ def test_layer_predecessors_limit_is_strict(monkeypatch):
     assert len(layer_predecessors(circuit.layers[0], PauliWord.from_string("XXI"))) == 4
     with pytest.raises(ResourceLimitError, match="^more than 4 predecessors: 8 "):
         layer_predecessors(circuit.layers[0], PauliWord.from_string("XXX"))
+
+
+def _random_layer(rng, n):
+    """A layer on n qubits: H and S gates, one-qubit rotations, two-qubit
+    rotations with X or Y letters on both qubits, and ZZ rotations."""
+    qubits = [int(q) for q in rng.permutation(np.arange(1, n + 1))]
+    gates = []
+    while qubits:
+        q, kind = qubits.pop(), int(rng.integers(0, 5))
+        if kind == 1:
+            gates.append(CliffordGate("HS"[rng.integers(0, 2)], (q,)))
+        elif kind == 2 or (kind > 2 and not qubits):
+            letter = "XYZ"[rng.integers(0, 3)]
+            gates.append(RotationGate(PauliWord.from_map(n, {q: letter}), param=f"t{q}"))
+        elif kind > 2:
+            letters = ("XY"[rng.integers(0, 2)], "XY"[rng.integers(0, 2)]) if kind == 3 else "ZZ"
+            generator = PauliWord.from_map(n, dict(zip((q, qubits.pop()), letters)))
+            gates.append(RotationGate(generator, param=f"t{q}"))
+    return Layer(tuple(gates))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([np.int64, object]))
+@settings(max_examples=150, deadline=None)
+def test_leaves_are_the_children_with_a_flip_mask(seed, dtype):
+    # every slot of every row at once: a row built whole yields all of its
+    # children, any other row exactly those whose x mask is in F or 0, in
+    # canonical order; F is a random flip set, possibly without 0 or empty
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    program = engine._LayerProgram(_random_layer(rng, n), dtype)
+    rows = int(rng.integers(1, 9))
+    b, count, *_ = program.branch(
+        rng.integers(0, 2**n, rows).astype(dtype), rng.integers(0, 2**n, rows).astype(dtype)
+    )
+    flip_set = {int(f) for f in rng.integers(0, 2**n, int(rng.integers(0, 5)))}
+    if rng.random() < 0.3:
+        flip_set.discard(0)
+    solved = flip_set | {0}
+    flips = np.array(sorted(solved), dtype=dtype)
+    whole = rng.random(rows) < 0.3
+    free = popcount(b.anti_bits & program.z_bits).astype(np.int64)
+    slots = np.where(whole, np.left_shift(1, count), len(flips) << free)
+    parent = np.repeat(np.arange(rows), slots)
+    slot = np.concatenate([np.arange(s) for s in slots])
+    pick, ordinal = program.leaves(b, parent, slot, flips, whole[parent])
+    want = []
+    for row in range(rows):
+        ordinals = np.arange(2 ** int(count[row]))
+        x = program.children(b, np.full(len(ordinals), row), ordinals)[0]
+        want += [(row, int(k)) for k, cx in zip(ordinals, x) if whole[row] or int(cx) in solved]
+    assert list(zip(parent[pick].tolist(), ordinal.tolist())) == want
 
 
 def _brute_force_reference(circuit, h, rho, theta, lam):
@@ -461,6 +514,59 @@ _SHALLOW_INSTANCES = [
 ]
 
 
+# Leaf layers that `_LayerProgram.leaves` solves in each of its ways: Z
+# rotations on X and Y letters, whose choices stay free for every flip mask;
+# a two-qubit rotation whose sin branch changes the weight, so that at some
+# m a parent's children straddle the budget and it is built whole.
+_LEAF_INSTANCES = [
+    (
+        Circuit(
+            3,
+            (
+                Layer(
+                    (
+                        RotationGate(_word("ZII"), param="a"),
+                        RotationGate(_word("IXI"), param="b"),
+                        RotationGate(_word("IIZ"), angle=0.4),
+                    )
+                ),
+                Layer((CliffordGate("H", (2,)), RotationGate(_word("XIY"), param="c"))),
+            ),
+        ),
+        _sum(("XZY", 1.0), ("YYX", -0.6), ("XIX", 0.5)),
+        SparseDensity(3, [(0, 0, 0.5), (5, 5, 0.5), (0, 5, 0.3), (5, 0, 0.3)]),
+    ),
+    (
+        Circuit(
+            2,
+            (
+                Layer((RotationGate(_word("XY"), param="a"),)),
+                Layer((RotationGate(_word("ZI"), param="b"), CliffordGate("H", (2,)))),
+            ),
+        ),
+        _sum(("ZI", 1.0), ("IZ", 0.7), ("ZX", -0.4)),
+        SparseDensity.computational_basis(2),
+    ),
+]
+
+
+# a state of off-diagonal entries only: its flip set lacks 0 and its trace is 0
+with pytest.warns(UserWarning, match="^state trace is 0, expected 1$"):
+    _OFF_DIAGONAL_INSTANCE = (
+        Circuit(
+            2,
+            (
+                Layer(
+                    (RotationGate(_word("XI"), param="a"), RotationGate(_word("IZ"), param="b"))
+                ),
+                Layer((CliffordGate("CNOT", (1, 2)),)),
+            ),
+        ),
+        _sum(("ZZ", 1.0), ("XX", 0.5), ("YI", -0.3)),
+        SparseDensity(2, [(1, 2, 0.4j), (2, 1, -0.4j)]),
+    )
+
+
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", UserWarning)  # its trace is 0
     # a state with no entries: the flip set is empty, so every leaf is
@@ -477,6 +583,9 @@ with warnings.catch_warnings():
 @example(_SHALLOW_INSTANCES[1])
 @example(_SHALLOW_INSTANCES[2])
 @example(_EMPTY_STATE_INSTANCE)
+@example(_LEAF_INSTANCES[0])
+@example(_LEAF_INSTANCES[1])
+@example(_OFF_DIAGONAL_INSTANCE)
 @settings(max_examples=60, deadline=None)
 def test_batched_walk_equals_reference_walk_at_every_m(instance):
     # same paths in the same order, and the same five counters, at every
@@ -510,6 +619,34 @@ def test_pinned_ansatz_counters_and_memory():
     )
     assert run.stats.paths_emitted > BATCH_ROWS
     assert peak <= 2 * 2**20
+
+
+def test_leaf_layer_builds_only_candidate_children(monkeypatch):
+    # at word index 1 only the children whose x mask is a flip mask of the
+    # state are built: of the 75,731 leaf children of ansatz(8,12) at m = 44
+    # the survivor rule receives the 1,491 that end a path, and the rest
+    # still count as pruned for zero overlap
+    circuit, h, rho = ansatz_instance(8, 12)
+    survivors = PathEnumeration._survivors
+    received = []
+
+    def counting(self, part, weight, idx, stats, *rest):
+        if idx == 0:
+            received.append(len(part.x))
+        return survivors(self, part, weight, idx, stats, *rest)
+
+    monkeypatch.setattr(PathEnumeration, "_survivors", counting)
+    run = PathEnumeration(circuit, h, rho, 44)
+    for _ in run:
+        pass
+    assert sum(received) == 1_491
+    assert run.stats == EnumerationStats(
+        nodes_visited=415_928,
+        paths_emitted=1_491,
+        pruned_budget=263_414,
+        pruned_zero_weight=0,
+        pruned_zero_overlap=74_240,
+    )
 
 
 def test_pinned_ansatz_estimate_memory():
