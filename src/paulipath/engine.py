@@ -39,9 +39,9 @@ rotations as bit masks over the layer's rotations, and the parent's row.
 One generator per parent batch yields its child batches: it pushes the
 parent through its layer as a whole (`_LayerProgram.branch`), then builds
 the children by ordinal, a slice at a time, and filters them; at word
-index 0 it builds only the leaves that can overlap the state.  The walk
-is one loop over a stack of these generators, one per word index, and
-walks each child batch to the leaves before it asks its parent's
+index 0 a large batch builds only the leaves that can overlap the state.
+The walk is one loop over a stack of these generators, one per word index,
+and walks each child batch to the leaves before it asks its parent's
 generator for the next.  Children come out in ordinal order, which is the
 canonical order, so the paths, their order and every counter equal a
 frame-by-frame depth-first walk.  Memory stays O(depth * BATCH_ROWS).
@@ -63,16 +63,19 @@ and pruned by budget without being built.  Leaf candidates are solved, not
 filtered: Tr(s_0 rho) is 0 unless the x mask of s_0 is a flip mask i XOR j
 of an entry (i, j) of rho, and as a layer's supports are disjoint, that mask
 fixes the sin choice of every anti-commuting rotation whose generator has an
-X or Y letter (`_LayerProgram.leaves`).  A parent all of whose children fit
-the budget builds only those whose x mask is a flip mask or 0, and the
-others count as pruned for zero overlap unbuilt.  The limits are checked
-against the exact child count of a batch before it is built and the path
-count of a leaf batch before it is yielded, so a run raises the same error
-as a frame-by-frame walk, possibly after yielding fewer paths (and a run
-over both limits may report either).  The error names the count reached and
-the word index of the nodes or paths that reached it.  `layer_predecessors`
-refuses too, before it builds anything, when a word has more than NODE_LIMIT
-predecessors through its layer.
+X or Y letter (`_LayerProgram.leaves`).  In a batch that can leave more
+than a slice of leaves unbuilt, a parent all of whose children fit the
+budget builds only those whose x mask is a flip mask or 0, when it has no
+more such candidates than children, and the others count as pruned for
+zero overlap unbuilt.  Any other parent builds all its leaves, and those
+whose x mask is not a flip mask are dropped without an overlap call.  The
+limits are checked against the exact child count of a batch before it is
+built and the path count of a leaf batch before it is yielded, so a run
+raises the same error as a frame-by-frame walk, possibly after yielding
+fewer paths (and a run over both limits may report either).  The error
+names the count reached and the word index of the nodes or paths that
+reached it.  `layer_predecessors` refuses too, before it builds anything,
+when a word has more than NODE_LIMIT predecessors through its layer.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ class _Branching:
 class _LayerProgram:
     """One layer compiled to bit operations on arrays of (x, z) masks."""
 
-    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "table", "shifts", "z_bits", "steady")
+    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "table", "shifts", "z_bits")
 
     def __init__(self, layer: Layer, dtype: type) -> None:
         self.cliffords = [
@@ -183,9 +186,6 @@ class _LayerProgram:
         bits = [1 << j for j in range(len(rotations))]
         # the rotations whose generators have no X or Y letter
         self.z_bits = sum(bit for bit, g in zip(bits, rotations) if not g.generator.x)
-        # a one-qubit rotation's sin branch swaps one letter for another, so
-        # through a layer of them every child weighs what its parent does
-        self.steady = all(g.generator.weight == 1 for g in rotations)
         # sin choices (R, rows) -> x flips, z flips and sin bit masks in one product
         self.table = np.array(
             [self.gx[:, 0], self.gz[:, 0], bits], dtype=dtype
@@ -195,8 +195,9 @@ class _LayerProgram:
         self, x: np.ndarray, z: np.ndarray
     ) -> tuple[_Branching, np.ndarray, np.ndarray, np.ndarray]:
         """The layer applied to a batch of successor words: the branching,
-        and per row the number a of anti-commuting rotations and the least
-        and the largest weight any of the 2^a children has."""
+        per row the number a of anti-commuting rotations and the weight of
+        its word, and as (R, rows) the weight each rotation's sin branch
+        adds to a child (0 where the rotation commutes)."""
         b = _Branching()
         sign = np.ones(len(x), dtype=np.int8)
         for kind, b0, b1 in self.cliffords:
@@ -216,11 +217,8 @@ class _LayerProgram:
         b.anti_bits = bits @ anti
         b.neg_bits = bits @ neg
         b.select = np.where(anti, count - 1 - below, 63).astype(np.int8)
-        if self.steady:
-            return b, count, weight, weight
         gain = (popcount((x ^ gx) | (z ^ gz)).astype(np.int32) - weight) * anti
-        least = weight + np.minimum(gain, 0).sum(axis=0)
-        return b, count, least, weight + np.maximum(gain, 0).sum(axis=0)
+        return b, count, weight, gain
 
     def children(self, b: _Branching, parent: np.ndarray, ordinal: np.ndarray):
         """Child `ordinal` of each row `parent` of a branching: masks,
@@ -234,24 +232,17 @@ class _LayerProgram:
         return x, z, weight, b.sign[parent] * (1 - 2 * flips), sin_bits
 
     def leaves(
-        self,
-        b: _Branching,
-        parent: np.ndarray,
-        slot: np.ndarray,
-        flips: np.ndarray,
-        whole: np.ndarray,
+        self, b: _Branching, parent: np.ndarray, slot: np.ndarray, flips: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The children at word index 0 worth building of rows `parent` of a
-        branching, one slot `slot` of a row each, as (pick, ordinal) in
-        canonical order, where `pick` indexes the slots.  A row built
-        `whole` has one slot per child, its ordinal.  Any other row has
-        len(flips) << a_z slots, a_z its anti-commuting rotations whose
-        generators have no X or Y letter: slot k stands for the child whose
-        x mask is flips[k >> a_z] and which takes sin at those rotations by
-        the low bits of k.  The supports are disjoint, so that x mask fixes
-        the choice of every other anti-commuting rotation: sin where the
-        mask needs its generator's x letters.  A slot no child reaches is
-        dropped."""
+        branching, one slot `slot` of a row each, as (pick, ordinal), where
+        `pick` indexes the slots.  A row has len(flips) << a_z slots, a_z
+        its anti-commuting rotations whose generators have no X or Y letter:
+        slot k stands for the child whose x mask is flips[k >> a_z] and
+        which takes sin at those rotations by the low bits of k.  The
+        supports are disjoint, so that x mask fixes the choice of every
+        other anti-commuting rotation: sin where the mask needs its
+        generator's x letters.  A slot no child reaches is dropped."""
         select = b.select[:, parent]
         index, chosen = slot, False
         if self.z_bits:
@@ -260,12 +251,10 @@ class _LayerProgram:
             index = slot >> popcount(free)
             below = popcount(free & (self.table[2:] - 1).T)
             chosen = ((free >> self.shifts) & (slot >> below) & 1).astype(bool)
-        target = b.x[parent] ^ flips.take(index, mode="clip")
+        target = b.x[parent] ^ flips[index]
         sin = (((target & self.gx) != 0) | chosen) & (select < 63)
-        ordinal = np.where(whole, slot, np.left_shift(sin, select, dtype=np.int64).sum(axis=0))
-        pick = np.flatnonzero(whole | (self.table[0] @ sin == target))
-        order = np.lexsort((ordinal[pick], parent[pick]))
-        return pick[order], ordinal[pick[order]]
+        pick = np.flatnonzero(self.table[0] @ sin == target)
+        return pick, np.left_shift(sin[:, pick], select[:, pick], dtype=np.int64).sum(axis=0)
 
     def choices(self, anti: np.ndarray, sin: np.ndarray) -> np.ndarray:
         """Steps through the layer decoded from their bit masks, as (R, rows)
@@ -487,16 +476,18 @@ class PathEnumeration:
         counted first, and parents none of whose children fit the budget
         are settled unbuilt; then each batch is built from slices of the
         other parents' slots until half a batch survives, each slice no
-        larger than the room left.  A slot is a child, except at idx 1 for
-        a parent all of whose children fit the budget: there the leaves are
+        larger than the room left.  A slot is a child, except at idx 1, in
+        a batch that can leave more than BATCH_ROWS children unbuilt, for a
+        parent all of whose children fit the budget: there the leaves are
         solved for the x masks that overlap the state, and the parent's
-        slots are those of `_LayerProgram.leaves` when they are fewer than
+        slots are those of `_LayerProgram.leaves` when they are no more than
         its children and at most BATCH_ROWS.  Such a parent's slots share
         one slice, whose survivor rule counts the children left unbuilt."""
         program = self._programs[idx - 1]
         room = self.m - idx + 1  # weight the children may have spent
-        b, count, least, most = program.branch(parent.x, parent.z)
-        over = parent.spent + least > room
+        b, count, weight, gain = program.branch(parent.x, parent.z)
+        # the least weight any child of a row has
+        over = parent.spent + weight + np.minimum(gain, 0).sum(axis=0) > room
         # sums of 2^a as exact ints, grouped by a
         per_a = np.bincount(count, minlength=len(program.atom_pairs) + 1)
         total = sum(int(c) << a for a, c in enumerate(per_a))
@@ -504,24 +495,28 @@ class PathEnumeration:
         self._visit(stats, total, idx - 1)
         rows = np.flatnonzero(~over)
         counts = np.left_shift(1, count[rows].astype(np.int64))
-        stats.pruned_budget += total - int(counts.sum())
+        built = int(counts.sum())
+        stats.pruned_budget += total - built
         whole = None
-        if idx == 1:
+        # solving costs numpy calls of its own, won back only by leaving
+        # more than a slice of children unbuilt; a row has at least
+        # len(flips) slots, so it leaves at most its other children unbuilt
+        if idx == 1 and int(np.maximum(counts - len(self._flips), 0).sum()) > BATCH_ROWS:
             free = popcount(b.anti_bits[rows] & program.z_bits).astype(np.int64)
             slots = len(self._flips) << free
-            whole = (parent.spent[rows] + most[rows] > room) | (
-                slots > np.minimum(counts, BATCH_ROWS)
-            )
+            # the largest weight any child of a row has spent
+            most = parent.spent + weight + np.maximum(gain, 0).sum(axis=0)
+            whole = (most[rows] > room) | (slots > np.minimum(counts, BATCH_ROWS))
             slots = np.where(whole, counts, slots)
             # skipped[r]: the children the slots of rows 0..r-1 leave unbuilt
             skipped = np.concatenate(([0], np.cumsum(counts - slots)))
             counts = slots
-            del free
+            del free, most
         offsets = np.concatenate(([0], np.cumsum(counts)))
         end = int(offsets[-1])
         # only b, rows, whole, skipped and offsets stay alive while the
         # children are walked
-        del count, least, most, over, counts
+        del count, weight, gain, over, counts
 
         def build(cursor: int) -> tuple[_Batch | None, int]:
             """The survivors of the slices of slots from `cursor` on, and
@@ -543,13 +538,20 @@ class PathEnumeration:
                 which = np.searchsorted(offsets, slot, side="right") - 1
                 slot -= offsets[which]
                 at = rows[which]
-                ordinal, unbuilt = slot, 0
-                if whole is not None:
-                    pick, ordinal = program.leaves(b, at, slot, self._flips, whole[which])
-                    at = at[pick]
-                    unbuilt = len(slot) - len(at)
+                unbuilt = 0
+                keep = None if whole is None else whole[which]
+                if keep is not None and not keep.all():
+                    solved = np.flatnonzero(~keep)
+                    pick, found = program.leaves(b, at[solved], slot[solved], self._flips)
+                    unbuilt = len(solved) - len(pick)
                     unbuilt += int(skipped[which[-1] + 1] - skipped[which[0]])
-                x, z, weight, sign, sin = program.children(b, at, ordinal)
+                    # each solved row's children, sorted, take the places
+                    # of its picked slots in turn
+                    hit = solved[pick]
+                    slot[hit] = found[np.lexsort((found, at[hit]))]
+                    keep[hit] = True
+                    at, slot = at[keep], slot[keep]
+                x, z, weight, sign, sin = program.children(b, at, slot)
                 part = _Batch(x, z, parent.spent[at] + weight, sign, sin, at, b.anti_bits[at])
                 part = self._survivors(part, weight, idx - 1, stats, unbuilt)
                 if len(part.x):
@@ -575,11 +577,13 @@ class PathEnumeration:
         state overlaps at idx 0.  A dropped row is counted by the first rule
         it breaks: its word has weight 0; its spent weight exceeds m - idx,
         leaving less than 1 for each word still to come; at idx 0, its word
-        has no overlap with the state.  Leaves are solved, not filtered: a
-        part at idx 0 holds only the children whose x masks are flip masks
-        of the state or 0, and the `unbuilt` other children of its parents,
-        which have weight, fit the budget and miss the state, count as
-        having no overlap."""
+        has no overlap with the state.  Leaves are solved, not filtered,
+        where `_children` can: a parent it solves sends only the children
+        whose x masks are flip masks of the state or 0, and its other
+        children, which have weight, fit the budget and miss the state, are
+        among the `unbuilt` counted as having no overlap.  A parent built
+        whole sends all its children, and a leaf whose x mask is not a flip
+        mask is dropped without an overlap call."""
         zero = weight == 0
         over = part.spent > self.m - idx
         stats.pruned_zero_weight += int(np.count_nonzero(zero))
@@ -587,6 +591,9 @@ class PathEnumeration:
         keep = ~(zero | over)
         if idx > 0:
             return part if keep.all() else part.take(keep)
+        candidates = int(np.count_nonzero(keep))
+        flips = self._flips
+        keep &= flips[np.minimum(np.searchsorted(flips, part.x), len(flips) - 1)] == part.x
         rows = np.flatnonzero(keep)
         overlap = self.rho.overlap_masks
         values = np.array(
@@ -594,7 +601,7 @@ class PathEnumeration:
             dtype=float,
         )
         hit = values != 0.0
-        stats.pruned_zero_overlap += unbuilt + len(rows) - int(np.count_nonzero(hit))
+        stats.pruned_zero_overlap += unbuilt + candidates - int(np.count_nonzero(hit))
         return part.take(rows[hit])._replace(overlap=values[hit])
 
     def _block(self, levels: list[_Batch], stats: EnumerationStats) -> PathBlock:

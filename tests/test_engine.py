@@ -187,9 +187,9 @@ def _random_layer(rng, n):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([np.int64, object]))
 @settings(max_examples=150, deadline=None)
 def test_leaves_are_the_children_with_a_flip_mask(seed, dtype):
-    # every slot of every row at once: a row built whole yields all of its
-    # children, any other row exactly those whose x mask is in F or 0, in
-    # canonical order; F is a random flip set, possibly without 0 or empty
+    # every slot of every row at once: exactly the children whose x mask is
+    # in F, each once; F holds 0 and up to four random masks, as the walk's
+    # flip set holds 0 and the state's flip masks
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
     program = engine._LayerProgram(_random_layer(rng, n), dtype)
@@ -197,23 +197,18 @@ def test_leaves_are_the_children_with_a_flip_mask(seed, dtype):
     b, count, *_ = program.branch(
         rng.integers(0, 2**n, rows).astype(dtype), rng.integers(0, 2**n, rows).astype(dtype)
     )
-    flip_set = {int(f) for f in rng.integers(0, 2**n, int(rng.integers(0, 5)))}
-    if rng.random() < 0.3:
-        flip_set.discard(0)
-    solved = flip_set | {0}
-    flips = np.array(sorted(solved), dtype=dtype)
-    whole = rng.random(rows) < 0.3
-    free = popcount(b.anti_bits & program.z_bits).astype(np.int64)
-    slots = np.where(whole, np.left_shift(1, count), len(flips) << free)
+    flip_set = {0} | {int(f) for f in rng.integers(0, 2**n, int(rng.integers(0, 5)))}
+    flips = np.array(sorted(flip_set), dtype=dtype)
+    slots = len(flips) << popcount(b.anti_bits & program.z_bits).astype(np.int64)
     parent = np.repeat(np.arange(rows), slots)
     slot = np.concatenate([np.arange(s) for s in slots])
-    pick, ordinal = program.leaves(b, parent, slot, flips, whole[parent])
+    pick, ordinal = program.leaves(b, parent, slot, flips)
     want = []
     for row in range(rows):
         ordinals = np.arange(2 ** int(count[row]))
         x = program.children(b, np.full(len(ordinals), row), ordinals)[0]
-        want += [(row, int(k)) for k, cx in zip(ordinals, x) if whole[row] or int(cx) in solved]
-    assert list(zip(parent[pick].tolist(), ordinal.tolist())) == want
+        want += [(row, int(k)) for k, cx in zip(ordinals, x) if int(cx) in flip_set]
+    assert sorted(zip(parent[pick].tolist(), ordinal.tolist())) == want
 
 
 def _brute_force_reference(circuit, h, rho, theta, lam):
@@ -514,10 +509,11 @@ _SHALLOW_INSTANCES = [
 ]
 
 
-# Leaf layers that `_LayerProgram.leaves` solves in each of its ways: Z
-# rotations on X and Y letters, whose choices stay free for every flip mask;
-# a two-qubit rotation whose sin branch changes the weight, so that at some
-# m a parent's children straddle the budget and it is built whole.
+# Leaf layers that `_LayerProgram.leaves` solves in each of its ways, at 8
+# and 4 rows a batch: Z rotations on X and Y letters, whose choices stay
+# free for every flip mask; a two-qubit rotation whose sin branch changes
+# the weight, so that at some m a parent's children straddle the budget and
+# it is built whole beside solved parents.
 _LEAF_INSTANCES = [
     (
         Circuit(
@@ -538,32 +534,39 @@ _LEAF_INSTANCES = [
     ),
     (
         Circuit(
-            2,
+            3,
             (
-                Layer((RotationGate(_word("XY"), param="a"),)),
-                Layer((RotationGate(_word("ZI"), param="b"), CliffordGate("H", (2,)))),
+                Layer(
+                    (RotationGate(_word("XYI"), param="a"), RotationGate(_word("IIY"), param="b"))
+                ),
+                Layer((CliffordGate("H", (2,)), RotationGate(_word("ZII"), param="c"))),
             ),
         ),
-        _sum(("ZI", 1.0), ("IZ", 0.7), ("ZX", -0.4)),
-        SparseDensity.computational_basis(2),
+        _sum(("ZIX", 1.0), ("IZZ", 0.7), ("ZXX", -0.4), ("XZY", 0.3)),
+        SparseDensity.computational_basis(3),
     ),
 ]
 
 
-# a state of off-diagonal entries only: its flip set lacks 0 and its trace is 0
+# a state of off-diagonal entries only: its flip set lacks 0 and its trace
+# is 0; its leaf layer is solved at 4 rows a batch
 with pytest.warns(UserWarning, match="^state trace is 0, expected 1$"):
     _OFF_DIAGONAL_INSTANCE = (
         Circuit(
-            2,
+            3,
             (
                 Layer(
-                    (RotationGate(_word("XI"), param="a"), RotationGate(_word("IZ"), param="b"))
+                    (
+                        RotationGate(_word("XII"), param="a"),
+                        RotationGate(_word("IYI"), param="b"),
+                        RotationGate(_word("IIZ"), param="c"),
+                    )
                 ),
                 Layer((CliffordGate("CNOT", (1, 2)),)),
             ),
         ),
-        _sum(("ZZ", 1.0), ("XX", 0.5), ("YI", -0.3)),
-        SparseDensity(2, [(1, 2, 0.4j), (2, 1, -0.4j)]),
+        _sum(("ZZZ", 1.0), ("XXI", 0.5), ("YIZ", -0.3), ("ZXY", 0.2)),
+        SparseDensity(3, [(1, 6, 0.4j), (6, 1, -0.4j)]),
     )
 
 
@@ -590,6 +593,30 @@ with warnings.catch_warnings():
 def test_batched_walk_equals_reference_walk_at_every_m(instance):
     # same paths in the same order, and the same five counters, at every
     # truncation order up to untruncated
+    _assert_walk_equals_reference_walk_at_every_m(instance)
+
+
+@given(
+    st.integers(0, 10**6).map(
+        lambda seed: random_certified_instance(seed, max_n=4, max_depth=5)[:3]
+    )
+)
+@example(_LEAF_INSTANCES[0])
+@example(_LEAF_INSTANCES[1])
+@example(_OFF_DIAGONAL_INSTANCE)
+@example(_EMPTY_STATE_INSTANCE)
+@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("rows", [4, 8])
+def test_solved_leaf_layer_equals_reference_walk_at_every_m(rows, instance):
+    # at a few rows a batch these small walks can leave more than a slice
+    # of leaf children unbuilt, so their leaf layers are solved, not built
+    # whole; each of the three leaf examples is solved at one of the sizes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BATCH_ROWS", rows)
+        _assert_walk_equals_reference_walk_at_every_m(instance)
+
+
+def _assert_walk_equals_reference_walk_at_every_m(instance):
     circuit, h, rho = instance
     for m in range(circuit.depth + 1, circuit.n * (circuit.depth + 1) + 1):
         run = PathEnumeration(circuit, h, rho, m)
@@ -598,10 +625,23 @@ def test_batched_walk_equals_reference_walk_at_every_m(instance):
         assert run.stats == want_stats
 
 
-def test_pinned_ansatz_counters_and_memory():
+def test_pinned_ansatz_counters_and_memory(monkeypatch):
     # ansatz(8,12) at m=44 emits more paths than one batch holds; one full
-    # pass keeps the pinned counters and at most 2 MB of traced memory
+    # pass keeps the pinned counters and at most 2 MB of traced memory.  Of
+    # its 75,731 leaf children 12,825 are built and reach the survivor rule:
+    # where a parent batch can leave more than a slice of them unbuilt, only
+    # those whose x masks are flip masks of the state (the paths' 1,491
+    # among them)
     circuit, h, rho = ansatz_instance(8, 12)
+    survivors = PathEnumeration._survivors
+    leaf_rows = 0
+
+    def counting(self, part, weight, idx, stats, *rest):
+        nonlocal leaf_rows
+        leaf_rows += len(part.x) if idx == 0 else 0
+        return survivors(self, part, weight, idx, stats, *rest)
+
+    monkeypatch.setattr(PathEnumeration, "_survivors", counting)
     run = PathEnumeration(circuit, h, rho, 44)
     tracemalloc.start()
     try:
@@ -618,35 +658,8 @@ def test_pinned_ansatz_counters_and_memory():
         pruned_zero_overlap=74_240,
     )
     assert run.stats.paths_emitted > BATCH_ROWS
+    assert leaf_rows == 12_825
     assert peak <= 2 * 2**20
-
-
-def test_leaf_layer_builds_only_candidate_children(monkeypatch):
-    # at word index 1 only the children whose x mask is a flip mask of the
-    # state are built: of the 75,731 leaf children of ansatz(8,12) at m = 44
-    # the survivor rule receives the 1,491 that end a path, and the rest
-    # still count as pruned for zero overlap
-    circuit, h, rho = ansatz_instance(8, 12)
-    survivors = PathEnumeration._survivors
-    received = []
-
-    def counting(self, part, weight, idx, stats, *rest):
-        if idx == 0:
-            received.append(len(part.x))
-        return survivors(self, part, weight, idx, stats, *rest)
-
-    monkeypatch.setattr(PathEnumeration, "_survivors", counting)
-    run = PathEnumeration(circuit, h, rho, 44)
-    for _ in run:
-        pass
-    assert sum(received) == 1_491
-    assert run.stats == EnumerationStats(
-        nodes_visited=415_928,
-        paths_emitted=1_491,
-        pruned_budget=263_414,
-        pruned_zero_weight=0,
-        pruned_zero_overlap=74_240,
-    )
 
 
 def test_pinned_ansatz_estimate_memory():
