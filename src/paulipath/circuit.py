@@ -8,10 +8,14 @@ float; naming is per gate, so symbols may be shared across gates when a
 single-point evaluation is all that is needed.
 
 Clifford conjugation is one rule, `conjugate_masks`: closed-form bit updates
-on the (x, z) masks that pull a word back through a gate, P to Vdag P V,
-and return the new word and a +-1 sign, for int masks or for numpy arrays
-of them.  The path engine (on arrays) and `effected_words` (on ints) both
-call it, and the test suite checks it against dense matrix conjugation.
+on the (x, z) masks that pull a word back through a group of gates of one
+kind, P to Vdag P V, and return the new word and a +-1 sign, for int masks
+or for numpy arrays of them.  A group is every H, every S, or every CNOT
+with one target-minus-control offset of a layer (`Layer.clifford_groups`),
+so a layer's Cliffords take one whole-mask pass per group; a single gate
+is a group of one (`CliffordGate.bits`).  The path engine (on arrays) and
+`effected_words` (on ints) both call it, and the test suite checks it
+against dense matrix conjugation.
 
 A `Circuit` is valid by construction, as its gates are: each type checks
 its own numbers by the value rules of `pauli`.  The rules tying it to the
@@ -26,7 +30,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .pauli import PauliWord, finite_real, gf2_rank, is_finite_real, qubit_count, qubit_index
+from .pauli import PauliWord, finite_real, gf2_rank, is_finite_real, popcount, qubit_count
+from .pauli import qubit_index
 
 if TYPE_CHECKING:
     from .observables import Hamiltonian, SparseDensity
@@ -84,9 +89,10 @@ class CliffordGate:
 
     @property
     def bits(self) -> tuple[int, int]:
-        """Mask bits (b0, b1) for `conjugate_masks`: the CNOT control's and
-        target's, or the one qubit's bit twice for H and S."""
-        return self.qubits[0] - 1, self.qubits[-1] - 1
+        """The gate as a one-gate group of `conjugate_masks`: the mask of
+        its (first) qubit's bit b0, and the CNOT target's bit minus b0, 0
+        for H and S."""
+        return 1 << (self.qubits[0] - 1), self.qubits[-1] - self.qubits[0]
 
 
 Gate = RotationGate | CliffordGate
@@ -103,6 +109,17 @@ class Layer:
     @property
     def cliffords(self) -> tuple[CliffordGate, ...]:
         return tuple(g for g in self.gates if isinstance(g, CliffordGate))
+
+    @property
+    def clifford_groups(self) -> list[tuple[str, int, int]]:
+        """The Cliffords as (kind, mask, offset) groups of `conjugate_masks`,
+        one per kind and CNOT offset; the supports are disjoint, so the
+        groups pull a word back through the layer's Cliffords in any order."""
+        groups: dict[tuple[str, int], int] = {}
+        for gate in self.cliffords:
+            mask, offset = gate.bits
+            groups[gate.kind, offset] = groups.get((gate.kind, offset), 0) | mask
+        return [(kind, mask, offset) for (kind, offset), mask in groups.items()]
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,34 +221,55 @@ def check_assignment(
     return size
 
 
-def conjugate_masks(kind: str, b0: int, b1: int, x, z):
-    """Pull the word P = (x, z) back through one Clifford gate V, P to
-    Vdag P V; return (sign, x, z).
+def conjugate_masks(kind: str, mask: int, offset: int, x, z):
+    """Pull the word P = (x, z) back through a group of Clifford gates V of
+    one kind on disjoint supports, P to Vdag P V; return (sign, x, z).
 
-    (b0, b1) are the gate's `CliffordGate.bits`.  The updates are the
-    stabilizer-tableau rule of Aaronson & Gottesman (quant-ph/0406196),
-    with c = b0 and t = b1:
+    The group holds a gate at every bit b0 set in `mask`, a CNOT with its
+    control there and its target at b0 + `offset` (offset may be negative;
+    H and S take 0).  One gate's (mask, offset) is its `CliffordGate.bits`.
+    The updates are the stabilizer-tableau rule of Aaronson & Gottesman
+    (quant-ph/0406196), with c = b0 and t = b0 + offset, applied at every
+    gate of the group at once:
 
       H     swap x_b, z_b        sign -1 when x_b & z_b (Y -> -Y)
       S     z_b ^= x_b           sign -1 on X
       CNOT  x_t ^= x_c,          sign -1 when x_c & z_t & not (x_t ^ z_c)
             z_c ^= z_t
 
-    Only bit operations and arithmetic touch x and z, so the same rule maps
-    int masks to an int sign and masks, and mask arrays entry by entry to a
+    The supports are disjoint, so the gates commute and the sign is the
+    product of theirs: -1 when an odd number of them flip it.  Only bit
+    operations and popcounts touch x and z, so the same rule maps int masks
+    to an int sign and masks, and mask arrays entry by entry to an int8
     sign array and mask arrays.
     """
     if kind == "CNOT":
-        xc = (x >> b0) & 1
-        zt = (z >> b1) & 1
-        same = ((x >> b1) ^ (z >> b0) ^ 1) & 1
-        return 1 - 2 * (xc & zt & same), x ^ (xc << b1), z ^ (zt << b0)
-    xb = (x >> b0) & 1
-    zb = (z >> b0) & 1
+        target = _shift(mask, offset)
+        xc = x & mask
+        # the target's letter moved onto its control's bit
+        zt = _shift(z & target, -offset)
+        xt = _shift(x & target, -offset)
+        odd = popcount(xc & zt & ~(xt ^ z)) & 1
+        return _sign(odd), x ^ _shift(xc, offset), z ^ zt
+    xb = x & mask
+    zb = z & mask
     if kind == "H":
-        swap = (xb ^ zb) << b0
-        return 1 - 2 * (xb & zb), x ^ swap, z ^ swap
-    return 1 - 2 * (xb & (zb ^ 1)), x, z ^ (xb << b0)
+        swap = xb ^ zb
+        return _sign(popcount(xb & zb) & 1), x ^ swap, z ^ swap
+    return _sign(popcount(xb & ~zb) & 1), x, z ^ xb
+
+
+def _shift(masks, offset: int):
+    """Masks with bit b moved to bit b + offset."""
+    return masks << offset if offset >= 0 else masks >> -offset
+
+
+def _sign(odd):
+    """+-1 from parity bits: an int, or int8 entries (an array's popcount is
+    unsigned, and 1 - 2 * 1 would wrap)."""
+    if isinstance(odd, np.ndarray):
+        odd = odd.astype(np.int8)
+    return 1 - 2 * odd
 
 
 def effected_words(circuit: Circuit) -> list[PauliWord]:
@@ -243,12 +281,13 @@ def effected_words(circuit: Circuit) -> list[PauliWord]:
     are discarded.  Order follows (layer, gate) iteration order.
     """
     out: list[PauliWord] = []
+    groups = [layer.clifford_groups for layer in circuit.layers]
     for li, layer in enumerate(circuit.layers):
         for gate in layer.rotations:
             x, z = gate.generator.x, gate.generator.z
-            for earlier in reversed(circuit.layers[:li]):
-                for cliff in reversed(earlier.cliffords):
-                    _, x, z = conjugate_masks(cliff.kind, *cliff.bits, x, z)
+            for earlier in reversed(groups[:li]):
+                for kind, mask, offset in earlier:
+                    _, x, z = conjugate_masks(kind, mask, offset, x, z)
             out.append(PauliWord(circuit.n, x, z))
     return out
 

@@ -5,14 +5,16 @@ backward from each observable term s_L, every layer maps a successor word
 to its possible predecessors:
 
   * letters outside all gate supports are copied verbatim;
-  * a Clifford support is conjugated through the gate, Vdag s V, by the
-    bit-update rule `circuit.conjugate_masks`, and its +-1 sign multiplies
-    into the path's sign;
+  * Clifford supports are conjugated through their gates, Vdag s V, by the
+    bit-update rule `circuit.conjugate_masks`, one pass per gate kind and
+    CNOT offset of the layer (`Layer.clifford_groups`), and the +-1 sign
+    multiplies into the path's sign;
   * a rotation support with generator G either commutes with the successor
     (one predecessor, no factor) or anti-commutes (two predecessors: the
     successor itself with a cos factor, and the word w = G s up to phase
-    with a sin factor; sigma w = i G s fixes sigma in {+1, -1} through
-    `pauli.product_phase_masks`, and sigma multiplies into the sign).
+    with a sin factor; sigma w = i G s fixes sigma in {+1, -1} through the
+    phase rule of `pauli.product_phase_masks`, and sigma multiplies into
+    the sign).
 
 A path thus carries one overall sign and one cos or sin atom per
 anti-commuting rotation it passes.
@@ -24,9 +26,10 @@ to be generated (each must weigh at least 1).  Candidates for s_0 must
 additionally overlap the initial state.
 
 Enumeration order is deterministic: observable terms in letter-string
-order, then depth first with layer gates processed in ascending order of
-their least support qubit, Cliffords before rotations, and the cos branch
-before the sin branch.  A word with a anti-commuting rotations has 2^a
+order, then depth first through each layer's Cliffords (their supports are
+disjoint, so their order does not matter) and then its rotations in
+ascending order of their least support qubit, the cos branch before the
+sin branch.  A word with a anti-commuting rotations has 2^a
 predecessors; predecessor k takes the sin branch at the j-th of them when
 bit a-1-j of k is set, so the first rotation is the most significant bit.
 
@@ -68,7 +71,8 @@ than a slice of leaves unbuilt, a parent all of whose children fit the
 budget builds only those whose x mask is a flip mask or 0, when it has no
 more such candidates than children, and the others count as pruned for
 zero overlap unbuilt.  Any other parent builds all its leaves, and those
-whose x mask is not a flip mask are dropped without an overlap call.  The
+whose x mask is not a flip mask are dropped before the overlaps, which
+`SparseDensity.overlaps` computes for a whole leaf batch at once.  The
 limits are checked against the exact child count of a batch before it is
 built and the path count of a leaf batch before it is yielded, so a run
 raises the same error as a frame-by-frame walk, possibly after yielding
@@ -88,7 +92,7 @@ import numpy as np
 
 from .circuit import Circuit, Layer, check_instance, conjugate_masks
 from .observables import Hamiltonian, SparseDensity, warn_caller
-from .pauli import PauliWord, non_negative_int, popcount, product_phase_masks
+from .pauli import PauliWord, mask_dtype, non_negative_int, popcount
 
 PATH_LIMIT = 10_000_000
 # must stay below 2^62: a batch's child ordinals are int64, and a batch is
@@ -145,11 +149,6 @@ class EnumerationStats:
     pruned_zero_overlap: int = 0
 
 
-def _mask_dtype(n: int) -> type:
-    """int64 holds the masks of up to 63 qubits; wider words stay ints."""
-    return np.int64 if n <= 63 else object
-
-
 # --- compiled per-layer transition programs ---------------------------------
 
 
@@ -166,13 +165,10 @@ class _Branching:
 class _LayerProgram:
     """One layer compiled to bit operations on arrays of (x, z) masks."""
 
-    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "table", "shifts", "z_bits")
+    __slots__ = ("cliffords", "atom_pairs", "gx", "gz", "gen_y", "table", "shifts", "z_bits")
 
     def __init__(self, layer: Layer, dtype: type) -> None:
-        self.cliffords = [
-            (gate.kind, *gate.bits)
-            for gate in sorted(layer.cliffords, key=lambda g: min(g.qubits))
-        ]
+        self.cliffords = layer.clifford_groups
         rotations = sorted(
             layer.rotations,
             key=lambda g: (g.generator.x | g.generator.z)
@@ -183,6 +179,9 @@ class _LayerProgram:
         self.shifts = np.arange(len(rotations)).reshape(-1, 1)
         self.gx = np.array([g.generator.x for g in rotations], dtype=dtype).reshape(-1, 1)
         self.gz = np.array([g.generator.z for g in rotations], dtype=dtype).reshape(-1, 1)
+        # the Y letters |gx.gz| of each generator, of the dtype of the
+        # popcounts they are added to
+        self.gen_y = popcount(self.gx & self.gz)
         bits = [1 << j for j in range(len(rotations))]
         # the rotations whose generators have no X or Y letter
         self.z_bits = sum(bit for bit, g in zip(bits, rotations) if not g.generator.x)
@@ -200,24 +199,30 @@ class _LayerProgram:
         adds to a child (0 where the rotation commutes)."""
         b = _Branching()
         sign = np.ones(len(x), dtype=np.int8)
-        for kind, b0, b1 in self.cliffords:
-            gate_sign, x, z = conjugate_masks(kind, b0, b1, x, z)
-            sign = sign * gate_sign
+        for kind, mask, offset in self.cliffords:
+            group_sign, x, z = conjugate_masks(kind, mask, offset, x, z)
+            sign = sign * group_sign
         gx, gz, bits = self.gx, self.gz, self.table[2]
-        anti = ((popcount(gx & z) + popcount(gz & x)) & 1).astype(bool)
-        # sigma w = i G s with G s = i^k w, so sigma = i^(k+1): -1 when k = 1
-        # mod 4; pinned by exp(+i t G/2) s exp(-i t G/2) = cos(t) s + sigma sin(t) w
-        neg = ((product_phase_masks(gx, gz, x, z) + 1) & 2).astype(bool)
+        gz_x = popcount(gz & x)
+        anti = ((popcount(gx & z) + gz_x) & 1).astype(bool)
+        # the sin word w = G s up to phase: G s = i^k w with k = |gx.gz| +
+        # |x.z| - |wx.wz| + 2|gz.x| mod 4 (`pauli.product_phase_masks`);
+        # unsigned popcounts wrap at a multiple of 4, so k stays exact
+        wx, wz = x ^ gx, z ^ gz
+        k = self.gen_y + popcount(x & z) - popcount(wx & wz) + 2 * gz_x
+        # sigma w = i G s, so sigma = i^(k+1): -1 when k = 1 mod 4; pinned by
+        # exp(+i t G/2) s exp(-i t G/2) = cos(t) s + sigma sin(t) w
+        neg = ((k + 1) & 2).astype(bool)
         weight = popcount(x | z).astype(np.int32)
         count = np.count_nonzero(anti, axis=0)
         # the first anti-commuting rotation of a row is the most significant
         # ordinal bit: rotation j takes bit count - 1 - (anti-commuting before j)
         below = np.cumsum(anti, axis=0) - anti
-        b.x, b.z, b.sign = x, z, sign.astype(np.int8)
+        b.x, b.z, b.sign = x, z, sign
         b.anti_bits = bits @ anti
         b.neg_bits = bits @ neg
         b.select = np.where(anti, count - 1 - below, 63).astype(np.int8)
-        gain = (popcount((x ^ gx) | (z ^ gz)).astype(np.int32) - weight) * anti
+        gain = (popcount(wx | wz).astype(np.int32) - weight) * anti
         return b, count, weight, gain
 
     def children(self, b: _Branching, parent: np.ndarray, ordinal: np.ndarray):
@@ -278,7 +283,7 @@ def layer_predecessors(
     """Predecessors (word, sign, atoms) of a full word through one layer,
     in the order the enumeration walks them; refused before any is built
     when there are more than NODE_LIMIT."""
-    dtype = _mask_dtype(succ.n)
+    dtype = mask_dtype(succ.n)
     program = _LayerProgram(layer, dtype)
     b, count, *_ = program.branch(
         np.array([succ.x], dtype=dtype), np.array([succ.z], dtype=dtype)
@@ -381,7 +386,7 @@ class PathEnumeration:
         self.rho = rho
         self.m = m
         self.stats = EnumerationStats()
-        self._dtype = _mask_dtype(circuit.n)
+        self._dtype = mask_dtype(circuit.n)
         self._programs = [_LayerProgram(layer, self._dtype) for layer in circuit.layers]
         self.atoms = tuple(chain.from_iterable(program.atom_pairs for program in self._programs))
         self._coeffs = np.array([c for _, c in h.terms()], dtype=float)
@@ -583,7 +588,7 @@ class PathEnumeration:
         children, which have weight, fit the budget and miss the state, are
         among the `unbuilt` counted as having no overlap.  A parent built
         whole sends all its children, and a leaf whose x mask is not a flip
-        mask is dropped without an overlap call."""
+        mask is dropped before the one `SparseDensity.overlaps` call."""
         zero = weight == 0
         over = part.spent > self.m - idx
         stats.pruned_zero_weight += int(np.count_nonzero(zero))
@@ -595,11 +600,7 @@ class PathEnumeration:
         flips = self._flips
         keep &= flips[np.minimum(np.searchsorted(flips, part.x), len(flips) - 1)] == part.x
         rows = np.flatnonzero(keep)
-        overlap = self.rho.overlap_masks
-        values = np.array(
-            [overlap(x, z) for x, z in zip(part.x[rows].tolist(), part.z[rows].tolist())],
-            dtype=float,
-        )
+        values = self.rho.overlaps(part.x[rows], part.z[rows])
         hit = values != 0.0
         stats.pruned_zero_overlap += unbuilt + candidates - int(np.count_nonzero(hit))
         return part.take(rows[hit])._replace(overlap=values[hit])

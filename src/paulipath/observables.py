@@ -27,8 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import _PHASE_VALUES, PauliWord, basis_index, finite_real, non_negative_int
-from .pauli import qubit_count, symmetry_word
+from .pauli import _PHASE_VALUES, PauliWord, basis_index, finite_real, mask_dtype
+from .pauli import non_negative_int, popcount, qubit_count, symmetry_word
 
 HERMITIZE_WARN = 1e-9
 TRACE_TOL = 1e-9
@@ -38,6 +38,8 @@ DEFAULT_EXACT_NORM_QUBITS = 12
 # JSON keys that differ from their field names
 _DOCUMENT_KEYS = {"lam": "lambda", "norm": "norm_bound"}
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+# i^k for k = 0..3, indexed by |x & z| mod 4, the Y count of a word
+_PHASES = np.array(_PHASE_VALUES)
 
 
 class Document:
@@ -280,11 +282,15 @@ def _roundoff_margin(h: Hamiltonian, symmetry: PauliWord | None) -> float:
 
     By Weyl's inequality no eigenvalue moves by more than ||E + F||_2, so
 
-        | max|computed eigenvalue| - ||H||_2 | <= s + d eps (||H||_F + s),
+        | max|computed eigenvalue| - ||H||_2 | <= s + d eps (||H||_F + s).
 
-    the margin returned.  The caller adds it and rounds up by one ulp, so
-    its bound lies between ||H||_2 and ||H||_2 plus twice the margin.  A
-    margin that overflows leaves the bound to the 1-norm cap.
+    Those terms are relative, and at subnormal scale they underflow to 0
+    while each step still errs by up to an absolute ulp(0) = 2^-1074.  The
+    margin returned adds d ulp(0), so that it is never 0 for a non-zero H;
+    at normal scale the sum absorbs it.  The caller adds the margin and
+    rounds up by one ulp, so its bound lies between ||H||_2 and ||H||_2
+    plus twice the margin.  A margin that overflows leaves the bound to the
+    1-norm cap.
     """
     eps = float(np.finfo(float).eps)
     x_s = 0 if symmetry is None else symmetry.x
@@ -294,7 +300,7 @@ def _roundoff_margin(h: Hamiltonian, symmetry: PauliWord | None) -> float:
     s = eps * sum((len(g) - 1) * sum(g) for g in groups.values())
     d = 1 << h.n
     frobenius = math.sqrt(d) * math.hypot(*(c for _, c in h.terms()))
-    return s + d * eps * (frobenius + s)
+    return s + d * eps * (frobenius + s) + d * math.ulp(0.0)
 
 
 def _entry_value(re, im, where: str) -> complex:
@@ -346,15 +352,23 @@ class SparseDensity:
         if adjustment > HERMITIZE_WARN:
             warn_caller(f"state was not Hermitian: largest adjustment {adjustment:.3e}")
         # the non-zero entries grouped by flip mask, for O(matching entries)
-        # word overlaps
-        self._by_flip: dict[int, list[tuple[int, complex]]] = {}
+        # word overlaps, as arrays: the flip masks ascending, and per group
+        # its entries (ket, value) in stored order, one run each, and the
+        # imaginary-part tolerance of its overlaps
+        groups: dict[int, list[tuple[int, complex]]] = {}
         for (ket, bra), value in symmetrized.items():
             if value != 0:
-                self._by_flip.setdefault(ket ^ bra, []).append((ket, value))
-        # the imaginary-part tolerance of each group's overlaps
-        self._imag_tol = {
-            x: IMAG_TOL * max(1.0, sum(abs(v) for _, v in g)) for x, g in self._by_flip.items()
-        }
+                groups.setdefault(ket ^ bra, []).append((ket, value))
+        runs = [groups[flip] for flip in sorted(groups)]
+        dtype = mask_dtype(n)
+        self._flips = np.array(sorted(groups), dtype=dtype)
+        self._sizes = np.array([len(run) for run in runs], dtype=np.intp)
+        self._starts = np.cumsum(self._sizes) - self._sizes
+        self._kets = np.array([ket for run in runs for ket, _ in run], dtype=dtype)
+        self._values = np.array([v for run in runs for _, v in run], dtype=complex)
+        self._imag_tol = np.array(
+            [IMAG_TOL * max(1.0, sum(abs(v) for _, v in run)) for run in runs]
+        )
         tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             warn_caller(f"state trace is {tr!r}, expected 1")
@@ -366,39 +380,63 @@ class SparseDensity:
 
     def entries(self) -> list[tuple[int, int, complex]]:
         """The non-zero entries (ket, bra, value), grouped by flip mask."""
-        return [(ket, ket ^ x, v) for x, group in self._by_flip.items() for ket, v in group]
+        bras = self._kets ^ np.repeat(self._flips, self._sizes)
+        return list(zip(self._kets.tolist(), bras.tolist(), self._values.tolist()))
 
     def trace(self) -> float:
-        return sum(v.real for _, v in self._by_flip.get(0, ()))
+        diagonal = self._sizes[0] if len(self._flips) and self._flips[0] == 0 else 0
+        return sum(self._values[:diagonal].real.tolist())
 
     def flip_masks(self) -> frozenset[int]:
-        return frozenset(self._by_flip)
+        return frozenset(self._flips.tolist())
 
-    def overlap_masks(self, x: int, z: int) -> float:
-        """Tr(word * rho) for a word given as raw (x, z) masks.
+    def overlaps(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Tr(word * rho) for each word of the (x, z) mask arrays (int64, or
+        object beyond 63 qubits), as a float array.
 
         Only entries with ket XOR bra equal to the word's x mask can
         contribute; each contributes v * i^{#Y} * (-1)^{popcount(ket & z)}.
-        The total must be real within 1e-12 * max(1, sum of |v| over the
-        group), the scale of its roundoff; the sum is at most 1 for a
-        normalized positive semidefinite state.
+        Every word sums its group's entries in stored order, and the j-th
+        entries of all groups are added to their words at once.  Each total
+        must be real within 1e-12 * max(1, sum of |v| over the group), the
+        scale of its roundoff; the sum is at most 1 for a normalized
+        positive semidefinite state.
         """
-        group = self._by_flip.get(x)
-        if not group:
-            return 0.0
-        acc = 0j
-        for ket, value in group:
-            if (ket & z).bit_count() & 1:
-                acc -= value
-            else:
-                acc += value
-        acc *= _PHASE_VALUES[(x & z).bit_count() % 4]
-        if abs(acc.imag) > self._imag_tol[x]:
+        values = np.zeros(len(x))
+        flips = self._flips
+        if not len(flips):
+            return values
+        group = np.minimum(np.searchsorted(flips, x), len(flips) - 1)
+        rows = np.flatnonzero(flips[group] == x)
+        # the words on a group of the state, those of the largest groups
+        # first, so that the words with a j-th entry are a prefix
+        rows = rows[np.argsort(-self._sizes[group[rows]], kind="stable")]
+        group = group[rows]
+        minus_size = -self._sizes[group]
+        start = self._starts[group]
+        word_z = z[rows]
+        acc = np.zeros(len(rows), dtype=complex)
+        for j in range(-int(minus_size[0]) if len(rows) else 0):
+            live = np.searchsorted(minus_size, -j)
+            at = start[:live] + j
+            value = self._values[at]
+            odd = popcount(word_z[:live] & self._kets[at]) & 1
+            acc[:live] += np.where(odd, -value, value)
+        acc *= _PHASES[popcount(word_z & x[rows]) & 3]
+        bad = np.abs(acc.imag) > self._imag_tol[group]
+        if bad.any():
             raise ValueError(
-                f"overlap has imaginary part {acc.imag!r};"
+                f"overlap has imaginary part {float(acc.imag[bad][0])!r};"
                 " state entries are inconsistent"
             )
-        return acc.real
+        values[rows] = acc.real
+        return values
+
+    def overlap_masks(self, x: int, z: int) -> float:
+        """Tr(word * rho) for a word given as raw (x, z) masks, by
+        `overlaps`."""
+        dtype = mask_dtype(self.n)
+        return float(self.overlaps(np.array([x], dtype=dtype), np.array([z], dtype=dtype))[0])
 
     def overlap(self, word: PauliWord) -> float:
         """Tr(word * rho), checked real as in `overlap_masks`."""

@@ -22,8 +22,10 @@ traces pass one realness rule, `_real`.
 Angles are all floats, or all 1-d arrays of S angles, one per sample.
 Every gate site is one `matmul`: Cliffords and bound angles give one
 operator that the samples share, and a symbol's rotation one per sample,
-an (S, 4, 4) site operator or an (S, 2^k, 2^k) U.  A float run is a
-batch of one.  `noisy_mean_value` checks its run, builds the noise
+an (S, 4, 4) site operator or an (S, 2^k, 2^k) U.  The one-qubit site
+operators of a layer are built in one call, so there a bound angle's is
+spread over the samples when the layer also has a symbol's.  A float run
+is a batch of one.  `noisy_mean_value` checks its run, builds the noise
 factor, the entry tensor and the term indices once, and splits the
 samples into chunks of at most CHUNK_ENTRIES real entries, one
 `_final_coordinates` each, so from n = 8 on a chunk is one sample.
@@ -87,7 +89,7 @@ def _real(value: np.ndarray, size, what: str, scale: int = 1) -> np.ndarray:
     """The real part of value / scale, which must be finite and real within
     IMAG_TOL * max(1, size), size being that of its roundoff (the sum of
     the absolute terms summed, over scale), as in
-    `SparseDensity.overlap_masks`; size broadcasts against value."""
+    `SparseDensity.overlaps`; size broadcasts against value."""
     real, imag = value.real / scale, value.imag / scale
     bad = ~(np.isfinite(real) & (np.abs(imag) <= IMAG_TOL * np.maximum(1.0, size)))
     if bad.any():
@@ -235,9 +237,10 @@ def _basis_change(k: int) -> np.ndarray:
 
 def _site_operator(u: np.ndarray) -> np.ndarray:
     """The real transfer matrix of M -> U M U^dag on the k = 1 or 2 qubits
-    of U, by one contraction of U (x) conj U with the basis change; a
-    one-qubit (S, 2, 2) stack of U gives an (S, 4, 4) stack.  A channel's
-    coordinates lie in [-1, 1], so its realness is checked at size 1."""
+    of U, by one contraction of U (x) conj U with the basis change; a stack
+    of one-qubit U, such as (G, S, 2, 2), gives the same stack of 4 x 4
+    operators.  A channel's coordinates lie in [-1, 1], so its realness is
+    checked at size 1."""
     k = u.shape[-1] // 2
     stack = u.shape[:-2]
     pair = (u[..., :, :, None, None] * u.conj()[..., None, None, :, :]).reshape(*stack, -1)
@@ -274,14 +277,18 @@ def _noisy_layer(
     layer; gate order is irrelevant on disjoint supports.  Qubit q is on
     Pauli axis n + 1 - q, after the sample axis, and its row and column
     bits on axes 2(n + 1 - q) - 1 and 2(n + 1 - q) of the (2,)*2n bit
-    view."""
+    view.  The one-qubit rotations' site operators come from one
+    `_site_operator` call on their U stacked, where a bound angle's U is
+    spread over the samples when the layer also has a symbol's."""
     tensor = tensor * noise
+    ones = [_rotation_matrix(g, assignment) for g in layer.rotations if len(g.support) == 1]
+    sites = iter(_site_operator(np.stack(np.broadcast_arrays(*ones)))) if ones else None
     for gate in layer.gates:
         axes = [n + 1 - q for q in gate.support]
         if isinstance(gate, CliffordGate):
             tensor = _apply(tensor, _clifford_site(gate.kind), axes)
         elif len(axes) == 1:
-            tensor = _apply(tensor, _site_operator(_rotation_matrix(gate, assignment)), axes)
+            tensor = _apply(tensor, next(sites), axes)
         else:
             tensor = _wide_rotation(tensor, _rotation_matrix(gate, assignment), axes, n)
     return tensor

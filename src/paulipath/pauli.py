@@ -10,8 +10,9 @@ Products and commutation tests reduce to word-parallel bit operations: the
 product of a and b is the word (x_a ^ x_b, z_a ^ z_b) times a phase i^k,
 and `product_phase_exponent` gives k mod 4 exactly, never as a floating
 complex number.  `product_phase_masks` is the same rule on raw masks, for
-ints or for numpy arrays of masks (int64, or object beyond 63 qubits).
-Words are unnormalized: Tr(w * w) = 2^n.
+ints or for numpy arrays of masks (int64, or object beyond 63 qubits, the
+`mask_dtype`); the path engine inlines it for its sin signs, reusing the
+popcounts it already has.  Words are unnormalized: Tr(w * w) = 2^n.
 
 GF(2) elimination on packed rows (`gf2_echelon`) serves the generation
 certificate (`gf2_rank`) and the symmetry search (`symmetry_word`).
@@ -178,6 +179,12 @@ class PauliWord:
             x |= ((self.x >> bit) & 1) << out_bit
             z |= ((self.z >> bit) & 1) << out_bit
         return PauliWord(len(picked), x, z)
+
+
+def mask_dtype(n: int) -> type:
+    """The dtype of mask arrays of n-qubit words: int64 holds the masks of
+    up to 63 qubits; wider words stay Python ints in object arrays."""
+    return np.int64 if n <= 63 else object
 
 
 def popcount(masks):

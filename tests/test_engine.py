@@ -146,6 +146,54 @@ def test_layer_predecessors_clifford_matches_dense(gate):
             assert dense == pytest.approx(want, abs=1e-12)
 
 
+# layers whose Clifford groups hold several gates each: H and S pairs beside
+# CNOTs of offsets +1 and -2, and two CNOTs at each of those offsets
+_GROUPED_LAYERS = [
+    Layer(
+        (
+            CliffordGate("H", (1,)),
+            CliffordGate("S", (2,)),
+            CliffordGate("CNOT", (3, 4)),
+            CliffordGate("CNOT", (7, 5)),
+            CliffordGate("H", (6,)),
+            CliffordGate("S", (8,)),
+        )
+    ),
+    Layer(
+        (
+            CliffordGate("CNOT", (1, 2)),
+            CliffordGate("CNOT", (3, 4)),
+            CliffordGate("CNOT", (7, 5)),
+            CliffordGate("CNOT", (8, 6)),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("layer", _GROUPED_LAYERS, ids=["H-S-CNOT", "CNOT-pairs"])
+def test_layer_predecessors_through_clifford_groups_match_dense(layer):
+    """Through a layer whose Clifford groups hold several gates, each
+    successor's one predecessor carries the dense transition amplitude as
+    its sign.  A Clifford layer's transfer matrix is orthogonal, so an
+    amplitude of +-1 leaves 0 to every other word.  Moved onto the top
+    qubits of 70, where masks are Python ints, the layer maps the moved
+    words alike."""
+    n, shift = 8, 62
+    wide = Layer(
+        tuple(CliffordGate(g.kind, tuple(q + shift for q in g.qubits)) for g in layer.gates)
+    )
+    rng = np.random.default_rng(5)
+    for x, z in rng.integers(0, 2**n, size=(40, 2)).tolist():
+        succ = PauliWord(n, x, z)
+        [(pred, sign, atoms)] = layer_predecessors(layer, succ)
+        assert atoms == ()
+        assert transition_factor(layer, {}, n, pred, succ) == pytest.approx(sign, abs=1e-12)
+        moved = PauliWord(n + shift, x << shift, z << shift)
+        assert layer_predecessors(wide, moved) == [
+            (PauliWord(n + shift, pred.x << shift, pred.z << shift), sign, ())
+        ]
+
+
 def test_layer_predecessors_refuse_more_than_the_node_limit():
     # all-X anti-commutes with each of the 66 Y rotations of the first
     # ansatz layer: 2^66 predecessors, refused before any array is built

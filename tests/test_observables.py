@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,8 @@ def test_norm_bound_exact_matches_dense_traceless(h):
 @given(pauli_sums())
 @example(_h(("XY", -1.25)))  # one word: the norm is the 1-norm, the cap binds
 @example(_h(("ZZI", 1.0), ("IZZ", 1.0), ("XII", 0.5), ("IXI", 0.5), ("IIX", 0.5)))
+# subnormal coefficients: the relative margin terms underflow to 0
+@example(_h(("XI", 5e-324), ("ZI", 5e-324)))
 @settings(max_examples=80, deadline=None)
 def test_norm_bound_is_an_upper_bound_within_its_margin(h):
     # the reference never goes through pauli_sum_matrix: the kron-built
@@ -311,6 +314,76 @@ def test_overlap_imaginary_check_scales_with_the_entries():
         for z in range(8):
             expected = 1e5 * rho.overlap_masks(x, z)
             assert scaled.overlap_masks(x, z) == pytest.approx(expected, rel=1e-12)
+
+
+def _scalar_overlap(rho, x, z):
+    """Tr(word * rho) by the one-word rule: the group's entries summed in
+    stored order from 0j, then times i^{#Y}."""
+    acc = 0j
+    for ket, bra, value in rho.entries():
+        if ket ^ bra == x:
+            acc += -value if (ket & z).bit_count() & 1 else value
+    return (acc * (1, 1j, -1, -1j)[(x & z).bit_count() % 4]).real
+
+
+def _random_state(n, keep, seed):
+    """A random Hermitian state on n qubits, each off-diagonal pair kept
+    with probability `keep`, so that its flip groups hold different
+    numbers of entries with non-trivial phases."""
+    import warnings
+
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    dense = a @ a.conj().T
+    dense /= np.trace(dense).real
+    kept = np.triu(rng.random((d, d)) < keep)
+    kept |= kept.T
+    entries = [(int(k), int(b), dense[k, b]) for k, b in zip(*np.nonzero(kept))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a thinned state's trace moves
+        return SparseDensity(n, entries), SparseDensity(
+            n + 62, [(k << 62, b << 62, v) for k, b, v in entries]
+        )
+
+
+@pytest.mark.parametrize("n, keep", [(3, 1.0), (4, 1.0), (4, 0.5)])
+def test_overlaps_equal_the_one_word_rule_bit_for_bit(n, keep):
+    """The array rule sums every word's group in stored order, a j-th
+    entry of all groups at once: on every word, in shuffled order with
+    repeats, it equals the one-word rule and `overlap_masks` bit for bit,
+    and moved onto the top qubits of n + 62, where masks are Python ints,
+    it gives the same values."""
+    rho, wide = _random_state(n, keep, seed=n + int(10 * keep))
+    rng = np.random.default_rng(1)
+    d = 2**n
+    words = rng.permutation(np.concatenate([np.arange(d * d), rng.integers(0, d * d, 40)]))
+    x, z = words // d, words % d
+    sizes = Counter(ket ^ bra for ket, bra, _ in rho.entries()).values()
+    assert (len(set(sizes)) > 1) == (keep < 1.0)
+    want = [_scalar_overlap(rho, int(wx), int(wz)).hex() for wx, wz in zip(x, z)]
+    assert [v.hex() for v in rho.overlaps(x, z).tolist()] == want
+    one = [rho.overlap_masks(int(wx), int(wz)).hex() for wx, wz in zip(x, z)]
+    assert one == want
+    moved = [np.array([int(w) << 62 for w in masks], dtype=object) for masks in (x, z)]
+    assert [v.hex() for v in wide.overlaps(*moved).tolist()] == want
+
+
+def test_overlaps_refuse_an_imaginary_part_as_overlap_masks_does():
+    """A state whose entries are turned by a phase after Hermitization has
+    overlaps e^{0.3i} Tr(word * rho); both rules refuse the first such word
+    with the same message."""
+    rho, _ = _random_state(3, 1.0, seed=2)
+    rho._values = rho._values * np.exp(0.3j)
+    x, z = np.array([0, 5, 3]), np.array([0, 1, 6])
+    with pytest.raises(ValueError) as one:
+        rho.overlap_masks(0, 0)
+    with pytest.raises(ValueError) as batch:
+        rho.overlaps(x, z)
+    assert re.fullmatch(
+        r"overlap has imaginary part \S+; state entries are inconsistent", str(one.value)
+    )
+    assert str(batch.value) == str(one.value)
 
 
 def test_hamiltonian_json_round_trip():
