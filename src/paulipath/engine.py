@@ -13,8 +13,7 @@ to its possible predecessors:
     (one predecessor, no factor) or anti-commutes (two predecessors: the
     successor itself with a cos factor, and the word w = G s up to phase
     with a sin factor; sigma w = i G s fixes sigma in {+1, -1} through the
-    phase rule of `pauli.product_phase_masks`, and sigma multiplies into
-    the sign).
+    phase of the product G s, and sigma multiplies into the sign).
 
 A path thus carries one overall sign and one cos or sin atom per
 anti-commuting rotation it passes.
@@ -206,7 +205,7 @@ class _LayerProgram:
         gz_x = popcount(gz & x)
         anti = ((popcount(gx & z) + gz_x) & 1).astype(bool)
         # the sin word w = G s up to phase: G s = i^k w with k = |gx.gz| +
-        # |x.z| - |wx.wz| + 2|gz.x| mod 4 (`pauli.product_phase_masks`);
+        # |x.z| - |wx.wz| + 2|gz.x| mod 4 (the product rule of `pauli`);
         # unsigned popcounts wrap at a multiple of 4, so k stays exact
         wx, wz = x ^ gx, z ^ gz
         k = self.gen_y + popcount(x & z) - popcount(wx & wz) + 2 * gz_x

@@ -13,22 +13,32 @@ Per-qubit depolarizing noise is diagonal there, so a noise round is one
 elementwise product of the tensor with a (4,)*n factor, built once per
 run by `_noise_round` from the channel formula.  A Clifford or one-qubit
 rotation U on k qubits is one `_apply` of its real 4^k x 4^k transfer
-matrix, one contraction of dense U with a fixed basis change.  A wider
+matrix, one contraction of dense U with a fixed basis change.  `_apply`
+contracts in place wherever the gate's axes follow each other, top digit
+first, as for every one-qubit gate and a CNOT whose target is the
+control's upper neighbour: the tensor is viewed as (S, A, 4^k, K) and
+multiplied by the operator, with no copy of the state; on the last axis
+it is the (S, A, 4^k) view times the operator's transpose.  A wider
 rotation takes only its own axes to pair digits 2r + c (row bit r,
 column bit c), applies U and conj U on its row and column bits in the
-(S,) + (2,)*2n view, and takes its axes back.  Operators, coordinates and
-traces pass one realness rule, `_real`.
+(S,) + (2,)*2n view, which are not adjacent and so are first transposed
+together, and takes its axes back.  Operators, coordinates and traces
+pass one realness rule, `_real`.
 
 Angles are all floats, or all 1-d arrays of S angles, one per sample.
-Every gate site is one `matmul`: Cliffords and bound angles give one
-operator that the samples share, and a symbol's rotation one per sample,
-an (S, 4, 4) site operator or an (S, 2^k, 2^k) U.  The one-qubit site
-operators of a layer are built in one call, so there a bound angle's is
-spread over the samples when the layer also has a symbol's.  A float run
-is a batch of one.  `noisy_mean_value` checks its run, builds the noise
-factor, the entry tensor and the term indices once, and splits the
-samples into chunks of at most CHUNK_ENTRIES real entries, one
-`_final_coordinates` each, so from n = 8 on a chunk is one sample.
+Every gate site is one `matmul`: Cliffords give one operator that the
+samples share, and a symbol's rotation one per sample, an (S, 4, 4) site
+operator or an (S, 2^k, 2^k) U.  The one-qubit site operators of the
+whole circuit are built once per chunk of samples, from one stacked cos
+and sin and one `_site_operator` call, so a bound angle's is spread over
+the samples when a one-qubit rotation has a symbol.  A float run is a
+batch of one.  The state enters the coordinates from its entries, each
+a tensor product of n one-qubit columns, summed one qubit at a time
+over the digits present (`_entry`).  `noisy_mean_value`
+checks its run, builds the noise factor, the entry tensor and the term
+indices once, and splits the samples into chunks of at most
+CHUNK_ENTRIES real entries, one `_final_coordinates` each, so from n = 8
+on a chunk is one sample.
 
 Every dense Pauli matrix (H and the words of the factor checks, rotation
 generators and the one-qubit basis of the coordinates) comes from
@@ -140,39 +150,49 @@ def state_matrix(rho: SparseDensity) -> np.ndarray:
     return mat
 
 
-def _rotation_matrix(gate: RotationGate, assignment: ParameterAssignment) -> np.ndarray:
-    """exp(-i theta/2 G) on the gate's support qubits in the `PauliWord`
-    bit order: support qubit j is on index bit j.  An array angle gives an
-    (S, 2^k, 2^k) stack, one matrix per sample."""
-    theta = gate.angle if gate.param is None else assignment[gate.param]
-    pauli = _generator_matrix(gate.generator)
+def _angle(gate: RotationGate, assignment: ParameterAssignment):
+    return gate.angle if gate.param is None else assignment[gate.param]
+
+
+def _rotation_matrix(theta, pauli: np.ndarray) -> np.ndarray:
+    """exp(-i theta/2 P) for a generator matrix P in the `PauliWord` bit
+    order, support qubit j on index bit j; an array of angles gives a
+    stack of matrices, one per angle, and broadcasts against a stack of
+    generators."""
     half = np.asarray(theta)[..., None, None] / 2
-    return np.cos(half) * np.eye(len(pauli)) - 1j * np.sin(half) * pauli
+    return np.cos(half) * np.eye(pauli.shape[-1]) - 1j * np.sin(half) * pauli
 
 
 @lru_cache(maxsize=64)
 def _generator_matrix(generator: PauliWord) -> np.ndarray:
     """A rotation generator restricted to its support, as a read-only dense
-    matrix; cached, since every chunk of samples rebuilds its gates."""
+    matrix; cached, since every chunk of samples rebuilds its rotations."""
     return _read_only(word_matrix(generator.restrict(generator.support())))
 
 
 def _apply(tensor: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
     """op on k axes of size d (4 for Pauli or pair axes, 2 for bit axes),
-    axes[j] carrying digit j of op's base-d index; every gate site is
-    this one `matmul`, between one `transpose` each way.  Axis 0
-    of the tensor indexes samples.  A d^k x d^k op is shared by the
-    samples; an (S, d^k, d^k) stack gives one op per sample and spreads a
-    batch of one to S."""
-    d = tensor.shape[axes[0]]
-    # a reshaped op's axis 0 is its top digit
-    perm = [0, *axes[::-1], *(a for a in range(1, tensor.ndim) if a not in axes)]
-    moved = tensor.transpose(perm)
-    out = op @ moved.reshape(len(moved), d ** len(axes), -1)
-    back = [0] * len(perm)
-    for position, axis in enumerate(perm):
-        back[axis] = position
-    return out.reshape(len(out), *moved.shape[1:]).transpose(back)
+    axes[j] carrying digit j of op's base-d index.  Axis 0 of the tensor
+    indexes samples.  A d^k x d^k op is shared by the samples; an
+    (S, d^k, d^k) stack gives one op per sample and spreads a batch of one
+    to S.  Axes that follow each other, top digit first, are contracted in
+    place: the tensor is viewed as (S, A, d^k, K) and multiplied by op, or,
+    on the last axis (K = 1), its (S, A, d^k) view by op's transpose.
+    Other axes are first transposed together behind the sample axis."""
+    k = len(axes)
+    top = min(axes)
+    gathered = axes[::-1] != list(range(top, top + k))
+    if gathered:
+        perm = [0, *axes[::-1], *(a for a in range(1, tensor.ndim) if a not in axes)]
+        tensor, top = tensor.transpose(perm), 1
+    shape, size = tensor.shape, op.shape[-1]
+    view = tensor.reshape(len(tensor), math.prod(shape[1:top]), size, -1)
+    if view.shape[-1] == 1:
+        out = view[..., 0] @ np.swapaxes(op, -1, -2)
+    else:
+        out = op.reshape(-1, 1, size, size) @ view
+    out = out.reshape(len(out), *shape[1:])
+    return out.transpose(np.argsort(perm)) if gathered else out
 
 
 def _on_each(tensor: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
@@ -219,20 +239,23 @@ def _noise_round(n: int, lam: float) -> np.ndarray:
     return reduce(np.multiply.outer, [one] * n)
 
 
-@lru_cache(maxsize=1)
 def _basis_change(k: int) -> np.ndarray:
     """The 16^k x 16^k matrix, read-only, that takes U[i, p] conj U[j, q],
     flattened over (i, p, j, q), to the transfer matrix of U flattened
     over (a, b), whose [a, b] is Tr(sigma_a U sigma_b U^dag) / 2^k.  On
     two qubits a = 4 a_1 + a_0 stands for sigma_a_1 (x) sigma_a_0, support
-    qubit j on digit j.  The cache keeps the one-qubit change that every
-    rotation site uses; the 1 MB two-qubit one serves only Cliffords,
-    whose site operators are cached instead."""
+    qubit j on digit j.  Only the one-qubit change, which every rotation
+    site uses, is kept (`_ROTATION_CHANGE`); the 1 MB two-qubit one serves
+    only Cliffords, whose site operators are cached instead, so it is
+    dropped once they are built."""
     t, e = _TO_PAULI.reshape(4, 2, 2), _FROM_PAULI.reshape(2, 2, 4)
     if k == 2:
         t = np.einsum("aij,bkl->abikjl", t, t).reshape(16, 4, 4)
         e = np.einsum("ijb,kld->ikjlbd", e, e).reshape(4, 4, 16)
     return _read_only(np.einsum("aij,pqb->ipjqab", t, e).reshape(16**k, 16**k))
+
+
+_ROTATION_CHANGE = _basis_change(1)
 
 
 def _site_operator(u: np.ndarray) -> np.ndarray:
@@ -244,7 +267,8 @@ def _site_operator(u: np.ndarray) -> np.ndarray:
     k = u.shape[-1] // 2
     stack = u.shape[:-2]
     pair = (u[..., :, :, None, None] * u.conj()[..., None, None, :, :]).reshape(*stack, -1)
-    return _real((pair @ _basis_change(k)).reshape(*stack, 4**k, 4**k), 1.0, "gate operator")
+    change = _ROTATION_CHANGE if k == 1 else _basis_change(k)
+    return _real((pair @ change).reshape(*stack, 4**k, 4**k), 1.0, "gate operator")
 
 
 @lru_cache(maxsize=16)
@@ -266,23 +290,35 @@ def _wide_rotation(tensor: np.ndarray, u: np.ndarray, axes: list[int], n: int) -
     return _real(_on_each(pairs, _TO_PAULI, axes), size, "rotated coordinates")
 
 
+def _one_qubit_sites(layers, assignment: ParameterAssignment):
+    """An iterator over the site operators of the layers' one-qubit
+    rotations, in layer and gate order, from one stacked cos and sin and
+    one `_site_operator` call; a bound angle's is spread over the samples
+    when the layers also have a symbol's."""
+    gates = [g for layer in layers for g in layer.rotations if len(g.support) == 1]
+    if not gates:
+        return iter(())
+    angles = np.stack(np.broadcast_arrays(*(_angle(g, assignment) for g in gates)))
+    paulis = np.stack([_generator_matrix(g.generator) for g in gates])
+    paulis = paulis.reshape(len(gates), *(1,) * (angles.ndim - 1), 2, 2)
+    return iter(_site_operator(_rotation_matrix(angles, paulis)))
+
+
 def _noisy_layer(
     tensor: np.ndarray,
     noise: np.ndarray,
     layer: Layer,
     assignment: ParameterAssignment,
+    sites,
     n: int,
 ) -> np.ndarray:
     """One noise round, the elementwise product with its factor, then the
     layer; gate order is irrelevant on disjoint supports.  Qubit q is on
     Pauli axis n + 1 - q, after the sample axis, and its row and column
     bits on axes 2(n + 1 - q) - 1 and 2(n + 1 - q) of the (2,)*2n bit
-    view.  The one-qubit rotations' site operators come from one
-    `_site_operator` call on their U stacked, where a bound angle's U is
-    spread over the samples when the layer also has a symbol's."""
+    view.  A one-qubit rotation's site operator is the next one of
+    `sites`, from `_one_qubit_sites`."""
     tensor = tensor * noise
-    ones = [_rotation_matrix(g, assignment) for g in layer.rotations if len(g.support) == 1]
-    sites = iter(_site_operator(np.stack(np.broadcast_arrays(*ones)))) if ones else None
     for gate in layer.gates:
         axes = [n + 1 - q for q in gate.support]
         if isinstance(gate, CliffordGate):
@@ -290,7 +326,8 @@ def _noisy_layer(
         elif len(axes) == 1:
             tensor = _apply(tensor, next(sites), axes)
         else:
-            tensor = _wide_rotation(tensor, _rotation_matrix(gate, assignment), axes, n)
+            u = _rotation_matrix(_angle(gate, assignment), _generator_matrix(gate.generator))
+            tensor = _wide_rotation(tensor, u, axes, n)
     return tensor
 
 
@@ -327,13 +364,39 @@ def _final_coordinates(
 ) -> np.ndarray:
     """The (S,) + (4,)*n coordinates after the last noise round, from entry
     coordinates built once per run, a batch of one."""
+    sites = _one_qubit_sites(circuit.layers, assignment)
     for layer in circuit.layers:
-        tensor = _noisy_layer(tensor, noise, layer, assignment, circuit.n)
+        tensor = _noisy_layer(tensor, noise, layer, assignment, sites, circuit.n)
     return tensor * noise
 
 
 def _entry(rho: SparseDensity) -> np.ndarray:
-    return _hermitian_coordinates(state_matrix(rho), rho.n, "state coordinates")
+    """The Pauli coordinates of rho as a batch of one.  Tr(sigma_a
+    |ket><bra|) factors over the qubits, so each entry (ket, bra, v) adds
+    v times the tensor product of the columns 2 ket_q + bra_q of
+    `_TO_PAULI`, qubit n on axis 1 down.  The sum is taken one qubit at a
+    time from qubit 1 up, as the dense conversion does, but over the
+    digits present only: the rows of the entries that agree on the qubits
+    above go to one (4, W) slab, each at its digit 2 ket_q + bra_q
+    (distinct, as the entries are), and `_TO_PAULI` times the slab is
+    their joint row for the next qubit.  So no step holds more than 4^n
+    entries, and a coordinate with at most two non-zero terms is exact.
+    The sum is checked real at the size sum |v|."""
+    kets, bras, values = (np.array(column) for column in zip(*rho.entries()))
+    rows = values.astype(complex)[:, None]
+    for _ in range(rho.n):
+        digits = 2 * (kets & 1) + (bras & 1)
+        kets, bras = kets >> 1, bras >> 1
+        above = kets << rho.n | bras
+        order = np.argsort(above, kind="stable")
+        first = np.diff(above[order], prepend=-1) != 0
+        group = np.empty_like(order)
+        group[order] = np.cumsum(first) - 1
+        slab = np.zeros((np.count_nonzero(first), 4, rows.shape[1]), dtype=complex)
+        slab[group, digits] = rows
+        rows = (_TO_PAULI @ slab).reshape(len(slab), -1)
+        kets, bras = kets[order][first], bras[order][first]
+    return _real(rows.reshape(1, *(4,) * rho.n), np.abs(values).sum(), "state coordinates")
 
 
 def evolve_noisy(
@@ -403,7 +466,8 @@ def transition_factor(
     """Tr(next U N(prev) Udag) / 2^n, checked real."""
     _check_cap(n)
     tensor = _hermitian_coordinates(word_matrix(prev_word), n, "word coordinates")
-    mat = _matrix(_noisy_layer(tensor, _noise_round(n, lam), layer, assignment, n), n)[0]
+    sites = _one_qubit_sites([layer], assignment)
+    mat = _matrix(_noisy_layer(tensor, _noise_round(n, lam), layer, assignment, sites, n), n)[0]
     return _real_trace(word_matrix(next_word), mat, "transition factor", 1 << n)
 
 

@@ -8,11 +8,10 @@ encoding: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1), with the matrix convention
 
 Products and commutation tests reduce to word-parallel bit operations: the
 product of a and b is the word (x_a ^ x_b, z_a ^ z_b) times a phase i^k,
-and `product_phase_exponent` gives k mod 4 exactly, never as a floating
-complex number.  `product_phase_masks` is the same rule on raw masks, for
-ints or for numpy arrays of masks (int64, or object beyond 63 qubits, the
-`mask_dtype`); the path engine inlines it for its sin signs, reusing the
-popcounts it already has.  Words are unnormalized: Tr(w * w) = 2^n.
+k = x_a.z_a + x_b.z_b - x_c.z_c + 2 z_a.x_b mod 4 with c = a XOR b, exact
+on popcounts; the path engine applies that rule to arrays of masks (int64,
+or object beyond 63 qubits, the `mask_dtype`) for its sin signs, reusing
+the popcounts it already has.  Words are unnormalized: Tr(w * w) = 2^n.
 
 GF(2) elimination on packed rows (`gf2_echelon`) serves the generation
 certificate (`gf2_rank`) and the symmetry search (`symmetry_word`).
@@ -196,31 +195,6 @@ def popcount(masks):
     if masks.dtype == object:
         return _object_bit_count(masks).astype(np.int64)
     return np.bitwise_count(masks)
-
-
-def product_phase_masks(ax, az, bx, bz):
-    """Power of i in a*b relative to the bare product word, mod 4, for words
-    given as raw (x, z) masks: ints, or arrays of masks entry by entry.
-
-    With the i^(x.z) X^x Z^z convention the per-qubit bookkeeping collapses
-    to popcounts: exponent = x_a.z_a + x_b.z_b - x_c.z_c + 2 z_a.x_b mod 4,
-    where c = a XOR b.  Array popcounts are uint8, whose wrap-around is a
-    multiple of 4, so the result stays exact mod 4.
-    """
-    cx = ax ^ bx
-    cz = az ^ bz
-    exp = (
-        popcount(ax & az)
-        + popcount(bx & bz)
-        - popcount(cx & cz)
-        + 2 * popcount(az & bx)
-    )
-    return exp % 4
-
-
-def product_phase_exponent(a: PauliWord, b: PauliWord) -> int:
-    """Power of i in a*b relative to the bare product word."""
-    return product_phase_masks(a.x, a.z, b.x, b.z)
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:

@@ -132,8 +132,11 @@ def test_large_coefficients_keep_a_real_mean_value():
 @pytest.mark.parametrize("samples", [None, 385])
 def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
     # the run's checks and the state's entry coordinates are built once per
-    # call, whatever the chunk count: at n = 4 a chunk holds 128 samples
-    calls = {"_check_run": 0, "state_matrix": 0, "_final_coordinates": 0}
+    # call, whatever the chunk count: at n = 4 a chunk holds 128 samples;
+    # the one-qubit site operators of both rotation layers come from one
+    # `_site_operator` call per chunk, not one per layer
+    oracle._clifford_site("CNOT")  # cached before the count starts
+    calls = {"_check_run": 0, "_entry": 0, "_final_coordinates": 0, "_site_operator": 0}
     for name in calls:
 
         def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
@@ -142,6 +145,7 @@ def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
 
         monkeypatch.setattr(oracle, name, counting)
     circuit, h, rho = ansatz_instance(4, 4)
+    assert sum(1 for layer in circuit.layers if layer.rotations) == 2
     rng = np.random.default_rng(2)
     theta = {p: rng.uniform(-3.0, 3.0, samples) for p in circuit.parameters()}
     if samples is None:
@@ -149,7 +153,106 @@ def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
     values = noisy_mean_value(circuit, h, rho, theta, 0.2)
     chunks = 1 if samples is None else -(-samples // (oracle.CHUNK_ENTRIES >> 8))
     assert np.shape(values) == (() if samples is None else (samples,))
-    assert calls == {"_check_run": 1, "state_matrix": 1, "_final_coordinates": chunks}
+    assert calls == {
+        "_check_run": 1,
+        "_entry": 1,
+        "_final_coordinates": chunks,
+        "_site_operator": chunks,
+    }
+
+
+def _einsum_apply(tensor, op, axes):
+    """`_apply`'s contraction spelled out for `np.einsum`, one label per
+    axis: digit j of op's index is on axes[j], its top digit first in the
+    reshaped op, and a per-sample op shares the sample label."""
+    k, d = len(axes), tensor.shape[axes[0]]
+    if op.ndim == 3:
+        tensor = np.broadcast_to(tensor, (len(op), *tensor.shape[1:]))
+    new = {axis: 40 + j for j, axis in enumerate(axes)}
+    labels = list(range(tensor.ndim))
+    op_labels = [0] * (op.ndim == 3) + [new[a] for a in axes[::-1]] + axes[::-1]
+    op = op.reshape(*op.shape[:-2], *(d,) * (2 * k))
+    return np.einsum(op, op_labels, tensor, labels, [new.get(a, a) for a in labels])
+
+
+def _roundoff(tensor, op, axes):
+    """Twice the bound gamma_m sum |op_ij x_j| on the roundoff of each
+    entry of a sum of m products, m = 4 real ones, or 4 complex ones
+    (each part then a sum of 8 real products, whose sizes |a_r b_r| +
+    |a_i b_i| are at most |a| |b|), as in the contraction and in the
+    reference alike."""
+    m = op.shape[-1] * (2 if np.iscomplexobj(op) or np.iscomplexobj(tensor) else 1)
+    unit = np.finfo(float).eps / 2
+    gamma = m * unit / (1 - m * unit)
+    return 2 * gamma * _einsum_apply(np.abs(tensor), np.abs(op), axes)
+
+
+def _site_stack(rng, size):
+    """(size, 4, 4) one-qubit rotation site operators at random angles and
+    generators."""
+    pauli = oracle._PAULIS[rng.integers(1, 4, size)]
+    return oracle._site_operator(oracle._rotation_matrix(rng.uniform(-7.0, 7.0, size), pauli))
+
+
+def test_apply_matches_einsum_reference():
+    # every way `_apply` is called: each axis, the last included, by a
+    # shared op and by one op per sample, also on a batch of one spread to
+    # S; CNOTs either way round and between non-adjacent qubits; and the
+    # complex U of a wide rotation on its size-2 bit axes.  Clifford
+    # operators are signed permutations, so those results are exact
+    rng = np.random.default_rng(5)
+    n, size = 4, 3
+    tensor = rng.normal(size=(size, *(4,) * n))
+    one = tensor[:1]
+    shared, stack = _site_stack(rng, 1)[0], _site_stack(rng, size)
+    cliffords = [oracle._clifford_site(kind) for kind in ("H", "S")]
+    for axis in range(1, n + 1):
+        for x, op in ((tensor, shared), (tensor, stack), (one, stack), (one, shared)):
+            got = oracle._apply(x, op, [axis])
+            want = _einsum_apply(x, op, [axis])
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= _roundoff(x, op, [axis])), axis
+        for op in cliffords:
+            got = oracle._apply(tensor, op, [axis])
+            assert np.array_equal(got, _einsum_apply(tensor, op, [axis])), axis
+    cnot = oracle._clifford_site("CNOT")
+    # control on the upper axis (the higher qubit) or the lower, adjacent
+    # or not, the last axis included
+    for axes in ([2, 1], [1, 2], [4, 3], [3, 4], [1, 3], [4, 1], [2, 4]):
+        got = oracle._apply(tensor, cnot, axes)
+        assert np.array_equal(got, _einsum_apply(tensor, cnot, axes)), axes
+    # the wide rotation's U and conj U on the row and column bits of Pauli
+    # axes (3, 1): bit axes (5, 1) and (6, 2) of the (S,) + (2,)*2n view
+    bits = rng.normal(size=(size, *(2,) * (2 * n))) + 1j * rng.normal(size=(size, *(2,) * (2 * n)))
+    generator = word_matrix(PauliWord.from_string("XY"))
+    u = oracle._rotation_matrix(rng.uniform(-7.0, 7.0, size), generator)
+    for x, op in ((bits, u), (bits, u[0]), (bits[:1], u)):
+        for axes in ([5, 1], [6, 2]):
+            got = oracle._apply(x, op, axes)
+            want = _einsum_apply(x, op, axes)
+            assert np.all(np.abs(got - want) <= _roundoff(x, op, axes)), axes
+
+
+def test_entry_coordinates_match_the_dense_conversion():
+    # the state enters from its entries, summed one qubit at a time over
+    # the digits present; the matrix route sums each coordinate's exact
+    # terms in another order, so the two agree within twice gamma_E sum |v|
+    # for E entries, and exactly where each coordinate has at most two terms
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    mat = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    dense = SparseDensity(4, [(k, b, mat[k, b]) for k in range(16) for b in range(16)])
+    pure = SparseDensity(3, [(1, 1, 0.6), (6, 6, 0.4), (1, 6, 0.3 - 0.2j), (6, 1, 0.3 + 0.2j)])
+    for rho in (dense, pure, SparseDensity.computational_basis(5, 19)):
+        entries = rho.entries()
+        want = oracle._hermitian_coordinates(state_matrix(rho), rho.n, "matrix route")
+        got = oracle._entry(rho)
+        unit = np.finfo(float).eps / 2
+        gamma = len(entries) * unit / (1 - len(entries) * unit)
+        assert got.shape == want.shape == (1, *(4,) * rho.n)
+        assert np.max(np.abs(got - want)) <= 2 * gamma * sum(abs(v) for _, _, v in entries)
+        if len(entries) <= 4:
+            assert np.array_equal(got, want)
 
 
 def test_cap_guard(monkeypatch):
