@@ -11,38 +11,41 @@ c_I v_0 + sum_w c_w v_w straight from them, by the letters of each word.
 
 Per-qubit depolarizing noise is diagonal there, so a noise round is one
 elementwise product of the tensor with a (4,)*n factor, built once per
-run by `_noise_round` from the channel formula.  A Clifford or one-qubit
-rotation U on k qubits is one `_apply` of its real 4^k x 4^k transfer
-matrix, one contraction of dense U with a fixed basis change.  `_apply`
-contracts in place wherever the gate's axes follow each other, top digit
-first, as for every one-qubit gate and a CNOT whose target is the
-control's upper neighbour: the tensor is viewed as (S, A, 4^k, K) and
-multiplied by the operator, with no copy of the state; on the last axis
-it is the (S, A, 4^k) view times the operator's transpose.  A wider
-rotation takes only its own axes to pair digits 2r + c (row bit r,
-column bit c), applies U and conj U on its row and column bits in the
-(S,) + (2,)*2n view, which are not adjacent and so are first transposed
-together, and takes its axes back.  Operators, coordinates and traces
-pass one realness rule, `_real`.
+run by `_noise_round` from the channel formula.  A gate U on k qubits
+acts by its real 4^k x 4^k transfer matrix, one contraction of dense U
+with a fixed basis change.  A Clifford's is a signed permutation of the
+4^k coordinates, so the Cliffords of a layer, with the noise round
+before them, are one signed gather of the flat 4^n coordinates,
+(tensor * factor)[:, perm], read off those dense operators (`_gather`).
+A one-qubit rotation is one `_apply` of its operator, in place: the
+tensor is viewed as (S, A, 4, K) and multiplied by the operator, with no
+copy of the state; on the last axis it is the (S, A, 4) view times the
+operator's transpose.  A wider rotation takes only its own axes to pair
+digits 2r + c (row bit r, column bit c), applies U and conj U on its row
+and column bits in the (S,) + (2,)*2n view, which are not adjacent and
+so are first transposed together, and takes its axes back.  Operators,
+coordinates and mean values pass one realness rule, `_real`.
 
 Angles are all floats, or all 1-d arrays of S angles, one per sample.
-Every gate site is one `matmul`: Cliffords give one operator that the
-samples share, and a symbol's rotation one per sample, an (S, 4, 4) site
-operator or an (S, 2^k, 2^k) U.  The one-qubit site operators of the
-whole circuit are built once per chunk of samples, from one stacked cos
-and sin and one `_site_operator` call, so a bound angle's is spread over
-the samples when a one-qubit rotation has a symbol.  A float run is a
-batch of one.  The state enters the coordinates from its entries, each
-a tensor product of n one-qubit columns, summed one qubit at a time
-over the digits present (`_entry`).  `noisy_mean_value`
-checks its run, builds the noise factor, the entry tensor and the term
-indices once, and splits the samples into chunks of at most
-CHUNK_ENTRIES real entries, one `_final_coordinates` each, so from n = 8
-on a chunk is one sample.
+The samples share each gather, and a symbol's rotation gives one
+operator per sample, an (S, 4, 4) site operator or an (S, 2^k, 2^k) U.
+Each call builds its plan once (`_plan`): one gather per distinct tuple
+of a layer's Cliffords, each rotation's axes, and the stacked generators
+of the one-qubit rotations, whose site operators each chunk of samples
+builds from one stacked cos and sin and one `_site_operator` call, so a
+bound angle's is spread over the samples when a one-qubit rotation has
+a symbol.  A float run is a batch of one.  The state enters the
+coordinates from its entries, each a tensor product of n one-qubit
+columns, summed one qubit at a time over the digits present (`_entry`).
+`noisy_mean_value` checks its run, builds the noise factor, the entry
+tensor, the plan and the term indices once, and splits the samples into
+chunks of at most CHUNK_ENTRIES real entries, one `_layers` each, so
+from n = 8 on a chunk is one sample; the last noise round, and a last
+layer of Cliffords alone, are read at the terms' coordinates only.
 
-Every dense Pauli matrix (H and the words of the factor checks, rotation
-generators and the one-qubit basis of the coordinates) comes from
-`observables.pauli_sum_matrix`, which the path engine never calls;
+Every dense Pauli matrix (H, the previous word of a transition check,
+rotation generators and the one-qubit basis of the coordinates) comes
+from `observables.pauli_sum_matrix`, which the path engine never calls;
 conjugation and damping are recomputed from matrices and the engine's bit
 rules never enter, so the two routes stay independent checks of each
 other.  The tests check that builder against their own kron construction.
@@ -64,13 +67,15 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuit import Circuit, CliffordGate, Layer, ParameterAssignment, RotationGate
+from .circuit import Circuit, Layer, ParameterAssignment, RotationGate
 from .circuit import check_assignment, check_instance, check_noise_rate
 from .observables import IMAG_TOL, Hamiltonian, SparseDensity, pauli_sum_matrix
 from .pauli import LETTERS, PauliWord
 
 ORACLE_CAP = 10
-# the most real entries (256 KB) one chunk of `noisy_mean_value` holds
+# the most real entries (256 KB) one chunk of `noisy_mean_value` holds; a
+# call also holds 16 B x 4^n (perm and factor) per distinct tuple of a
+# layer's Cliffords: 64 KB at n = 6, 1 MB at n = 8, 16 MB at n = 10
 CHUNK_ENTRIES = 1 << 15
 
 _CLIFFORDS = {
@@ -107,17 +112,6 @@ def _real(value: np.ndarray, size, what: str, scale: int = 1) -> np.ndarray:
         value = complex(real.flat[first], imag.flat[first])
         raise ValueError(f"{what} is not a finite real number: {value!r}")
     return real
-
-
-def _real_trace(a: np.ndarray, b: np.ndarray, what: str, scale: int = 1):
-    """Tr(a b) / scale for a Hermitian a (H or a Pauli word), checked by
-    `_real` at the size sum |a_ij b_ji| / scale; a stack of b's gives one
-    trace each, in an array.  The trace is the sum of a_ij b_ji, O(4^n),
-    where forming a @ b would be O(8^n)."""
-    value = np.einsum("ij,...ji->...", a, b)
-    size = np.einsum("ij,...ji->...", np.abs(a), np.abs(b)) / scale
-    real = _real(value, size, what, scale)
-    return float(real) if real.ndim == 0 else real
 
 
 def word_matrix(word: PauliWord) -> np.ndarray:
@@ -166,7 +160,7 @@ def _rotation_matrix(theta, pauli: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _generator_matrix(generator: PauliWord) -> np.ndarray:
     """A rotation generator restricted to its support, as a read-only dense
-    matrix; cached, since every chunk of samples rebuilds its rotations."""
+    matrix; cached, since every call's plan stacks them again."""
     return _read_only(word_matrix(generator.restrict(generator.support())))
 
 
@@ -290,44 +284,114 @@ def _wide_rotation(tensor: np.ndarray, u: np.ndarray, axes: list[int], n: int) -
     return _real(_on_each(pairs, _TO_PAULI, axes), size, "rotated coordinates")
 
 
-def _one_qubit_sites(layers, assignment: ParameterAssignment):
-    """An iterator over the site operators of the layers' one-qubit
-    rotations, in layer and gate order, from one stacked cos and sin and
-    one `_site_operator` call; a bound angle's is spread over the samples
-    when the layers also have a symbol's."""
-    gates = [g for layer in layers for g in layer.rotations if len(g.support) == 1]
-    if not gates:
-        return iter(())
-    angles = np.stack(np.broadcast_arrays(*(_angle(g, assignment) for g in gates)))
-    paulis = np.stack([_generator_matrix(g.generator) for g in gates])
-    paulis = paulis.reshape(len(gates), *(1,) * (angles.ndim - 1), 2, 2)
-    return iter(_site_operator(_rotation_matrix(angles, paulis)))
+@lru_cache(maxsize=16)
+def _signed_permutation(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A Clifford gate's site operator read as a signed permutation: the
+    column of each row's non-zero, and the int8 sign with which each
+    column moves, so that row r of the operator takes coordinate
+    column[r] times sign[column[r]].  The operator must have one non-zero
+    per row and column, and each must be +-1 within IMAG_TOL, the
+    roundoff rule of an operator's coordinates; any other operator is
+    refused.  Read-only and cached, like the operator."""
+    op = _clifford_site(kind)
+    nonzero = op != 0
+    columns = nonzero.argmax(axis=1)
+    entries = op[np.arange(len(op)), columns]
+    if not (
+        (nonzero.sum(axis=0) == 1).all()
+        and (nonzero.sum(axis=1) == 1).all()
+        and (np.abs(np.abs(entries) - 1) <= IMAG_TOL).all()
+    ):
+        raise ValueError(f"the {kind} site operator is not a signed permutation")
+    sign = np.empty(len(op), dtype=np.int8)
+    sign[columns] = np.sign(entries)
+    return _read_only(columns), _read_only(sign)
 
 
-def _noisy_layer(
-    tensor: np.ndarray,
-    noise: np.ndarray,
-    layer: Layer,
-    assignment: ParameterAssignment,
-    sites,
-    n: int,
-) -> np.ndarray:
-    """One noise round, the elementwise product with its factor, then the
-    layer; gate order is irrelevant on disjoint supports.  Qubit q is on
-    Pauli axis n + 1 - q, after the sample axis, and its row and column
-    bits on axes 2(n + 1 - q) - 1 and 2(n + 1 - q) of the (2,)*2n bit
-    view.  A one-qubit rotation's site operator is the next one of
-    `sites`, from `_one_qubit_sites`."""
-    tensor = tensor * noise
-    for gate in layer.gates:
-        axes = [n + 1 - q for q in gate.support]
-        if isinstance(gate, CliffordGate):
-            tensor = _apply(tensor, _clifford_site(gate.kind), axes)
-        elif len(axes) == 1:
-            tensor = _apply(tensor, next(sites), axes)
+def _on_qubits(values: np.ndarray, qubits) -> np.ndarray:
+    """A 4^k vector over the base-4 digits of k qubits, qubits[j] on digit
+    j, as an array with qubit q's digit on axis -q and size-1 axes
+    elsewhere, which broadcasts over the (4,)*n coordinates."""
+    shape = [1] * max(qubits)
+    for q in qubits:
+        shape[-q] = 4
+    local = values.reshape((4,) * len(qubits), order="F")
+    return local.transpose(sorted(range(len(qubits)), key=lambda j: -qubits[j])).reshape(shape)
+
+
+def _gather(cliffords, noise: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A noise round and then Cliffords on disjoint qubits as one signed
+    gather (perm, factor) of the flat coordinates, qubit q's digit at
+    stride 4^(q-1): out = (in * factor)[:, perm], where factor is the noise
+    factor times the sign with which each coordinate moves.  A gate moves
+    only its own qubits' digits, by its signed permutation, and a free
+    qubit's digit stays, so perm is a broadcast sum and the sign a
+    broadcast product over the gates, taken from qubit 1 up so that each
+    step runs along the axes already covered.  The sign is +-1, so the
+    product with it is exact."""
+    gates = {q: gate for gate in cliffords for q in gate.support}
+    perm, sign = np.intp(0), np.int8(1)
+    for q in range(1, n + 1):
+        gate = gates.get(q)
+        if gate is None:
+            perm = perm + _on_qubits(np.arange(4) << 2 * (q - 1), (q,))
+        elif q == min(gate.support):
+            columns, signs = _signed_permutation(gate.kind)
+            source = sum(
+                ((columns >> 2 * j) & 3) << 2 * (p - 1) for j, p in enumerate(gate.support)
+            )
+            perm = perm + _on_qubits(source, gate.support)
+            sign = sign * _on_qubits(signs, gate.support)
+    return perm.reshape(-1), (noise * sign).reshape(-1)
+
+
+def _plan(layers, noise: np.ndarray, n: int):
+    """The steps of a run, built once per call: per layer, its noise round
+    and Cliffords as one `_gather`, built once per distinct tuple of
+    Cliffords (None for a layer without any, whose noise round stays a
+    product), and its rotations with their Pauli axes (qubit q on axis
+    n + 1 - q).  Also the one-qubit rotations of all layers, in layer and
+    gate order, and their stacked generator matrices."""
+    gathers, steps = {}, []
+    for layer in layers:
+        cliffords = layer.cliffords
+        if cliffords and cliffords not in gathers:
+            gathers[cliffords] = _gather(cliffords, noise, n)
+        rotations = [(g, [n + 1 - q for q in g.support]) for g in layer.rotations]
+        steps.append((gathers.get(cliffords), rotations))
+    ones = [g for layer in layers for g in layer.rotations if len(g.support) == 1]
+    generators = np.stack([_generator_matrix(g.generator) for g in ones]) if ones else None
+    return steps, ones, generators
+
+
+def _layers(plan, tensor: np.ndarray, noise: np.ndarray, assignment: ParameterAssignment):
+    """The plan's layers on (S,) + (4,)*n coordinates, a batch of one
+    spread to S by the first symbol's rotation, each layer a noise round
+    and its gates: the gather, or the product with the noise factor, then
+    the rotations, as the supports are disjoint.  The site operators of
+    the one-qubit rotations are built here, once per chunk of samples,
+    from one stacked cos and sin and one `_site_operator` call; a bound
+    angle's is spread over the samples when a one-qubit rotation has a
+    symbol."""
+    steps, ones, generators = plan
+    sites = iter(())
+    if ones:
+        angles = np.stack(np.broadcast_arrays(*(_angle(g, assignment) for g in ones)))
+        paulis = generators.reshape(len(ones), *(1,) * (angles.ndim - 1), 2, 2)
+        sites = iter(_site_operator(_rotation_matrix(angles, paulis)))
+    for gather, rotations in steps:
+        if gather is None:
+            tensor = tensor * noise
         else:
-            u = _rotation_matrix(_angle(gate, assignment), _generator_matrix(gate.generator))
-            tensor = _wide_rotation(tensor, u, axes, n)
+            perm, factor = gather
+            out = tensor.reshape(len(tensor), -1) * factor
+            tensor = np.take(out, perm, axis=1).reshape(tensor.shape)
+        for gate, axes in rotations:
+            if len(axes) == 1:
+                tensor = _apply(tensor, next(sites), axes)
+            else:
+                u = _rotation_matrix(_angle(gate, assignment), _generator_matrix(gate.generator))
+                tensor = _wide_rotation(tensor, u, axes, noise.ndim)
     return tensor
 
 
@@ -357,17 +421,6 @@ def _check_run(
     size = check_assignment(circuit, assignment, batch=True)
     _check_cap(circuit.n)
     return size
-
-
-def _final_coordinates(
-    circuit: Circuit, tensor: np.ndarray, noise: np.ndarray, assignment: ParameterAssignment
-) -> np.ndarray:
-    """The (S,) + (4,)*n coordinates after the last noise round, from entry
-    coordinates built once per run, a batch of one."""
-    sites = _one_qubit_sites(circuit.layers, assignment)
-    for layer in circuit.layers:
-        tensor = _noisy_layer(tensor, noise, layer, assignment, sites, circuit.n)
-    return tensor * noise
 
 
 def _entry(rho: SparseDensity) -> np.ndarray:
@@ -409,13 +462,19 @@ def evolve_noisy(
     before each layer and once more at the end); with array angles, the
     (S, 2^n, 2^n) stack of one matrix per sample."""
     size = _check_run(circuit, None, rho, assignment, lam)
-    final = _final_coordinates(circuit, _entry(rho), _noise_round(circuit.n, lam), assignment)
-    final = _matrix(final, circuit.n)
+    noise = _noise_round(circuit.n, lam)
+    plan = _plan(circuit.layers, noise, circuit.n)
+    final = _matrix(_layers(plan, _entry(rho), noise, assignment) * noise, circuit.n)
     return final[0] if size is None else final
 
 
 # a word's letters as the base-4 digits of its coordinate, qubit 1 lowest
 _DIGITS = str.maketrans(LETTERS, "0123")
+
+
+def _index(word: PauliWord) -> int:
+    """The flat index of a word's coordinate in the (4,)*n tensor."""
+    return int(str(word)[::-1].translate(_DIGITS), 4)
 
 
 def noisy_mean_value(
@@ -431,7 +490,15 @@ def noisy_mean_value(
     most CHUNK_ENTRIES real entries."""
     size = _check_run(circuit, h, rho, assignment, lam)
     noise, entry, terms = _noise_round(circuit.n, lam), _entry(rho), h.terms()
-    index = [0] + [int(str(word)[::-1].translate(_DIGITS), 4) for word, _ in terms]
+    steps, ones, generators = _plan(circuit.layers, noise, circuit.n)
+    index = np.array([0] + [_index(word) for word, _ in terms])
+    last = noise.reshape(-1)[index]  # the last noise round, read at the terms only
+    read = np.ones(len(index))
+    if steps and steps[-1][0] is not None and not steps[-1][1]:
+        # so is a last layer of Cliffords alone: its gather at the terms
+        (perm, factor), _ = steps.pop()
+        index = perm[index]
+        read = factor[index]
     coeffs = np.array([h.identity_coeff] + [coeff for _, coeff in terms])
     step = max(1, CHUNK_ENTRIES >> (2 * circuit.n))
     values = []
@@ -439,8 +506,8 @@ def noisy_mean_value(
         chunk = assignment
         if size is not None:
             chunk = {p: assignment[p][start : start + step] for p in circuit.parameters()}
-        final = _final_coordinates(circuit, entry, noise, chunk)
-        products = final.reshape(len(final), -1)[:, index] * coeffs
+        final = _layers((steps, ones, generators), entry, noise, chunk)
+        products = final.reshape(len(final), -1)[:, index] * read * last * coeffs
         total = np.add.accumulate(products, axis=1)[:, -1]
         values.append(_real(total, np.abs(products).sum(axis=1), "mean value"))
     values = np.concatenate(values)
@@ -449,10 +516,11 @@ def noisy_mean_value(
 
 # --- per-path factor checks -------------------------------------------------
 #
-# A path (s_0, ..., s_L) factorizes into dense traces:
+# A path (s_0, ..., s_L) factorizes into coordinates:
 #     Tr(H N(s_L))/2^n * prod_i Tr(s_i U_i N(s_{i-1}) U_i^dag)/2^n * Tr(s_0 rho)
-# computed entirely from matrices; the test suite compares this against the
-# estimator's damped symbolic value path by path.
+# each read off the oracle's own Pauli coordinates, as the mean value is; the
+# test suite compares this against the estimator's damped symbolic value
+# path by path.
 
 
 def transition_factor(
@@ -463,22 +531,24 @@ def transition_factor(
     next_word: PauliWord,
     lam: float = 0.0,
 ) -> float:
-    """Tr(next U N(prev) Udag) / 2^n, checked real."""
+    """Tr(next U N(prev) Udag) / 2^n: the coordinate at next of prev's
+    coordinates, from its dense matrix, after the layer's noise round and
+    gates."""
     _check_cap(n)
     tensor = _hermitian_coordinates(word_matrix(prev_word), n, "word coordinates")
-    sites = _one_qubit_sites([layer], assignment)
-    mat = _matrix(_noisy_layer(tensor, _noise_round(n, lam), layer, assignment, sites, n), n)[0]
-    return _real_trace(word_matrix(next_word), mat, "transition factor", 1 << n)
+    noise = _noise_round(n, lam)
+    final = _layers(_plan([layer], noise, n), tensor, noise, assignment)
+    return float(final.flat[_index(next_word)]) / (1 << n)
 
 
 def observable_factor(h: Hamiltonian, word: PauliWord, lam: float = 0.0) -> float:
-    """Tr(H N(word)) / 2^n, checked real."""
+    """Tr(H N(word)) / 2^n: the noise factor at the word times H's
+    coefficient of it, as Tr(v w) / 2^n is 1 for v = w and 0 otherwise."""
     _check_cap(h.n)
-    mat = depolarize_all(word_matrix(word), h.n, lam)
-    return _real_trace(hamiltonian_matrix(h), mat, "observable factor", 1 << h.n)
+    return h.coeff(word) * float(_noise_round(h.n, lam).flat[_index(word)])
 
 
 def state_factor(rho: SparseDensity, word: PauliWord) -> float:
-    """Tr(word rho) from dense matrices, checked real."""
+    """Tr(word rho): rho's entry coordinate at the word, checked real."""
     _check_cap(rho.n)
-    return _real_trace(word_matrix(word), state_matrix(rho), "state factor")
+    return float(_entry(rho).flat[_index(word)])

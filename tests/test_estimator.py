@@ -604,7 +604,7 @@ def test_mse_benchmark_runs_the_oracle_once_per_chunk(monkeypatch):
     # mse_benchmark reaches the oracle through these two module names: one
     # batched mean-value call, and one dense run per chunk of CHUNK_ENTRIES
     # real entries
-    calls = {"noisy_mean_value": 0, "_final_coordinates": 0}
+    calls = {"noisy_mean_value": 0, "_layers": 0}
     for name in calls:
 
         def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
@@ -616,7 +616,7 @@ def test_mse_benchmark_runs_the_oracle_once_per_chunk(monkeypatch):
     per_chunk = oracle.CHUNK_ENTRIES >> (2 * circuit.n)
     report = mse_benchmark(circuit, h, rho, lam=0.2, m=None, samples=64, seed=3)
     assert report.passed and 1 < per_chunk < 64
-    assert calls == {"noisy_mean_value": 1, "_final_coordinates": math.ceil(64 / per_chunk)}
+    assert calls == {"noisy_mean_value": 1, "_layers": math.ceil(64 / per_chunk)}
 
 
 def test_entry_points_walk_one_enumeration_to_the_end(monkeypatch):

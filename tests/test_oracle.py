@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from paulipath import (
+    CliffordGate,
     Circuit,
     Hamiltonian,
     Layer,
@@ -131,12 +132,13 @@ def test_large_coefficients_keep_a_real_mean_value():
 
 @pytest.mark.parametrize("samples", [None, 385])
 def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
-    # the run's checks and the state's entry coordinates are built once per
-    # call, whatever the chunk count: at n = 4 a chunk holds 128 samples;
-    # the one-qubit site operators of both rotation layers come from one
-    # `_site_operator` call per chunk, not one per layer
+    # the run's checks, the state's entry coordinates and the plan, with one
+    # gather per distinct Clifford layer, are built once per call, whatever
+    # the chunk count: at n = 4 a chunk holds 128 samples; the one-qubit
+    # site operators of all rotation layers come from one `_site_operator`
+    # call per chunk, not one per layer
     oracle._clifford_site("CNOT")  # cached before the count starts
-    calls = {"_check_run": 0, "_entry": 0, "_final_coordinates": 0, "_site_operator": 0}
+    calls = {"_check_run": 0, "_entry": 0, "_gather": 0, "_layers": 0, "_site_operator": 0}
     for name in calls:
 
         def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
@@ -144,8 +146,10 @@ def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(oracle, name, counting)
-    circuit, h, rho = ansatz_instance(4, 4)
-    assert sum(1 for layer in circuit.layers if layer.rotations) == 2
+    circuit, h, rho = ansatz_instance(4, 6)
+    cliffords = [layer.cliffords for layer in circuit.layers if layer.cliffords]
+    assert sum(1 for layer in circuit.layers if layer.rotations) == 3
+    assert len(cliffords) == 3 and len(set(cliffords)) == 2
     rng = np.random.default_rng(2)
     theta = {p: rng.uniform(-3.0, 3.0, samples) for p in circuit.parameters()}
     if samples is None:
@@ -156,9 +160,116 @@ def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
     assert calls == {
         "_check_run": 1,
         "_entry": 1,
-        "_final_coordinates": chunks,
+        "_gather": 2,
+        "_layers": chunks,
         "_site_operator": chunks,
     }
+
+
+def _per_site_layer(tensor, noise, layer, assignment):
+    """A layer by the per-site route: the noise product, then each gate in
+    layer order by `_apply` of its dense site operator, a one-qubit
+    rotation's built on its own."""
+    n = noise.ndim
+    tensor = tensor * noise
+    for gate in layer.gates:
+        if isinstance(gate, CliffordGate):
+            op = oracle._clifford_site(gate.kind)
+        else:
+            angle = gate.angle if gate.param is None else assignment[gate.param]
+            pauli = word_matrix(gate.generator.restrict(gate.support))
+            op = oracle._site_operator(oracle._rotation_matrix(angle, pauli))
+        tensor = oracle._apply(tensor, op, [n + 1 - q for q in gate.support])
+    return tensor
+
+
+def _gathered_layer(tensor, noise, layer, assignment):
+    plan = oracle._plan([layer], noise, noise.ndim)
+    return oracle._layers(plan, tensor, noise, assignment)
+
+
+def _rotation(n, qubit, letter, **angle):
+    return RotationGate(PauliWord.from_map(n, {qubit: letter}), **angle)
+
+
+@pytest.mark.parametrize("samples", [1, 8])
+def test_gather_equals_the_per_site_route(samples):
+    # a Clifford site operator is a signed permutation, so one gather with
+    # the noise round folded in, and the rotations after it, give the
+    # per-site route's result bit for bit: CNOT layers at offsets 1 and 2,
+    # reversed and between non-adjacent qubits, an S layer, and layers
+    # that mix Cliffords with rotations on a symbol and at a bound angle
+    n = 5
+    rng = np.random.default_rng(samples)
+    tensor = rng.normal(size=(samples, *(4,) * n))
+    noise = oracle._noise_round(n, 0.3)
+    assignment = {"a": rng.uniform(-7.0, 7.0, samples), "b": rng.uniform(-7.0, 7.0, samples)}
+    if samples == 1:
+        assignment = {p: float(angles[0]) for p, angles in assignment.items()}
+
+    def cnot(control, target):
+        return CliffordGate("CNOT", (control, target))
+
+    layers = [
+        (cnot(1, 2), cnot(3, 4)),
+        (cnot(2, 3), cnot(4, 5)),
+        (cnot(2, 1), cnot(5, 4)),
+        (cnot(1, 3), cnot(5, 2)),
+        (CliffordGate("S", (1,)), CliffordGate("S", (3,)), CliffordGate("S", (4,))),
+        (_rotation(n, 3, "X", param="a"), cnot(1, 2), CliffordGate("S", (4,)),
+         _rotation(n, 5, "Z", angle=0.7)),
+        (cnot(4, 1), _rotation(n, 2, "Y", param="b"), CliffordGate("S", (3,)),
+         _rotation(n, 5, "X", param="a")),
+    ]
+    for gates in layers:
+        layer = Layer(gates)
+        got = _gathered_layer(tensor, noise, layer, assignment)
+        want = _per_site_layer(tensor, noise, layer, assignment)
+        assert got.shape == want.shape == (samples, *(4,) * n)
+        assert np.array_equal(got, want), gates
+
+
+@pytest.mark.parametrize("samples", [1, 8])
+def test_gather_on_h_layers_stays_within_the_snapped_roundoff(samples):
+    # H's site operator has non-zeros of +-(1 - 2^-52), which the gather
+    # reads as +-1; the per-site route multiplies each entry by one of them
+    # per H gate, each product rounded, so with u = 2^-53 the two routes
+    # differ by at most 3 h u |gathered| on a layer of h H gates
+    n = 5
+    unit = np.finfo(float).eps / 2
+    site = oracle._clifford_site("H")
+    assert np.all(np.abs(site[site != 0]) < 1)
+    rng = np.random.default_rng(samples + 10)
+    tensor = rng.normal(size=(samples, *(4,) * n))
+    noise = oracle._noise_round(n, 0.3)
+    for gates in (
+        tuple(CliffordGate("H", (q,)) for q in (1, 2, 4)),
+        (CliffordGate("H", (5,)), CliffordGate("CNOT", (3, 1)), CliffordGate("S", (2,))),
+    ):
+        layer = Layer(gates)
+        h = sum(gate.kind == "H" for gate in gates)
+        _, factor = oracle._gather(layer.cliffords, noise, n)
+        assert np.array_equal(np.abs(factor), noise.reshape(-1))
+        got = _gathered_layer(tensor, noise, layer, {})
+        want = _per_site_layer(tensor, noise, layer, {})
+        assert np.all(np.abs(got - want) <= 3 * h * unit * np.abs(got)), gates
+        assert not np.array_equal(got, want)
+
+
+def test_gather_refuses_an_operator_that_is_not_a_signed_permutation(monkeypatch):
+    # the gather is read off the dense site operator, which must have one
+    # non-zero per row and column, each +-1 within IMAG_TOL
+    circuit = Circuit(2, (Layer((CliffordGate("S", (1,)),)),))
+    h = Hamiltonian(2, [(PauliWord.from_string("XZ"), 1.0)])
+    rho = SparseDensity.computational_basis(2)
+    assert noisy_mean_value(circuit, h, rho, {}, 0.1) == 0.0
+    # uncached, so that the reading sees each patched operator
+    monkeypatch.setattr(oracle, "_signed_permutation", oracle._signed_permutation.__wrapped__)
+    rotation = oracle._site_operator(oracle._rotation_matrix(0.3, oracle._PAULIS[1]))
+    for op in (rotation, oracle._clifford_site("S") / 2, np.eye(4)[[0, 0, 2, 3]]):
+        monkeypatch.setattr(oracle, "_clifford_site", lambda kind, _op=op: _op)
+        with pytest.raises(ValueError, match="^the S site operator is not a signed permutation$"):
+            noisy_mean_value(circuit, h, rho, {}, 0.1)
 
 
 def _einsum_apply(tensor, op, axes):

@@ -109,10 +109,28 @@ def test_resource_limits_are_constants():
         assert assigned.get(name) == [home], (name, assigned.get(name))
 
 
+def test_oracle_reads_no_bit_rule_of_the_engine():
+    # the oracle derives every gate action from dense matrices, a Clifford
+    # layer's gather included, so it names none of the bit rules by which
+    # the path engine conjugates words
+    tree = ast.parse(_sources()["oracle.py"])
+    names, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    rules = {"conjugate_masks", "clifford_groups"}
+    assert names & rules == set()
+    assert attributes & (rules | {"bits"}) == set()
+
+
 def test_oracle_has_one_contraction_and_one_realness_rule():
-    # every gate site of the oracle is one matmul, and a dense trace is
-    # checked real by the rule of the state overlaps, whose one tolerance
-    # both modules read
+    # every rotation site of the oracle is one matmul and a Clifford layer
+    # one gather, and coordinates and mean values are checked real by the
+    # rule of the state overlaps, whose one tolerance both modules read
     assert "tensordot" not in _sources()["oracle.py"]
     assert _names(ast.Store).get("IMAG_TOL") == ["observables.py"]
     assert set(_names(ast.Load).get("IMAG_TOL", [])) == {"observables.py", "oracle.py"}
