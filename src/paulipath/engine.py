@@ -69,9 +69,9 @@ X or Y letter (`_LayerProgram.leaves`).  In a batch that can leave more
 than a slice of leaves unbuilt, a parent all of whose children fit the
 budget builds only those whose x mask is a flip mask or 0, when it has no
 more such candidates than children, and the others count as pruned for
-zero overlap unbuilt.  Any other parent builds all its leaves, and those
-whose x mask is not a flip mask are dropped before the overlaps, which
-`SparseDensity.overlaps` computes for a whole leaf batch at once.  The
+zero overlap unbuilt.  Any other parent builds all its leaves, whose
+overlaps `SparseDensity.overlaps` computes for a whole leaf batch at once;
+it looks up each word's x mask and gives 0 off the state's flip masks.  The
 limits are checked against the exact child count of a batch before it is
 built and the path count of a leaf batch before it is yielded, so a run
 raises the same error as a frame-by-frame walk, possibly after yielding
@@ -586,8 +586,9 @@ class PathEnumeration:
         whose x masks are flip masks of the state or 0, and its other
         children, which have weight, fit the budget and miss the state, are
         among the `unbuilt` counted as having no overlap.  A parent built
-        whole sends all its children, and a leaf whose x mask is not a flip
-        mask is dropped before the one `SparseDensity.overlaps` call."""
+        whole sends all its children, and the one `SparseDensity.overlaps`
+        call gives 0, without summing, for a leaf whose x mask is not a
+        flip mask of the state."""
         zero = weight == 0
         over = part.spent > self.m - idx
         stats.pruned_zero_weight += int(np.count_nonzero(zero))
@@ -596,8 +597,6 @@ class PathEnumeration:
         if idx > 0:
             return part if keep.all() else part.take(keep)
         candidates = int(np.count_nonzero(keep))
-        flips = self._flips
-        keep &= flips[np.minimum(np.searchsorted(flips, part.x), len(flips) - 1)] == part.x
         rows = np.flatnonzero(keep)
         values = self.rho.overlaps(part.x[rows], part.z[rows])
         hit = values != 0.0

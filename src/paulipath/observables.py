@@ -1,8 +1,9 @@
 """Observables and initial states for mean-value estimation.
 
 Hamiltonians are real linear combinations of unnormalized Pauli words,
-stored both as a sorted term list and as a dict keyed by the word's (x, z)
-masks, so coefficient lookup is one dict access.  The identity component
+whose terms are kept once, in `_terms`, a dict from word to coefficient in
+letter-string order, so coefficient lookup is one dict access and the term
+list is that dict's items.  The identity component
 is split off into `identity_coeff`; `coeff` relates to traces by
 Tr(H w) = coeff(w) * 2^n.
 
@@ -443,7 +444,6 @@ class SparseDensity:
         if word.n != self.n:
             raise ValueError(f"word on {word.n} qubits, state has {self.n}")
         return self.overlap_masks(word.x, word.z)
-
 
 
 # --- JSON wire formats ------------------------------------------------------

@@ -11,43 +11,56 @@ c_I v_0 + sum_w c_w v_w straight from them, by the letters of each word.
 
 Per-qubit depolarizing noise is diagonal there, so a noise round is one
 elementwise product of the tensor with a (4,)*n factor, built once per
-run by `_noise_round` from the channel formula.  A gate U on k qubits
-acts by its real 4^k x 4^k transfer matrix, one contraction of dense U
-with a fixed basis change.  A Clifford's is a signed permutation of the
-4^k coordinates, so the Cliffords of a layer, with the noise round
-before them, are one signed gather of the flat 4^n coordinates,
-(tensor * factor)[:, perm], read off those dense operators (`_gather`).
-A one-qubit rotation is one `_apply` of its operator, in place: the
-tensor is viewed as (S, A, 4, K) and multiplied by the operator, with no
-copy of the state; on the last axis it is the (S, A, 4) view times the
-operator's transpose.  A wider rotation takes only its own axes to pair
-digits 2r + c (row bit r, column bit c), applies U and conj U on its row
-and column bits in the (S,) + (2,)*2n view, which are not adjacent and
-so are first transposed together, and takes its axes back.  Operators,
-coordinates and mean values pass one realness rule, `_real`.
+run by `_noise_round` from the channel formula.  A Clifford U on k
+qubits acts by its real 4^k x 4^k transfer matrix, read off its
+definition Tr(sigma_a U sigma_b U^dag) / 2^k by one contraction of dense U
+with the products of the one-qubit Pauli matrices (`_clifford_site`).
+That matrix is a signed permutation of the 4^k coordinates, so the
+Cliffords of a layer, with the noise round before them, are one signed
+gather of the flat 4^n coordinates, (tensor * factor)[:, perm], read off
+those dense operators (`_gather`).
+
+Every rotation R = exp(-i t/2 G), G^2 = I, follows one rule,
+
+    R M R^dag = (M + GMG)/2 + cos t (M - GMG)/2 + sin t (i/2)(MG - GM),
+
+whose parts are fixed maps of the coordinates, tabulated per letter g of
+G from the dense Pauli matrices at import: the +-1 diagonal
+Tr(sigma_a g sigma_a g) / 2 of gMg, and the coordinates Tr(sigma_a sigma_b
+g) / 2 and Tr(sigma_a g sigma_b) / 2 of Mg and gM, whose (i/2)-difference,
+the sin table, is checked real.  A one-qubit rotation's operator is then
+(I + E)/2 + cos t (I - E)/2 + sin t T, E that diagonal and T the sin
+table, applied by one `_apply` in place: the tensor is viewed as
+(S, A, 4, K) and multiplied by the operator, with no copy of the state;
+on the last axis it is the (S, A, 4) view times the operator's
+transpose.  On k >= 2 qubits GMG is the tensor times the broadcast
+product of the letters' diagonals, and MG and GM are k one-axis `_apply`
+calls each, one per letter (`_rotate`).  Operators, coordinates and mean
+values pass one realness rule, `_real`.
 
 Angles are all floats, or all 1-d arrays of S angles, one per sample.
 The samples share each gather, and a symbol's rotation gives one
-operator per sample, an (S, 4, 4) site operator or an (S, 2^k, 2^k) U.
+operator per sample, an (S, 4, 4) site operator or (S,) cos t and sin t.
 Each call builds its plan once (`_plan`): one gather per distinct tuple
-of a layer's Cliffords, each rotation's axes, and the stacked generators
-of the one-qubit rotations, whose site operators each chunk of samples
-builds from one stacked cos and sin and one `_site_operator` call, so a
-bound angle's is spread over the samples when a one-qubit rotation has
-a symbol.  A float run is a batch of one.  The state enters the
-coordinates from its entries, each a tensor product of n one-qubit
-columns, summed one qubit at a time over the digits present (`_entry`).
+of a layer's Cliffords, each rotation's letters and axes, and the
+letters of the one-qubit rotations, whose site operators each chunk of
+samples builds in one stacked `_rotation_sites` call, so a bound angle's
+is spread over the samples when a one-qubit rotation has a symbol.  A
+float run is a batch of one.  The state enters the coordinates from its
+entries, each a tensor product of n one-qubit columns, summed one qubit
+at a time over the digits present (`_entry`).
 `noisy_mean_value` checks its run, builds the noise factor, the entry
 tensor, the plan and the term indices once, and splits the samples into
 chunks of at most CHUNK_ENTRIES real entries, one `_layers` each, so
 from n = 8 on a chunk is one sample; the last noise round, and a last
 layer of Cliffords alone, are read at the terms' coordinates only.
 
-Every dense Pauli matrix (H, the previous word of a transition check,
-rotation generators and the one-qubit basis of the coordinates) comes
-from `observables.pauli_sum_matrix`, which the path engine never calls;
-conjugation and damping are recomputed from matrices and the engine's bit
-rules never enter, so the two routes stay independent checks of each
+Every dense Pauli matrix (H, the previous word of a transition check
+and the one-qubit basis of the coordinates, from which the rotation
+tables and the Clifford operators are read) comes from
+`observables.pauli_sum_matrix`, which the path engine never calls;
+conjugation and damping are recomputed from matrices and the engine's
+bit rules never enter, so the two routes stay independent checks of each
 other.  The tests check that builder against their own kron construction.
 
 One bit order, that of `pauli.PauliWord`: basis index b has bit q-1 equal
@@ -125,15 +138,23 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
 
 
 # sigma_a for a = I, X, Y, Z
-_PAULIS = np.array([word_matrix(PauliWord.from_string(letter)) for letter in "IXYZ"])
+_PAULIS = np.array([word_matrix(PauliWord.from_string(letter)) for letter in LETTERS])
 # a pair digit 2r + c to Pauli coordinates: [a, 2r + c] = sigma_a[c, r], so
 # that the coordinates of a 2x2 matrix M are v_a = Tr(sigma_a M)
 _TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
 # Pauli coordinates back to a pair digit: [2r + c, b] = sigma_b[r, c] / 2,
 # so that M = sum_b v_b sigma_b / 2^n
 _FROM_PAULI = _PAULIS.transpose(1, 2, 0).reshape(4, 4) / 2
-_TO_PAULI.flags.writeable = False
-_FROM_PAULI.flags.writeable = False
+# the rotation rule's parts per letter g = I, X, Y, Z: the +-1 diagonal
+# [g, a] = Tr(sigma_a g sigma_a g) / 2 of M -> gMg, the coordinates
+# [g, a, b] = Tr(sigma_a sigma_b g) / 2 of M -> Mg and Tr(sigma_a g sigma_b) / 2
+# of M -> gM, and their (i/2)-difference, the sin table
+_FLIP = np.einsum("aij,gjk,akl,gli->ga", _PAULIS, _PAULIS, _PAULIS, _PAULIS).real / 2
+_RIGHT = np.einsum("aij,bjk,gki->gab", _PAULIS, _PAULIS, _PAULIS) / 2
+_LEFT = np.einsum("aij,gjk,bki->gab", _PAULIS, _PAULIS, _PAULIS) / 2
+_TURN = _real(0.5j * (_RIGHT - _LEFT), 1.0, "sin table")
+for _table in (_TO_PAULI, _FROM_PAULI, _FLIP, _RIGHT, _LEFT, _TURN):
+    _table.flags.writeable = False
 
 
 def state_matrix(rho: SparseDensity) -> np.ndarray:
@@ -148,51 +169,26 @@ def _angle(gate: RotationGate, assignment: ParameterAssignment):
     return gate.angle if gate.param is None else assignment[gate.param]
 
 
-def _rotation_matrix(theta, pauli: np.ndarray) -> np.ndarray:
-    """exp(-i theta/2 P) for a generator matrix P in the `PauliWord` bit
-    order, support qubit j on index bit j; an array of angles gives a
-    stack of matrices, one per angle, and broadcasts against a stack of
-    generators."""
-    half = np.asarray(theta)[..., None, None] / 2
-    return np.cos(half) * np.eye(pauli.shape[-1]) - 1j * np.sin(half) * pauli
-
-
-@lru_cache(maxsize=64)
-def _generator_matrix(generator: PauliWord) -> np.ndarray:
-    """A rotation generator restricted to its support, as a read-only dense
-    matrix; cached, since every call's plan stacks them again."""
-    return _read_only(word_matrix(generator.restrict(generator.support())))
-
-
-def _apply(tensor: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
-    """op on k axes of size d (4 for Pauli or pair axes, 2 for bit axes),
-    axes[j] carrying digit j of op's base-d index.  Axis 0 of the tensor
-    indexes samples.  A d^k x d^k op is shared by the samples; an
-    (S, d^k, d^k) stack gives one op per sample and spreads a batch of one
-    to S.  Axes that follow each other, top digit first, are contracted in
-    place: the tensor is viewed as (S, A, d^k, K) and multiplied by op, or,
-    on the last axis (K = 1), its (S, A, d^k) view by op's transpose.
-    Other axes are first transposed together behind the sample axis."""
-    k = len(axes)
-    top = min(axes)
-    gathered = axes[::-1] != list(range(top, top + k))
-    if gathered:
-        perm = [0, *axes[::-1], *(a for a in range(1, tensor.ndim) if a not in axes)]
-        tensor, top = tensor.transpose(perm), 1
-    shape, size = tensor.shape, op.shape[-1]
-    view = tensor.reshape(len(tensor), math.prod(shape[1:top]), size, -1)
+def _apply(tensor: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
+    """A 4 x 4 op on one axis of size 4, a Pauli or pair axis; axis 0 of
+    the tensor indexes samples.  An op shared by the samples is 4 x 4; an
+    (S, 4, 4) stack gives one op per sample and spreads a batch of one to
+    S.  Contracted in place: the tensor is viewed as (S, A, 4, K) and
+    multiplied by op, or, on the last axis (K = 1), its (S, A, 4) view by
+    op's transpose."""
+    shape = tensor.shape
+    view = tensor.reshape(len(tensor), math.prod(shape[1:axis]), 4, -1)
     if view.shape[-1] == 1:
         out = view[..., 0] @ np.swapaxes(op, -1, -2)
     else:
-        out = op.reshape(-1, 1, size, size) @ view
-    out = out.reshape(len(out), *shape[1:])
-    return out.transpose(np.argsort(perm)) if gathered else out
+        out = op.reshape(-1, 1, 4, 4) @ view
+    return out.reshape(len(out), *shape[1:])
 
 
 def _on_each(tensor: np.ndarray, op: np.ndarray, axes) -> np.ndarray:
     """A one-axis op on each of the given axes."""
     for axis in axes:
-        tensor = _apply(tensor, op, [axis])
+        tensor = _apply(tensor, op, axis)
     return tensor
 
 
@@ -233,55 +229,44 @@ def _noise_round(n: int, lam: float) -> np.ndarray:
     return reduce(np.multiply.outer, [one] * n)
 
 
-def _basis_change(k: int) -> np.ndarray:
-    """The 16^k x 16^k matrix, read-only, that takes U[i, p] conj U[j, q],
-    flattened over (i, p, j, q), to the transfer matrix of U flattened
-    over (a, b), whose [a, b] is Tr(sigma_a U sigma_b U^dag) / 2^k.  On
-    two qubits a = 4 a_1 + a_0 stands for sigma_a_1 (x) sigma_a_0, support
-    qubit j on digit j.  Only the one-qubit change, which every rotation
-    site uses, is kept (`_ROTATION_CHANGE`); the 1 MB two-qubit one serves
-    only Cliffords, whose site operators are cached instead, so it is
-    dropped once they are built."""
-    t, e = _TO_PAULI.reshape(4, 2, 2), _FROM_PAULI.reshape(2, 2, 4)
-    if k == 2:
-        t = np.einsum("aij,bkl->abikjl", t, t).reshape(16, 4, 4)
-        e = np.einsum("ijb,kld->ikjlbd", e, e).reshape(4, 4, 16)
-    return _read_only(np.einsum("aij,pqb->ipjqab", t, e).reshape(16**k, 16**k))
-
-
-_ROTATION_CHANGE = _basis_change(1)
-
-
-def _site_operator(u: np.ndarray) -> np.ndarray:
-    """The real transfer matrix of M -> U M U^dag on the k = 1 or 2 qubits
-    of U, by one contraction of U (x) conj U with the basis change; a stack
-    of one-qubit U, such as (G, S, 2, 2), gives the same stack of 4 x 4
-    operators.  A channel's coordinates lie in [-1, 1], so its realness is
-    checked at size 1."""
-    k = u.shape[-1] // 2
-    stack = u.shape[:-2]
-    pair = (u[..., :, :, None, None] * u.conj()[..., None, None, :, :]).reshape(*stack, -1)
-    change = _ROTATION_CHANGE if k == 1 else _basis_change(k)
-    return _real((pair @ change).reshape(*stack, 4**k, 4**k), 1.0, "gate operator")
-
-
 @lru_cache(maxsize=16)
 def _clifford_site(kind: str) -> np.ndarray:
-    """A Clifford gate's site operator, read-only."""
-    return _read_only(_site_operator(_CLIFFORDS[kind]))
+    """A Clifford gate's site operator, read-only, from its definition
+    [a, b] = Tr(sigma_a U sigma_b U^dag) / 2^k on the k = 1 or 2 qubits of
+    U, by one contraction over the products of the one-qubit Pauli
+    matrices: on two qubits a = 4 a_1 + a_0 stands for
+    sigma_a_1 (x) sigma_a_0, support qubit j on digit j.  A channel's
+    coordinates lie in [-1, 1], so its realness is checked at size 1."""
+    u = _CLIFFORDS[kind]
+    basis = _PAULIS if len(u) == 2 else np.kron(_PAULIS[:, None], _PAULIS).reshape(16, 4, 4)
+    op = np.einsum("aij,jk,bkl,li->ab", basis, u, basis, u.conj().T) / len(u)
+    return _read_only(_real(op, 1.0, "gate operator"))
 
 
-def _wide_rotation(tensor: np.ndarray, u: np.ndarray, axes: list[int], n: int) -> np.ndarray:
-    """U on the row bits and conj U on the column bits of k >= 2 Pauli
-    axes: the axes go to pair digits, to the (S,) + (2,)*2n bit view and
-    back, and then back to Pauli coordinates, checked real."""
-    bits = _on_each(tensor, _FROM_PAULI, axes)
-    bits = bits.reshape(len(bits), *(2,) * (2 * n))
-    bits = _apply(bits, u, [2 * axis - 1 for axis in axes])
-    bits = _apply(bits, u.conj(), [2 * axis for axis in axes])
-    pairs = bits.reshape(len(bits), *(4,) * n)
-    size = np.abs(pairs).reshape(len(pairs), -1).sum(axis=1).reshape(-1, *(1,) * n)
-    return _real(_on_each(pairs, _TO_PAULI, axes), size, "rotated coordinates")
+def _rotation_sites(letters, angles: np.ndarray) -> np.ndarray:
+    """The 4 x 4 operators of one-qubit rotations about the letters (digits
+    0..3) by the angles, a (G,) or (G, S) stack giving the same stack of
+    operators: (I + E)/2 + cos t (I - E)/2 + sin t T, E the diagonal of
+    M -> gMg and T the sin table of each letter g."""
+    g = np.reshape(letters, (-1, *(1,) * (angles.ndim - 1)))
+    flip, t = np.eye(4) * _FLIP[g][..., None, :], angles[..., None, None]
+    return (np.eye(4) + flip) / 2 + np.cos(t) * (np.eye(4) - flip) / 2 + np.sin(t) * _TURN[g]
+
+
+def _rotate(tensor: np.ndarray, letters: list[int], axes: list[int], angle) -> np.ndarray:
+    """A rotation on k >= 2 Pauli axes, letters[j] on axes[j], by the
+    rotation rule: GMG is the tensor times each letter's +-1 diagonal,
+    broadcast along its axis, and MG and GM are one `_apply` of a letter's
+    table per axis, whose (i/2)-difference is checked real at the size of
+    its terms.  An array of S angles gives S samples."""
+    n = tensor.ndim - 1
+    flip = right = left = tensor
+    for g, axis in zip(letters, axes):
+        flip = flip * _FLIP[g].reshape(4, *(1,) * (n - axis))
+        right, left = _apply(right, _RIGHT[g], axis), _apply(left, _LEFT[g], axis)
+    turn = _real(0.5j * (right - left), np.abs(right), "rotated coordinates")
+    t = np.reshape(angle, (-1, *(1,) * n))
+    return (tensor + flip) / 2 + np.cos(t) * (tensor - flip) / 2 + np.sin(t) * turn
 
 
 @lru_cache(maxsize=16)
@@ -349,19 +334,20 @@ def _plan(layers, noise: np.ndarray, n: int):
     """The steps of a run, built once per call: per layer, its noise round
     and Cliffords as one `_gather`, built once per distinct tuple of
     Cliffords (None for a layer without any, whose noise round stays a
-    product), and its rotations with their Pauli axes (qubit q on axis
-    n + 1 - q).  Also the one-qubit rotations of all layers, in layer and
-    gate order, and their stacked generator matrices."""
+    product), and its rotations with their letters' digits and their Pauli
+    axes (qubit q on axis n + 1 - q).  Also the one-qubit rotations of all
+    layers, in layer and gate order, each with its letter's digit."""
     gathers, steps = {}, []
     for layer in layers:
         cliffords = layer.cliffords
         if cliffords and cliffords not in gathers:
             gathers[cliffords] = _gather(cliffords, noise, n)
-        rotations = [(g, [n + 1 - q for q in g.support]) for g in layer.rotations]
+        rotations = [(g, [LETTERS.index(g.generator.letter(q)) for q in g.support],
+                      [n + 1 - q for q in g.support]) for g in layer.rotations]
         steps.append((gathers.get(cliffords), rotations))
-    ones = [g for layer in layers for g in layer.rotations if len(g.support) == 1]
-    generators = np.stack([_generator_matrix(g.generator) for g in ones]) if ones else None
-    return steps, ones, generators
+    ones = [(g, digits[0]) for _, rotations in steps for g, digits, _ in rotations
+            if len(digits) == 1]
+    return steps, ones
 
 
 def _layers(plan, tensor: np.ndarray, noise: np.ndarray, assignment: ParameterAssignment):
@@ -369,16 +355,14 @@ def _layers(plan, tensor: np.ndarray, noise: np.ndarray, assignment: ParameterAs
     spread to S by the first symbol's rotation, each layer a noise round
     and its gates: the gather, or the product with the noise factor, then
     the rotations, as the supports are disjoint.  The site operators of
-    the one-qubit rotations are built here, once per chunk of samples,
-    from one stacked cos and sin and one `_site_operator` call; a bound
-    angle's is spread over the samples when a one-qubit rotation has a
-    symbol."""
-    steps, ones, generators = plan
+    the one-qubit rotations are built here, once per chunk of samples, by
+    one `_rotation_sites` call; a bound angle's is spread over the samples
+    when a one-qubit rotation has a symbol."""
+    steps, ones = plan
     sites = iter(())
     if ones:
-        angles = np.stack(np.broadcast_arrays(*(_angle(g, assignment) for g in ones)))
-        paulis = generators.reshape(len(ones), *(1,) * (angles.ndim - 1), 2, 2)
-        sites = iter(_site_operator(_rotation_matrix(angles, paulis)))
+        angles = np.stack(np.broadcast_arrays(*(_angle(g, assignment) for g, _ in ones)))
+        sites = iter(_rotation_sites([digit for _, digit in ones], angles))
     for gather, rotations in steps:
         if gather is None:
             tensor = tensor * noise
@@ -386,12 +370,11 @@ def _layers(plan, tensor: np.ndarray, noise: np.ndarray, assignment: ParameterAs
             perm, factor = gather
             out = tensor.reshape(len(tensor), -1) * factor
             tensor = np.take(out, perm, axis=1).reshape(tensor.shape)
-        for gate, axes in rotations:
+        for gate, digits, axes in rotations:
             if len(axes) == 1:
-                tensor = _apply(tensor, next(sites), axes)
+                tensor = _apply(tensor, next(sites), axes[0])
             else:
-                u = _rotation_matrix(_angle(gate, assignment), _generator_matrix(gate.generator))
-                tensor = _wide_rotation(tensor, u, axes, noise.ndim)
+                tensor = _rotate(tensor, digits, axes, _angle(gate, assignment))
     return tensor
 
 
@@ -421,6 +404,13 @@ def _check_run(
     size = check_assignment(circuit, assignment, batch=True)
     _check_cap(circuit.n)
     return size
+
+
+def _check_words(n: int, *words: PauliWord) -> None:
+    """Refuse a word of a per-path factor that is not on n qubits."""
+    for word in words:
+        if word.n != n:
+            raise ValueError(f"word {word} is on {word.n} qubits, the run has {n}")
 
 
 def _entry(rho: SparseDensity) -> np.ndarray:
@@ -490,7 +480,7 @@ def noisy_mean_value(
     most CHUNK_ENTRIES real entries."""
     size = _check_run(circuit, h, rho, assignment, lam)
     noise, entry, terms = _noise_round(circuit.n, lam), _entry(rho), h.terms()
-    steps, ones, generators = _plan(circuit.layers, noise, circuit.n)
+    steps, ones = _plan(circuit.layers, noise, circuit.n)
     index = np.array([0] + [_index(word) for word, _ in terms])
     last = noise.reshape(-1)[index]  # the last noise round, read at the terms only
     read = np.ones(len(index))
@@ -506,7 +496,7 @@ def noisy_mean_value(
         chunk = assignment
         if size is not None:
             chunk = {p: assignment[p][start : start + step] for p in circuit.parameters()}
-        final = _layers((steps, ones, generators), entry, noise, chunk)
+        final = _layers((steps, ones), entry, noise, chunk)
         products = final.reshape(len(final), -1)[:, index] * read * last * coeffs
         total = np.add.accumulate(products, axis=1)[:, -1]
         values.append(_real(total, np.abs(products).sum(axis=1), "mean value"))
@@ -533,22 +523,30 @@ def transition_factor(
 ) -> float:
     """Tr(next U N(prev) Udag) / 2^n: the coordinate at next of prev's
     coordinates, from its dense matrix, after the layer's noise round and
-    gates."""
+    gates.  The noise rate, the layer and its angles, and the words are
+    checked before the cap, as a dense run's are."""
+    check_noise_rate(lam)
+    circuit = Circuit(n, (layer,))
+    check_assignment(circuit, assignment)
+    _check_words(n, prev_word, next_word)
     _check_cap(n)
     tensor = _hermitian_coordinates(word_matrix(prev_word), n, "word coordinates")
     noise = _noise_round(n, lam)
-    final = _layers(_plan([layer], noise, n), tensor, noise, assignment)
+    final = _layers(_plan(circuit.layers, noise, n), tensor, noise, assignment)
     return float(final.flat[_index(next_word)]) / (1 << n)
 
 
 def observable_factor(h: Hamiltonian, word: PauliWord, lam: float = 0.0) -> float:
     """Tr(H N(word)) / 2^n: the noise factor at the word times H's
     coefficient of it, as Tr(v w) / 2^n is 1 for v = w and 0 otherwise."""
+    check_noise_rate(lam)
+    _check_words(h.n, word)
     _check_cap(h.n)
     return h.coeff(word) * float(_noise_round(h.n, lam).flat[_index(word)])
 
 
 def state_factor(rho: SparseDensity, word: PauliWord) -> float:
     """Tr(word rho): rho's entry coordinate at the word, checked real."""
+    _check_words(rho.n, word)
     _check_cap(rho.n)
     return float(_entry(rho).flat[_index(word)])

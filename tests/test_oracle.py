@@ -32,6 +32,7 @@ from paulipath.oracle import (
 )
 
 from conftest import (
+    _1Q,
     ansatz_instance,
     dense_depolarize,
     dense_hamiltonian,
@@ -135,10 +136,10 @@ def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
     # the run's checks, the state's entry coordinates and the plan, with one
     # gather per distinct Clifford layer, are built once per call, whatever
     # the chunk count: at n = 4 a chunk holds 128 samples; the one-qubit
-    # site operators of all rotation layers come from one `_site_operator`
-    # call per chunk, not one per layer
+    # site operators of all rotation layers come from one stacked
+    # `_rotation_sites` build per chunk, not one per layer
     oracle._clifford_site("CNOT")  # cached before the count starts
-    calls = {"_check_run": 0, "_entry": 0, "_gather": 0, "_layers": 0, "_site_operator": 0}
+    calls = {"_check_run": 0, "_entry": 0, "_gather": 0, "_layers": 0, "_rotation_sites": 0}
     for name in calls:
 
         def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
@@ -162,24 +163,26 @@ def test_mean_value_checks_and_enters_once_per_call(monkeypatch, samples):
         "_entry": 1,
         "_gather": 2,
         "_layers": chunks,
-        "_site_operator": chunks,
+        "_rotation_sites": chunks,
     }
 
 
 def _per_site_layer(tensor, noise, layer, assignment):
     """A layer by the per-site route: the noise product, then each gate in
-    layer order by `_apply` of its dense site operator, a one-qubit
-    rotation's built on its own."""
+    layer order: a Clifford by the einsum reference of its dense site
+    operator, which is exact for a signed permutation, and a one-qubit
+    rotation by `_apply` of its operator, built on its own."""
     n = noise.ndim
     tensor = tensor * noise
     for gate in layer.gates:
+        axes = [n + 1 - q for q in gate.support]
         if isinstance(gate, CliffordGate):
-            op = oracle._clifford_site(gate.kind)
+            tensor = _einsum_apply(tensor, oracle._clifford_site(gate.kind), axes)
         else:
             angle = gate.angle if gate.param is None else assignment[gate.param]
-            pauli = word_matrix(gate.generator.restrict(gate.support))
-            op = oracle._site_operator(oracle._rotation_matrix(angle, pauli))
-        tensor = oracle._apply(tensor, op, [n + 1 - q for q in gate.support])
+            letter = "IXYZ".index(gate.generator.letter(gate.support[0]))
+            op = oracle._rotation_sites(np.array([letter]), np.array([angle]))[0]
+            tensor = oracle._apply(tensor, op, axes[0])
     return tensor
 
 
@@ -265,11 +268,88 @@ def test_gather_refuses_an_operator_that_is_not_a_signed_permutation(monkeypatch
     assert noisy_mean_value(circuit, h, rho, {}, 0.1) == 0.0
     # uncached, so that the reading sees each patched operator
     monkeypatch.setattr(oracle, "_signed_permutation", oracle._signed_permutation.__wrapped__)
-    rotation = oracle._site_operator(oracle._rotation_matrix(0.3, oracle._PAULIS[1]))
+    rotation = oracle._rotation_sites(np.array([1]), np.array([0.3]))[0]
     for op in (rotation, oracle._clifford_site("S") / 2, np.eye(4)[[0, 0, 2, 3]]):
         monkeypatch.setattr(oracle, "_clifford_site", lambda kind, _op=op: _op)
         with pytest.raises(ValueError, match="^the S site operator is not a signed permutation$"):
             noisy_mean_value(circuit, h, rho, {}, 0.1)
+
+
+def _gamma(m):
+    """The bound gamma_m = m u / (1 - m u), u = 2^-53, on the relative
+    roundoff of a sum of m products."""
+    unit = np.finfo(float).eps / 2
+    return m * unit / (1 - m * unit)
+
+
+def _dense_words(n):
+    """Conftest's dense matrix of every n-qubit word, at its flat
+    coordinate index: qubit q's letter is base-4 digit q - 1."""
+    letters = ("".join("IXYZ"[(b >> 2 * q) & 3] for q in range(n)) for b in range(4**n))
+    return np.array([dense_word(PauliWord.from_string(text)) for text in letters])
+
+
+def _dense_site(u):
+    """Tr(sigma_a U sigma_b U^dag) / 2 from conftest's one-qubit matrices,
+    and the same sum taken over absolute values."""
+    paulis = np.array([_1Q[letter] for letter in "IXYZ"])
+    return [
+        np.einsum("aij,jk,bkl,li->ab", *map(part, (paulis, u, paulis, u.conj().T))).real / 2
+        for part in (np.asarray, np.abs)
+    ]
+
+
+def _dense_rotation(tensor, generator, angle):
+    """The Pauli coordinates of U M U^dag, for M the matrices of an
+    (S,) + (4,)*n coordinate tensor and U = cos(t/2) I - i sin(t/2) G, all
+    from conftest's dense words; and the same sums taken over absolute
+    values, which bound the size of each coordinate's terms."""
+    n = tensor.ndim - 1
+    words = _dense_words(n)
+    half = np.reshape(angle, (-1, 1, 1)) / 2
+    u = np.cos(half) * np.eye(2**n) - 1j * np.sin(half) * dense_word(generator)
+    udag = u.conj().transpose(0, 2, 1)
+    coords = tensor.reshape(len(tensor), -1)
+    out = []
+    for part in (np.asarray, np.abs):
+        mat = np.einsum("sb,bij->sij", part(coords), part(words)) / 2**n
+        out.append(np.einsum("aij,sji->sa", part(words), part(u) @ mat @ part(udag)))
+    want, size = out
+    return want.real.reshape(-1, *tensor.shape[1:]), size.real.reshape(-1, *tensor.shape[1:])
+
+
+@pytest.mark.parametrize("samples", [None, 5])
+def test_rotation_rule_matches_dense_conjugation(samples):
+    # the rotation rule against conftest's dense U = cos(t/2) I - i sin(t/2)
+    # sigma: each letter's one-qubit operator against Tr(sigma_a U sigma_b
+    # U^dag) / 2, and rotations on 2 and 3 letters, through the plan, against
+    # conjugation by U, at float angles and at one angle per sample.  The
+    # dense route rounds each coordinate at most m times relative to the
+    # sizes of its terms (sum |terms|, taken over absolute values), m = 16
+    # on one qubit and m = 2 (2 * 4^n + 2 * 2^n) on n qubits (four nested
+    # sums, complex parts doubled), and the rule's few roundings fall within
+    # that, so the two routes differ by at most 2 gamma_m sum |terms|
+    rng = np.random.default_rng(21)
+    angles = rng.uniform(-7.0, 7.0, (4, samples or 1))
+    if samples is None:
+        angles = angles[:, 0]
+    sites = oracle._rotation_sites(np.arange(4), angles)
+    for g, letter in enumerate("IXYZ"):
+        for t, site in zip(np.atleast_1d(angles[g]), sites[g].reshape(-1, 4, 4)):
+            want, size = _dense_site(np.cos(t / 2) * _1Q["I"] - 1j * np.sin(t / 2) * _1Q[letter])
+            assert np.all(np.abs(site - want) <= 2 * _gamma(16) * size), (letter, t)
+    n = 4
+    tensor = rng.normal(size=(samples or 3, *(4,) * n))
+    noise = oracle._noise_round(n, 0.0)
+    for letters in ("XIYI", "IZXI", "YZIX", "ZYXI", "IXIZ"):
+        generator = PauliWord.from_string(letters)
+        angle = rng.uniform(-7.0, 7.0, samples) if samples else float(rng.uniform(-7.0, 7.0))
+        layer = Layer((RotationGate(generator, param="a"),))
+        got = _gathered_layer(tensor, noise, layer, {"a": angle})
+        want, size = _dense_rotation(tensor, generator, angle)
+        assert got.shape == want.shape == tensor.shape
+        bound = 2 * _gamma(2 * (2 * 4**n + 2 * 2**n)) * size
+        assert np.all(np.abs(got - want) <= bound), letters
 
 
 def _einsum_apply(tensor, op, axes):
@@ -288,29 +368,23 @@ def _einsum_apply(tensor, op, axes):
 
 def _roundoff(tensor, op, axes):
     """Twice the bound gamma_m sum |op_ij x_j| on the roundoff of each
-    entry of a sum of m products, m = 4 real ones, or 4 complex ones
-    (each part then a sum of 8 real products, whose sizes |a_r b_r| +
-    |a_i b_i| are at most |a| |b|), as in the contraction and in the
-    reference alike."""
-    m = op.shape[-1] * (2 if np.iscomplexobj(op) or np.iscomplexobj(tensor) else 1)
-    unit = np.finfo(float).eps / 2
-    gamma = m * unit / (1 - m * unit)
-    return 2 * gamma * _einsum_apply(np.abs(tensor), np.abs(op), axes)
+    entry of a sum of m = 4 real products, as in the contraction and in
+    the reference alike."""
+    return 2 * _gamma(op.shape[-1]) * _einsum_apply(np.abs(tensor), np.abs(op), axes)
 
 
 def _site_stack(rng, size):
     """(size, 4, 4) one-qubit rotation site operators at random angles and
     generators."""
-    pauli = oracle._PAULIS[rng.integers(1, 4, size)]
-    return oracle._site_operator(oracle._rotation_matrix(rng.uniform(-7.0, 7.0, size), pauli))
+    letters = rng.integers(1, 4, size)
+    return oracle._rotation_sites(letters, rng.uniform(-7.0, 7.0, size))
 
 
 def test_apply_matches_einsum_reference():
     # every way `_apply` is called: each axis, the last included, by a
     # shared op and by one op per sample, also on a batch of one spread to
-    # S; CNOTs either way round and between non-adjacent qubits; and the
-    # complex U of a wide rotation on its size-2 bit axes.  Clifford
-    # operators are signed permutations, so those results are exact
+    # S.  Clifford operators are signed permutations, so those results are
+    # exact
     rng = np.random.default_rng(5)
     n, size = 4, 3
     tensor = rng.normal(size=(size, *(4,) * n))
@@ -319,29 +393,13 @@ def test_apply_matches_einsum_reference():
     cliffords = [oracle._clifford_site(kind) for kind in ("H", "S")]
     for axis in range(1, n + 1):
         for x, op in ((tensor, shared), (tensor, stack), (one, stack), (one, shared)):
-            got = oracle._apply(x, op, [axis])
+            got = oracle._apply(x, op, axis)
             want = _einsum_apply(x, op, [axis])
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= _roundoff(x, op, [axis])), axis
         for op in cliffords:
-            got = oracle._apply(tensor, op, [axis])
+            got = oracle._apply(tensor, op, axis)
             assert np.array_equal(got, _einsum_apply(tensor, op, [axis])), axis
-    cnot = oracle._clifford_site("CNOT")
-    # control on the upper axis (the higher qubit) or the lower, adjacent
-    # or not, the last axis included
-    for axes in ([2, 1], [1, 2], [4, 3], [3, 4], [1, 3], [4, 1], [2, 4]):
-        got = oracle._apply(tensor, cnot, axes)
-        assert np.array_equal(got, _einsum_apply(tensor, cnot, axes)), axes
-    # the wide rotation's U and conj U on the row and column bits of Pauli
-    # axes (3, 1): bit axes (5, 1) and (6, 2) of the (S,) + (2,)*2n view
-    bits = rng.normal(size=(size, *(2,) * (2 * n))) + 1j * rng.normal(size=(size, *(2,) * (2 * n)))
-    generator = word_matrix(PauliWord.from_string("XY"))
-    u = oracle._rotation_matrix(rng.uniform(-7.0, 7.0, size), generator)
-    for x, op in ((bits, u), (bits, u[0]), (bits[:1], u)):
-        for axes in ([5, 1], [6, 2]):
-            got = oracle._apply(x, op, axes)
-            want = _einsum_apply(x, op, axes)
-            assert np.all(np.abs(got - want) <= _roundoff(x, op, axes)), axes
 
 
 def test_entry_coordinates_match_the_dense_conversion():
@@ -358,10 +416,9 @@ def test_entry_coordinates_match_the_dense_conversion():
         entries = rho.entries()
         want = oracle._hermitian_coordinates(state_matrix(rho), rho.n, "matrix route")
         got = oracle._entry(rho)
-        unit = np.finfo(float).eps / 2
-        gamma = len(entries) * unit / (1 - len(entries) * unit)
         assert got.shape == want.shape == (1, *(4,) * rho.n)
-        assert np.max(np.abs(got - want)) <= 2 * gamma * sum(abs(v) for _, _, v in entries)
+        bound = 2 * _gamma(len(entries)) * sum(abs(v) for _, _, v in entries)
+        assert np.max(np.abs(got - want)) <= bound
         if len(entries) <= 4:
             assert np.array_equal(got, want)
 
@@ -394,6 +451,60 @@ def test_observable_factor_normalization():
     assert observable_factor(h, word, lam=0.0) == pytest.approx(0.8)
     assert observable_factor(h, word, lam=0.25) == pytest.approx(0.8 * 0.75**2)
     assert observable_factor(h, PauliWord.from_string("XI"), lam=0.0) == pytest.approx(0.0)
+
+
+def _rx_layer(n=1):
+    return Layer((RotationGate(PauliWord.from_map(n, {1: "X"}), param="a"),))
+
+
+_Z, _ZZ = PauliWord.from_string("Z"), PauliWord.from_string("ZZ")
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: observable_factor(Hamiltonian(1, [(_Z, 1.0)]), _Z, 2.0), "noise rate"),
+        (lambda: transition_factor(_rx_layer(), {"a": 0.3}, 1, _Z, _Z, lam=-0.5), "noise rate"),
+        (lambda: transition_factor(_rx_layer(), {"a": 0.3}, 1, _Z, _Z, lam=float("nan")),
+         "noise rate"),
+        (lambda: transition_factor(_rx_layer(), {}, 1, _Z, _Z), "parameter 'a' needs"),
+        (lambda: transition_factor(_rx_layer(), {"a": float("inf")}, 1, _Z, _Z),
+         "parameter 'a' needs"),
+        (lambda: transition_factor(_rx_layer(2), {"a": 0.3}, 1, _Z, _Z),
+         "generator is on 2 qubits, circuit has 1"),
+        (lambda: transition_factor(_rx_layer(), {"a": 0.3}, 1, _ZZ, _Z),
+         "^word ZZ is on 2 qubits, the run has 1$"),
+        (lambda: transition_factor(_rx_layer(), {"a": 0.3}, 1, _Z, _ZZ),
+         "^word ZZ is on 2 qubits, the run has 1$"),
+        (lambda: observable_factor(Hamiltonian(1, [(_Z, 1.0)]), _ZZ),
+         "^word ZZ is on 2 qubits, the run has 1$"),
+        (lambda: state_factor(SparseDensity.computational_basis(1), _ZZ),
+         "^word ZZ is on 2 qubits, the run has 1$"),
+    ],
+    ids=[
+        "observable-rate", "transition-rate", "transition-nan-rate", "missing-angle",
+        "infinite-angle", "layer-qubits", "prev-word", "next-word", "observable-word",
+        "state-word",
+    ],
+)
+def test_factor_checks_refuse_malformed_input(call, match):
+    # the per-path factor checks run the package's input rules before any
+    # work, as a dense run does: the noise rate, the layer against n and
+    # its angles, and each word's qubit count, named in the message
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_factor_checks_run_before_the_cap():
+    # a malformed input is reported as such, even beyond the cap
+    n = oracle.ORACLE_CAP + 1
+    word = PauliWord.from_map(n, {1: "Z"})
+    with pytest.raises(ValueError, match="noise rate"):
+        transition_factor(_rx_layer(n), {"a": 0.3}, n, word, word, lam=1.5)
+    with pytest.raises(ValueError, match=f"^word Z is on 1 qubits, the run has {n}$"):
+        state_factor(SparseDensity.computational_basis(n), _Z)
+    with pytest.raises(OracleCapError):
+        transition_factor(_rx_layer(n), {"a": 0.3}, n, word, word)
 
 
 def test_transition_factor_single_rotation():

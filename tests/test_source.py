@@ -167,6 +167,31 @@ def test_oracle_builds_its_pauli_basis_with_the_dense_builder():
     assert "word_matrix" in calls, calls
 
 
+def test_oracle_reads_its_rotation_rule_off_the_pauli_matrices():
+    # every rotation follows one rule, whose per-letter tables are read off
+    # the one-qubit Pauli matrices at import, so they rest on the matrices
+    # the tests check against their own kron construction; and `_apply`
+    # contracts one axis in place, with no transposing branch for wider
+    # operators
+    tree = ast.parse(_sources()["oracle.py"])
+    tables = ("_FLIP", "_RIGHT", "_LEFT", "_TURN")
+    assigned = [
+        (ast.unparse(node.targets[0]), node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in tables
+    ]
+    assert sorted(name for name, _ in assigned) == sorted(tables)
+    for name, value in assigned:
+        read = {node.id for node in ast.walk(value) if isinstance(node, ast.Name)}
+        assert read <= {"_PAULIS", "np", "_real", *tables}, (name, read)
+    [fn] = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_apply"
+    ]
+    assert [(arg.arg, ast.unparse(arg.annotation)) for arg in fn.args.args][-1] == ("axis", "int")
+    called = [ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    assert [call for call in called if "transpose" in call] == [], called
+
+
 def test_only_the_engine_decodes_step_masks():
     # a path's steps leave the engine as one choice per rotation, so the
     # estimator shifts no bit mask: the masks' layout has one home
